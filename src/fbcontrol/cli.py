@@ -37,6 +37,63 @@ def _write_manifest(outdir: Path, command, config):
     (outdir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+FLOAT_FMT = "%.17g"
+_CSV_BLOCK = 1024          # rows formatted per block in write_csv
+
+
+def write_csv(path, header, rows):
+    """Write a CSV artifact: the column names, then one line per row with every
+    value formatted by FLOAT_FMT, which round-trips doubles exactly.
+
+    ``rows`` is a 2-D array or a list of rows, one value per name in each row.
+    """
+    line = ",".join([FLOAT_FMT] * len(header)) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK):
+            block = rows[start:start + _CSV_BLOCK]
+            if isinstance(block, np.ndarray):
+                # Python floats format fastest; a block at a time bounds memory
+                block = block.tolist()
+            f.writelines([line % tuple(row) for row in block])
+
+
+def _write_riccati(traj, path):
+    write_csv(path, ("t", "phi1", "phi2", "phi3", "phi4", "phi5", "phi6", "phi7", "psi", "v"),
+              np.column_stack([traj.s, traj.phi.T, traj.psi, traj.v]))
+
+
+def _write_planner(sol, path):
+    write_csv(path, ("t", "theta1", "theta2", "consumption_coeff"),
+              np.column_stack([sol.s, sol.theta1, sol.theta2, sol.consumption_coeff]))
+
+
+def _write_verify(report, path):
+    keys = ("t", "eps", "u", "quotient", "stderr")
+    write_csv(path, keys, [[r[k] for k in keys] for r in report.rows])
+
+
+def _write_gap(gap_report, path):
+    write_csv(path, ("tau", "gap"), [[r["tau"], r["gap"]] for r in gap_report["rows"]])
+
+
+def _write_strategy(strategy, path):
+    s, x = np.meshgrid(strategy.s_grid, strategy.x_grid, indexing="ij")
+    write_csv(path, ("s", "x", "psi"), np.column_stack([s.ravel(), x.ravel(),
+                                                        strategy.values.ravel()]))
+
+
+def _write_iterations(log, path):
+    keys = ("iter", "residual_D", "residual_Dx", "residual_Dy", "residual_psi")
+    write_csv(path, keys, [[r[k] for k in keys] for r in log.rows])
+
+
+def _work_unit(spec):
+    """Unit of VerifyReport.work for the route verify_equilibrium takes on spec."""
+    return ("RK4 flow integrations" if spec.cost_class == "deterministic"
+            else "simulated ensembles")
+
+
 def _summary(outdir: Path, lines):
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
     for line in lines:
@@ -82,7 +139,7 @@ def cmd_lq_riccati(args):
     vals = {k: doc.get(k, defaults.get(k, 0.0)) for k in keys}
     lq = riccati.LQSpec(**vals)
     traj = riccati.solve_riccati_lq(lq, steps=args.steps)
-    riccati.emit_riccati_csv(traj, out / "lq_riccati.csv")
+    _write_riccati(traj, out / "lq_riccati.csv")
     _summary(out, [
         f"lq-riccati: steps={args.steps} T={lq.T}",
         f"phi1(0)={traj.phi[0, 0]:.12g} psi(0)={traj.psi[0]:.12g} v(0)={traj.v[0]:.12g}",
@@ -99,10 +156,8 @@ def cmd_meanfield_lq(args):
             (("A", 0.0), ("B", 1.0), ("C", 1.0), ("D", 0.0), ("Q", 0.0),
              ("R", 2.0), ("G1", 0.0), ("G2", 2.0), ("T", 1.0))}
     grid, phi, phihat, psi = riccati.solve_meanfield_riccati(steps=args.steps, **vals)
-    with open(out / "meanfield.csv", "w") as f:
-        f.write("t,phi,phihat,psi\n")
-        for k in range(grid.size):
-            f.write(",".join("%.17g" % v for v in (grid[k], phi[k], phihat[k], psi[k])) + "\n")
+    write_csv(out / "meanfield.csv", ("t", "phi", "phihat", "psi"),
+              np.column_stack([grid, phi, phihat, psi]))
     _summary(out, [
         f"meanfield-lq: steps={args.steps}",
         f"phi(0)={phi[0]:.12g} phihat(0)={phihat[0]:.12g} psi(0)={psi[0]:.12g}",
@@ -121,7 +176,7 @@ def cmd_meanvar(args):
     r, mu, sigma, gamma, T = args.r, args.mu, args.sigma, args.gamma, args.T
     res = riccati.meanvar_equilibrium(r, mu, sigma, gamma, T, steps=args.steps)
     traj = riccati.solve_riccati_lq(_mv_lq_spec(r, mu, sigma, gamma, T), steps=args.steps)
-    riccati.emit_riccati_csv(traj, out / "mv_riccati.csv")
+    _write_riccati(traj, out / "mv_riccati.csv")
     lines = [
         f"meanvar: r={r} mu={mu} sigma={sigma} gamma={gamma} T={T}",
         f"v(0) = {res.v[0]:.7f} (closed form {float(res.closed['vbar'](0.0)):.7f})",
@@ -134,8 +189,8 @@ def cmd_meanvar(args):
     spec = model.mean_variance(r=r, mu=mu, sigma=sigma, gamma=gamma, T=T, x0=args.x0)
     grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt)
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, tol=args.tol)
-    pde.emit_strategy_csv(strat, out / "mv_strategy_pde.csv")
-    pde.emit_iteration_csv(log, out / "mv_iterations.csv")
+    _write_strategy(strat, out / "mv_strategy_pde.csv")
+    _write_iterations(log, out / "mv_iterations.csv")
     ref = res.closed["vbar"](grid.times)[:, None] + 0.0 * grid.xs[None, :]
     err = float(np.max(np.abs(strat.values - ref) / np.abs(ref)))
     lines.append(f"pde cross-check: converged={log.converged} iters={log.iterations} "
@@ -143,9 +198,10 @@ def cmd_meanvar(args):
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_eps(args.eps))
     report = mc.verify_equilibrium(spec, res.strategy, _parse_times(args.times), cfg,
                                    tol_eq=args.tol_eq)
-    mc.emit_verify_csv(report, out / "mv_verify.csv")
+    _write_verify(report, out / "mv_verify.csv")
     lines.append(f"spike verification: verdict={'PASS' if report.verdict else 'FAIL'} "
                  f"min quotient (smallest window)={report.min_quotient_smallest_eps:.4g}")
+    lines.append(f"spike verification work: {report.work} {_work_unit(spec)}")
     _summary(out, lines)
     _write_manifest(out, "meanvar", _config_dict(args))
     return 0 if report.verdict else 3
@@ -155,7 +211,7 @@ def cmd_planner(args):
     out = _outdir(args)
     sol = riccati.solve_planner(args.r, args.mu, args.sigma, args.gamma, args.alpha,
                                 args.rho1, args.rho2, args.lam, args.T, steps=args.steps)
-    riccati.emit_planner_csv(sol, out / "planner.csv")
+    _write_planner(sol, out / "planner.csv")
     _summary(out, [
         f"planner: theta1(0)={sol.theta1[0]:.10g} theta2(0)={sol.theta2[0]:.10g}",
         f"investment coefficient = {sol.investment_coeff:.10g}",
@@ -169,7 +225,7 @@ def cmd_stackelberg(args):
     out = _outdir(args)
     res = riccati.stackelberg_leader()
     gaps = mc.demonstrate_inconsistency("stackelberg")
-    mc.emit_gap_csv(gaps, out / "stackelberg_gap.csv")
+    _write_gap(gaps, out / "stackelberg_gap.csv")
     qc = res.leader_cost_quadrature(0.0)
     _summary(out, [
         "stackelberg: time-consistent equilibrium value = -0.5",
@@ -193,10 +249,20 @@ def cmd_pde_solve(args):
     else:
         grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt, ny=args.grid_ny)
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, tol=args.tol)
-    pde.emit_theta_csv(theta, out / "theta.csv", stride=max(1, args.grid_nx // 33))
-    pde.emit_theta0_csv(theta0, theta, out / "theta0.csv", stride=max(1, args.grid_nx // 17))
-    pde.emit_strategy_csv(strat, out / "strategy.csv")
-    pde.emit_iteration_csv(log, out / "iterations.csv")
+    stride = max(1, args.grid_nx // 33)
+    s, x = np.meshgrid(theta.times[::stride], theta.xs[::stride], indexing="ij")
+    write_csv(out / "theta.csv", ["s", "x"] + [f"theta_{c + 1}" for c in range(theta.m)],
+              np.column_stack([s.ravel(), x.ravel()]
+                              + [comp[::stride, ::stride].ravel() for comp in theta.values]))
+    # anchored cost field sampled along the diagonal anchor set
+    stride = max(1, args.grid_nx // 17)
+    t, x = np.meshgrid(theta0.times[::stride], theta0.xs[::stride], indexing="ij")
+    write_csv(out / "theta0.csv", ("t", "s", "xtilde", "x", "y", "theta0"),
+              np.column_stack([t.ravel(), t.ravel(), x.ravel(), x.ravel(),
+                               theta.values[0, ::stride, ::stride].ravel(),
+                               theta0.diagonal(theta).d[::stride, ::stride].ravel()]))
+    _write_strategy(strat, out / "strategy.csv")
+    _write_iterations(log, out / "iterations.csv")
     _summary(out, [
         f"pde-solve[{family}]: converged={log.converged} iterations={log.iterations}",
         f"final residuals: {log.rows[-1] if log.rows else 'n/a'}",
@@ -233,11 +299,12 @@ def cmd_mc_verify(args):
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_eps(args.eps))
     report = mc.verify_equilibrium(spec, strat, _parse_times(args.times), cfg,
                                    tol_eq=args.tol_eq)
-    mc.emit_verify_csv(report, out / "verify.csv")
+    _write_verify(report, out / "verify.csv")
     _summary(out, [
         f"mc-verify[{family}]: verdict={'PASS' if report.verdict else 'FAIL'}",
         f"min quotient at smallest window = {report.min_quotient_smallest_eps:.6g} "
         f"(tolerance -{report.tol_eq})",
+        f"work: {report.work} {_work_unit(spec)}",
     ])
     _write_manifest(out, "mc-verify", _config_dict(args))
     return 0 if report.verdict else 3
@@ -247,7 +314,7 @@ def cmd_inconsistency(args):
     out = _outdir(args)
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed)
     gaps = mc.demonstrate_inconsistency(args.example, cfg)
-    mc.emit_gap_csv(gaps, out / "gap.csv")
+    _write_gap(gaps, out / "gap.csv")
     lines = [f"inconsistency[{args.example}]:"]
     for row in gaps["rows"]:
         extra = "".join(f" {k}={v:.6g}" for k, v in row.items() if k not in ("tau", "gap"))
@@ -269,11 +336,8 @@ def cmd_fk_check(args):
                         (grid.nt // 2, 0), (3 * grid.nt // 4, 2))]
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed)
     rows = mc.check_feynman_kac(spec, theta, theta0, strat, pts, cfg)
-    with open(out / "fk.csv", "w") as f:
-        f.write("r,x,y_mc,y_field,z_y,y0_mc,y0_field,z_y0\n")
-        for row in rows:
-            f.write(",".join("%.17g" % row[k] for k in
-                             ("r", "x", "y_mc", "y_field", "z_y", "y0_mc", "y0_field", "z_y0")) + "\n")
+    keys = ("r", "x", "y_mc", "y_field", "z_y", "y0_mc", "y0_field", "z_y0")
+    write_csv(out / "fk.csv", keys, [[row[k] for k in keys] for row in rows])
     worst = max(max(abs(r_["z_y"]), abs(r_["z_y0"])) for r_ in rows)
     ok = worst <= 3.0
     _summary(out, [f"fk-check: worst |z| = {worst:.3f} -> {'PASS' if ok else 'FAIL'}"])
@@ -425,10 +489,10 @@ def cmd_selftest(args):
     # representative artifacts, all deterministically formatted
     res = riccati.meanvar_equilibrium(0.03, 0.08, 0.2, 2.0, 1.0, steps=2000)
     traj = riccati.solve_riccati_lq(_mv_lq_spec(0.03, 0.08, 0.2, 2.0, 1.0), steps=2000)
-    riccati.emit_riccati_csv(traj, out / "mv_riccati.csv")
+    _write_riccati(traj, out / "mv_riccati.csv")
     sol = riccati.solve_planner(0.03, 0.08, 0.2, 0.5, 0.3, 0.08, 0.02, 0.4, steps=2000)
-    riccati.emit_planner_csv(sol, out / "planner.csv")
-    mc.emit_gap_csv(mc.demonstrate_inconsistency("stackelberg"), out / "stackelberg_gap.csv")
+    _write_planner(sol, out / "planner.csv")
+    _write_gap(mc.demonstrate_inconsistency("stackelberg"), out / "stackelberg_gap.csv")
     ok_all = all(ok for _, ok, _ in results)
     _summary(out, [f"selftest: {sum(ok for _, ok, _ in results)}/{len(results)} checks passed",
                    f"verdict: {'PASS' if ok_all else 'FAIL'}"])

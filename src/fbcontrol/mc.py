@@ -151,28 +151,70 @@ def perturbed_strategy(psi_bar, t, eps, u, spec=None):
 # Cost evaluation
 # ---------------------------------------------------------------------------
 
-def _flow_ode(spec, strategy, t, x, s_nodes):
-    """RK4 flow of dx/ds = b(s, x, psi(s, x)) along the given nodes."""
-    xs = np.empty(s_nodes.size)
-    xs[0] = x
-    for k in range(s_nodes.size - 1):
+def _flow_ode(spec, control, x, s_nodes):
+    """RK4 flow of dx/ds = b(s, x, control(s, x)) along the given nodes, for a
+    column of initial states x integrated together.
+
+    Returns (states, controls), both shaped (columns, nodes): controls[:, k] is
+    the control at (s_nodes[k], states[:, k]).
+    """
+    n = s_nodes.size
+    xs = np.empty((x.size, n))
+    us = np.empty((x.size, n))
+    xs[:, 0] = x
+
+    def f(ss, xx):
+        u = np.asarray(control(ss, xx), dtype=float)
+        return np.asarray(spec.drift(ss, xx, u), dtype=float), u
+
+    for k in range(n - 1):
         h = s_nodes[k + 1] - s_nodes[k]
         s = s_nodes[k]
-        xc = xs[k]
-
-        def f(ss, xx):
-            return float(np.asarray(spec.drift(ss, xx, float(np.asarray(strategy(ss, xx))))))
-
-        k1 = f(s, xc)
-        k2 = f(s + 0.5 * h, xc + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h, xc + 0.5 * h * k2)
-        k4 = f(s + h, xc + h * k3)
-        xs[k + 1] = xc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return xs
+        xc = xs[:, k]
+        k1, us[:, k] = f(s, xc)
+        k2, _ = f(s + 0.5 * h, xc + 0.5 * h * k1)
+        k3, _ = f(s + 0.5 * h, xc + 0.5 * h * k2)
+        k4, _ = f(s + h, xc + h * k3)
+        xs[:, k + 1] = xc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    us[:, -1] = control(s_nodes[-1], xs[:, -1])
+    return xs, us
 
 
-def _deterministic_cost(spec, strategy, t, x, panels=2048):
+def _breaks(t, T, window):
+    """Piece edges of the cost quadrature on [t, T]: the window edges inside it."""
+    breaks = {t, T}
+    for edge in window or ():
+        if t < edge < T:
+            breaks.add(edge)
+    return sorted(breaks)
+
+
+def _cost_quadrature(spec, t, x, pieces, panels=2048):
     """Composite Simpson on the reduced running integrand along the ODE flow.
+
+    ``pieces`` lists (s0, s1, control) in time order; each piece is integrated
+    for the whole column of initial states x at once.  Returns the cost per
+    column and the number of flows integrated.
+    """
+    total = np.zeros(x.size)
+    flows = 0
+    for s0, s1, control in pieces:
+        if s1 - s0 < 1e-15:
+            continue
+        # pieces are treated closed-from-the-left: clamp queries below s1 so a
+        # half-open window keeps its own control on the whole piece
+        s_in = np.nextafter(s1, s0)
+        nodes = np.linspace(s0, s1, panels + 1)
+        flow, u = _flow_ode(spec, lambda s, xx: control(min(s, s_in), xx), x, nodes)
+        flows += 1
+        vals = np.asarray(spec.reduced_running(t, nodes, u), dtype=float)
+        total = total + _simpson(vals, nodes[1] - nodes[0])
+        x = flow[:, -1]
+    return total, flows
+
+
+def _deterministic_cost(spec, strategy, t, x):
+    """Quadrature cost of one strategy from (t, x); returns (cost, flows).
 
     Integration is split at perturbation-window edges so each Simpson piece
     sees a smooth integrand.
@@ -180,30 +222,30 @@ def _deterministic_cost(spec, strategy, t, x, panels=2048):
     if spec.reduced_running is None:
         raise UnsupportedCostClassError(
             "deterministic evaluation needs a reduced running integrand")
-    T = spec.horizon
-    breaks = [t, T]
-    w = getattr(strategy, "window", None)
-    if w is not None:
-        for edge in w:
-            if t < edge < T:
-                breaks.append(edge)
-    breaks = sorted(set(breaks))
-    total = 0.0
-    x_cur = float(x)
-    for s0, s1 in zip(breaks[:-1], breaks[1:]):
-        if s1 - s0 < 1e-15:
-            continue
-        # pieces are treated closed-from-the-left: clamp queries below s1 so a
-        # half-open window keeps its own control on the whole piece
-        s_in = np.nextafter(s1, s0)
-        piece = lambda s, xx, _si=s_in: strategy(min(s, _si), xx)
-        nodes = np.linspace(s0, s1, panels + 1)
-        flow = _flow_ode(spec, piece, t, x_cur, nodes)
-        u_vals = np.array([float(np.asarray(piece(s, xx))) for s, xx in zip(nodes, flow)])
-        vals = np.asarray(spec.reduced_running(t, nodes, u_vals), dtype=float)
-        total += _simpson(vals, nodes[1] - nodes[0])
-        x_cur = flow[-1]
-    return total
+    breaks = _breaks(t, spec.horizon, getattr(strategy, "window", None))
+    total, flows = _cost_quadrature(spec, t, np.array([float(x)]),
+                                    [(s0, s1, strategy) for s0, s1 in zip(breaks[:-1], breaks[1:])])
+    return total[0], flows
+
+
+def _spike_costs(spec, psi_bar, t, x, eps, u_list):
+    """Quadrature costs of every spike perturbation (t, eps, u), u in u_list,
+    from one column flow; returns (costs, flows).
+
+    Each cost equals _deterministic_cost of perturbed_strategy(psi_bar, t, eps,
+    u): the same pieces, the window under its clipped constant control and the
+    rest under psi_bar, which every perturbation follows outside its window.
+    """
+    perts = [perturbed_strategy(psi_bar, t, eps, u, spec) for u in u_list]
+    if not perts:
+        return np.empty(0), 0
+    outside = perts[0]
+    w_end = outside.window[1]
+    u_win = np.array([p(t, x) for p in perts])
+    breaks = _breaks(t, spec.horizon, outside.window)
+    pieces = [(s0, s1, (lambda s, xx: u_win) if s0 < w_end else outside)
+              for s0, s1 in zip(breaks[:-1], breaks[1:])]
+    return _cost_quadrature(spec, t, np.full(len(perts), float(x)), pieces)
 
 
 def _mc_cost_samples(spec, strategy, t, x, cfg, normals):
@@ -246,7 +288,7 @@ def evaluate_cost(spec, strategy_or_control, t, x, cfg: MCConfig, normals=None):
     if not isinstance(strategy, StrategyTable) and callable(strategy):
         strategy = StrategyTable(spec.u_lo, spec.u_hi, fn=lambda s, xx: strategy_or_control(s, xx))
     if spec.cost_class == "deterministic":
-        return _deterministic_cost(spec, strategy, t, x), 0.0
+        return _deterministic_cost(spec, strategy, t, x)[0], 0.0
     if spec.cost_class == "bolza_condexp":
         if normals is None:
             n_steps = max(1, int(round((spec.horizon - t) * cfg.steps_per_unit)))
@@ -269,6 +311,7 @@ class VerifyReport:
     tol_eq: float
     verdict: bool
     min_quotient_smallest_eps: float
+    work: int                     # RK4 flows (deterministic) or simulated ensembles
 
     def passed(self):
         return self.verdict
@@ -284,13 +327,6 @@ def _quotient_mc(spec, psi_bar, t, x, cfg, normals, eps, u, base=None):
     q = (pert_est - base_est) / eps
     se = float(np.std(diff, ddof=1) / math.sqrt(diff.size)) / eps
     return q, se
-
-
-def _quotient_quadrature(spec, psi_bar, t, x, eps, u):
-    base, _ = evaluate_cost(spec, psi_bar, t, x, MCConfig(n_paths=2))
-    pert = perturbed_strategy(psi_bar, t, eps, u, spec)
-    pval, _ = evaluate_cost(spec, pert, t, x, MCConfig(n_paths=2))
-    return (pval - base) / eps, 0.0
 
 
 def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
@@ -313,17 +349,22 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
     details = []
     if deterministic:
         nodes = np.linspace(0.0, T, 2049)
-        flow = _flow_ode(spec, psi_bar, 0.0, x0, nodes)
+        flow, _ = _flow_ode(spec, psi_bar, np.array([float(x0)]), nodes)
+        work = 1
         for t in t_list:
-            x_t = float(np.interp(t, nodes, flow))
+            x_t = float(np.interp(t, nodes, flow[0]))
+            base, flows = _deterministic_cost(spec, psi_bar, t, x_t)
+            work += flows
             for eps in cfg.eps_list:
-                for u in cfg.u_list:
-                    q, se = _quotient_quadrature(spec, psi_bar, t, x_t, eps, u)
-                    rows.append({"t": t, "eps": eps, "u": u, "quotient": q, "stderr": se})
+                costs, flows = _spike_costs(spec, psi_bar, t, x_t, eps, cfg.u_list)
+                work += flows
+                for u, q in zip(cfg.u_list, ((costs - base) / eps).tolist()):
+                    rows.append({"t": t, "eps": eps, "u": u, "quotient": q, "stderr": 0.0})
                     details.append({"t": t, "state": "flow", "x": x_t, "eps": eps,
-                                    "u": u, "quotient": q, "stderr": se})
+                                    "u": u, "quotient": q, "stderr": 0.0})
     else:
         base = simulate_forward(spec, psi_bar, 0.0, x0, cfg)
+        work = 1
         for t_idx, t in enumerate(t_list):
             xt = base.state_at(t)
             states = [("mean", float(np.mean(xt)))]
@@ -338,6 +379,7 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
             per_state = {}
             for label, x_e in states:
                 base_cost = _mc_cost_samples(spec, psi_bar, t, x_e, cfg, z)
+                work += 1 + len(cfg.eps_list) * len(cfg.u_list)
                 for eps in cfg.eps_list:
                     for u in cfg.u_list:
                         q, se = _quotient_mc(spec, psi_bar, t, x_e, cfg, z, eps, u,
@@ -353,7 +395,7 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
     min_q = min(small) if small else math.nan
     verdict = bool(min_q >= -tol_eq)
     return VerifyReport(rows=rows, details=details, tol_eq=tol_eq, verdict=verdict,
-                        min_quotient_smallest_eps=min_q)
+                        min_quotient_smallest_eps=min_q, work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -496,20 +538,3 @@ def check_feynman_kac(spec, theta, theta0, strategy, sample_points, cfg: MCConfi
             "z_y0": (y0_mc - y0_field) / max(y0_se, 1e-300),
         })
     return rows
-
-
-FLOAT_FMT = "%.17g"
-
-
-def emit_verify_csv(report: VerifyReport, path):
-    with open(path, "w") as f:
-        f.write("t,eps,u,quotient,stderr\n")
-        for r in report.rows:
-            f.write(",".join(FLOAT_FMT % r[k] for k in ("t", "eps", "u", "quotient", "stderr")) + "\n")
-
-
-def emit_gap_csv(gap_report, path):
-    with open(path, "w") as f:
-        f.write("tau,gap\n")
-        for r in gap_report["rows"]:
-            f.write(",".join(FLOAT_FMT % r[k] for k in ("tau", "gap")) + "\n")

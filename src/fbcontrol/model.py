@@ -85,9 +85,6 @@ class ControlProblemSpec:
     def u_bounded(self):
         return abs(self.u_lo) < U_INF and abs(self.u_hi) < U_INF
 
-    def clamp_u(self, u):
-        return np.clip(u, self.u_lo, self.u_hi)
-
 
 class StrategyTable:
     """A feedback strategy: closed-form callable or interpolated grid table.

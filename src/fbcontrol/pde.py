@@ -779,44 +779,3 @@ def mv_reference_fields(spec, grid: GridSpec):
     theta = FieldTheta(times, xs, m1[None, :, :])
     theta0 = SeparableCostField(times, xs, hat, spec.terminal_split, anchor_free=True)
     return theta, theta0
-
-
-def emit_strategy_csv(strategy: StrategyTable, path, fmt="%.17g"):
-    if not strategy.is_grid:
-        raise DomainError("only grid strategies can be emitted")
-    with open(path, "w") as f:
-        f.write("s,x,psi\n")
-        for j, s in enumerate(strategy.s_grid):
-            for i, x in enumerate(strategy.x_grid):
-                f.write(",".join(fmt % v for v in (s, x, strategy.values[j, i])) + "\n")
-
-
-def emit_theta_csv(theta: FieldTheta, path, fmt="%.17g", stride=1):
-    with open(path, "w") as f:
-        f.write("s,x," + ",".join(f"theta_{c + 1}" for c in range(theta.m)) + "\n")
-        for j in range(0, theta.times.size, stride):
-            for i in range(0, theta.xs.size, stride):
-                row = [theta.times[j], theta.xs[i]] + [theta.values[c, j, i] for c in range(theta.m)]
-                f.write(",".join(fmt % v for v in row) + "\n")
-
-
-def emit_theta0_csv(theta0, theta: FieldTheta, path, fmt="%.17g", stride=4):
-    """Anchored cost field sampled along the diagonal anchor set."""
-    bundle = theta0.diagonal(theta)
-    with open(path, "w") as f:
-        f.write("t,s,xtilde,x,y,theta0\n")
-        for j in range(0, theta0.times.size, stride):
-            for i in range(0, theta0.xs.size, stride):
-                y = theta.values[0, j, i]
-                row = [theta0.times[j], theta0.times[j], theta0.xs[i], theta0.xs[i], y,
-                       bundle.d[j, i]]
-                f.write(",".join(fmt % v for v in row) + "\n")
-
-
-def emit_iteration_csv(log: IterationLog, path, fmt="%.17g"):
-    with open(path, "w") as f:
-        f.write("iter,residual_D,residual_Dx,residual_Dy,residual_psi\n")
-        for r in log.rows:
-            f.write(",".join([str(r["iter"])] +
-                             [fmt % r[k] for k in ("residual_D", "residual_Dx",
-                                                   "residual_Dy", "residual_psi")]) + "\n")

@@ -21,11 +21,32 @@ from .model import StrategyTable
 SINGULAR_TOL = 1e-12
 
 
-def _fn(c):
-    if callable(c):
-        return c
-    cc = float(c)
-    return lambda s: cc
+_LQ_COEFFICIENTS = ("A", "B", "C", "D", "Ahat", "Bhat", "Chat", "Dhat", "Q", "M", "N", "R")
+
+
+def _stage_coefficients(coeffs):
+    """Map a stage time s to the tuple of coefficient values at s, as floats.
+
+    Constants are converted once.  Callables are evaluated once per distinct
+    stage time: the last time and its values are kept, so the feedback and the
+    right-hand side of one stage, and the two middle RK4 stages, share one
+    evaluation.  Coefficient callables must therefore be pure functions of s.
+    """
+    values = [None if callable(c) else float(c) for c in coeffs]
+    varying = [(i, c) for i, c in enumerate(coeffs) if callable(c)]
+    if not varying:
+        fixed = tuple(values)
+        return lambda s: fixed
+    last = [None, None]
+
+    def at(s):
+        if s != last[0]:
+            for i, c in varying:
+                values[i] = float(c(s))
+            last[0], last[1] = s, tuple(values)
+        return last[1]
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -35,7 +56,8 @@ class LQSpec:
     Forward: dX = (A X + B u) ds + (C X + D u) dW.
     Backward: dY = -(Ahat X + Bhat u + Chat Y + Dhat Z) ds + Z dW, Y(T) = H X(T).
     Running weights Q, M, N, R; terminal weights G1 (X^2), G2 (Y(t)^2),
-    G3 (X(t) Y(t) cross), g (linear).  Time-varying entries may be callables.
+    G3 (X(t) Y(t) cross), g (linear).  Time-varying entries may be callables
+    of s; each is evaluated once per RK4 stage time, so it must be pure.
     """
 
     A: object = 0.0
@@ -60,10 +82,6 @@ class LQSpec:
     def __post_init__(self):
         if not self.T > 0:
             raise DomainError("horizon must be positive")
-
-    def fns(self):
-        return {k: _fn(getattr(self, k)) for k in
-                ("A", "B", "C", "D", "Ahat", "Bhat", "Chat", "Dhat", "Q", "M", "N", "R")}
 
 
 @dataclass
@@ -94,32 +112,31 @@ def rk4_backward(rhs, terminal_value, T, steps):
         raise DomainError("steps must be >= 1")
     y = np.atleast_1d(np.asarray(terminal_value, dtype=float)).copy()
     h = T / steps
+    half, sixth = 0.5 * h, h / 6.0
     grid = np.linspace(0.0, T, steps + 1)
     out = np.empty((steps + 1, y.size))
     out[steps] = y
     for k in range(steps, 0, -1):
         s = grid[k]
         k1 = np.asarray(rhs(s, y), dtype=float)
-        k2 = np.asarray(rhs(s - 0.5 * h, y - 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(rhs(s - 0.5 * h, y - 0.5 * h * k2), dtype=float)
+        k2 = np.asarray(rhs(s - half, y - half * k1), dtype=float)
+        k3 = np.asarray(rhs(s - half, y - half * k2), dtype=float)
         k4 = np.asarray(rhs(s - h, y - h * k3), dtype=float)
-        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        y = y - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
             raise BlowUpError(grid[k - 1])
         out[k - 1] = y
     return grid, out
 
 
-def _lq_feedback(fns, s, phi):
-    """Feedback pair (psi, v) from the current coefficient values.
+def _lq_feedback(s, c, phi):
+    """Feedback pair (psi, v) from the coefficient values c at s and the state phi.
 
     The denominator is D'Phi1 D + R + D'Phi6' N Phi6 D; the cross terms of the
     N weight carry the D factor required by the quadratic expansion.
     """
+    A, B, C, D, Ah, Bh, Ch, Dh, Q, M, N, R = c
     p1, p2, p3, p4, p5, p6, p7 = phi
-    A = fns["A"](s); B = fns["B"](s); C = fns["C"](s); D = fns["D"](s)
-    Bh = fns["Bhat"](s); Dh = fns["Dhat"](s)
-    N = fns["N"](s); R = fns["R"](s)
     den = D * p1 * D + R + D * p6 * N * p6 * D
     if abs(den) < SINGULAR_TOL:
         raise SingularityError(s, "in the feedback gain")
@@ -133,14 +150,14 @@ def _lq_feedback(fns, s, phi):
 def solve_riccati_lq(lq: LQSpec, steps=10000) -> RiccatiTrajectory:
     """Integrate the seven coupled backward equations with the feedback pair
     recomputed inside every RK4 stage."""
-    fns = lq.fns()
+    coef = _stage_coefficients([getattr(lq, k) for k in _LQ_COEFFICIENTS])
 
-    def rhs(s, phi):
+    def rhs(s, y):
+        c = coef(s)
+        A, B, C, D, Ah, Bh, Ch, Dh, Q, M, N, R = c
+        phi = y.tolist()
         p1, p2, p3, p4, p5, p6, p7 = phi
-        psi, v = _lq_feedback(fns, s, phi)
-        A = fns["A"](s); B = fns["B"](s); C = fns["C"](s); D = fns["D"](s)
-        Ah = fns["Ahat"](s); Bh = fns["Bhat"](s); Ch = fns["Chat"](s); Dh = fns["Dhat"](s)
-        Q = fns["Q"](s); M = fns["M"](s); N = fns["N"](s); R = fns["R"](s)
+        psi, v = _lq_feedback(s, c, phi)
         acl = A + B * psi
         ccl = C + D * psi
         f1 = -(2.0 * p1 * acl + ccl * p1 * ccl + Q + p6 * M * p6
@@ -151,15 +168,15 @@ def solve_riccati_lq(lq: LQSpec, steps=10000) -> RiccatiTrajectory:
                + 0.5 * v * R * v + 0.5 * p7 * M * p7)
         f6 = -(p6 * acl + Ah + Bh * psi + Ch * p6 + Dh * p6 * ccl)
         f7 = -(p6 * B * v + Bh * v + Ch * p7 + Dh * p6 * D * v)
-        return np.array([f1, 0.0, 0.0, f4, f5, f6, f7])
+        return [f1, 0.0, 0.0, f4, f5, f6, f7]
 
     terminal = np.array([lq.G1, lq.G2, lq.G3, lq.g, 0.0, lq.H, 0.0])
     grid, out = rk4_backward(rhs, terminal, lq.T, steps)
     phi = out.T
     psi = np.empty(grid.size)
     v = np.empty(grid.size)
-    for k in range(grid.size):
-        psi[k], v[k] = _lq_feedback(fns, grid[k], phi[:, k])
+    for k, s in enumerate(grid.tolist()):
+        psi[k], v[k] = _lq_feedback(s, coef(s), out[k].tolist())
     # phi2, phi3 have identically zero derivative; keep them bit-exact.
     resid = float(np.max(np.abs(phi[:, -1] - terminal)))
     assert float(np.max(np.abs(phi[1] - lq.G2))) == 0.0
@@ -174,25 +191,28 @@ def solve_meanfield_riccati(A, B, C, D, Q, R, G1, G2, T=1.0, steps=10000):
     Returns (grid, Phi, Phihat, Psi) with Phi(T) = G1, Phihat(T) = G1 + G2 and
     Psi = -(D Phi D + R)^{-1} (D Phi C + B Phihat).
     """
-    Af, Bf, Cf, Df, Qf, Rf = map(_fn, (A, B, C, D, Q, R))
+    coef = _stage_coefficients((A, B, C, D, Q, R))
 
-    def feedback(s, y):
-        p, ph = y
-        den = Df(s) * p * Df(s) + Rf(s)
+    def feedback(s, c, p, ph):
+        Af, Bf, Cf, Df, Qf, Rf = c
+        den = Df * p * Df + Rf
         if abs(den) < SINGULAR_TOL:
             raise SingularityError(s, "in the feedback gain")
-        return -(Df(s) * p * Cf(s) + Bf(s) * ph) / den
+        return -(Df * p * Cf + Bf * ph) / den
 
     def rhs(s, y):
-        p, ph = y
-        psi = feedback(s, y)
-        acl = Af(s) + Bf(s) * psi
-        ccl = Cf(s) + Df(s) * psi
-        quad = ccl * p * ccl + Qf(s) + psi * Rf(s) * psi
-        return np.array([-(2.0 * p * acl + quad), -(2.0 * ph * acl + quad)])
+        c = coef(s)
+        Af, Bf, Cf, Df, Qf, Rf = c
+        p, ph = y.tolist()
+        psi = feedback(s, c, p, ph)
+        acl = Af + Bf * psi
+        ccl = Cf + Df * psi
+        quad = ccl * p * ccl + Qf + psi * Rf * psi
+        return [-(2.0 * p * acl + quad), -(2.0 * ph * acl + quad)]
 
     grid, out = rk4_backward(rhs, np.array([G1, G1 + G2]), T, steps)
-    psi = np.array([feedback(grid[k], out[k]) for k in range(grid.size)])
+    psi = np.array([feedback(s, coef(s), *out[k].tolist())
+                    for k, s in enumerate(grid.tolist())])
     return grid, out[:, 0], out[:, 1], psi
 
 
@@ -243,27 +263,27 @@ def meanvar_equilibrium(r, mu, sigma, gamma, T=1.0, steps=10000) -> MeanVarResul
     if sigma <= 0 or gamma <= 0:
         raise DomainError("sigma and gamma must be positive")
     s2 = sigma * sigma
+    rf, excess, gf, s2f = float(r), float(mu - r), float(gamma), float(s2)
 
-    def vbar_of(phi):
-        p1, p4, p6, p7 = phi
-        den = s2 * p1
+    def vbar_of(p1, p4, p6, p7):
+        den = s2f * p1
         if abs(den) < SINGULAR_TOL:
             raise SingularityError(0.0, "sigma^2 phi1 vanished")
-        return -(mu - r) * (p4 - gamma * p6 * p7) / den
+        return -excess * (p4 - gf * p6 * p7) / den
 
-    def rhs(s, phi):
-        p1, p4, p6, p7 = phi
-        v = vbar_of(phi)
-        return np.array([
-            -2.0 * r * p1,
-            -(v * (mu - r) * p1 + r * p4),
-            -r * p6,
-            -(p6 * (mu - r) * v),
-        ])
+    def rhs(s, y):
+        p1, p4, p6, p7 = y.tolist()
+        v = vbar_of(p1, p4, p6, p7)
+        return [
+            -2.0 * rf * p1,
+            -(v * excess * p1 + rf * p4),
+            -rf * p6,
+            -(p6 * excess * v),
+        ]
 
     grid, out = rk4_backward(rhs, np.array([gamma, -1.0, 1.0, 0.0]), T, steps)
     p1, p4, p6, p7 = out.T
-    v = np.array([vbar_of(out[k]) for k in range(grid.size)])
+    v = np.array([vbar_of(*row.tolist()) for row in out])
     closed = meanvar_closed_form(r, mu, sigma, gamma, T)
     variants = {
         "phi1_alt": lambda t: np.exp(2.0 * gamma * (T - np.asarray(t, dtype=float))),
@@ -298,6 +318,8 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
     coarse).  The linear investment coefficient is (mu - r)/(gamma sigma^2);
     the consumption coefficient table is returned per grid node.
     """
+    r, mu, sigma, gamma, alpha, rho1, rho2, lam = map(
+        float, (r, mu, sigma, gamma, alpha, rho1, rho2, lam))
     if sigma <= 0 or gamma <= 0 or gamma == 1.0:
         raise DomainError("need sigma > 0, gamma > 0, gamma != 1")
     if alpha / (1.0 - gamma) <= 0:
@@ -315,19 +337,24 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
         return mix ** e1 / mixk ** e1
 
     def rhs(s, th):
-        th1, th2 = th
+        th1, th2 = th.tolist()
         if th1 <= 0.0 or th2 <= 0.0:
             raise PositivityError(
                 f"theta left the positive band at t={s:.6g}: ({th1:.3g}, {th2:.3g})")
-        mix = lam * th1 + (1.0 - lam) * th2
-        mixk = lam * th1 ** kappa + (1.0 - lam) * th2 ** kappa
-        cons = mix ** e1 / mixk ** e1
-        bump = mix ** ea / mixk ** ea
+        try:
+            mix = lam * th1 + (1.0 - lam) * th2
+            mixk = lam * th1 ** kappa + (1.0 - lam) * th2 ** kappa
+            cons = mix ** e1 / mixk ** e1
+            bump = mix ** ea / mixk ** ea
+        except (OverflowError, ZeroDivisionError):
+            # float powers raise where numpy scalars give inf; a non-finite
+            # derivative makes the driver stop with BlowUpError as before
+            return [math.nan, math.nan]
         d1 = -((1.0 - gamma) * th1 * (q - cons) - (1.0 - gamma) * rho1 * th1 / alpha
                + (1.0 - gamma) / alpha * th1 ** kappa * bump)
         d2 = -((1.0 - gamma) * th2 * (q - cons) - (1.0 - gamma) * rho2 * th2 / alpha
                + (1.0 - gamma) / alpha * th2 ** kappa * bump)
-        return np.array([d1, d2])
+        return [d1, d2]
 
     grid, out = rk4_backward(rhs, np.array([1.0, 1.0]), T, steps)
     th1, th2 = out[:, 0], out[:, 1]
@@ -387,26 +414,10 @@ def stackelberg_leader(T=1.0) -> StackelbergResult:
 
 
 def _simpson(vals, h):
-    n = vals.size - 1
+    """Composite Simpson along the last axis; each sum reduces a contiguous row
+    in index order, so a batch of rows gives the same values as one at a time."""
+    n = vals.shape[-1] - 1
     if n % 2 != 0:
         raise DomainError("composite Simpson needs an even panel count")
-    return (h / 3.0) * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2]) + 2.0 * np.sum(vals[2:-1:2]))
-
-
-FLOAT_FMT = "%.17g"
-
-
-def emit_riccati_csv(traj: RiccatiTrajectory, path):
-    with open(path, "w") as f:
-        f.write("t,phi1,phi2,phi3,phi4,phi5,phi6,phi7,psi,v\n")
-        for k in range(traj.s.size):
-            row = [traj.s[k]] + [traj.phi[i, k] for i in range(7)] + [traj.psi[k], traj.v[k]]
-            f.write(",".join(FLOAT_FMT % val for val in row) + "\n")
-
-
-def emit_planner_csv(sol: PlannerSolution, path):
-    with open(path, "w") as f:
-        f.write("t,theta1,theta2,consumption_coeff\n")
-        for k in range(sol.s.size):
-            row = [sol.s[k], sol.theta1[k], sol.theta2[k], sol.consumption_coeff[k]]
-            f.write(",".join(FLOAT_FMT % val for val in row) + "\n")
+    return (h / 3.0) * (vals[..., 0] + vals[..., -1] + 4.0 * np.sum(vals[..., 1:-1:2], axis=-1)
+                        + 2.0 * np.sum(vals[..., 2:-1:2], axis=-1))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fbcontrol import mc, model
+from fbcontrol.cli import _work_unit, _write_gap, _write_verify
 from fbcontrol.errors import DomainError, UnsupportedCostClassError
 from fbcontrol.mc import (MCConfig, check_feynman_kac, demonstrate_inconsistency,
-                          emit_gap_csv, emit_verify_csv, evaluate_cost,
-                          path_normals, perturbed_strategy, simulate_forward,
-                          verify_equilibrium)
+                          evaluate_cost, path_normals, perturbed_strategy,
+                          simulate_forward, verify_equilibrium)
 from fbcontrol.model import ControlProblemSpec, StrategyTable
 from fbcontrol.pde import GridSpec, mv_reference_fields, default_grid, solve_theta, \
     solve_theta0_family
@@ -206,6 +206,10 @@ def test_crn_quotient_exactly_zero_for_identical_strategies():
     report = verify_equilibrium(spec, eq, (0.2,), cfg)
     assert all(r["quotient"] == 0.0 for r in report.rows)
     assert report.verdict
+    # the closed-loop run, then per evaluation state one base and one perturbed ensemble
+    n_states = len({d["state"] for d in report.details})
+    assert report.work == 1 + n_states * 2
+    assert _work_unit(spec) == "simulated ensembles"
 
 
 def test_verify_equilibrium_smoke_mean_variance():
@@ -229,6 +233,94 @@ def test_verify_equilibrium_deterministic_exact():
     assert report.verdict
     at_eq = [r for r in report.rows if r["u"] == -0.5]
     assert all(abs(r["quotient"]) < 1e-10 for r in at_eq)
+
+
+def _scalar_quadrature_cost(spec, strategy, t, x, panels=2048):
+    """Reference deterministic cost: one state at a time, one scalar RK4 flow
+    per piece and one control call per node (no shared code)."""
+    T = spec.horizon
+    w = getattr(strategy, "window", ())
+    breaks = sorted({t, T} | {e for e in w if t < e < T})
+    total = 0.0
+    for s0, s1 in zip(breaks[:-1], breaks[1:]):
+        if s1 - s0 < 1e-15:
+            continue
+        s_in = np.nextafter(s1, s0)
+        ctrl = lambda s, xx: float(np.asarray(strategy(min(s, s_in), xx)))
+        f = lambda s, xx: float(np.asarray(spec.drift(s, xx, ctrl(s, xx))))
+        nodes = np.linspace(s0, s1, panels + 1)
+        xs = [x]
+        for k in range(panels):
+            h, s, xc = nodes[k + 1] - nodes[k], nodes[k], xs[-1]
+            k1 = f(s, xc)
+            k2 = f(s + 0.5 * h, xc + 0.5 * h * k1)
+            k3 = f(s + 0.5 * h, xc + 0.5 * h * k2)
+            k4 = f(s + h, xc + h * k3)
+            xs.append(xc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        vals = spec.reduced_running(t, nodes, np.array([ctrl(s, xx) for s, xx in zip(nodes, xs)]))
+        h = nodes[1] - nodes[0]
+        total += (h / 3.0) * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2])
+                              + 2.0 * np.sum(vals[2:-1:2]))
+        x = xs[-1]
+    return total
+
+
+def _test_strategy(kind, spec):
+    if kind == "time":
+        return StrategyTable(spec.u_lo, spec.u_hi,
+                             fn=lambda s, x: -0.5 + 0.1 * s + 0.0 * np.asarray(x, dtype=float))
+    if kind == "state":
+        return StrategyTable(spec.u_lo, spec.u_hi, fn=lambda s, x: -0.5 + 0.3 * x)
+    # grid table varying in s and x; its edges clamp to U
+    s_grid = np.linspace(0.0, spec.horizon, 5)
+    x_grid = np.linspace(-2.0, 2.0, 9)
+    values = -0.5 + 0.2 * s_grid[:, None] + 0.8 * np.sin(x_grid)[None, :]
+    return StrategyTable(spec.u_lo, spec.u_hi, s_grid=s_grid, x_grid=x_grid, values=values)
+
+
+class _DistinctStatesSpy:
+    """Strategy wrapper recording the most distinct states of one call."""
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+        self.u_lo, self.u_hi = strategy.u_lo, strategy.u_hi
+        self.most_distinct_states = 0
+
+    def __call__(self, s, x):
+        n = np.unique(np.asarray(x, dtype=float)).size
+        self.most_distinct_states = max(self.most_distinct_states, n)
+        return self.strategy(s, x)
+
+
+@pytest.mark.parametrize("kind", ["time", "state", "grid"])
+@pytest.mark.parametrize("family", ["ex31", "stackelberg"])
+def test_batched_deterministic_quotients_equal_single_costs(family, kind):
+    spec = model.make_spec(family)
+    eq = _DistinctStatesSpy(_test_strategy(kind, spec))
+    # both bounds of U; t = 0.9 with eps = 0.1 ends the window exactly at T,
+    # which leaves the post-window piece empty
+    u_list = (spec.u_lo, -0.5, 1.25, spec.u_hi)
+    cfg = MCConfig(n_paths=2, eps_list=(0.1, 0.05), u_list=u_list)
+    assert 0.9 + 0.1 == spec.horizon
+    report = verify_equilibrium(spec, eq, (0.3, 0.9), cfg, tol_eq=1e-8, x0=0.2)
+    assert len(report.details) == 2 * 2 * len(u_list)
+    # stackelberg's drift is u, so the column leaves each window in distinct
+    # states and the strategy is evaluated on them together; ex31's drift is
+    # zero and the column stays at one state
+    assert eq.most_distinct_states == (len(u_list) if family == "stackelberg" else 1)
+    for d in report.details:
+        t, x, eps = d["t"], d["x"], d["eps"]
+        pert = perturbed_strategy(eq, t, eps, d["u"], spec)
+        base = evaluate_cost(spec, eq, t, x, cfg)[0]
+        assert d["quotient"] == (evaluate_cost(spec, pert, t, x, cfg)[0] - base) / eps
+    # single costs equal the scalar one-state-at-a-time quadrature
+    for t, eps, u in ((0.3, 0.05, spec.u_hi), (0.9, 0.1, spec.u_lo)):
+        pert = perturbed_strategy(eq, t, eps, u, spec)
+        assert evaluate_cost(spec, pert, t, 0.2, cfg)[0] == _scalar_quadrature_cost(spec, pert, t, 0.2)
+    # one flow from 0, one base flow per probe time, two pieces per window
+    # except the window that ends at T
+    assert report.work == 1 + (1 + 2 + 2) + (1 + 1 + 2)
+    assert _work_unit(spec) == "RK4 flow integrations"
 
 
 def test_verify_rejects_window_past_horizon():
@@ -335,13 +427,13 @@ def test_emit_csvs(tmp_path):
                                 MCConfig(n_paths=100, seed=17, eps_list=(0.1,),
                                          u_list=(0.0, 2.5)))
     p = tmp_path / "verify.csv"
-    emit_verify_csv(report, p)
+    _write_verify(report, p)
     lines = p.read_text().splitlines()
     assert lines[0] == "t,eps,u,quotient,stderr"
     assert len(lines) == 1 + len(report.rows)
 
     rep = demonstrate_inconsistency("ex31")
     g = tmp_path / "gap.csv"
-    emit_gap_csv(rep, g)
+    _write_gap(rep, g)
     lines = g.read_text().splitlines()
     assert lines[0] == "tau,gap"

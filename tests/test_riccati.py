@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fbcontrol.cli import _write_planner, _write_riccati
 from fbcontrol.errors import BlowUpError, DomainError, PositivityError, SingularityError
-from fbcontrol.riccati import (LQSpec, emit_planner_csv, emit_riccati_csv,
-                               meanvar_closed_form, meanvar_equilibrium,
+from fbcontrol.riccati import (LQSpec, meanvar_closed_form, meanvar_equilibrium,
                                rk4_backward, solve_meanfield_riccati, solve_planner,
                                solve_riccati_lq, stackelberg_leader)
 
@@ -66,29 +66,36 @@ def test_lq_mean_variance_structure():
 
 
 def _classical_lq_reference(A, B, C, D, Q, R, G1, T, steps):
-    """Independent textbook backward Riccati solve (flat loop, no shared code)."""
+    """Independent textbook backward Riccati solve (flat loop, no shared code).
+
+    A, D and R may be callables of s; the rest are constants.
+    """
     h = T / steps
     phi = G1
     out = np.empty(steps + 1)
     psi_out = np.empty(steps + 1)
+    at = lambda c, s: c(s) if callable(c) else c
 
-    def gain(ph):
-        return -(D * ph * C + B * ph) / (D * ph * D + R)
+    def gain(s, ph):
+        d = at(D, s)
+        return -(d * ph * C + B * ph) / (d * ph * d + at(R, s))
 
-    def deriv(ph):
-        ps = gain(ph)
-        return -(2.0 * ph * (A + B * ps) + (C + D * ps) ** 2 * ph + Q + R * ps * ps)
+    def deriv(s, ph):
+        ps = gain(s, ph)
+        return -(2.0 * ph * (at(A, s) + B * ps) + (C + at(D, s) * ps) ** 2 * ph + Q
+                 + at(R, s) * ps * ps)
 
     out[steps] = phi
-    psi_out[steps] = gain(phi)
+    psi_out[steps] = gain(T, phi)
     for k in range(steps, 0, -1):
-        k1 = deriv(phi)
-        k2 = deriv(phi - 0.5 * h * k1)
-        k3 = deriv(phi - 0.5 * h * k2)
-        k4 = deriv(phi - h * k3)
+        s = k * h
+        k1 = deriv(s, phi)
+        k2 = deriv(s - 0.5 * h, phi - 0.5 * h * k1)
+        k3 = deriv(s - 0.5 * h, phi - 0.5 * h * k2)
+        k4 = deriv(s - h, phi - h * k3)
         phi = phi - (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[k - 1] = phi
-        psi_out[k - 1] = gain(phi)
+        psi_out[k - 1] = gain(s - h, phi)
     return out, psi_out
 
 
@@ -105,6 +112,44 @@ def test_lq_reduces_to_classical_riccati():
         ref_phi, ref_psi = _classical_lq_reference(A, B, C, D, Q, R, G1, 1.0, 4000)
         assert np.max(np.abs(traj.phi[0] - ref_phi)) < 1e-8
         assert np.max(np.abs(traj.psi - ref_psi)) < 1e-8
+
+
+def test_lq_time_varying_coefficients_evaluated_once_per_stage_time():
+    calls = {"A": 0, "D": 0, "R": 0}
+
+    def counted(name, fn):
+        def wrapped(s):
+            calls[name] += 1
+            return fn(s)
+        return wrapped
+
+    A = lambda s: 0.3 - 0.4 * s
+    D = lambda s: 0.5 * math.cos(2.0 * s)
+    R = lambda s: 1.0 + 0.5 * s * s
+    B, C, Q, G1, steps = 0.6, -0.3, 0.4, 0.8, 4000
+    lq = LQSpec(A=counted("A", A), B=B, C=C, D=counted("D", D), H=1.0, Q=Q,
+                R=counted("R", R), G1=G1, G2=0.0, T=1.0)
+    traj = solve_riccati_lq(lq, steps=steps)
+    # RK4 stage times s, s - h/2, s - h, plus one post-pass per grid node
+    assert max(calls.values()) <= 4 * steps + 1
+    ref_phi, ref_psi = _classical_lq_reference(A, B, C, D, Q, R, G1, 1.0, steps)
+    assert np.max(np.abs(traj.phi[0] - ref_phi)) < 1e-8
+    assert np.max(np.abs(traj.psi - ref_psi)) < 1e-8
+
+
+def test_lq_time_varying_singularity_at_first_singular_stage():
+    # R(s) = s - 1/2 with D = 0 and phi1 = 0: the gain's denominator is R(s),
+    # which first vanishes at the last stage time s - h of the step from 0.51
+    steps = 100
+    lq = LQSpec(A=lambda s: 0.1 + 0.2 * s, B=1.0, C=0.3, D=0.0, H=1.0,
+                R=lambda s: s - 0.5, G1=0.0, T=1.0)
+    grid, h = np.linspace(0.0, 1.0, steps + 1), 1.0 / steps
+    stages = [st for k in range(steps, 0, -1)
+              for st in (grid[k], grid[k] - 0.5 * h, grid[k] - h)]
+    expected = next(st for st in stages if abs(st - 0.5) < 1e-12)
+    with pytest.raises(SingularityError) as err:
+        solve_riccati_lq(lq, steps=steps)
+    assert err.value.time == expected
 
 
 def test_lq_scalar_closed_form():
@@ -254,7 +299,7 @@ def test_planner_parameter_guards():
 def test_planner_positivity_guard_fires_when_step_too_coarse():
     # theta is provably positive, so the guard signals numerical failure: a
     # stiff discount rate with a coarse step overshoots below zero
-    with pytest.raises(PositivityError):
+    with pytest.raises(PositivityError, match=r"t=0\.9375"):   # first mid-stage, T - h/2
         solve_planner(0.0, 0.0, 0.2, 0.5, 0.9, 60.0, 60.0, 0.5, T=1.0, steps=8)
 
 
@@ -286,17 +331,22 @@ def test_stackelberg_cost_quadrature_matches_antiderivative():
 def test_csv_emission(tmp_path):
     traj = solve_riccati_lq(mv_lq(), steps=100)
     path = tmp_path / "lq.csv"
-    emit_riccati_csv(traj, path)
+    _write_riccati(traj, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,phi1,phi2,phi3,phi4,phi5,phi6,phi7,psi,v"
     assert len(lines) == 102
     # 17 significant digits survive a round trip
     val = float(lines[1].split(",")[1])
     assert val == traj.phi[0, 0]
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(table, np.column_stack([traj.s, traj.phi.T, traj.psi, traj.v]))
 
     sol = solve_planner(0.03, 0.08, 0.2, 0.5, 0.3, 0.08, 0.02, 0.4, steps=100)
     path2 = tmp_path / "planner.csv"
-    emit_planner_csv(sol, path2)
+    _write_planner(sol, path2)
     lines = path2.read_text().splitlines()
     assert lines[0] == "t,theta1,theta2,consumption_coeff"
     assert len(lines) == 102
+    # every row holds the solution's own doubles, in grid order
+    table = np.loadtxt(path2, delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 1], sol.theta1) and np.array_equal(table[:, 0], sol.s)
