@@ -469,6 +469,7 @@ def _selftest_checks(seed):
 
 
 def cmd_selftest(args):
+    mc.MCConfig(seed=args.seed)          # an out-of-range seed is a config error
     out = _outdir(args)
     results = []
     for name, fn in _selftest_checks(args.seed):

@@ -1,9 +1,14 @@
 """Path simulation, cost evaluation, spike-perturbation verification, and
 cross-checks of the field representation against sampled expectations.
 
-Randomness is counter-based: path i draws from a Philox stream keyed by
-seed XOR i (antithetic pairs share a key and flip signs), so ensembles are
-bit-reproducible for a given (seed, config) and common-random-number coupling
+Randomness is counter-based (Philox).  An ensemble's increments come from the
+stream keyed (seed, stream tag); path columns come in blocks of 1024, and the
+block index sits in the generator's counter, so every (seed, tag, block) draws
+from its own counter range and ensembles for different seeds or tags share no
+column.  Tags keep the simulations of one run apart: 0 for plain simulations
+and cost evaluations, 1 + i for probe time i of ``verify_equilibrium``, and
+FK_STREAM + k for sample point k of ``check_feynman_kac``.  Ensembles are
+bit-reproducible for a given (seed, config), and common-random-number coupling
 across strategies is exact.
 """
 
@@ -18,6 +23,10 @@ import numpy as np
 from .errors import BlowUpError, DomainError, UnsupportedCostClassError
 from .model import StrategyTable
 from .riccati import _simpson
+
+BLOCK_PATHS = 1024          # path columns per Philox block
+FK_STREAM = 2 ** 32         # first stream tag of check_feynman_kac sample points
+_CRN_COLUMNS = 1 << 17      # most (ensemble, path) columns one CRN batch steps at once
 
 
 @dataclass(frozen=True)
@@ -34,38 +43,42 @@ class MCConfig:
             raise DomainError("need at least 2 paths")
         if self.steps_per_unit < 1:
             raise DomainError("need at least 1 step per unit time")
+        if not 0 <= self.seed < 2 ** 64:
+            raise DomainError(f"seed {self.seed} outside [0, 2**64)")
         if any(e <= 0 for e in self.eps_list):
             raise DomainError("perturbation windows must be positive")
 
 
-def path_normals(seed, n_paths, n_steps, antithetic=False):
-    """Per-path increments, time-major: column i belongs to path i, which draws
-    from a counter-based stream keyed by seed XOR i.
+def path_normals(seed, n_paths, n_steps, antithetic=False, stream=0):
+    """Standard normal increments, time-major: shape (n_steps, n_paths).
 
-    With antithetic pairing, paths 2k and 2k+1 share key seed XOR k with
-    opposite signs.
+    Block b of BLOCK_PATHS columns draws an (n_steps, BLOCK_PATHS) array in row
+    order from Philox keyed (seed, stream) with b in its counter; the last
+    block is cut to n_paths.  A value depends only on (seed, stream, column,
+    step), so the draws are prefix-stable in both paths and steps.  With
+    antithetic pairing, paths 2k and 2k+1 share base column k with opposite
+    signs.
     """
     z = np.empty((n_steps, n_paths))
-    if antithetic:
-        n_base = (n_paths + 1) // 2
-        for k in range(n_base):
-            gen = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(k)))
-            draw = gen.standard_normal(n_steps)
-            z[:, 2 * k] = draw
-            if 2 * k + 1 < n_paths:
-                z[:, 2 * k + 1] = -draw
-    else:
-        for i in range(n_paths):
-            gen = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(i)))
-            z[:, i] = gen.standard_normal(n_steps)
+    key = np.array([seed, stream], dtype=np.uint64)
+    even, odd = (z[:, 0::2], z[:, 1::2]) if antithetic else (z, z[:, :0])
+    block = np.empty((n_steps, BLOCK_PATHS))
+    for b, c0 in enumerate(range(0, even.shape[1], BLOCK_PATHS)):
+        gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, b, 0]))
+        gen.standard_normal(out=block)
+        c1 = min(c0 + BLOCK_PATHS, even.shape[1])
+        even[:, c0:c1] = block[:, :c1 - c0]
+        c1 = min(c0 + BLOCK_PATHS, odd.shape[1])
+        if c1 > c0:
+            np.negative(block[:, :c1 - c0], out=odd[:, c0:c1])
     return z
 
 
 @dataclass
 class PathEnsemble:
     t0: float
-    times: np.ndarray
-    paths_tn: np.ndarray         # time-major, shape (n_steps + 1, n_paths)
+    times: np.ndarray            # times of the stored rows
+    paths_tn: np.ndarray         # time-major, shape (len(times), n_paths)
     seed: int
     controls_tn: Optional[np.ndarray] = None
 
@@ -75,7 +88,7 @@ class PathEnsemble:
 
     @property
     def paths(self):
-        """Path-major view, shape (n_paths, n_steps + 1)."""
+        """Path-major view, shape (n_paths, len(times))."""
         return self.paths_tn.T
 
     @property
@@ -87,37 +100,79 @@ class PathEnsemble:
         return self.paths_tn[j]
 
 
+def _time_grid(t0, T, cfg):
+    """Euler grid on [t0, T] at cfg.steps_per_unit; returns (times, dt)."""
+    n_steps = max(1, int(round((T - t0) * cfg.steps_per_unit)))
+    dt = (T - t0) / n_steps
+    return t0 + dt * np.arange(n_steps + 1), dt
+
+
+def _euler_steps(spec, control, x, times, dt, normals, visit=None):
+    """Euler-Maruyama from the state block x along times; returns X_T.
+
+    Paths run along the last axis of x; the increments normals[k] are shared
+    by (broadcast over) any leading axes.  After step k, visit(k, x_k, u_k,
+    x_{k+1}) sees the states and controls; nothing else is kept.
+    """
+    if normals.shape[0] < times.size - 1:
+        raise DomainError("supplied increment block is too short")
+    sqdt = math.sqrt(dt)
+    for k in range(times.size - 1):
+        s = times[k]
+        u = np.asarray(control(s, x), dtype=float)
+        if u.shape != x.shape:
+            u = u + np.zeros(x.shape)
+        # x + b dt + (sig sqdt) z, accumulated in place
+        x_next = np.asarray(spec.drift(s, x, u), dtype=float) * dt
+        noise = np.asarray(spec.diffusion(s, x, u), dtype=float) * sqdt
+        noise *= normals[k]
+        x_next += x
+        x_next += noise
+        if not np.isfinite(x_next).all():
+            bad = int(np.argmax(~np.isfinite(x_next))) % x.shape[-1]
+            raise BlowUpError(times[k + 1], f"path {bad}")
+        if visit is not None:
+            visit(k, x, u, x_next)
+        x = x_next
+        del u, noise            # freed before the next step allocates its own
+    return x
+
+
 def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, t_end=None,
-                     normals=None, record_controls=False) -> PathEnsemble:
-    """Euler-Maruyama under a feedback strategy on [t0, t_end]."""
+                     normals=None, record_controls=False, keep_times=None) -> PathEnsemble:
+    """Euler-Maruyama under a feedback strategy on [t0, t_end].
+
+    The ensemble stores every grid row, or with ``keep_times`` only the rows
+    nearest those times (``state_at`` of each of them is unchanged).
+    """
     T = spec.horizon if t_end is None else t_end
     if not 0.0 <= t0 < T + 1e-12:
         raise DomainError("simulation window outside the horizon")
-    n_steps = max(1, int(round((T - t0) * cfg.steps_per_unit)))
-    dt = (T - t0) / n_steps
-    times = t0 + dt * np.arange(n_steps + 1)
+    if keep_times is not None and record_controls:
+        raise DomainError("controls are recorded only along full paths")
+    times, dt = _time_grid(t0, T, cfg)
+    n_steps = times.size - 1
     if normals is None:
         normals = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic)
-    if normals.shape[0] < n_steps:
-        raise DomainError("supplied increment block is too short")
-    n = normals.shape[1]
-    X = np.empty((n_steps + 1, n))
-    X[0] = x0
-    U = np.empty((n_steps, n)) if record_controls else None
-    sqdt = math.sqrt(dt)
-    for k in range(n_steps):
-        s = times[k]
-        xk = X[k]
-        u = np.asarray(strategy(s, xk), dtype=float) + np.zeros_like(xk)
-        b = np.asarray(spec.drift(s, xk, u), dtype=float)
-        sig = np.asarray(spec.diffusion(s, xk, u), dtype=float)
-        X[k + 1] = xk + b * dt + sig * sqdt * normals[k]
+    if keep_times is None:
+        rows = np.arange(n_steps + 1)
+    else:
+        rows = np.unique([int(np.argmin(np.abs(times - t))) for t in keep_times])
+    slot = {int(j): i for i, j in enumerate(rows)}
+    x = np.full(normals.shape[1], x0, dtype=float)
+    X = np.empty((rows.size, x.size))
+    if 0 in slot:
+        X[slot[0]] = x
+    U = np.empty((n_steps, x.size)) if record_controls else None
+
+    def record(k, xk, u, x_next):
+        if k + 1 in slot:
+            X[slot[k + 1]] = x_next
         if record_controls:
             U[k] = u
-        if not np.all(np.isfinite(X[k + 1])):
-            bad = int(np.argmax(~np.isfinite(X[k + 1])))
-            raise BlowUpError(times[k + 1], f"path {bad}")
-    return PathEnsemble(t0=t0, times=times, paths_tn=X, seed=cfg.seed, controls_tn=U)
+
+    _euler_steps(spec, strategy, x, times, dt, normals, visit=record)
+    return PathEnsemble(t0=t0, times=times[rows], paths_tn=X, seed=cfg.seed, controls_tn=U)
 
 
 class PerturbedStrategy(StrategyTable):
@@ -127,13 +182,21 @@ class PerturbedStrategy(StrategyTable):
         self.base = base
         self.window = (float(t), float(t) + float(eps))
         self.u = float(u)
+        super().__init__(base.u_lo, base.u_hi,
+                         fn=lambda s, x: self.u + 0.0 * np.asarray(x, dtype=float))
+        # outside the window: a clamping table already lands in U, any other
+        # base is clipped
+        self.outside = (base if isinstance(base, StrategyTable) and base.clamp
+                        else StrategyTable(base.u_lo, base.u_hi, fn=base))
 
-        def fn(s, x):
-            if self.window[0] <= s < self.window[1]:
-                return self.u + 0.0 * np.asarray(x, dtype=float)
-            return base(s, x)
+    def in_force(self, s):
+        """The strategy followed at time s."""
+        return self if self.window[0] <= s < self.window[1] else self.outside
 
-        super().__init__(base.u_lo, base.u_hi, fn=fn, clamp=True)
+    def __call__(self, s, x):
+        if self.window[0] <= s < self.window[1]:
+            return super().__call__(s, x)
+        return self.outside(s, x)
 
 
 def perturbed_strategy(psi_bar, t, eps, u, spec=None):
@@ -248,32 +311,55 @@ def _spike_costs(spec, psi_bar, t, x, eps, u_list):
     return _cost_quadrature(spec, t, np.full(len(perts), float(x)), pieces)
 
 
-def _mc_cost_samples(spec, strategy, t, x, cfg, normals):
-    """Conditional-expectation cost with per-path influence values."""
+def _cost_paths(spec, control, t, x, cfg, normals):
+    """Simulate from (t, x) and return X_T and each path's cost part (running
+    integral plus terminal cost), both shaped like the state block x.
+
+    Only the current state and the running sum are kept, never the paths.
+    """
     mc = spec.mc_cost
     if mc is None:
         raise UnsupportedCostClassError(
             "spec declares bolza_condexp but carries no Monte Carlo cost decomposition")
-    need_controls = mc.running is not None
-    ens = simulate_forward(spec, strategy, t, x, cfg, normals=normals,
-                           record_controls=need_controls)
-    xt = ens.paths_tn[-1]
-    path_part = np.zeros(ens.n_paths)
-    if mc.running is not None:
-        dt = ens.times[1] - ens.times[0]
-        run = mc.running(ens.times[:-1, None], ens.paths_tn[:-1], ens.controls_tn)
-        path_part = path_part + np.sum(np.asarray(run, dtype=float), axis=0) * dt
+    times, dt = _time_grid(t, spec.horizon, cfg)
+    run = None
+
+    def accumulate(k, xk, uk, _):
+        nonlocal run
+        r = np.asarray(mc.running(times[k], xk, uk), dtype=float)
+        if run is None:
+            run = np.array(r)
+        else:
+            run += r
+
+    xt = _euler_steps(spec, control, x, times, dt, normals,
+                      visit=None if mc.running is None else accumulate)
+    part = np.zeros(x.shape)
+    if run is not None:
+        part = part + run * dt
     if mc.terminal is not None:
-        path_part = path_part + np.asarray(mc.terminal(xt), dtype=float)
+        part = part + np.asarray(mc.terminal(xt), dtype=float)
+    return xt, part
+
+
+def _cost_moments(mc, xt, part):
+    """Estimate, stderr and per-path influence values of one ensemble's cost."""
     m1 = float(np.mean(xt))
-    est = float(np.mean(path_part))
-    phi = path_part.copy()
+    est = float(np.mean(part))
+    phi = part
     if mc.outer is not None:
         est += float(mc.outer(m1))
         gp = float(mc.outer_prime(m1)) if mc.outer_prime is not None else 0.0
         phi = phi + gp * xt
-    se = float(np.std(phi, ddof=1) / math.sqrt(ens.n_paths))
+    se = float(np.std(phi, ddof=1) / math.sqrt(phi.size))
     return est, se, phi
+
+
+def _mc_cost_samples(spec, strategy, t, x, cfg, normals):
+    """Conditional-expectation cost with per-path influence values."""
+    xt, part = _cost_paths(spec, strategy, t, np.full(normals.shape[1], float(x)),
+                           cfg, normals)
+    return _cost_moments(spec.mc_cost, xt, part)
 
 
 def evaluate_cost(spec, strategy_or_control, t, x, cfg: MCConfig, normals=None):
@@ -317,16 +403,64 @@ class VerifyReport:
         return self.verdict
 
 
+def _quotient(base, pert, eps):
+    """CRN difference quotient of two cost samples and its stderr."""
+    diff = pert[2] - base[2]
+    q = (pert[0] - base[0]) / eps
+    se = float(np.std(diff, ddof=1) / math.sqrt(diff.size)) / eps
+    return q, se
+
+
 def _quotient_mc(spec, psi_bar, t, x, cfg, normals, eps, u, base=None):
     if base is None:
         base = _mc_cost_samples(spec, psi_bar, t, x, cfg, normals)
-    base_est, _, base_phi = base
     pert = perturbed_strategy(psi_bar, t, eps, u, spec)
-    pert_est, _, pert_phi = _mc_cost_samples(spec, pert, t, x, cfg, normals)
-    diff = pert_phi - base_phi
-    q = (pert_est - base_est) / eps
-    se = float(np.std(diff, ddof=1) / math.sqrt(diff.size)) / eps
-    return q, se
+    return _quotient(base, _mc_cost_samples(spec, pert, t, x, cfg, normals), eps)
+
+
+def _rows_control(strategies):
+    """Control of a (rows, paths) state block whose row r follows strategies[r].
+
+    Rows that follow the same strategy at time s (outside their windows every
+    perturbation follows its base) are evaluated in one call.
+    """
+    def control(s, x):
+        in_force = [st.in_force(s) if isinstance(st, PerturbedStrategy) else st
+                    for st in strategies]
+        if all(st is in_force[0] for st in in_force):
+            return in_force[0](s, x)
+        rows = {}
+        for r, st in enumerate(in_force):
+            rows.setdefault(id(st), (st, []))[1].append(r)
+        u = np.empty(x.shape)
+        for st, rr in rows.values():
+            u[rr] = st(s, x[rr])
+        return u
+    return control
+
+
+def _spike_quotients_mc(spec, psi_bar, t, x, cfg, normals):
+    """CRN quotients of every spike (t, eps, u), eps in cfg.eps_list and u in
+    cfg.u_list, from one evaluation state; returns [((eps, u), (q, se))].
+
+    The base ensemble and all perturbed ones step together as the rows of one
+    (ensembles, paths) block on the shared increments, in chunks of at most
+    _CRN_COLUMNS columns.  Each quotient equals _quotient_mc on the same
+    increments, provided the strategy and the coefficients act elementwise.
+    """
+    spikes = [(eps, u) for eps in cfg.eps_list for u in cfg.u_list]
+    strategies = [psi_bar] + [perturbed_strategy(psi_bar, t, eps, u, spec)
+                              for eps, u in spikes]
+    n = normals.shape[1]
+    per_chunk = max(1, _CRN_COLUMNS // n)
+    samples = []
+    for g0 in range(0, len(strategies), per_chunk):
+        chunk = strategies[g0:g0 + per_chunk]
+        xt, part = _cost_paths(spec, _rows_control(chunk), t,
+                               np.full((len(chunk), n), float(x)), cfg, normals)
+        samples += [_cost_moments(spec.mc_cost, xt[g], part[g]) for g in range(len(chunk))]
+    return [(spike, _quotient(samples[0], pert, spike[0]))
+            for spike, pert in zip(spikes, samples[1:])]
 
 
 def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
@@ -363,7 +497,7 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
                     details.append({"t": t, "state": "flow", "x": x_t, "eps": eps,
                                     "u": u, "quotient": q, "stderr": 0.0})
     else:
-        base = simulate_forward(spec, psi_bar, 0.0, x0, cfg)
+        base = simulate_forward(spec, psi_bar, 0.0, x0, cfg, keep_times=t_list)
         work = 1
         for t_idx, t in enumerate(t_list):
             xt = base.state_at(t)
@@ -374,19 +508,16 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
             states = [(lbl, v) for lbl, v in states
                       if not (v in seen or seen.add(v))]
             n_steps = max(1, int(round((T - t) * cfg.steps_per_unit)))
-            z = path_normals(cfg.seed + 7919 * (t_idx + 1), cfg.n_paths, n_steps,
-                             cfg.antithetic)
+            z = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic,
+                             stream=1 + t_idx)
             per_state = {}
             for label, x_e in states:
-                base_cost = _mc_cost_samples(spec, psi_bar, t, x_e, cfg, z)
-                work += 1 + len(cfg.eps_list) * len(cfg.u_list)
-                for eps in cfg.eps_list:
-                    for u in cfg.u_list:
-                        q, se = _quotient_mc(spec, psi_bar, t, x_e, cfg, z, eps, u,
-                                             base=base_cost)
-                        per_state.setdefault((eps, u), []).append((q, se))
-                        details.append({"t": t, "state": label, "x": x_e, "eps": eps,
-                                        "u": u, "quotient": q, "stderr": se})
+                quotients = _spike_quotients_mc(spec, psi_bar, t, x_e, cfg, z)
+                work += 1 + len(quotients)
+                for (eps, u), (q, se) in quotients:
+                    per_state.setdefault((eps, u), []).append((q, se))
+                    details.append({"t": t, "state": label, "x": x_e, "eps": eps,
+                                    "u": u, "quotient": q, "stderr": se})
             for (eps, u), qs in per_state.items():
                 qmin, se = min(qs, key=lambda p: p[0])
                 rows.append({"t": t, "eps": eps, "u": u, "quotient": qmin, "stderr": se})
@@ -433,7 +564,7 @@ def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
         u0 = -x0 / (T + 1.0)
         committed = StrategyTable(spec.u_lo, spec.u_hi,
                                   fn=lambda s, x: u0 + 0.0 * np.asarray(x, dtype=float))
-        ens = simulate_forward(spec, committed, 0.0, x0, cfg)
+        ens = simulate_forward(spec, committed, 0.0, x0, cfg, keep_times=taus)
         for tau in taus:
             xt = ens.state_at(tau)
             reopt = -xt / (T - tau + 1.0)
@@ -459,7 +590,7 @@ def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
         committed = StrategyTable(
             spec.u_lo, spec.u_hi,
             fn=lambda s, x: -slope * (np.asarray(x, dtype=float) - d0 * math.exp(-r * (T - s))))
-        ens = simulate_forward(spec, committed, 0.0, x0, cfg)
+        ens = simulate_forward(spec, committed, 0.0, x0, cfg, keep_times=taus)
         for tau in taus:
             xt = ens.state_at(tau)
             gap_paths = slope * np.abs(d0 - d_anchor(float(tau), xt))
@@ -499,8 +630,8 @@ def check_feynman_kac(spec, theta, theta0, strategy, sample_points, cfg: MCConfi
     rows = []
     for pt_idx, (r, x) in enumerate(sample_points):
         n_steps = max(1, int(round((spec.horizon - r) * cfg.steps_per_unit)))
-        z = path_normals(cfg.seed + 104729 * (pt_idx + 1), cfg.n_paths, n_steps,
-                         cfg.antithetic)
+        z = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic,
+                         stream=FK_STREAM + pt_idx)
         ens = simulate_forward(spec, strategy, r, x, cfg, normals=z, record_controls=True)
         dt = ens.times[1] - ens.times[0]
         xt = ens.paths_tn[-1]

@@ -119,14 +119,18 @@ class StrategyTable:
             out = self.fn(s, x)
         else:
             sg = self.s_grid
-            j = int(np.clip(np.searchsorted(sg, s) - 1, 0, sg.size - 2))
+            j = min(max(int(sg.searchsorted(s)) - 1, 0), sg.size - 2)
             w = 0.0 if sg[j + 1] == sg[j] else (s - sg[j]) / (sg[j + 1] - sg[j])
             w = min(max(w, 0.0), 1.0)
             row = (1.0 - w) * self.values[j] + w * self.values[j + 1]
             out = np.interp(x, self.x_grid, row)
-        out = np.asarray(out, dtype=float) + np.zeros_like(np.asarray(x, dtype=float))
+        # adding zero turns -0.0 into 0.0 and broadcasts to the shape of x;
+        # ufuncs with the bound first clip as np.clip does, ties and NaN included
+        out = np.asarray(out, dtype=float)
+        shape = np.shape(x)
+        out = out + (0.0 if out.shape == shape else np.zeros(shape))
         if self.clamp:
-            out = np.clip(out, self.u_lo, self.u_hi)
+            out = np.minimum(self.u_hi, np.maximum(self.u_lo, out))
         return out if out.ndim else float(out)
 
     def max_x_jump(self):

@@ -94,3 +94,13 @@ def test_mc_verify_verdict_exit_codes(tmp_path):
     assert fail == 3
     header = (tmp_path / "pass" / "verify.csv").read_text().splitlines()[0]
     assert header == "t,eps,u,quotient,stderr"
+
+
+def test_mc_verify_out_of_range_seed_is_config_error(tmp_path, capsys):
+    for seed in ("-1", str(2 ** 64)):
+        rc = run(["mc-verify", "--out", str(tmp_path / "seed"), "--paths", "10",
+                  "--seed", seed])
+        assert rc == 2
+        assert "config error: seed" in capsys.readouterr().err
+    assert run(["selftest", "--out", str(tmp_path / "self"), "--seed", "-1"]) == 2
+    assert "config error: seed" in capsys.readouterr().err

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbcontrol import mc, model
 from fbcontrol.cli import _work_unit, _write_gap, _write_verify
 from fbcontrol.errors import DomainError, UnsupportedCostClassError
-from fbcontrol.mc import (MCConfig, check_feynman_kac, demonstrate_inconsistency,
-                          evaluate_cost, path_normals, perturbed_strategy,
-                          simulate_forward, verify_equilibrium)
+from fbcontrol.mc import (BLOCK_PATHS, FK_STREAM, MCConfig, check_feynman_kac,
+                          demonstrate_inconsistency, evaluate_cost, path_normals,
+                          perturbed_strategy, simulate_forward, verify_equilibrium)
 from fbcontrol.model import ControlProblemSpec, StrategyTable
 from fbcontrol.pde import GridSpec, mv_reference_fields, default_grid, solve_theta, \
     solve_theta0_family
@@ -37,6 +38,52 @@ def test_config_invariants():
         MCConfig(n_paths=10, steps_per_unit=0)
     with pytest.raises(DomainError):
         MCConfig(n_paths=10, eps_list=(0.1, -0.1))
+
+
+def test_config_seed_bounds():
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(DomainError):
+            MCConfig(seed=seed)
+    for seed in (0, 2 ** 64 - 1):
+        assert path_normals(MCConfig(seed=seed).seed, 3, 2).shape == (2, 3)
+
+
+def _columns(z):
+    return {col.tobytes() for col in z.T}
+
+
+def test_adjacent_seeds_share_no_column():
+    n = 2 * BLOCK_PATHS + 6
+    for k in (0, 21):
+        a = path_normals(2 * k, n, 4)
+        b = path_normals(2 * k + 1, n, 4)
+        assert not _columns(a) & (_columns(b) | _columns(-b))
+        anti = path_normals(2 * k + 1, n, 4, antithetic=True)
+        assert not _columns(np.abs(a)) & _columns(np.abs(anti))
+
+
+def test_stream_tags_share_no_column():
+    # stream 0, the first probe-time tags of verify_equilibrium, and the first
+    # sample-point tags of check_feynman_kac
+    tags = [0, 1, 2, 3, FK_STREAM, FK_STREAM + 1, FK_STREAM + 2]
+    cols = [_columns(path_normals(31, BLOCK_PATHS + 10, 3, stream=tag)) for tag in tags]
+    assert len(set().union(*cols)) == sum(len(c) for c in cols) == len(tags) * (BLOCK_PATHS + 10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), stream=st.integers(0, 2 ** 33),
+       n_paths=st.integers(2, 3 * BLOCK_PATHS), extra_paths=st.integers(0, 2 * BLOCK_PATHS),
+       n_steps=st.integers(1, 5), extra_steps=st.integers(0, 3),
+       antithetic=st.booleans())
+def test_path_normals_prefix_stable(seed, stream, n_paths, extra_paths, n_steps,
+                                    extra_steps, antithetic):
+    small = path_normals(seed, n_paths, n_steps, antithetic, stream)
+    big = path_normals(seed, n_paths + extra_paths, n_steps + extra_steps, antithetic, stream)
+    assert small.shape == (n_steps, n_paths)
+    assert np.array_equal(big[:n_steps, :n_paths], small)
+    if antithetic:
+        pairs = n_paths // 2
+        assert np.array_equal(small[:, 1:2 * pairs:2], -small[:, 0:2 * pairs:2])
 
 
 def test_frozen_dynamics_stay_put():
@@ -321,6 +368,69 @@ def test_batched_deterministic_quotients_equal_single_costs(family, kind):
     # except the window that ends at T
     assert report.work == 1 + (1 + 2 + 2) + (1 + 1 + 2)
     assert _work_unit(spec) == "RK4 flow integrations"
+
+
+def _quotient_family(family):
+    if family == "mean_variance":
+        spec = mv_r0()
+        # an x-dependent strategy that leaves U on part of the ensemble
+        strat = StrategyTable(-3.0, 3.0, fn=lambda s, x: 2.5 - 1.5 * x + s)
+        return spec, strat, 0.2, 1.1
+    spec = model.ex41()                   # mc.running = u^2
+    strat = StrategyTable(spec.u_lo, spec.u_hi, fn=lambda s, x: -0.5 * x)
+    return spec, strat, 0.3, 0.8
+
+
+@pytest.mark.parametrize("crn_columns", [None, 5 * 700, 600])
+@pytest.mark.parametrize("family", ["mean_variance", "ex41"])
+def test_crn_batch_equals_per_ensemble_quotients(family, crn_columns, monkeypatch):
+    if crn_columns is not None:
+        # chunks of five ensembles, and (below one row) one ensemble per chunk
+        monkeypatch.setattr(mc, "_CRN_COLUMNS", crn_columns)
+    spec, strat, t, x = _quotient_family(family)
+    cfg = MCConfig(n_paths=700, seed=41, eps_list=(0.1, 0.05), u_list=(-1.0, 0.0, 2.0))
+    n_steps = int(round((spec.horizon - t) * cfg.steps_per_unit))
+    z = path_normals(cfg.seed, cfg.n_paths, n_steps, stream=5)
+    batch = mc._spike_quotients_mc(spec, strat, t, x, cfg, z)
+    assert [spike for spike, _ in batch] == [(e, u) for e in cfg.eps_list for u in cfg.u_list]
+    for (eps, u), (q, se) in batch:
+        assert (q, se) == mc._quotient_mc(spec, strat, t, x, cfg, z, eps, u)
+        assert se > 0
+
+
+def test_verify_details_use_probe_time_streams():
+    spec = mv_r0()
+    strat = mv_r0_equilibrium(spec)
+    cfg = MCConfig(n_paths=400, seed=8, eps_list=(0.1,), u_list=(0.0, 3.0))
+    t_list = (0.2, 0.5)
+    report = verify_equilibrium(spec, strat, t_list, cfg)
+    # the closed-loop run keeps only its probe-time rows, equal to the full run's
+    full = simulate_forward(spec, strat, 0.0, spec.x0, cfg)
+    kept = simulate_forward(spec, strat, 0.0, spec.x0, cfg, keep_times=t_list)
+    assert kept.paths_tn.shape == (2, cfg.n_paths)
+    for t in t_list:
+        assert np.array_equal(kept.state_at(t), full.state_at(t))
+    for t_idx, t in enumerate(t_list):
+        n_steps = int(round((spec.horizon - t) * cfg.steps_per_unit))
+        z = path_normals(cfg.seed, cfg.n_paths, n_steps, stream=1 + t_idx)
+        for d in (d for d in report.details if d["t"] == t):
+            q, se = mc._quotient_mc(spec, strat, t, d["x"], cfg, z, d["eps"], d["u"])
+            assert (d["quotient"], d["stderr"]) == (q, se)
+
+
+def test_perturbed_strategy_clips_only_a_non_clamping_base():
+    spec = mv_r0()
+    base = StrategyTable(-1.0, 1.0, fn=lambda s, x: 3.0 * np.asarray(x, dtype=float))
+    pert = perturbed_strategy(base, 0.3, 0.1, 5.0)
+    assert pert.outside is base
+    x = np.array([-1.0, 0.25, 0.9])
+    assert np.array_equal(pert(0.5, x), base(0.5, x))
+    assert np.array_equal(pert(0.3, x), np.ones(3))         # clip(5) inside the window
+    raw = StrategyTable(-1.0, 1.0, fn=lambda s, x: 3.0 * np.asarray(x, dtype=float),
+                        clamp=False)
+    pert_raw = perturbed_strategy(raw, 0.3, 0.1, 0.0, spec)
+    assert np.array_equal(pert_raw(0.5, x), [-1.0, 0.75, 1.0])
+    assert pert_raw.in_force(0.35) is pert_raw and pert_raw.in_force(0.5) is pert_raw.outside
 
 
 def test_verify_rejects_window_past_horizon():

@@ -191,6 +191,54 @@ def test_strategy_table_exact_at_grid_nodes():
             assert abs(tab(s, x) - values[j, i]) < 1e-14
 
 
+def _strategy_table_reference(tab, s, x):
+    """StrategyTable.__call__ written with np.clip and zeros_like, the form the
+    ufunc path must reproduce bit for bit."""
+    if tab.fn is not None:
+        out = tab.fn(s, x)
+    else:
+        sg = tab.s_grid
+        j = int(np.clip(np.searchsorted(sg, s) - 1, 0, sg.size - 2))
+        w = 0.0 if sg[j + 1] == sg[j] else (s - sg[j]) / (sg[j + 1] - sg[j])
+        w = min(max(w, 0.0), 1.0)
+        row = (1.0 - w) * tab.values[j] + w * tab.values[j + 1]
+        out = np.interp(x, tab.x_grid, row)
+    out = np.asarray(out, dtype=float) + np.zeros_like(np.asarray(x, dtype=float))
+    if tab.clamp:
+        out = np.clip(out, tab.u_lo, tab.u_hi)
+    return out if out.ndim else float(out)
+
+
+def test_strategy_table_call_bit_identical_to_clip_form():
+    rng = np.random.default_rng(23)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.5, -3.0, 1.0, -1.0])
+    inputs = [0.3, -0.0, 0.0, np.nan, specials, rng.normal(size=(3, 7)) * 3.0,
+              np.array([[0.0, -0.0], [np.nan, 5.0]])]
+    grid = dict(s_grid=np.linspace(0.0, 1.0, 5), x_grid=np.linspace(-2.0, 2.0, 9),
+                values=rng.normal(size=(5, 9)) * 2.0)
+    fns = [lambda s, x: 2.0 * np.asarray(x, dtype=float) - s,
+           lambda s, x: -0.0 * np.asarray(x, dtype=float),
+           lambda s, x: -0.0,
+           lambda s, x: np.nan]
+    checked = 0
+    with np.errstate(invalid="ignore"):
+        for lo, hi in ((-1.0, 1.0), (0.0, 1.0), (-1.0, -0.0)):
+            for clamp in (True, False):
+                tables = [StrategyTable(lo, hi, fn=f, clamp=clamp) for f in fns]
+                tables.append(StrategyTable(lo, hi, clamp=clamp, **grid))
+                for tab in tables:
+                    for s in (-0.2, 0.0, 0.3, 1.0, 1.5):
+                        for x in inputs:
+                            got = tab(s, x)
+                            want = _strategy_table_reference(tab, s, x)
+                            assert type(got) is type(want)
+                            assert np.shape(got) == np.shape(want)
+                            # bytes, so that -0.0 and 0.0 and NaN payloads count
+                            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                            checked += 1
+    assert checked == 3 * 2 * 5 * 5 * len(inputs)
+
+
 def test_strategy_table_requires_one_backend():
     with pytest.raises(DomainError):
         StrategyTable(-1, 1)
