@@ -80,7 +80,7 @@ class PathEnsemble:
     times: np.ndarray            # times of the stored rows
     paths_tn: np.ndarray         # time-major, shape (len(times), n_paths)
     seed: int
-    controls_tn: Optional[np.ndarray] = None
+    controls_tn: Optional[np.ndarray] = None     # always None: controls are not stored
 
     @property
     def n_paths(self):
@@ -90,10 +90,6 @@ class PathEnsemble:
     def paths(self):
         """Path-major view, shape (n_paths, len(times))."""
         return self.paths_tn.T
-
-    @property
-    def controls(self):
-        return None if self.controls_tn is None else self.controls_tn.T
 
     def state_at(self, t):
         j = int(np.argmin(np.abs(self.times - t)))
@@ -139,7 +135,7 @@ def _euler_steps(spec, control, x, times, dt, normals, visit=None):
 
 
 def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, t_end=None,
-                     normals=None, record_controls=False, keep_times=None) -> PathEnsemble:
+                     normals=None, keep_times=None) -> PathEnsemble:
     """Euler-Maruyama under a feedback strategy on [t0, t_end].
 
     The ensemble stores every grid row, or with ``keep_times`` only the rows
@@ -148,8 +144,6 @@ def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, t_end=None,
     T = spec.horizon if t_end is None else t_end
     if not 0.0 <= t0 < T + 1e-12:
         raise DomainError("simulation window outside the horizon")
-    if keep_times is not None and record_controls:
-        raise DomainError("controls are recorded only along full paths")
     times, dt = _time_grid(t0, T, cfg)
     n_steps = times.size - 1
     if normals is None:
@@ -163,16 +157,13 @@ def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, t_end=None,
     X = np.empty((rows.size, x.size))
     if 0 in slot:
         X[slot[0]] = x
-    U = np.empty((n_steps, x.size)) if record_controls else None
 
     def record(k, xk, u, x_next):
         if k + 1 in slot:
             X[slot[k + 1]] = x_next
-        if record_controls:
-            U[k] = u
 
     _euler_steps(spec, strategy, x, times, dt, normals, visit=record)
-    return PathEnsemble(t0=t0, times=times[rows], paths_tn=X, seed=cfg.seed, controls_tn=U)
+    return PathEnsemble(t0=t0, times=times[rows], paths_tn=X, seed=cfg.seed)
 
 
 class PerturbedStrategy(StrategyTable):
@@ -629,37 +620,40 @@ def check_feynman_kac(spec, theta, theta0, strategy, sample_points, cfg: MCConfi
     _probe_generator_independence(spec)
     rows = []
     for pt_idx, (r, x) in enumerate(sample_points):
-        n_steps = max(1, int(round((spec.horizon - r) * cfg.steps_per_unit)))
-        z = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic,
+        if not 0.0 <= r < spec.horizon + 1e-12:
+            raise DomainError("sample point outside the horizon")
+        times, step = _time_grid(r, spec.horizon, cfg)
+        z = path_normals(cfg.seed, cfg.n_paths, times.size - 1, cfg.antithetic,
                          stream=FK_STREAM + pt_idx)
-        ens = simulate_forward(spec, strategy, r, x, cfg, normals=z, record_controls=True)
-        dt = ens.times[1] - ens.times[0]
-        xt = ens.paths_tn[-1]
-        hvals = np.atleast_2d(np.asarray(spec.terminal(xt), dtype=float))[0]
-        acc = np.zeros(ens.n_paths)
-        acc0 = np.zeros(ens.n_paths)
+        n_paths = z.shape[1]
+        dt = times[1] - times[0]      # quadrature weight; may differ from step in the last bit
+        acc = np.zeros(n_paths)
+        acc0 = np.zeros(n_paths)
         j = int(np.argmin(np.abs(theta.times - r)))
         i = int(np.argmin(np.abs(theta.xs - x)))
         y_anchor = float(theta.values[0, j, i])
-        for k in range(n_steps):
-            sk = ens.times[k]
-            gk = np.atleast_2d(np.asarray(
-                spec.generator(sk, ens.paths_tn[k], ens.controls_tn[k], 0.0, 0.0),
-                dtype=float))[0]
-            acc = acc + gk * dt
-            yk = theta.at(sk, ens.paths_tn[k])
-            g0k = np.asarray(spec.cost_generator(r, sk, x, ens.paths_tn[k],
-                                                 ens.controls_tn[k], yk, 0.0 * yk,
-                                                 0.0, 0.0), dtype=float)
-            acc0 = acc0 + g0k * dt
+
+        def accumulate(k, xk, uk, _):
+            # both running sums grow in place; no path or control is kept
+            nonlocal acc, acc0
+            sk = times[k]
+            acc += np.atleast_2d(np.asarray(
+                spec.generator(sk, xk, uk, 0.0, 0.0), dtype=float))[0] * dt
+            yk = theta.at(sk, xk)
+            acc0 += np.asarray(spec.cost_generator(
+                r, sk, x, xk, uk, yk, 0.0 * yk, 0.0, 0.0), dtype=float) * dt
+
+        xt = _euler_steps(spec, strategy, np.full(n_paths, x, dtype=float), times, step, z,
+                          visit=accumulate)
+        hvals = np.atleast_2d(np.asarray(spec.terminal(xt), dtype=float))[0]
         y_samples = hvals + acc
         y_mc = float(np.mean(y_samples))
-        y_se = float(np.std(y_samples, ddof=1) / math.sqrt(ens.n_paths))
+        y_se = float(np.std(y_samples, ddof=1) / math.sqrt(n_paths))
         y_field = y_anchor
         h0_vals = np.asarray(spec.cost_terminal(r, x, xt, y_anchor), dtype=float)
         y0_samples = h0_vals + acc0
         y0_mc = float(np.mean(y0_samples))
-        y0_se = float(np.std(y0_samples, ddof=1) / math.sqrt(ens.n_paths))
+        y0_se = float(np.std(y0_samples, ddof=1) / math.sqrt(n_paths))
         y0_field = theta0.value(j, j, i, i, y_anchor)
         rows.append({
             "r": float(r), "x": float(x),

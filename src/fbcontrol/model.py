@@ -140,44 +140,56 @@ class StrategyTable:
         return float(np.max(np.abs(np.diff(self.values, axis=1))))
 
 
-def _check_finite(value, coefficient, where=None):
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise EvaluationError(coefficient, where)
-    return arr
-
-
 def _scalar(value):
     arr = np.asarray(value, dtype=float)
     return float(arr.reshape(-1)[0]) if arr.size else float(arr)
 
 
-def hamiltonian_H(spec, s, x, u, theta, p, P):
-    """First Hamiltonian: tr[P a] + p b + g(s, x, u, theta, p sigma), a = sigma^2/2."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    P = np.atleast_1d(np.asarray(P, dtype=float))
-    b = _check_finite(spec.drift(s, x, u), "drift", (s, x, u))
-    sig = _check_finite(spec.diffusion(s, x, u), "diffusion", (s, x, u))
+def _components(spec, value):
+    """Backward components along a leading axis of length m (added when m = 1)."""
+    arr = np.asarray(value, dtype=float)
+    return arr if spec.m > 1 or arr.shape[:1] == (1,) else arr[None]
+
+
+def _hamiltonians(spec, s, x, u, theta, p, P):
+    """a, b, sigma, z = p sigma and the first Hamiltonian P a + p b + g, per component."""
+    b = spec.drift(s, x, u)
+    sig = spec.diffusion(s, x, u)
     a = 0.5 * sig * sig
-    gval = _check_finite(spec.generator(s, x, u, theta, p * sig), "generator", (s, x, u))
-    out = P * a + p * b + np.atleast_1d(gval)
-    return float(out[0]) if spec.m == 1 else out
+    z = p * sig
+    one = spec.m == 1
+    g = spec.generator(s, x, u, theta[0] if one else theta, z[0] if one else z)
+    return a, b, sig, z, P * a + p * b + g
+
+
+def _finite(out, s, x, u):
+    if not np.isfinite(out).all():
+        raise EvaluationError("hamiltonian", (s, x, u) if np.ndim(x) == np.ndim(u) == 0 else s)
+    return out if out.ndim else float(out)
+
+
+def hamiltonian_H(spec, s, x, u, theta, p, P):
+    """First Hamiltonian: tr[P a] + p b + g(s, x, u, theta, p sigma), a = sigma^2/2.
+
+    Vectorized over x and u; theta, p, P carry the m components on a leading
+    axis (optional when m = 1).  Raises EvaluationError on a non-finite value.
+    """
+    theta, p, P = [_components(spec, v) for v in (theta, p, P)]
+    h = _hamiltonians(spec, s, x, u, theta, p, P)[-1]
+    return _finite(h[0] if spec.m == 1 else h, s, x, u)
 
 
 def hamiltonian_H0_hat(spec, t, s, xt, x, u, theta, p, P, theta0, p0, q0, P0):
-    """Adjusted cost Hamiltonian: H0 + q0 . H, with H0 = tr[P0 a] + p0 b + g0."""
-    q0 = np.atleast_1d(np.asarray(q0, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    b = _check_finite(spec.drift(s, x, u), "drift", (s, x, u))
-    sig = _check_finite(spec.diffusion(s, x, u), "diffusion", (s, x, u))
-    a = 0.5 * sig * sig
-    g0 = _check_finite(
-        spec.cost_generator(t, s, xt, x, u, np.atleast_1d(theta), p * sig, theta0, p0 * sig),
-        "cost_generator", (t, s, xt, x, u))
-    h0part = float(P0) * _scalar(a) + float(p0) * _scalar(b) + _scalar(g0)
-    hpart = np.atleast_1d(hamiltonian_H(spec, s, x, u, theta, p, P))
-    return float(h0part + np.dot(q0, hpart))
+    """Adjusted cost Hamiltonian: H0 + q0 . H, with H0 = tr[P0 a] + p0 b + g0.
+
+    Vectorized like ``hamiltonian_H``, q0 shaped like theta.
+    """
+    theta, p, P, q0 = [_components(spec, v) for v in (theta, p, P, q0)]
+    a, b, sig, z, h = _hamiltonians(spec, s, x, u, theta, p, P)
+    one = spec.m == 1
+    g0 = spec.cost_generator(t, s, xt, x, u, theta[0] if one else theta, z[0] if one else z,
+                             theta0, p0 * sig)
+    return _finite(P0 * a + p0 * b + g0 + (q0 * h).sum(axis=0), s, x, u)
 
 
 def heat_kernel(a_fn, s, x, r, mu, lam0=1e-12):

@@ -6,6 +6,13 @@ Picard loop alternates field solves with pointwise minimization of the
 adjusted Hamiltonian, feeding the diagonal values of the cost field back into
 the strategy until the diagonal bundle and the strategy stop moving.
 
+Every field goes through one backward sweep kernel, ``_sweep``: one banded
+factorization per time step is shared by every field and anchor of a block
+(value components, x-anchors, (t, x, y) anchors of the general tensor, both
+fields of a perturbation window).  Anchors reach the coefficient callables
+as columns, so cost terminals and cost generators must broadcast array t, xt
+and y against the x row.  The Hamiltonian is defined only in ``model.py``.
+
 Cost fields come in two storage modes.  When the cost terminal splits
 additively into a state part and an anchored-y part (and the cost generator
 never sees the anchor y), the y-dependence is carried analytically and only
@@ -25,7 +32,7 @@ from scipy.linalg import solve_banded
 
 from .errors import (DegeneracyError, DomainError, EvaluationError,
                      FBControlError, YRangeError)
-from .model import StrategyTable
+from .model import StrategyTable, hamiltonian_H0_hat
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -114,10 +121,12 @@ def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx, lam0=0.0):
     evaluated on the supplied (later-time) slice.  The ends close by carrying
     the adjacent curvature through a one-sided second difference, which is
     exact for quadratic data and degrades to linear extrapolation for linear
-    data.
+    data.  A block of fields along leading axes shares one band matrix and one
+    solve, bit-identical to stepping each field on its own.
     """
     w = np.asarray(field_slice, dtype=float)
-    a = np.asarray(a_row, dtype=float) + np.zeros_like(w)
+    n = w.shape[-1]
+    a = np.asarray(a_row, dtype=float) + np.zeros(n)
     if not np.all(np.isfinite(a)):
         raise EvaluationError("diffusion")
     if np.min(a) < lam0:
@@ -127,12 +136,11 @@ def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx, lam0=0.0):
     src = np.asarray(source_row, dtype=float) + np.zeros_like(w)
     if not np.all(np.isfinite(src)):
         raise EvaluationError("source")
-    n = w.size
     mu = dt * a / (dx * dx)
-    rhs = np.empty(n)
-    rhs[1:-1] = w[1:-1] + dt * (drift[1:-1] * (w[2:] - w[:-2]) / (2.0 * dx) + src[1:-1])
-    rhs[0] = w[0] + dt * (drift[0] * (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dx) + src[0])
-    rhs[-1] = w[-1] + dt * (drift[-1] * (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dx) + src[-1])
+    rhs = np.empty(w.shape)
+    rhs[..., 1:-1] = w[..., 1:-1] + dt * (drift[..., 1:-1] * (w[..., 2:] - w[..., :-2]) / (2.0 * dx) + src[..., 1:-1])
+    rhs[..., 0] = w[..., 0] + dt * (drift[..., 0] * (-3.0 * w[..., 0] + 4.0 * w[..., 1] - w[..., 2]) / (2.0 * dx) + src[..., 0])
+    rhs[..., -1] = w[..., -1] + dt * (drift[..., -1] * (3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]) / (2.0 * dx) + src[..., -1])
     ab = np.zeros((5, n))
     ab[2, 1:-1] = 1.0 + 2.0 * mu[1:-1]
     ab[1, 2:] = -mu[1:-1]          # superdiagonal entries A[i, i+1]
@@ -145,12 +153,49 @@ def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx, lam0=0.0):
     ab[3, -2] = 2.0 * mu[-1]
     ab[4, -3] = -mu[-1]
     try:
-        v = solve_banded((2, 2), ab, rhs)
+        # one right-hand side per column; reshape first, since .T alone would
+        # reverse every axis of a block with more than one leading axis
+        v = solve_banded((2, 2), ab, rhs if w.ndim == 1 else rhs.reshape(-1, n).T)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise FBControlError(f"banded solve failed: {exc}") from exc
     if not np.all(np.isfinite(v)):
         raise FBControlError("banded solve produced non-finite values")
-    return v
+    return v if w.ndim == 1 else v.T.reshape(w.shape)
+
+
+def _sweep(spec, grid, times, control, values, source, lam0, anchored=False):
+    """Fill rows j = times.size - 2 .. 0 of values (block + (times.size, nx)) from row j + 1.
+
+    Per step u = control(s), sigma, a and b are evaluated once at s = times[j + 1],
+    source(j + 1, s, u, sigma, w) gives the explicit source of the later block row w,
+    and one ``step_parabolic`` call steps the block.  With ``anchored``, entry k of
+    the first block axis is anchored at times[k] and stepped only down to row k, so
+    no coefficient sees s below its anchor time.  Returns the largest a met.
+    """
+    xs, dt, dx = grid.xs, grid.dt, grid.dx
+    a_max = 0.0
+    zero = np.zeros_like(xs)
+    for j in range(times.size - 2, -1, -1):
+        s = times[j + 1]
+        u = control(s)
+        sig = np.asarray(spec.diffusion(s, xs, u), dtype=float) + zero
+        a_row = 0.5 * sig * sig
+        a_max = max(a_max, float(np.max(a_row)))
+        b_row = np.asarray(spec.drift(s, xs, u), dtype=float) + zero
+        block = values[:j + 1] if anchored else values
+        w = block[..., j + 1, :]
+        block[..., j, :] = step_parabolic(w, a_row, b_row, source(j + 1, s, u, sig, w),
+                                          dt, dx, lam0)
+    return a_max
+
+
+def _strategy_row(strategy, xs):
+    return lambda s: np.asarray(strategy(s, xs), dtype=float) + np.zeros_like(xs)
+
+
+def _y_z(spec, y, z):
+    """The (y, z) arguments of the generators: component rows, bare when m = 1."""
+    return (y, z) if spec.m > 1 else (y[0], z[0])
 
 
 class FieldTheta:
@@ -201,24 +246,14 @@ def solve_theta(spec, strategy, grid: GridSpec, lam0=0.0) -> FieldTheta:
     xs, times = grid.xs, grid.times
     dt, dx = grid.dt, grid.dx
     term = np.atleast_2d(np.asarray(spec.terminal(xs), dtype=float))
-    m = term.shape[0]
-    values = np.empty((m, times.size, xs.size))
+    values = np.empty((term.shape[0], times.size, xs.size))
     values[:, -1, :] = term
-    a_max = 0.0
-    for j in range(times.size - 2, -1, -1):
-        s = times[j + 1]
-        w = values[:, j + 1, :]
-        u_row = np.asarray(strategy(s, xs), dtype=float) + np.zeros_like(xs)
-        sig = np.asarray(spec.diffusion(s, xs, u_row), dtype=float) + np.zeros_like(xs)
-        a_row = 0.5 * sig * sig
-        a_max = max(a_max, float(np.max(a_row)))
-        b_row = np.asarray(spec.drift(s, xs, u_row), dtype=float) + np.zeros_like(xs)
-        z = _dx_rows(w, dx) * sig
-        src = np.atleast_2d(np.asarray(
-            spec.generator(s, xs, u_row, w if m > 1 else w[0], z if m > 1 else z[0]),
-            dtype=float))
-        for c in range(m):
-            values[c, j, :] = step_parabolic(w[c], a_row, b_row, src[c], dt, dx, lam0)
+
+    def source(j, s, u, sig, w):
+        return np.atleast_2d(np.asarray(
+            spec.generator(s, xs, u, *_y_z(spec, w, _dx_rows(w, dx) * sig)), dtype=float))
+
+    a_max = _sweep(spec, grid, times, _strategy_row(strategy, xs), values, source, lam0)
     out = FieldTheta(times, xs, values)
     # informational only: the implicit diffusion step is unconditionally stable
     out.diffusion_number = dt * a_max / (dx * dx)
@@ -341,6 +376,8 @@ class GeneralCostField:
         return float(self._spline(self._column(t_idx, s_idx, xt_idx, x_idx))(y, 1))
 
     def diagonal(self, theta: FieldTheta):
+        """One spline along y per diagonal node, shared by every x of its row."""
+        from scipy.interpolate import CubicSpline
         nt, nx = self.times.size, self.xs.size
         th = theta.values[0]
         d = np.empty((nt, nx))
@@ -351,21 +388,14 @@ class GeneralCostField:
         for j in range(nt):
             for i in range(nx):
                 y = th[j, i]
-                d[j, i] = self.value(j, j, i, i, y)
-                dyv[j, i] = self.value_dy(j, j, i, i, y)
-                row = np.array([self.value(j, j, i, ii, y) for ii in range(nx)])
+                self._y_check(self.times[j], self.xs[i], y)
+                spline = CubicSpline(self.ys, self.data[(j, i)][:, 0, :])
+                row = spline(y)
+                d[j, i] = row[i]
+                dyv[j, i] = spline(y, 1)[i]
                 dxv[j, i] = _dx_rows(row, dx)[i]
                 dxxv[j, i] = _dxx_rows(row, dx)[i]
         return DiagonalBundle(d=d, dx=dxv, dy=dyv, dxx=dxxv)
-
-
-def _theta0_step_inputs(spec, strategy, theta, s, j_next, dx):
-    u_row = np.asarray(strategy(s, theta.xs), dtype=float) + np.zeros_like(theta.xs)
-    sig = np.asarray(spec.diffusion(s, theta.xs, u_row), dtype=float) + np.zeros_like(theta.xs)
-    b_row = np.asarray(spec.drift(s, theta.xs, u_row), dtype=float) + np.zeros_like(theta.xs)
-    th = theta.slice(j_next)
-    z = theta.dx_slice(j_next) * sig
-    return u_row, sig, 0.5 * sig * sig, b_row, (th if spec.m > 1 else th[0]), (z if spec.m > 1 else z[0])
 
 
 def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: GridSpec,
@@ -373,64 +403,46 @@ def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: Gri
     """Backward-integrate the anchored cost field with the nonlocal diagonal
     replaced by the supplied guess.
 
-    The z0 slot always uses the stepped field's own explicit-slice gradient.
+    All anchors are stepped in one sweep.  The z0 slot always uses the stepped
+    field's own explicit-slice gradient.
     """
-    xs, times = grid.xs, grid.times
-    dt, dx = grid.dt, grid.dx
+    xs, times, dx = grid.xs, grid.times, grid.dx
     nt, nx = times.size, xs.size
     if diag_guess is None:
         diag_guess = DiagonalBundle.zeros(nt, nx)
     split = spec.terminal_split
-    if split is not None and split.t_free and not force_general:
+    separable = split is not None and split.t_free and not force_general
+    if separable:
+        # one field when fhat ignores the x-anchor, else one per x-anchor
         anchor_free = split.xtilde_free
-        if anchor_free:
-            hat = np.empty((nt, nx))
-            hat[-1] = np.asarray(split.fhat(grid.T, xs, xs), dtype=float) + np.zeros_like(xs)
-            for j in range(nt - 2, -1, -1):
-                s = times[j + 1]
-                u_row, sig, a_row, b_row, th, z = _theta0_step_inputs(spec, strategy, theta, s, j + 1, dx)
-                z0 = _dx_rows(hat[j + 1], dx) * sig
-                src = np.asarray(spec.cost_generator(s, s, xs, xs, u_row, th, z,
-                                                     diag_guess.d[j + 1], z0), dtype=float)
-                hat[j] = step_parabolic(hat[j + 1], a_row, b_row, src, dt, dx, lam0)
-        else:
-            hat = np.empty((nx, nt, nx))
-            for l in range(nx):
-                xt = xs[l]
-                hat[l, -1] = np.asarray(split.fhat(grid.T, xt, xs), dtype=float) + np.zeros_like(xs)
-                for j in range(nt - 2, -1, -1):
-                    s = times[j + 1]
-                    u_row, sig, a_row, b_row, th, z = _theta0_step_inputs(spec, strategy, theta, s, j + 1, dx)
-                    z0 = _dx_rows(hat[l, j + 1], dx) * sig
-                    src = np.asarray(spec.cost_generator(s, s, xt, xs, u_row, th, z,
-                                                         diag_guess.d[j + 1], z0), dtype=float)
-                    hat[l, j] = step_parabolic(hat[l, j + 1], a_row, b_row, src, dt, dx, lam0)
-        return SeparableCostField(times, xs, hat, split, anchor_free)
+        t_col = None
+        xt_col = xs if anchor_free else xs[:, None]
+        values = np.empty(((nt,) if anchor_free else (nx, nt)) + (nx,))
+        term = split.fhat(grid.T, xt_col, xs)
+    else:
+        if spec.m != 1:
+            raise DomainError("the general cost-field tensor supports m = 1 only")
+        ys = grid.ys
+        if ys is None:
+            raise DomainError("general cost field needs a y grid (set y_lo/y_hi on the grid)")
+        # block axes (t-anchor k, x-anchor l, y-node r); anchor k lives on rows k..nt-1
+        t_col = times[:, None, None, None]
+        xt_col = xs[None, :, None, None]
+        values = np.empty((nt, nx, ys.size, nt, nx))
+        term = spec.cost_terminal(t_col, xt_col, xs, ys[None, None, :, None])
+    values[..., -1, :] = np.asarray(term, dtype=float) + 0.0   # + 0.0 also turns -0.0 into 0.0
 
-    if spec.m != 1:
-        raise DomainError("the general cost-field tensor supports m = 1 only")
-    ys = grid.ys
-    if ys is None:
-        raise DomainError("general cost field needs a y grid (set y_lo/y_hi on the grid)")
-    data = {}
-    for k in range(nt):
-        for l in range(nx):
-            t_anchor = times[k]
-            xt = xs[l]
-            fld = np.empty((ys.size, nt - k, nx))
-            for r, y in enumerate(ys):
-                fld[r, -1] = np.asarray(spec.cost_terminal(t_anchor, xt, xs, y),
-                                        dtype=float) + np.zeros_like(xs)
-            for j in range(nt - 2, k - 1, -1):
-                s = times[j + 1]
-                u_row, sig, a_row, b_row, th, z = _theta0_step_inputs(spec, strategy, theta, s, j + 1, dx)
-                for r in range(ys.size):
-                    w = fld[r, j + 1 - k]
-                    z0 = _dx_rows(w, dx) * sig
-                    src = np.asarray(spec.cost_generator(t_anchor, s, xt, xs, u_row, th, z,
-                                                         diag_guess.d[j + 1], z0), dtype=float)
-                    fld[r, j - k] = step_parabolic(w, a_row, b_row, src, dt, dx, lam0)
-            data[(k, l)] = fld
+    def source(j, s, u, sig, w):
+        th, z = _y_z(spec, theta.slice(j), theta.dx_slice(j) * sig)
+        t = s if t_col is None else t_col[:w.shape[0]]
+        return np.asarray(spec.cost_generator(t, s, xt_col, xs, u, th, z, diag_guess.d[j],
+                                              _dx_rows(w, dx) * sig), dtype=float)
+
+    _sweep(spec, grid, times, _strategy_row(strategy, xs), values, source, lam0,
+           anchored=not separable)
+    if separable:
+        return SeparableCostField(times, xs, values, split, anchor_free)
+    data = {(k, l): values[k, l, :, k:] for k in range(nt) for l in range(nx)}
     return GeneralCostField(times, xs, ys, data)
 
 
@@ -502,28 +514,16 @@ def _golden_rows(f, lo, hi, tol=1e-10, coarse=33):
     return np.clip(u_best, lo, hi)
 
 
-def _hamiltonian_objective(spec, s, xs, th, thx, thxx, d, dxr, dy, dxx):
-    """Row objective u -> dxx a + dx b + g0 + dy . (thxx a + thx b + g)."""
-    th = np.atleast_2d(th)
-    thx = np.atleast_2d(thx)
-    thxx = np.atleast_2d(thxx)
-    dy = np.atleast_2d(dy)
+def _minimize_rows(spec, s, xs, theta, theta_x, theta_xx, d, d_x, d_y, d_xx):
+    """Minimizer over U of ``hamiltonian_H0_hat`` at (s, s, x, x) on a row of x;
+    theta, theta_x, theta_xx and the weights d_y are (m, nx)."""
+    zero = np.zeros_like(xs)
 
     def f(u):
-        u = np.asarray(u, dtype=float) + np.zeros_like(np.asarray(xs, dtype=float))
-        sig = np.asarray(spec.diffusion(s, xs, u), dtype=float)
-        a = 0.5 * sig * sig
-        b = np.asarray(spec.drift(s, xs, u), dtype=float)
-        z = thx * sig
-        g = np.atleast_2d(np.asarray(
-            spec.generator(s, xs, u, th if spec.m > 1 else th[0], z if spec.m > 1 else z[0]),
-            dtype=float))
-        hcomp = thxx * a + thx * b + g
-        g0 = np.asarray(spec.cost_generator(s, s, xs, xs, u, th if spec.m > 1 else th[0],
-                                            z if spec.m > 1 else z[0], d, dxr * sig), dtype=float)
-        return dxx * a + dxr * b + g0 + np.sum(dy * hcomp, axis=0)
+        return hamiltonian_H0_hat(spec, s, s, xs, xs, np.asarray(u, dtype=float) + zero,
+                                  theta, theta_x, theta_xx, d, d_x, d_y, d_xx)
 
-    return f
+    return _golden_rows(f, spec.u_lo, spec.u_hi)
 
 
 def minimize_hamiltonian(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx=0.0):
@@ -537,16 +537,10 @@ def minimize_hamiltonian(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx
         return float(spec.closed_minimizer(s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx))
     if not spec.u_bounded:
         raise DomainError("numeric minimization needs a bounded control interval")
-    xs = np.array([x], dtype=float)
     to_row = lambda v: np.asarray(v, dtype=float).reshape(spec.m, 1)
-    f = _hamiltonian_objective(spec, s, xs, to_row(theta), to_row(theta_x), to_row(theta_xx),
-                               np.array([d]), np.array([d_x]), to_row(d_y), np.array([d_xx]))
-    def fs(u):
-        val = f(np.asarray(u, dtype=float) + np.zeros(1))
-        if not np.all(np.isfinite(val)):
-            raise EvaluationError("hamiltonian objective", (s, x))
-        return val
-    return float(_golden_rows(fs, spec.u_lo, spec.u_hi)[0])
+    return float(_minimize_rows(spec, s, np.array([x], dtype=float), to_row(theta),
+                                to_row(theta_x), to_row(theta_xx), np.array([d]),
+                                np.array([d_x]), to_row(d_y), np.array([d_xx]))[0])
 
 
 @dataclass
@@ -599,12 +593,10 @@ def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6,
                 dxx=(1.0 - damping) * bundle.dxx + damping * new_bundle.dxx)
         psi_new = np.empty((nt, nx))
         for j in range(nt):
-            f = _hamiltonian_objective(
+            psi_new[j] = _minimize_rows(
                 spec, times[j], xs, theta.slice(j), theta.dx_slice(j), theta.dxx_slice(j),
-                new_bundle.d[j], new_bundle.dx[j], new_bundle.dy[j][None, :]
-                if spec.m == 1 else np.tile(new_bundle.dy[j], (spec.m, 1)),
+                new_bundle.d[j], new_bundle.dx[j], np.tile(new_bundle.dy[j], (spec.m, 1)),
                 new_bundle.dxx[j])
-            psi_new[j] = _golden_rows(f, spec.u_lo, spec.u_hi)
         res = new_bundle.sup_diff(bundle)
         res["psi"] = (float(np.max(np.abs(psi_new - psi_tab)))
                       if np.all(np.isfinite(psi_tab)) else math.inf)
@@ -651,37 +643,31 @@ def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpe
         raise DomainError("perturbation window must be a nonempty subinterval of [0, T)")
     if not (spec.u_lo <= u <= spec.u_hi):
         raise DomainError("perturbation control outside the control interval")
-    xs, dt, dx = grid.xs, grid.dt, grid.dx
-    nw = j1 - j0 + 1
+    xs, dx, window = grid.xs, grid.dx, times[j0:j1 + 1]
     m = theta.m
-    vals = np.empty((m, nw, xs.size))
-    vals[:, -1, :] = theta.slice(j1)
-    hat = np.empty((nw, xs.size))
-    hat[-1] = theta0.hat[j1]
-    u_row = np.full(xs.size, float(u))
     split = spec.terminal_split
-    for j in range(nw - 2, -1, -1):
-        s = times[j0 + j + 1]
-        sig = np.asarray(spec.diffusion(s, xs, u_row), dtype=float) + np.zeros_like(xs)
-        a_row = 0.5 * sig * sig
-        b_row = np.asarray(spec.drift(s, xs, u_row), dtype=float) + np.zeros_like(xs)
-        w = vals[:, j + 1, :]
-        z = _dx_rows(w, dx) * sig
-        src = np.atleast_2d(np.asarray(
-            spec.generator(s, xs, u_row, w if m > 1 else w[0], z if m > 1 else z[0]), dtype=float))
-        for c in range(m):
-            vals[c, j, :] = step_parabolic(w[c], a_row, b_row, src[c], dt, dx, lam0)
-        diag_later = hat[j + 1] + np.asarray(split.ghat(s, xs, w[0]), dtype=float)
-        z0 = _dx_rows(hat[j + 1], dx) * sig
-        src0 = np.asarray(spec.cost_generator(s, s, xs, xs, u_row,
-                                              w if m > 1 else w[0], z if m > 1 else z[0],
-                                              diag_later, z0), dtype=float)
-        hat[j] = step_parabolic(hat[j + 1], a_row, b_row, src0, dt, dx, lam0)
-    theta_e = FieldTheta(times[j0:j1 + 1], xs, vals)
+    # the m value components and the cost field, stepped as one block
+    vals = np.empty((m + 1, window.size, xs.size))
+    vals[:m, -1, :] = theta.slice(j1)
+    vals[m, -1] = theta0.hat[j1]
+    u_row = np.full(xs.size, float(u))
+
+    def source(j, s, u_row, sig, w):
+        th, z = _y_z(spec, w[:m], _dx_rows(w[:m], dx) * sig)
+        src = np.empty_like(w)
+        src[:m] = np.atleast_2d(np.asarray(spec.generator(s, xs, u_row, th, z), dtype=float))
+        diag_later = w[m] + np.asarray(split.ghat(s, xs, w[0]), dtype=float)
+        src[m] = np.asarray(spec.cost_generator(s, s, xs, xs, u_row, th, z, diag_later,
+                                                _dx_rows(w[m], dx) * sig), dtype=float)
+        return src
+
+    _sweep(spec, grid, window, lambda s: u_row, vals, source, lam0)
+    hat = vals[m]
+    theta_e = FieldTheta(window, xs, vals[:m])
     j_pert = hat[0] + np.asarray(split.ghat(times[j0], xs, vals[0, 0]), dtype=float)
     j_base = theta0.hat[j0] + np.asarray(split.ghat(times[j0], xs, theta.values[0, j0]), dtype=float)
-    sup = float(np.max(np.abs(vals[:, :, :] - theta.values[:, j0:j1 + 1, :])))
-    return PerturbationResult(times=times[j0:j1 + 1], theta_e=theta_e, hat_e=hat,
+    sup = float(np.max(np.abs(vals[:m] - theta.values[:, j0:j1 + 1, :])))
+    return PerturbationResult(times=window, theta_e=theta_e, hat_e=hat,
                               j_perturbed=j_pert, j_base=j_base, sup_theta_diff=sup)
 
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbcontrol import model, pde
 from fbcontrol.errors import DegeneracyError, DomainError, YRangeError
@@ -50,6 +51,44 @@ def test_step_pure_source():
         v = pde.step_parabolic(v, np.ones_like(xs), np.zeros_like(xs),
                                np.ones_like(xs), 1e-3, xs[1] - xs[0])
     assert np.max(np.abs(v - 0.1)) < 1e-12
+
+
+_block_cases = dict(
+    lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    n=st.integers(8, 40),
+    dt=st.floats(1e-4, 0.5),
+    dx=st.floats(1e-2, 1.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_block_cases)
+def test_step_block_equals_single_field_steps(lead, n, dt, dx, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (n,)
+    w = rng.normal(size=shape)
+    a = rng.uniform(0.0, 2.0, size=n)
+    drift = rng.normal(size=n)
+    src = rng.normal(size=shape)
+    block = pde.step_parabolic(w, a, drift, src, dt, dx)
+    assert block.shape == shape
+    for idx in np.ndindex(*lead):
+        single = pde.step_parabolic(w[idx], a, drift, src[idx], dt, dx)
+        assert np.array_equal(block[idx], single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 64), a=st.floats(0.0, 2.0), dt=st.floats(1e-4, 0.5),
+       dx=st.floats(1e-2, 1.0), c0=st.floats(-3.0, 3.0), c1=st.floats(-3.0, 3.0))
+def test_step_exact_on_linear_data(n, a, dt, dx, c0, c1):
+    # zero drift and source: linear data has no curvature, so diffusion leaves
+    # it in place up to rounding, which the banded solve amplifies by ~(1 + 4 mu)
+    xs = dx * np.arange(n)
+    v = c0 + c1 * xs
+    out = pde.step_parabolic(v, a, 0.0, 0.0, dt, dx)
+    mu = dt * a / (dx * dx)
+    assert np.max(np.abs(out - v)) <= 1e-13 * (1.0 + mu) * (1.0 + np.max(np.abs(v)))
 
 
 def test_step_degeneracy_error():
@@ -175,6 +214,102 @@ def test_theta0_mean_variance_moment_oracle():
     ref = -m1 + 0.5 * gam * (m1 * m1 + var)
     interior = slice(5, -5)
     assert np.max(np.abs(t0.hat[:, interior] - ref[:, interior])) < 1e-2
+
+
+def _anchored_spec():
+    # bkm_separable with a control in the dynamics and a cost generator that
+    # sees every anchor and every field slot; anchors arrive as columns
+    def cost_generator(t, s, xt, x, u, y, z, y0, z0):
+        return (1.0 + t) * xt * x * u + 0.1 * z0 + 0.05 * y0 + 0.2 * y * z
+
+    return replace(model.bkm_separable(), cost_generator=cost_generator,
+                   drift=lambda s, x, u: 0.3 * u + 0.1 * x,
+                   diffusion=lambda s, x, u: 1.0 + 0.2 * u * u + 0.0 * x)
+
+
+X_STRATEGY = StrategyTable(-1.0, 1.0, fn=lambda s, x: 0.4 * np.sin(np.asarray(x) + s))
+
+
+def _reference_anchor_sweep(spec, theta, diag, grid, t_anchor, xt, terminal, k=0):
+    """One anchor stepped on its own, field by field (the per-anchor loop).
+
+    t_anchor None is the separable family, whose generator gets t = s.
+    """
+    xs, times, dt, dx = grid.xs, grid.times, grid.dt, grid.dx
+    fld = np.empty((times.size - k, xs.size))
+    fld[-1] = np.asarray(terminal, dtype=float) + np.zeros_like(xs)
+    for j in range(times.size - 2, k - 1, -1):
+        s = times[j + 1]
+        u = np.asarray(X_STRATEGY(s, xs), dtype=float) + np.zeros_like(xs)
+        sig = np.asarray(spec.diffusion(s, xs, u), dtype=float) + np.zeros_like(xs)
+        b = np.asarray(spec.drift(s, xs, u), dtype=float) + np.zeros_like(xs)
+        w = fld[j + 1 - k]
+        src = spec.cost_generator(s if t_anchor is None else t_anchor, s, xt, xs, u, theta.values[0, j + 1],
+                                  theta.dx_slice(j + 1)[0] * sig, diag.d[j + 1],
+                                  pde._dx_rows(w, dx) * sig)
+        fld[j - k] = pde.step_parabolic(w, 0.5 * sig * sig, b, src, dt, dx)
+    return fld
+
+
+def test_anchored_family_matches_per_anchor_loop():
+    spec = _anchored_spec()
+    grid = pde.GridSpec(-2.0, 2.0, 11, 9, 1.0)
+    theta = pde.solve_theta(spec, X_STRATEGY, grid)
+    diag = pde.DiagonalBundle(*(np.cos(np.arange(4)[:, None, None] + theta.values[0])))
+    fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, diag, grid)
+    assert fam.mode == "separable" and not fam.anchor_free
+    for l, xt in enumerate(grid.xs):
+        ref = _reference_anchor_sweep(spec, theta, diag, grid, None, xt,
+                                      spec.terminal_split.fhat(grid.T, xt, grid.xs))
+        assert np.array_equal(fam.hat[l], ref)
+
+
+def test_general_tensor_matches_per_anchor_loop():
+    spec = replace(_anchored_spec(), terminal_split=None)
+    grid = pde.GridSpec(-2.0, 2.0, 9, 8, 1.0, y_lo=-3.0, y_hi=3.0, ny=4)
+    theta = pde.solve_theta(spec, X_STRATEGY, grid)
+    diag = pde.DiagonalBundle(*(np.sin(np.arange(4)[:, None, None] + theta.values[0])))
+    fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, diag, grid)
+    assert fam.mode == "general"
+    for k, t in enumerate(grid.times):
+        for l, xt in enumerate(grid.xs):
+            ref = np.stack([_reference_anchor_sweep(spec, theta, diag, grid, t, xt,
+                                                    spec.cost_terminal(t, xt, grid.xs, y), k)
+                            for y in grid.ys])
+            assert np.array_equal(fam.data[(k, l)], ref)
+
+
+def test_general_diagonal_matches_point_queries():
+    # one spline per diagonal node against one spline per queried column
+    spec = replace(_anchored_spec(), terminal_split=None)
+    grid = pde.GridSpec(-2.0, 2.0, 9, 8, 1.0, y_lo=-4.0, y_hi=4.0, ny=5)
+    theta = pde.solve_theta(spec, X_STRATEGY, grid)
+    fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, None, grid)
+    bundle = pde.extract_diagonal(fam, theta)
+    for j in range(grid.nt):
+        for i in range(grid.nx):
+            y = theta.values[0, j, i]
+            row = np.array([fam.value(j, j, i, ii, y) for ii in range(grid.nx)])
+            assert bundle.d[j, i] == fam.value(j, j, i, i, y)
+            assert bundle.dy[j, i] == fam.value_dy(j, j, i, i, y)
+            assert bundle.dx[j, i] == pde._dx_rows(row, grid.dx)[i]
+            assert bundle.dxx[j, i] == pde._dxx_rows(row, grid.dx)[i]
+
+
+def test_general_tensor_never_evaluates_below_anchor_time():
+    base = _anchored_spec()
+
+    def cost_generator(t, s, xt, x, u, y, z, y0, z0):
+        if np.any(np.asarray(t) > s):
+            raise AssertionError("cost generator evaluated at s < t")
+        return base.cost_generator(t, s, xt, x, u, y, z, y0, z0)
+
+    spec = replace(base, terminal_split=None, cost_generator=cost_generator)
+    grid = pde.GridSpec(-2.0, 2.0, 9, 9, 1.0, y_lo=-4.0, y_hi=4.0, ny=5)
+    theta = pde.solve_theta(spec, X_STRATEGY, grid)
+    fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, None, grid)
+    bundle = pde.extract_diagonal(fam, theta)
+    assert np.all(np.isfinite(bundle.d)) and np.all(np.isfinite(bundle.dxx))
 
 
 def test_extract_diagonal_identity_costs():
