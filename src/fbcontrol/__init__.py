@@ -10,10 +10,10 @@ __version__ = "0.1.0"
 from .errors import (BlowUpError, DegeneracyError, DomainError, EvaluationError,
                      FBControlError, PositivityError, SingularityError,
                      UnsupportedCostClassError, YRangeError)
-from .model import (ControlProblemSpec, FAMILIES, McCost, StrategyTable,
-                    TerminalSplit, hamiltonian_H, hamiltonian_H0_hat, heat_kernel,
-                    make_probe_grid, make_spec, register_family, spec_from_json,
-                    spec_to_json, validate_spec)
+from .model import (ClosedForms, ControlProblemSpec, FAMILIES, McCost, StrategyTable,
+                    TerminalSplit, equilibrium_strategy, hamiltonian_H,
+                    hamiltonian_H0_hat, heat_kernel, make_probe_grid, make_spec,
+                    register_family, spec_from_json, spec_to_json, validate_spec)
 from .riccati import (LQSpec, PlannerSolution, RiccatiTrajectory, StackelbergResult,
                       MeanVarResult, meanvar_closed_form, meanvar_equilibrium,
                       rk4_backward, solve_meanfield_riccati, solve_planner,

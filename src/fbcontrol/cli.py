@@ -20,18 +20,12 @@ from .errors import DomainError, FBControlError, UnsupportedCostClassError
 from . import model, riccati, pde, mc
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def _write_manifest(outdir: Path, command, config):
     outputs = {}
     for p in sorted(outdir.iterdir()):
         if p.name == "manifest.json" or not p.is_file():
             continue
-        outputs[p.name] = _sha256(p)
+        outputs[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
     doc = {"command": command, "config": config, "version": __version__,
            "outputs": outputs}
     (outdir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -117,11 +111,7 @@ def _load_config(args):
     return {}
 
 
-def _parse_eps(text):
-    return tuple(float(v) for v in text.split(","))
-
-
-def _parse_times(text):
+def _parse_floats(text):
     return tuple(float(v) for v in text.split(","))
 
 
@@ -195,8 +185,8 @@ def cmd_meanvar(args):
     err = float(np.max(np.abs(strat.values - ref) / np.abs(ref)))
     lines.append(f"pde cross-check: converged={log.converged} iters={log.iterations} "
                  f"max rel strategy err={err:.3g}")
-    cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_eps(args.eps))
-    report = mc.verify_equilibrium(spec, res.strategy, _parse_times(args.times), cfg,
+    cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_floats(args.eps))
+    report = mc.verify_equilibrium(spec, res.strategy, _parse_floats(args.times), cfg,
                                    tol_eq=args.tol_eq)
     _write_verify(report, out / "mv_verify.csv")
     lines.append(f"spike verification: verdict={'PASS' if report.verdict else 'FAIL'} "
@@ -272,32 +262,18 @@ def cmd_pde_solve(args):
     return 0
 
 
-def _equilibrium_strategy_for(spec):
-    if spec.name == "mean_variance":
-        p = spec.params
-        closed = riccati.meanvar_closed_form(p["r"], p["mu"], p["sigma"], p["gamma"],
-                                             spec.horizon)
-        return model.StrategyTable(spec.u_lo, spec.u_hi,
-                                   fn=lambda s, x: closed["vbar"](s) + 0.0 * np.asarray(x, dtype=float))
-    if spec.name in ("stackelberg", "ex31"):
-        return model.StrategyTable(spec.u_lo, spec.u_hi,
-                                   fn=lambda s, x: -0.5 + 0.0 * np.asarray(x, dtype=float))
-    raise DomainError(f"no built-in equilibrium strategy for family '{spec.name}'")
-
-
 def cmd_mc_verify(args):
     out = _outdir(args)
     doc = _load_config(args)
     family = doc.get("family", "mean_variance")
     spec = model.make_spec(family, doc.get("params"), doc.get("T"), doc.get("U"))
     if args.strategy_const is not None:
-        strat = model.StrategyTable(
-            spec.u_lo, spec.u_hi,
-            fn=lambda s, x: args.strategy_const + 0.0 * np.asarray(x, dtype=float))
+        strat = model.StrategyTable(spec.u_lo, spec.u_hi,
+                                    fn=model.constant_control(args.strategy_const))
     else:
-        strat = _equilibrium_strategy_for(spec)
-    cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_eps(args.eps))
-    report = mc.verify_equilibrium(spec, strat, _parse_times(args.times), cfg,
+        strat = model.equilibrium_strategy(spec)
+    cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_floats(args.eps))
+    report = mc.verify_equilibrium(spec, strat, _parse_floats(args.times), cfg,
                                    tol_eq=args.tol_eq)
     _write_verify(report, out / "verify.csv")
     _summary(out, [
@@ -330,7 +306,7 @@ def cmd_fk_check(args):
                                T=args.T, x0=args.x0)
     grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt)
     theta, theta0 = pde.mv_reference_fields(spec, grid)
-    strat = _equilibrium_strategy_for(spec)
+    strat = model.equilibrium_strategy(spec)
     pts = [(grid.times[j], grid.xs[grid.nx // 2 + k])
            for j, k in ((0, 0), (grid.nt // 4, -5), (grid.nt // 2, 5),
                         (grid.nt // 2, 0), (3 * grid.nt // 4, 2))]
@@ -397,8 +373,7 @@ def _selftest_checks(seed):
                                     fn=lambda s, x: (s - 0.0 - 1.0) / 2.0 + 0.0 * np.asarray(x, dtype=float))
         cost, _ = mc.evaluate_cost(spec, u_opt, 0.0, 0.0, mc.MCConfig(n_paths=2))
         assert abs(cost - (-1.0 / 12.0)) < 1e-10
-        eq = model.StrategyTable(spec.u_lo, spec.u_hi,
-                                 fn=lambda s, x: -0.5 + 0.0 * np.asarray(x, dtype=float))
+        eq = model.equilibrium_strategy(spec)
         cfg = mc.MCConfig(n_paths=2, eps_list=(0.1, 0.05, 0.025))
         report = mc.verify_equilibrium(spec, eq, (0.0, 0.5), cfg, tol_eq=1e-8)
         assert report.verdict
@@ -418,7 +393,7 @@ def _selftest_checks(seed):
     def pde_linear():
         spec = model.linear_heat(a=1.0, terminal="x")
         grid = pde.GridSpec(-4.0, 4.0, 41, 41, 1.0)
-        strat = model.StrategyTable(-1, 1, fn=lambda s, x: 0.0 * np.asarray(x, dtype=float))
+        strat = model.StrategyTable(-1, 1, fn=model.constant_control(0.0))
         theta = pde.solve_theta(spec, strat, grid)
         err = float(np.max(np.abs(theta.values[0] - grid.xs[None, :])))
         assert err < 1e-12
@@ -437,16 +412,14 @@ def _selftest_checks(seed):
 
     def determinism():
         spec = model.gbm(mu=0.2, sigma=0.3)
-        strat = model.StrategyTable(-1, 1, fn=lambda s, x: 0.0 * np.asarray(x, dtype=float))
+        strat = model.StrategyTable(-1, 1, fn=model.constant_control(0.0))
         cfg = mc.MCConfig(n_paths=500, seed=seed)
         e1 = mc.simulate_forward(spec, strat, 0.0, 1.0, cfg)
         e2 = mc.simulate_forward(spec, strat, 0.0, 1.0, cfg)
         assert np.array_equal(e1.paths, e2.paths)
         mv = model.mean_variance(r=0.0, mu=0.1, sigma=0.2, gamma=1.0, x0=1.0)
-        vbar = 0.1 / (1.0 * 0.04)
-        eq = model.StrategyTable(mv.u_lo, mv.u_hi,
-                                 fn=lambda s, x: vbar + 0.0 * np.asarray(x, dtype=float))
-        cfg2 = mc.MCConfig(n_paths=200, seed=seed, eps_list=(0.1,), u_list=(vbar,))
+        eq = model.equilibrium_strategy(mv)          # constant in s when r = 0
+        cfg2 = mc.MCConfig(n_paths=200, seed=seed, eps_list=(0.1,), u_list=(eq(0.2, 1.0),))
         rep = mc.verify_equilibrium(mv, eq, (0.2,), cfg2, tol_eq=0.05)
         assert all(r["quotient"] == 0.0 for r in rep.rows)
         return "bit-identical ensembles; CRN quotient exactly 0"
@@ -456,7 +429,7 @@ def _selftest_checks(seed):
         spec = model.mean_variance(r=0.0, mu=0.1, sigma=0.2, gamma=1.0, x0=1.0)
         grid = pde.default_grid(spec, nx=65, nt=65)
         theta, theta0 = pde.mv_reference_fields(spec, grid)
-        strat = _equilibrium_strategy_for(spec)
+        strat = model.equilibrium_strategy(spec)
         cfg = mc.MCConfig(n_paths=4000, seed=seed)
         rows = mc.check_feynman_kac(spec, theta, theta0, strat,
                                     [(0.0, spec.x0), (grid.times[32], grid.xs[40])], cfg)
@@ -570,8 +543,9 @@ def build_parser():
 
     sp = sub.add_parser("inconsistency", help="committed vs re-derived control gap")
     common(sp)
-    sp.add_argument("--example", choices=("ex31", "ex41", "stackelberg", "meanvar_precommit"),
-                    default="stackelberg")
+    sp.add_argument("--example", default="stackelberg",
+                    help="a family with a closed-form gap (ex31, ex41, stackelberg, "
+                         "meanvar_precommit, or a registered one)")
     sp.add_argument("--paths", type=int, default=20000)
     sp.set_defaults(func=cmd_inconsistency)
 

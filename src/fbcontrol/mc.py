@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BlowUpError, DomainError, UnsupportedCostClassError
-from .model import StrategyTable
+from .model import EXAMPLE_FAMILIES, StrategyTable, make_spec
 from .riccati import _simpson
 
 BLOCK_PATHS = 1024          # path columns per Philox block
@@ -527,69 +527,31 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
 def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
     """Gap between the control committed at time 0 and the one re-derived at tau.
 
-    Returns a dict with per-tau rows; stochastic benchmarks also report the
-    fraction of paths whose re-derived control departs from the committed one.
+    ``example_id`` is a family name (or an alias in ``EXAMPLE_FAMILIES``);
+    ``params`` holds the family's parameters and optionally ``taus``.  A
+    family with an exact ``closed_forms.gap`` is tabulated; otherwise the state
+    is simulated under the committed control and the per-path gap averaged,
+    with the fraction of paths whose re-derived control departs.
     """
     cfg = cfg or MCConfig(n_paths=20000, seed=123)
-    params = params or {}
-    taus = np.asarray(params.get("taus", np.linspace(0.1, 0.9, 9)), dtype=float)
+    params = dict(params or {})
+    taus = np.asarray(params.pop("taus", np.linspace(0.1, 0.9, 9)), dtype=float)
+    spec = make_spec(EXAMPLE_FAMILIES.get(example_id, example_id), params)
+    cf = spec.closed_forms
+    if cf.gap is not None:
+        rows = [{"tau": float(tau), "gap": float(cf.gap(float(tau)))} for tau in taus]
+        return {"example": example_id, "rows": rows, "exact": True}
+    if cf.committed is None or cf.path_gap is None:
+        raise DomainError(f"family '{spec.name}' has no closed-form inconsistency gap")
+    committed = StrategyTable(spec.u_lo, spec.u_hi, fn=cf.committed)
+    ens = simulate_forward(spec, committed, 0.0, spec.x0, cfg, keep_times=taus)
+    scale = max(abs(cf.gap_scale), 1e-30)
     rows = []
-    if example_id == "ex31":
-        # committed at (t, x): u(s) = (s - t - 1)/2, so the shift is tau/2
-        for tau in taus:
-            rows.append({"tau": float(tau), "gap": float(tau) / 2.0})
-        return {"example": example_id, "rows": rows,
-                "gap_formula": "tau/2", "exact": True}
-    if example_id == "stackelberg":
-        from .riccati import stackelberg_leader
-        res = stackelberg_leader()
-        for tau in taus:
-            rows.append({"tau": float(tau), "gap": float(res.gap(tau))})
-        return {"example": example_id, "rows": rows,
-                "gap_formula": "(ln 2 - ln(2 - tau))/2", "exact": True}
-    if example_id == "ex41":
-        from .model import ex41 as _ex41
-        T = float(params.get("T", 1.0))
-        x0 = float(params.get("x0", 1.0))
-        spec = _ex41(T=T, x0=x0)
-        u0 = -x0 / (T + 1.0)
-        committed = StrategyTable(spec.u_lo, spec.u_hi,
-                                  fn=lambda s, x: u0 + 0.0 * np.asarray(x, dtype=float))
-        ens = simulate_forward(spec, committed, 0.0, x0, cfg, keep_times=taus)
-        for tau in taus:
-            xt = ens.state_at(tau)
-            reopt = -xt / (T - tau + 1.0)
-            rel = np.abs(reopt - u0) / max(abs(u0), 1e-30)
-            rows.append({"tau": float(tau), "gap": float(np.mean(np.abs(reopt - u0))),
-                         "fraction_gt_1e-3": float(np.mean(rel > 1e-3))})
-        return {"example": example_id, "rows": rows, "exact": False,
-                "committed_control": u0}
-    if example_id == "meanvar_precommit":
-        from .model import mean_variance as _mv
-        p = {"r": 0.03, "mu": 0.08, "sigma": 0.2, "gamma": 2.0, "T": 1.0, "x0": 1.0}
-        p.update(params)
-        spec = _mv(r=p["r"], mu=p["mu"], sigma=p["sigma"], gamma=p["gamma"],
-                   T=p["T"], x0=p["x0"])
-        r, mu, sg, gam, T, x0 = (p[k] for k in ("r", "mu", "sigma", "gamma", "T", "x0"))
-        theta2 = ((mu - r) / sg) ** 2
-
-        def d_anchor(t, x):
-            return math.exp(theta2 * (T - t)) / gam + np.exp(r * (T - t)) * x
-
-        d0 = d_anchor(0.0, x0)
-        slope = (mu - r) / (sg * sg)
-        committed = StrategyTable(
-            spec.u_lo, spec.u_hi,
-            fn=lambda s, x: -slope * (np.asarray(x, dtype=float) - d0 * math.exp(-r * (T - s))))
-        ens = simulate_forward(spec, committed, 0.0, x0, cfg, keep_times=taus)
-        for tau in taus:
-            xt = ens.state_at(tau)
-            gap_paths = slope * np.abs(d0 - d_anchor(float(tau), xt))
-            rel = gap_paths / max(abs(slope * d0), 1e-30)
-            rows.append({"tau": float(tau), "gap": float(np.mean(gap_paths)),
-                         "fraction_gt_1e-3": float(np.mean(rel > 1e-3))})
-        return {"example": example_id, "rows": rows, "exact": False}
-    raise DomainError(f"unknown inconsistency example '{example_id}'")
+    for tau in taus:
+        gap_paths = cf.path_gap(float(tau), ens.state_at(tau))
+        rows.append({"tau": float(tau), "gap": float(np.mean(gap_paths)),
+                     "fraction_gt_1e-3": float(np.mean(gap_paths / scale > 1e-3))})
+    return {"example": example_id, "rows": rows, "exact": False}
 
 
 # ---------------------------------------------------------------------------

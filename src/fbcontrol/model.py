@@ -8,6 +8,7 @@ registered by name so problems can be round-tripped through JSON.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -52,6 +53,23 @@ class McCost:
 
 
 @dataclass(frozen=True)
+class ClosedForms:
+    """Closed forms of a family, read by the family-independent code of pde, mc and cli.
+
+    The inconsistency gap between the controls committed at 0 and at tau is
+    exact, or sampled: paths run from (0, x0) under the committed control, and
+    a path departs where its gap exceeds 1e-3 |gap_scale|.
+    """
+
+    equilibrium: Optional[Callable] = None   # (s, x) -> time-consistent control
+    grid_control: Optional[float] = None     # default_grid's sigma probe (else 1 in U)
+    gap: Optional[Callable] = None           # tau -> exact gap
+    committed: Optional[Callable] = None     # (s, x) -> control committed at (0, x0)
+    path_gap: Optional[Callable] = None      # (tau, X_tau) -> gap per path
+    gap_scale: float = 1.0
+
+
+@dataclass(frozen=True)
 class ControlProblemSpec:
     name: str
     drift: Callable                 # b(s, x, u)
@@ -72,6 +90,7 @@ class ControlProblemSpec:
     reduced_running: Optional[Callable] = None   # (t, s, u) -> cost rate
     mc_cost: Optional[McCost] = None
     closed_minimizer: Optional[Callable] = None
+    closed_forms: ClosedForms = field(default_factory=ClosedForms)
 
     def __post_init__(self):
         if not self.horizon > 0:
@@ -138,6 +157,13 @@ class StrategyTable:
         if not self.is_grid or self.x_grid.size < 2:
             return 0.0
         return float(np.max(np.abs(np.diff(self.values, axis=1))))
+
+
+def equilibrium_strategy(spec):
+    """The family's closed-form time-consistent strategy, clamped to U."""
+    if spec.closed_forms.equilibrium is None:
+        raise DomainError(f"no closed-form equilibrium strategy for family '{spec.name}'")
+    return StrategyTable(spec.u_lo, spec.u_hi, fn=spec.closed_forms.equilibrium)
 
 
 def _scalar(value):
@@ -294,6 +320,51 @@ def _zero_generator(m):
     return lambda s, x, u, y, z: np.zeros((m,) + np.shape(np.asarray(x, dtype=float)))
 
 
+def constant_control(value):
+    """The control (s, x) -> value, shaped like x."""
+    return lambda s, x: value + 0.0 * np.asarray(x, dtype=float)
+
+
+def meanvar_closed_form(r, mu, sigma, gamma, T):
+    """ODE-consistent closed forms for the wealth/variance system.
+
+    phi1(t) = gamma e^{2r(T-t)}, gap(t) := phi4 - gamma phi6 phi7 = -e^{r(T-t)},
+    vbar(t) = (mu - r)/(gamma sigma^2) e^{-r(T-t)}.
+    """
+    def phi1(t):
+        return gamma * np.exp(2.0 * r * (T - np.asarray(t, dtype=float)))
+
+    def gap(t):
+        return -np.exp(r * (T - np.asarray(t, dtype=float)))
+
+    def vbar(t):
+        return (mu - r) / (gamma * sigma * sigma) * np.exp(-r * (T - np.asarray(t, dtype=float)))
+
+    def phi6(t):
+        return np.exp(r * (T - np.asarray(t, dtype=float)))
+
+    return {"phi1": phi1, "gap": gap, "vbar": vbar, "phi6": phi6}
+
+
+def _mean_variance_closed_forms(r, mu, sigma, gamma, T, x0):
+    """Equilibrium vbar(s), and the control committed at (t, x): -(mu-r)/sigma^2
+    (X - d(t, x) e^{-r(T-s)}), target d(t, x) = e^{theta^2 (T-t)}/gamma + e^{r(T-t)} x."""
+    vbar = meanvar_closed_form(r, mu, sigma, gamma, T)["vbar"]
+    theta2 = ((mu - r) / sigma) ** 2
+    slope = (mu - r) / (sigma * sigma)
+
+    def d_anchor(t, x):
+        return math.exp(theta2 * (T - t)) / gamma + np.exp(r * (T - t)) * x
+
+    d0 = d_anchor(0.0, x0)
+    return ClosedForms(
+        equilibrium=lambda s, x: vbar(s) + 0.0 * np.asarray(x, dtype=float),
+        grid_control=(mu - r) / (gamma * sigma ** 2),
+        committed=lambda s, x: -slope * (np.asarray(x, dtype=float) - d0 * math.exp(-r * (T - s))),
+        path_gap=lambda tau, x: slope * np.abs(d0 - d_anchor(tau, x)),
+        gap_scale=slope * d0)
+
+
 def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,
                   u_bound=20.0, U=None):
     """Wealth control with conditional-variance penalty.
@@ -303,6 +374,10 @@ def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,
     """
     r, mu, sigma, gamma = map(float, (r, mu, sigma, gamma))
     u_lo, u_hi = U if U is not None else (-u_bound, u_bound)
+    try:
+        closed = _mean_variance_closed_forms(r, mu, sigma, gamma, float(T), float(x0))
+    except (ZeroDivisionError, OverflowError):
+        closed = ClosedForms()          # gamma sigma^2 = 0 or an overflowing target
 
     def h0(t, xt, x, y):
         return -x + 0.5 * gamma * x * x - 0.5 * gamma * y * y
@@ -328,6 +403,7 @@ def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,
             terminal=lambda x: -x + 0.5 * gamma * x * x,
             outer=lambda m1: -0.5 * gamma * m1 * m1,
             outer_prime=lambda m1: -gamma * m1),
+        closed_forms=closed,
     )
 
 
@@ -387,7 +463,8 @@ def linear_heat(a=1.0, T=1.0, terminal="x", x0=0.0):
         cost_terminal=lambda t, xt, x, y: y,
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
         diffusion_control_free=True, cost_class="general",
-        params={"a": a, "terminal": terminal if isinstance(terminal, str) else "custom"},
+        params={"a": a, "terminal": terminal if isinstance(terminal, str) else "custom",
+                "x0": float(x0)},
         terminal_split=split,
     )
 
@@ -414,7 +491,7 @@ def bkm_separable(T=1.0, x0=0.0):
         cost_terminal=lambda t, xt, x, y: fhat(t, xt, x) + ghat(t, xt, y),
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
         diffusion_control_free=True, cost_class="general",
-        params={}, terminal_split=split,
+        params={"x0": float(x0)}, terminal_split=split,
     )
 
 
@@ -431,6 +508,10 @@ def stackelberg(T=1.0, x0=0.0, U=(-5.0, 5.0)):
         u = np.asarray(u, dtype=float)
         return (np.log(2.0 - s) - np.log(2.0 - t) + 1.0) * u + u * u
 
+    def gap(tau):
+        # re-anchoring at tau shifts the committed path by [ln 2 - ln(2 - tau)]/2
+        return 0.5 * (math.log(2.0) - np.log(2.0 - np.asarray(tau, dtype=float)))
+
     return ControlProblemSpec(
         name="stackelberg",
         drift=lambda s, x, u: np.asarray(u, dtype=float) + 0.0 * np.asarray(x, dtype=float),
@@ -444,6 +525,7 @@ def stackelberg(T=1.0, x0=0.0, U=(-5.0, 5.0)):
         diffusion_control_free=True, cost_class="deterministic",
         params={"x0": float(x0)},
         reduced_running=reduced,
+        closed_forms=ClosedForms(equilibrium=constant_control(-0.5), gap=gap),
     )
 
 
@@ -451,7 +533,7 @@ def ex31(T=1.0, x0=0.0, U=(-5.0, 5.0)):
     """Two-component backward benchmark with cost Y2(t).
 
     dY1/ds = u and dY2/ds = -Y1 - u - u^2; the cost reduces to the running
-    integrand (1 + t - s) u + u^2 anchored at t.
+    integrand (1 + t - s) u + u^2 anchored at t, minimized by (s - t - 1)/2: a shift of tau/2.
     """
     def g(s, x, u, y, z):
         u = np.asarray(u, dtype=float)
@@ -474,11 +556,14 @@ def ex31(T=1.0, x0=0.0, U=(-5.0, 5.0)):
         diffusion_control_free=True, cost_class="deterministic",
         params={"x0": float(x0)},
         reduced_running=reduced,
+        closed_forms=ClosedForms(equilibrium=constant_control(-0.5), gap=lambda tau: tau / 2.0),
     )
 
 
 def ex41(T=1.0, x0=1.0, U=(-10.0, 10.0)):
     """Mean-field LQ benchmark: dX = u ds + X dW, cost E_t[int u^2] + (E_t[X_T])^2."""
+    # committed at (t, x): the constant -x/(T - t + 1); a horizon T <= 0 is refused below
+    u0 = -x0 / (T + 1.0) if T > 0 else math.nan
     return ControlProblemSpec(
         name="ex41",
         drift=lambda s, x, u: np.asarray(u, dtype=float) + 0.0 * np.asarray(x, dtype=float),
@@ -494,6 +579,10 @@ def ex41(T=1.0, x0=1.0, U=(-10.0, 10.0)):
             running=lambda s, x, u: u * u,
             outer=lambda m1: m1 * m1,
             outer_prime=lambda m1: 2.0 * m1),
+        closed_forms=ClosedForms(
+            committed=constant_control(u0),
+            path_gap=lambda tau, x: np.abs(-x / (T - tau + 1.0) - u0),
+            gap_scale=u0),
     )
 
 
@@ -526,13 +615,15 @@ FAMILIES = {
 }
 
 
+# inconsistency examples that are not family names, and the family each runs
+EXAMPLE_FAMILIES = {"meanvar_precommit": "mean_variance"}
+
+
 def register_family(name, builder):
     FAMILIES[name] = builder
 
 
 def make_spec(family, params=None, T=None, U=None):
-    import inspect
-
     if family not in FAMILIES:
         raise DomainError(f"unknown problem family '{family}'")
     builder = FAMILIES[family]
@@ -549,12 +640,11 @@ def make_spec(family, params=None, T=None, U=None):
 
 
 def spec_to_json(spec):
-    return {
-        "family": spec.name,
-        "params": {k: v for k, v in spec.params.items()},
-        "T": spec.horizon,
-        "U": [spec.u_lo, spec.u_hi],
-    }
+    doc = {"family": spec.name, "params": dict(spec.params), "T": spec.horizon}
+    builder = FAMILIES.get(spec.name)
+    if builder is None or "U" in inspect.signature(builder).parameters:
+        doc["U"] = [spec.u_lo, spec.u_hi]
+    return doc
 
 
 def spec_from_json(doc):

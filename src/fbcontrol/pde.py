@@ -32,7 +32,7 @@ from scipy.linalg import solve_banded
 
 from .errors import (DegeneracyError, DomainError, EvaluationError,
                      FBControlError, YRangeError)
-from .model import StrategyTable, hamiltonian_H0_hat
+from .model import StrategyTable, constant_control, hamiltonian_H0_hat
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -82,13 +82,11 @@ class GridSpec:
 
 def default_grid(spec, nx=129, nt=1001, span_sigmas=5.0, sigma_bar=None,
                  y_lo=None, y_hi=None, ny=17):
-    """Truncated domain centered at x0 with width span_sigmas * sigma_bar * sqrt(T)."""
+    """Truncated domain centered at x0 with width span_sigmas * sigma_bar * sqrt(T);
+    sigma_bar is measured at the family's ``closed_forms.grid_control`` (else 1 in U)."""
     if sigma_bar is None:
-        p = spec.params
-        if spec.name == "mean_variance":
-            u_ref = (p["mu"] - p["r"]) / (p["gamma"] * p["sigma"] ** 2)
-        else:
-            u_ref = float(np.clip(1.0, spec.u_lo, spec.u_hi))
+        u_ref = spec.closed_forms.grid_control
+        u_ref = float(np.clip(1.0, spec.u_lo, spec.u_hi)) if u_ref is None else u_ref
         sigma_bar = max(abs(float(np.asarray(spec.diffusion(s, spec.x0, u_ref))))
                         for s in (0.0, 0.5 * spec.horizon, spec.horizon))
         sigma_bar = max(sigma_bar, 1e-2)
@@ -572,8 +570,7 @@ def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6,
     nt, nx = times.size, xs.size
     if initial_strategy is None:
         u_init = float(np.clip(0.0, spec.u_lo, spec.u_hi))
-        strategy = StrategyTable(spec.u_lo, spec.u_hi,
-                                 fn=lambda s, x, _u=u_init: _u + 0.0 * np.asarray(x, dtype=float))
+        strategy = StrategyTable(spec.u_lo, spec.u_hi, fn=constant_control(u_init))
     else:
         strategy = initial_strategy
     bundle = DiagonalBundle.zeros(nt, nx)

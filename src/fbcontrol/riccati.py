@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import BlowUpError, DomainError, PositivityError, SingularityError
-from .model import StrategyTable
+from .model import StrategyTable, equilibrium_strategy, meanvar_closed_form
+from .model import stackelberg as _stackelberg_spec
 
 SINGULAR_TOL = 1e-12
 
@@ -216,27 +217,6 @@ def solve_meanfield_riccati(A, B, C, D, Q, R, G1, G2, T=1.0, steps=10000):
     return grid, out[:, 0], out[:, 1], psi
 
 
-def meanvar_closed_form(r, mu, sigma, gamma, T):
-    """ODE-consistent closed forms for the wealth/variance system.
-
-    phi1(t) = gamma e^{2r(T-t)}, gap(t) := phi4 - gamma phi6 phi7 = -e^{r(T-t)},
-    vbar(t) = (mu - r)/(gamma sigma^2) e^{-r(T-t)}.
-    """
-    def phi1(t):
-        return gamma * np.exp(2.0 * r * (T - np.asarray(t, dtype=float)))
-
-    def gap(t):
-        return -np.exp(r * (T - np.asarray(t, dtype=float)))
-
-    def vbar(t):
-        return (mu - r) / (gamma * sigma * sigma) * np.exp(-r * (T - np.asarray(t, dtype=float)))
-
-    def phi6(t):
-        return np.exp(r * (T - np.asarray(t, dtype=float)))
-
-    return {"phi1": phi1, "gap": gap, "vbar": vbar, "phi6": phi6}
-
-
 @dataclass
 class MeanVarResult:
     s: np.ndarray
@@ -383,19 +363,14 @@ class StackelbergResult:
 def stackelberg_leader(T=1.0) -> StackelbergResult:
     """Closed forms for the leader benchmark.
 
-    The control announced at anchor t is [ln(2-t) - ln(2-s) - 1]/2, the
-    time-consistent feedback is the constant -1/2, and re-anchoring at tau
-    shifts the whole control path by [ln 2 - ln(2-tau)]/2.
+    The control announced at anchor t is [ln(2-t) - ln(2-s) - 1]/2 and the
+    time-consistent feedback is the constant -1/2; the reduced integrand, the
+    equilibrium and the gap are those of ``model.stackelberg``.
     """
+    spec = _stackelberg_spec(T=T)
+
     def precommitted(s, t=0.0):
         return 0.5 * (np.log(2.0 - np.asarray(t, dtype=float)) - np.log(2.0 - np.asarray(s, dtype=float)) - 1.0)
-
-    def reduced(t, s, u):
-        u = np.asarray(u, dtype=float)
-        return (np.log(2.0 - s) - np.log(2.0 - t) + 1.0) * u + u * u
-
-    def gap(tau):
-        return 0.5 * (math.log(2.0) - np.log(2.0 - np.asarray(tau, dtype=float)))
 
     def leader_cost(t):
         w = 2.0 - t
@@ -403,13 +378,12 @@ def stackelberg_leader(T=1.0) -> StackelbergResult:
 
     def leader_cost_quadrature(t, panels=4096):
         s = np.linspace(t, T, panels + 1)
-        vals = reduced(t, s, precommitted(s, t))
+        vals = spec.reduced_running(t, s, precommitted(s, t))
         return float(_simpson(vals, s[1] - s[0]))
 
-    strat = StrategyTable(-5.0, 5.0, fn=lambda s, x: -0.5 + 0.0 * np.asarray(x, dtype=float))
     return StackelbergResult(
-        T=float(T), equilibrium_value=-0.5, equilibrium_strategy=strat,
-        precommitted=precommitted, reduced_integrand=reduced, gap=gap,
+        T=float(T), equilibrium_value=-0.5, equilibrium_strategy=equilibrium_strategy(spec),
+        precommitted=precommitted, reduced_integrand=spec.reduced_running, gap=spec.closed_forms.gap,
         leader_cost=leader_cost, leader_cost_quadrature=leader_cost_quadrature)
 
 

@@ -1,6 +1,10 @@
+import dataclasses
 import json
 import hashlib
 
+import numpy as np
+
+from fbcontrol import model
 from fbcontrol.cli import run
 
 
@@ -104,3 +108,40 @@ def test_mc_verify_out_of_range_seed_is_config_error(tmp_path, capsys):
         assert "config error: seed" in capsys.readouterr().err
     assert run(["selftest", "--out", str(tmp_path / "self"), "--seed", "-1"]) == 2
     assert "config error: seed" in capsys.readouterr().err
+
+
+def _ex31_renamed(T=1.0, x0=0.0, U=(-5.0, 5.0)):
+    return dataclasses.replace(model.ex31(T=T, x0=x0, U=U), name="ex31_renamed")
+
+
+def _heat_renamed(T=1.0):
+    return dataclasses.replace(model.linear_heat(T=T), name="heat_renamed")
+
+
+def test_registered_family_closed_forms_drive_the_cli(tmp_path, capsys):
+    model.register_family("ex31_renamed", _ex31_renamed)
+    model.register_family("heat_renamed", _heat_renamed)
+    try:
+        flags = ["--times", "0.3", "--eps", "0.05", "--tol-eq", "1e-8"]
+        for family in ("ex31", "ex31_renamed"):
+            cfg = tmp_path / f"{family}.json"
+            cfg.write_text(json.dumps({"family": family}))
+            assert run(["mc-verify", "--config", str(cfg),
+                        "--out", str(tmp_path / f"mc_{family}")] + flags) == 0
+        assert ((tmp_path / "mc_ex31_renamed" / "verify.csv").read_bytes()
+                == (tmp_path / "mc_ex31" / "verify.csv").read_bytes())
+        out = tmp_path / "inc"
+        assert run(["inconsistency", "--example", "ex31_renamed", "--out", str(out)]) == 0
+        table = np.loadtxt(out / "gap.csv", delimiter=",", skiprows=1)
+        assert table.shape == (9, 2) and np.array_equal(table[:, 1], table[:, 0] / 2.0)
+        capsys.readouterr()
+        heat = tmp_path / "heat.json"
+        heat.write_text(json.dumps({"family": "heat_renamed"}))
+        assert run(["mc-verify", "--config", str(heat), "--out", str(tmp_path / "heat")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert run(["inconsistency", "--example", "heat_renamed",
+                    "--out", str(tmp_path / "heat_inc")]) == 2
+        assert "config error" in capsys.readouterr().err
+    finally:
+        model.FAMILIES.pop("ex31_renamed", None)
+        model.FAMILIES.pop("heat_renamed", None)

@@ -472,6 +472,8 @@ def test_gap_wealth_variance_precommitted():
 def test_gap_unknown_example():
     with pytest.raises(DomainError):
         demonstrate_inconsistency("nope")
+    with pytest.raises(DomainError):            # a family without a closed-form gap
+        demonstrate_inconsistency("gbm")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbcontrol import model
 from fbcontrol.errors import DegeneracyError, DomainError
@@ -239,6 +241,46 @@ def test_strategy_table_call_bit_identical_to_clip_form():
     assert checked == 3 * 2 * 5 * 5 * len(inputs)
 
 
+_BOUNDS = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2, unique=True).map(sorted)
+_QUERY_X = st.one_of(st.floats(-1e3, 1e3),
+                     st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6).map(np.array))
+
+
+def _assert_in_interval(out, x, lo, hi):
+    if np.ndim(x) == 0:
+        assert type(out) is float
+    else:
+        assert np.shape(out) == np.shape(x)
+    assert np.all((lo <= np.asarray(out)) & (np.asarray(out) <= hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounds=_BOUNDS, s=st.floats(-10.0, 10.0), x=_QUERY_X, data=st.data())
+def test_strategy_table_fn_output_always_in_interval(bounds, s, x, data):
+    # raw outputs far outside U or infinite (never NaN), one per queried state
+    raw = np.array(data.draw(st.lists(
+        st.one_of(st.floats(-1e300, 1e300), st.sampled_from([math.inf, -math.inf])),
+        min_size=np.size(x), max_size=np.size(x))))
+    lo, hi = bounds
+    tab = StrategyTable(lo, hi, fn=lambda s_, x_: raw.reshape(np.shape(x_)))
+    _assert_in_interval(tab(s, x), x, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounds=_BOUNDS, s=st.floats(-10.0, 10.0), x=_QUERY_X, data=st.data())
+def test_strategy_table_grid_output_always_in_interval(bounds, s, x, data):
+    # s in [-10, 10] and x in [-1e3, 1e3] mostly fall outside the grids
+    s_grid = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5, unique=True))
+    x_grid = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6, unique=True))
+    n = len(s_grid) * len(x_grid)
+    values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    lo, hi = bounds
+    tab = StrategyTable(lo, hi, s_grid=sorted(s_grid), x_grid=sorted(x_grid),
+                        values=np.reshape(values, (len(s_grid), len(x_grid))))
+    with np.errstate(over="ignore"):    # subnormal node spacing overflows the weight to inf
+        _assert_in_interval(tab(s, x), x, lo, hi)
+
+
 def test_strategy_table_requires_one_backend():
     with pytest.raises(DomainError):
         StrategyTable(-1, 1)
@@ -255,6 +297,27 @@ def test_spec_json_round_trip():
     assert back.horizon == 2.0
     assert back.params["sigma"] == 0.3
     assert back.drift(0.0, 1.0, 0.0) == spec.drift(0.0, 1.0, 0.0)
+    for name in list(model.FAMILIES):
+        spec = make_spec(name, {"x0": 0.25}, T=2.0)
+        doc = json.loads(json.dumps(spec_to_json(spec)))
+        back = spec_from_json(doc)
+        assert spec_to_json(back) == doc
+        assert (back.name, back.horizon, back.x0, back.u_lo, back.u_hi) == \
+            (spec.name, 2.0, 0.25, spec.u_lo, spec.u_hi)
+
+
+def test_closed_forms_live_on_the_spec():
+    mv = model.mean_variance()
+    # the expression default_grid has always used, not equilibrium(T, x0)
+    assert mv.closed_forms.grid_control == (0.08 - 0.03) / (2.0 * 0.2 ** 2)
+    assert model.equilibrium_strategy(mv)(1.0, 5.0) == (0.08 - 0.03) / (2.0 * 0.2 * 0.2)   # vbar(T)
+    assert model.equilibrium_strategy(model.stackelberg())(0.3, np.ones(3)).tolist() == [-0.5] * 3
+    # parameters without closed forms still build a spec
+    assert model.mean_variance(sigma=0.0).closed_forms == model.ClosedForms()
+    with pytest.raises(DomainError):
+        model.equilibrium_strategy(model.gbm())
+    with pytest.raises(DomainError):
+        model.ex41(T=-1.0)          # refused as a horizon, not a division by zero
 
 
 def test_make_spec_rejects_unknown_family():
