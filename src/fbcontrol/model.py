@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DegeneracyError, DomainError, EvaluationError
 
-# Sentinel used for unbounded control endpoints (scans are never run against it;
-# families with infinite U must supply a closed-form minimizer).
+# Sentinel for unbounded control endpoints; the Hamiltonian minimizer scans U,
+# so pde.minimize_hamiltonian refuses a spec with an endpoint at or beyond it.
 U_INF = 1.0e12
 
 
@@ -89,7 +89,6 @@ class ControlProblemSpec:
     terminal_split: Optional[TerminalSplit] = None
     reduced_running: Optional[Callable] = None   # (t, s, u) -> cost rate
     mc_cost: Optional[McCost] = None
-    closed_minimizer: Optional[Callable] = None
     closed_forms: ClosedForms = field(default_factory=ClosedForms)
 
     def __post_init__(self):
@@ -244,12 +243,38 @@ def make_probe_grid(spec, ns=5, nx=7, nu=5, x_span=2.0):
     return {"s": s, "x": x, "u": u}
 
 
+def _column_s_failures(spec, s_arr, x_arr, u_arr):
+    """Coefficients whose values at an (ns, 1) column of s and (ns, nx) states
+    differ from their values at each scalar s by more than 1e-12, or that raise."""
+    zero = np.zeros((s_arr.size, x_arr.size))
+    y = zero if spec.m == 1 else np.zeros((spec.m,) + zero.shape)
+    calls = {"drift": lambda s, u, y, y0: spec.drift(s, x_arr, u),
+             "diffusion": lambda s, u, y, y0: spec.diffusion(s, x_arr, u),
+             "generator": lambda s, u, y, y0: spec.generator(s, x_arr, u, y, y),
+             "cost_generator": lambda s, u, y, y0: spec.cost_generator(
+                 s, s, x_arr, x_arr, u, y, y, y0, y0)}
+
+    def agrees(fn, u):
+        try:
+            col = np.asarray(fn(s_arr[:, None], u + zero, y, zero), dtype=float) + zero
+            rows = np.stack([np.asarray(fn(s, u + zero[k], y[..., k, :], zero[k]), dtype=float)
+                             + zero[k] for k, s in enumerate(s_arr)], axis=-2)
+            return col.shape == rows.shape and np.allclose(col, rows, rtol=1e-12, atol=1e-12,
+                                                           equal_nan=True)
+        except Exception:
+            return False
+
+    return [name for name, fn in calls.items() if not all(agrees(fn, u) for u in u_arr)]
+
+
 def validate_spec(spec, probe_grid=None):
     """Probe-grid diagnostics: finiteness, Lipschitz estimates, ellipticity.
 
     Never raises; returns a report dict.  The non-degeneracy flag refers to
     a = sigma^2/2 over the probed controls, so control-scaled diffusions are
-    reported degenerate whenever u = 0 is probed.
+    reported degenerate whenever u = 0 is probed.  ``column_s_failures`` lists
+    the coefficients that break the PDE route's contract that s may be an
+    (rows, 1) column broadcasting against (rows, nx) states.
     """
     probe = probe_grid or make_probe_grid(spec)
     s_arr, x_arr, u_arr = (np.asarray(probe[k], dtype=float) for k in ("s", "x", "u"))
@@ -268,10 +293,8 @@ def validate_spec(spec, probe_grid=None):
                 try:
                     vals["drift"] = _scalar(spec.drift(s, x, u))
                     vals["diffusion"] = _scalar(spec.diffusion(s, x, u))
-                    gv = np.asarray(spec.generator(s, x, u, y0, y0), dtype=float)
-                    vals["generator"] = float(np.sum(gv))
-                    hv = np.asarray(spec.terminal(x), dtype=float)
-                    vals["terminal"] = float(np.sum(hv))
+                    vals["generator"] = float(np.sum(spec.generator(s, x, u, y0, y0)))
+                    vals["terminal"] = float(np.sum(spec.terminal(x)))
                     vals["cost_terminal"] = _scalar(
                         spec.cost_terminal(s, x, x, y0 if spec.m > 1 else 0.0))
                     vals["cost_generator"] = _scalar(
@@ -292,12 +315,8 @@ def validate_spec(spec, probe_grid=None):
                 if abs(s0 - s1) > 1e-12 * (1.0 + abs(s0)):
                     ctrl_free = False
     nondegenerate = math.isfinite(amin) and amin > 0.0
-    if spec.reduced_running is not None:
-        detected = "deterministic"
-    elif spec.mc_cost is not None:
-        detected = "bolza_condexp"
-    else:
-        detected = "general"
+    detected = ("deterministic" if spec.reduced_running is not None
+                else "bolza_condexp" if spec.mc_cost is not None else "general")
     return {
         "finite": not bad,
         "bad_points": bad,
@@ -307,6 +326,7 @@ def validate_spec(spec, probe_grid=None):
         "diffusion_control_free_ok": ctrl_free,
         "suggested_route": "pde" if nondegenerate else "ode",
         "cost_class_detected": detected,
+        "column_s_failures": _column_s_failures(spec, s_arr, x_arr, u_arr),
     }
 
 
@@ -328,22 +348,15 @@ def constant_control(value):
 def meanvar_closed_form(r, mu, sigma, gamma, T):
     """ODE-consistent closed forms for the wealth/variance system.
 
-    phi1(t) = gamma e^{2r(T-t)}, gap(t) := phi4 - gamma phi6 phi7 = -e^{r(T-t)},
-    vbar(t) = (mu - r)/(gamma sigma^2) e^{-r(T-t)}.
+    phi1(t) = gamma e^{2r(T-t)} and vbar(t) = (mu - r)/(gamma sigma^2) e^{-r(T-t)}.
     """
     def phi1(t):
         return gamma * np.exp(2.0 * r * (T - np.asarray(t, dtype=float)))
 
-    def gap(t):
-        return -np.exp(r * (T - np.asarray(t, dtype=float)))
-
     def vbar(t):
         return (mu - r) / (gamma * sigma * sigma) * np.exp(-r * (T - np.asarray(t, dtype=float)))
 
-    def phi6(t):
-        return np.exp(r * (T - np.asarray(t, dtype=float)))
-
-    return {"phi1": phi1, "gap": gap, "vbar": vbar, "phi6": phi6}
+    return {"phi1": phi1, "vbar": vbar}
 
 
 def _mean_variance_closed_forms(r, mu, sigma, gamma, T, x0):
@@ -640,6 +653,9 @@ def make_spec(family, params=None, T=None, U=None):
 
 
 def spec_to_json(spec):
+    """The JSON document that ``spec_from_json`` rebuilds the spec from."""
+    if spec.params.get("terminal") == "custom":
+        raise DomainError(f"a '{spec.name}' spec with a callable terminal has no JSON form")
     doc = {"family": spec.name, "params": dict(spec.params), "T": spec.horizon}
     builder = FAMILIES.get(spec.name)
     if builder is None or "U" in inspect.signature(builder).parameters:

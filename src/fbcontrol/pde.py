@@ -168,23 +168,20 @@ def _sweep(spec, grid, times, control, values, source, lam0, anchored=False):
     source(j + 1, s, u, sigma, w) gives the explicit source of the later block row w,
     and one ``step_parabolic`` call steps the block.  With ``anchored``, entry k of
     the first block axis is anchored at times[k] and stepped only down to row k, so
-    no coefficient sees s below its anchor time.  Returns the largest a met.
+    no coefficient sees s below its anchor time.
     """
     xs, dt, dx = grid.xs, grid.dt, grid.dx
-    a_max = 0.0
     zero = np.zeros_like(xs)
     for j in range(times.size - 2, -1, -1):
         s = times[j + 1]
         u = control(s)
         sig = np.asarray(spec.diffusion(s, xs, u), dtype=float) + zero
         a_row = 0.5 * sig * sig
-        a_max = max(a_max, float(np.max(a_row)))
         b_row = np.asarray(spec.drift(s, xs, u), dtype=float) + zero
         block = values[:j + 1] if anchored else values
         w = block[..., j + 1, :]
         block[..., j, :] = step_parabolic(w, a_row, b_row, source(j + 1, s, u, sig, w),
                                           dt, dx, lam0)
-    return a_max
 
 
 def _strategy_row(strategy, xs):
@@ -210,7 +207,6 @@ class FieldTheta:
         if self.values.ndim == 2:
             self.values = self.values[None, :, :]
         self.m = self.values.shape[0]
-        self.diffusion_number = None
 
     @property
     def dx(self):
@@ -221,9 +217,6 @@ class FieldTheta:
 
     def dx_slice(self, j):
         return _dx_rows(self.values[:, j, :], self.dx)
-
-    def dxx_slice(self, j):
-        return _dxx_rows(self.values[:, j, :], self.dx)
 
     def at(self, s, x, component=0):
         ts = self.times
@@ -241,8 +234,7 @@ def solve_theta(spec, strategy, grid: GridSpec, lam0=0.0) -> FieldTheta:
     explicit slice; sigma is evaluated at the frozen strategy, so control-
     scaled diffusions become state fields here.
     """
-    xs, times = grid.xs, grid.times
-    dt, dx = grid.dt, grid.dx
+    xs, times, dx = grid.xs, grid.times, grid.dx
     term = np.atleast_2d(np.asarray(spec.terminal(xs), dtype=float))
     values = np.empty((term.shape[0], times.size, xs.size))
     values[:, -1, :] = term
@@ -251,11 +243,8 @@ def solve_theta(spec, strategy, grid: GridSpec, lam0=0.0) -> FieldTheta:
         return np.atleast_2d(np.asarray(
             spec.generator(s, xs, u, *_y_z(spec, w, _dx_rows(w, dx) * sig)), dtype=float))
 
-    a_max = _sweep(spec, grid, times, _strategy_row(strategy, xs), values, source, lam0)
-    out = FieldTheta(times, xs, values)
-    # informational only: the implicit diffusion step is unconditionally stable
-    out.diffusion_number = dt * a_max / (dx * dx)
-    return out
+    _sweep(spec, grid, times, _strategy_row(strategy, xs), values, source, lam0)
+    return FieldTheta(times, xs, values)
 
 
 @dataclass
@@ -300,15 +289,13 @@ class SeparableCostField:
     def dx(self):
         return float(self.xs[1] - self.xs[0])
 
-    def _hat_field(self, l):
-        return self.hat if self.anchor_free else self.hat[l]
-
     def value(self, t_idx, s_idx, xt_idx, x_idx, y):
         if s_idx < t_idx:
             raise DomainError("cost field queried below the anchor time (t > s)")
         t = self.times[t_idx]
         xt = self.xs[xt_idx]
-        return float(self._hat_field(xt_idx)[s_idx, x_idx]) + float(self.split.ghat(t, xt, y))
+        hat = self.hat if self.anchor_free else self.hat[xt_idx]
+        return float(hat[s_idx, x_idx]) + float(self.split.ghat(t, xt, y))
 
     def diagonal(self, theta: FieldTheta):
         nt, nx = self.times.size, self.xs.size
@@ -318,9 +305,7 @@ class SeparableCostField:
             hat_dx = _dx_rows(self.hat, self.dx)
             hat_dxx = _dxx_rows(self.hat, self.dx)
         else:
-            hat_diag = np.empty((nt, nx))
-            hat_dx = np.empty((nt, nx))
-            hat_dxx = np.empty((nt, nx))
+            hat_diag, hat_dx, hat_dxx = np.empty((3, nt, nx))
             for l in range(nx):
                 fld = self.hat[l]
                 hat_diag[:, l] = fld[:, l]
@@ -378,10 +363,7 @@ class GeneralCostField:
         from scipy.interpolate import CubicSpline
         nt, nx = self.times.size, self.xs.size
         th = theta.values[0]
-        d = np.empty((nt, nx))
-        dyv = np.empty((nt, nx))
-        dxv = np.empty((nt, nx))
-        dxxv = np.empty((nt, nx))
+        d, dyv, dxv, dxxv = np.empty((4, nt, nx))
         dx = self.dx
         for j in range(nt):
             for i in range(nx):
@@ -458,70 +440,82 @@ def _parabolic_vertex(pa, pm, pb, fa, fm, fb):
 
 
 def _golden_rows(f, lo, hi, tol=1e-10, coarse=33):
-    """Vectorized golden-section search with parabolic polish.
+    """Vectorized golden-section search with parabolic polish on a (rows, n) block.
 
     The bracket is shrunk only to the width at which value differences remain
     resolvable in float64; the polish is exact for quadratic objectives, which
     pins the vertex well below the requested absolute tolerance.  Ties break
-    toward the smaller control.
+    toward the smaller control.  Each row takes the golden-step count of its
+    own widest bracket, so a row's minimizer does not depend on the rows it is
+    batched with.
     """
     us = np.linspace(lo, hi, coarse)
-    F = np.stack([np.asarray(f(u), dtype=float) for u in us])
-    idx = np.argmin(F, axis=0)  # first occurrence = smallest u on ties
-    u_best = us[idx]
-    f_best = np.take_along_axis(F, idx[None, :], axis=0)[0]
-    a = us[np.maximum(idx - 1, 0)]
-    b = us[np.minimum(idx + 1, coarse - 1)]
+    # running argmin of the coarse scan: strict < keeps the first (smallest u) minimum
+    f_best = f(us[0])
+    idx = np.zeros(f_best.shape, dtype=int)
+    for k in range(1, coarse):
+        F = f(us[k])
+        idx[F < f_best] = k
+        f_best = np.minimum(F, f_best)
+    u_best, a, b = us[idx], us[np.maximum(idx - 1, 0)], us[np.minimum(idx + 1, coarse - 1)]
     scale = max(1.0, (hi - lo) / 20.0)
     target = max(1e-4 * scale, tol)
-    width0 = float(np.max(b - a))
-    n_iter = (max(1, int(math.ceil(math.log(width0 / target) / math.log(1.0 / GOLDEN))))
-              if width0 > target else 1)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1 = np.asarray(f(x1), dtype=float)
-    f2 = np.asarray(f(x2), dtype=float)
-    for _ in range(n_iter):
+    n_iter = np.array([max(1, math.ceil(math.log(w / target) / math.log(1.0 / GOLDEN)))
+                       if w > target else 1 for w in np.max(b - a, axis=-1).tolist()])
+    x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for k in range(n_iter.max()):
+        live = (k < n_iter)[:, None]   # a finished row keeps its bracket and probes
         take_left = f1 <= f2
-        b = np.where(take_left, x2, b)
-        a = np.where(take_left, a, x1)
-        x1 = b - GOLDEN * (b - a)
-        x2 = a + GOLDEN * (b - a)
-        f1 = np.asarray(f(x1), dtype=float)
-        f2 = np.asarray(f(x2), dtype=float)
-    cand = np.where(f1 <= f2, x1, x2)
-    fc = np.minimum(f1, f2)
-    keep = (fc < f_best) | ((fc == f_best) & (cand < u_best))
-    u_best = np.where(keep, cand, u_best)
-    f_best = np.minimum(fc, f_best)
+        a, b = np.where(live & ~take_left, x1, a), np.where(live & take_left, x2, b)
+        x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+        f1, f2 = f(x1), f(x2)
+
+    def offer(u_try, f_try):
+        nonlocal u_best, f_best
+        keep = (f_try < f_best) | ((f_try == f_best) & (u_try < u_best))
+        u_best, f_best = np.where(keep, u_try, u_best), np.minimum(f_try, f_best)
+
+    offer(np.where(f1 <= f2, x1, x2), np.minimum(f1, f2))
     for delta in (None, 1e-5 * scale):
-        if delta is None:
-            pa, pm, pb = a, 0.5 * (a + b), b
-        else:
-            pa = np.clip(u_best - delta, lo, hi)
-            pb = np.clip(u_best + delta, lo, hi)
-            pm = 0.5 * (pa + pb)
-        fa = np.asarray(f(pa), dtype=float)
-        fm = np.asarray(f(pm), dtype=float)
-        fb = np.asarray(f(pb), dtype=float)
+        pa, pb = (a, b) if delta is None else (np.clip(u_best - delta, lo, hi),
+                                               np.clip(u_best + delta, lo, hi))
+        pm = 0.5 * (pa + pb)
+        fa, fm, fb = f(pa), f(pm), f(pb)
         vertex = np.clip(_parabolic_vertex(pa, pm, pb, fa, fm, fb), lo, hi)
-        for u_try, f_try in ((pm, fm), (vertex, np.asarray(f(vertex), dtype=float))):
-            keep = (f_try < f_best) | ((f_try == f_best) & (u_try < u_best))
-            u_best = np.where(keep, u_try, u_best)
-            f_best = np.minimum(f_try, f_best)
+        offer(pm, fm)
+        offer(vertex, f(vertex))
     return np.clip(u_best, lo, hi)
 
 
-def _minimize_rows(spec, s, xs, theta, theta_x, theta_xx, d, d_x, d_y, d_xx):
-    """Minimizer over U of ``hamiltonian_H0_hat`` at (s, s, x, x) on a row of x;
-    theta, theta_x, theta_xx and the weights d_y are (m, nx)."""
-    zero = np.zeros_like(xs)
+# grid points per minimizer block: whole time rows are batched up to this many
+# points, which bounds the Hamiltonian temporaries on fine grids
+_MIN_POINTS = 4096
 
-    def f(u):
-        return hamiltonian_H0_hat(spec, s, s, xs, xs, np.asarray(u, dtype=float) + zero,
-                                  theta, theta_x, theta_xx, d, d_x, d_y, d_xx)
 
-    return _golden_rows(f, spec.u_lo, spec.u_hi)
+def _minimize_block(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx):
+    """Minimizer over U of ``hamiltonian_H0_hat`` at (s, s, x, x) on a (rows, n)
+    block shaped like d: s is an (rows, 1) column of times, x an (n,) row, and
+    theta, theta_x, theta_xx and the weights d_y are (m, rows, n)."""
+    zero = np.zeros(np.shape(d))
+    return _golden_rows(lambda u: hamiltonian_H0_hat(spec, s, s, x, x, u + zero, theta, theta_x,
+                                                     theta_xx, d, d_x, d_y, d_xx),
+                        spec.u_lo, spec.u_hi)
+
+
+def _minimize_table(spec, theta: FieldTheta, bundle: DiagonalBundle):
+    """The minimizer on every (s, x) node of theta's grid, in blocks of whole rows."""
+    th = theta.values
+    th_x, th_xx = _dx_rows(th, theta.dx), _dxx_rows(th, theta.dx)
+    nt, nx = bundle.d.shape
+    step = max(1, _MIN_POINTS // nx)
+    out = np.empty((nt, nx))
+    for j in range(0, nt, step):
+        r = slice(j, j + step)
+        out[r] = _minimize_block(spec, theta.times[r, None], theta.xs, th[:, r], th_x[:, r],
+                                 th_xx[:, r], bundle.d[r], bundle.dx[r],
+                                 np.broadcast_to(bundle.dy[r], th[:, r].shape), bundle.dxx[r])
+    return out
 
 
 def minimize_hamiltonian(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx=0.0):
@@ -531,14 +525,13 @@ def minimize_hamiltonian(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx
     field curvature; for control-free diffusion they are constant in u and the
     minimizer reduces to the first-order form.
     """
-    if spec.closed_minimizer is not None:
-        return float(spec.closed_minimizer(s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx))
     if not spec.u_bounded:
         raise DomainError("numeric minimization needs a bounded control interval")
-    to_row = lambda v: np.asarray(v, dtype=float).reshape(spec.m, 1)
-    return float(_minimize_rows(spec, s, np.array([x], dtype=float), to_row(theta),
-                                to_row(theta_x), to_row(theta_xx), np.array([d]),
-                                np.array([d_x]), to_row(d_y), np.array([d_xx]))[0])
+    m = spec.m
+    col = lambda v, *lead: np.asarray(v, dtype=float).reshape(*lead, 1, 1)
+    return float(_minimize_block(spec, s, np.array([x], dtype=float), col(theta, m),
+                                 col(theta_x, m), col(theta_xx, m), col(d), col(d_x),
+                                 col(d_y, m), col(d_xx))[0, 0])
 
 
 @dataclass
@@ -568,11 +561,8 @@ def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6,
     """
     xs, times = grid.xs, grid.times
     nt, nx = times.size, xs.size
-    if initial_strategy is None:
-        u_init = float(np.clip(0.0, spec.u_lo, spec.u_hi))
-        strategy = StrategyTable(spec.u_lo, spec.u_hi, fn=constant_control(u_init))
-    else:
-        strategy = initial_strategy
+    strategy = initial_strategy if initial_strategy is not None else StrategyTable(
+        spec.u_lo, spec.u_hi, fn=constant_control(float(np.clip(0.0, spec.u_lo, spec.u_hi))))
     bundle = DiagonalBundle.zeros(nt, nx)
     psi_tab = np.full((nt, nx), np.nan)
     log = IterationLog()
@@ -583,17 +573,10 @@ def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6,
                                      force_general=force_general)
         new_bundle = extract_diagonal(theta0, theta)
         if damping < 1.0 and it > 1:
-            new_bundle = DiagonalBundle(
-                d=(1.0 - damping) * bundle.d + damping * new_bundle.d,
-                dx=(1.0 - damping) * bundle.dx + damping * new_bundle.dx,
-                dy=(1.0 - damping) * bundle.dy + damping * new_bundle.dy,
-                dxx=(1.0 - damping) * bundle.dxx + damping * new_bundle.dxx)
-        psi_new = np.empty((nt, nx))
-        for j in range(nt):
-            psi_new[j] = _minimize_rows(
-                spec, times[j], xs, theta.slice(j), theta.dx_slice(j), theta.dxx_slice(j),
-                new_bundle.d[j], new_bundle.dx[j], np.tile(new_bundle.dy[j], (spec.m, 1)),
-                new_bundle.dxx[j])
+            new_bundle = DiagonalBundle(*[(1.0 - damping) * getattr(bundle, k)
+                                          + damping * getattr(new_bundle, k)
+                                          for k in ("d", "dx", "dy", "dxx")])
+        psi_new = _minimize_table(spec, theta, new_bundle)
         res = new_bundle.sup_diff(bundle)
         res["psi"] = (float(np.max(np.abs(psi_new - psi_tab)))
                       if np.all(np.isfinite(psi_tab)) else math.inf)

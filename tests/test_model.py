@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +163,18 @@ def test_validate_spec_flags():
     assert rep["cost_class_detected"] == "deterministic"
 
 
+def test_validate_spec_probes_column_s():
+    # the PDE minimizer hands coefficients s as an (rows, 1) column
+    for name in model.FAMILIES:
+        assert validate_spec(make_spec(name))["column_s_failures"] == [], name
+    stk = model.stackelberg()
+    scalar_only = replace(stk, generator=lambda s, x, u, y, z:
+                          -(np.asarray(y) + u) / (2.0 - math.log1p(s)))
+    collapsed = replace(stk, drift=lambda s, x, u: u + 0.0 * x + float(np.max(s)))
+    assert validate_spec(scalar_only)["column_s_failures"] == ["generator"]
+    assert validate_spec(collapsed)["column_s_failures"] == ["drift"]
+
+
 def test_probe_grid_must_be_nonempty():
     with pytest.raises(DomainError):
         validate_spec(model.linear_heat(), {"s": [], "x": [0.0], "u": [0.0]})
@@ -304,6 +317,12 @@ def test_spec_json_round_trip():
         assert spec_to_json(back) == doc
         assert (back.name, back.horizon, back.x0, back.u_lo, back.u_hi) == \
             (spec.name, 2.0, 0.25, spec.u_lo, spec.u_hi)
+
+
+def test_spec_json_refuses_callable_terminal():
+    # the builder's params record only "custom", which no reader can rebuild
+    with pytest.raises(DomainError):
+        spec_to_json(model.linear_heat(terminal=lambda x: x ** 3))
 
 
 def test_closed_forms_live_on_the_spec():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -365,7 +366,8 @@ def test_minimize_mean_variance_matches_closed_form():
         i = 64
         u = pde.minimize_hamiltonian(
             spec, grid.times[j], grid.xs[i],
-            theta.values[0, j, i], theta.dx_slice(j)[0, i], theta.dxx_slice(j)[0, i],
+            theta.values[0, j, i], theta.dx_slice(j)[0, i],
+            pde._dxx_rows(theta.values[0, j], theta.dx)[i],
             bundle.d[j, i], bundle.dx[j, i], bundle.dy[j, i], bundle.dxx[j, i])
         ref = float(closed["vbar"](grid.times[j]))
         assert abs(u - ref) / ref < 1e-2
@@ -445,6 +447,123 @@ def test_fixed_point_reports_nonconvergence_without_raising():
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, max_iters=1)
     assert not log.converged
     assert log.note != ""
+
+
+# ---------------------------------------------------------------------------
+# block minimizer against the row-by-row search
+# ---------------------------------------------------------------------------
+
+def _golden_row_reference(f, lo, hi, tol=1e-10, coarse=33):
+    """Golden-section search on one row of x: stacked coarse scan, np.argmin,
+    and the golden-step count of the row's widest bracket."""
+    us = np.linspace(lo, hi, coarse)
+    F = np.stack([np.asarray(f(u), dtype=float) for u in us])
+    idx = np.argmin(F, axis=0)
+    u_best = us[idx]
+    f_best = np.take_along_axis(F, idx[None, :], axis=0)[0]
+    a = us[np.maximum(idx - 1, 0)]
+    b = us[np.minimum(idx + 1, coarse - 1)]
+    scale = max(1.0, (hi - lo) / 20.0)
+    target = max(1e-4 * scale, tol)
+    width0 = float(np.max(b - a))
+    n_iter = (max(1, int(math.ceil(math.log(width0 / target) / math.log(1.0 / pde.GOLDEN))))
+              if width0 > target else 1)
+    x1 = b - pde.GOLDEN * (b - a)
+    x2 = a + pde.GOLDEN * (b - a)
+    f1, f2 = np.asarray(f(x1), dtype=float), np.asarray(f(x2), dtype=float)
+    for _ in range(n_iter):
+        take_left = f1 <= f2
+        b = np.where(take_left, x2, b)
+        a = np.where(take_left, a, x1)
+        x1 = b - pde.GOLDEN * (b - a)
+        x2 = a + pde.GOLDEN * (b - a)
+        f1, f2 = np.asarray(f(x1), dtype=float), np.asarray(f(x2), dtype=float)
+    cand = np.where(f1 <= f2, x1, x2)
+    fc = np.minimum(f1, f2)
+    keep = (fc < f_best) | ((fc == f_best) & (cand < u_best))
+    u_best = np.where(keep, cand, u_best)
+    f_best = np.minimum(fc, f_best)
+    for delta in (None, 1e-5 * scale):
+        if delta is None:
+            pa, pm, pb = a, 0.5 * (a + b), b
+        else:
+            pa = np.clip(u_best - delta, lo, hi)
+            pb = np.clip(u_best + delta, lo, hi)
+            pm = 0.5 * (pa + pb)
+        fa, fm, fb = (np.asarray(f(v), dtype=float) for v in (pa, pm, pb))
+        vertex = np.clip(pde._parabolic_vertex(pa, pm, pb, fa, fm, fb), lo, hi)
+        for u_try, f_try in ((pm, fm), (vertex, np.asarray(f(vertex), dtype=float))):
+            keep = (f_try < f_best) | ((f_try == f_best) & (u_try < u_best))
+            u_best = np.where(keep, u_try, u_best)
+            f_best = np.minimum(f_try, f_best)
+    return np.clip(u_best, lo, hi)
+
+
+def _row_by_row_table(spec, theta, bundle):
+    """One search per time row, with scalar s."""
+    xs, zero = theta.xs, np.zeros_like(theta.xs)
+    out = np.empty(bundle.d.shape)
+    for j, s in enumerate(theta.times):
+        args = (theta.slice(j), theta.dx_slice(j), pde._dxx_rows(theta.slice(j), theta.dx),
+                bundle.d[j], bundle.dx[j], np.tile(bundle.dy[j], (spec.m, 1)), bundle.dxx[j])
+        out[j] = _golden_row_reference(
+            lambda u: model.hamiltonian_H0_hat(spec, s, s, xs, xs,
+                                               np.asarray(u, dtype=float) + zero, *args),
+            spec.u_lo, spec.u_hi)
+    return out
+
+
+def _block_and_row_by_row(spec, grid, monkeypatch):
+    block = pde.equilibrium_fixed_point(spec, grid, max_iters=8)
+    with monkeypatch.context() as mp:
+        mp.setattr(pde, "_minimize_table", _row_by_row_table)
+        rows = pde.equilibrium_fixed_point(spec, grid, max_iters=8)
+    assert block[3].rows == rows[3].rows
+    assert np.array_equal(block[2].values, rows[2].values)
+    return block[2].values
+
+
+@pytest.mark.parametrize("family, nx, nt", [
+    ("mean_variance", 33, 17), ("mean_variance", 65, 40),
+    ("recursive_lq", 33, 17), ("recursive_lq", 65, 70),   # 65 x 70: chunks of 63 + 7 rows
+    ("bkm_separable", 33, 17), ("bkm_separable", 47, 26),
+    ("linear_heat", 33, 17), ("linear_heat", 65, 40)])
+def test_block_minimizer_matches_row_by_row(family, nx, nt, monkeypatch):
+    spec = model.make_spec(family)
+    _block_and_row_by_row(spec, pde.default_grid(spec, nx=nx, nt=nt), monkeypatch)
+
+
+def test_block_minimizer_partial_last_chunk(monkeypatch):
+    # 3-row chunks on 17 rows: five full chunks and a 2-row remainder
+    monkeypatch.setattr(pde, "_MIN_POINTS", 3 * 33 + 5)
+    spec = model.mean_variance()
+    _block_and_row_by_row(spec, pde.default_grid(spec, nx=33, nt=17), monkeypatch)
+
+
+def _heat_with_cost(g0):
+    return replace(model.linear_heat(),
+                   cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: g0(s, u) + 0.0 * x)
+
+
+def test_block_minimizer_rows_on_a_bound(monkeypatch):
+    # argmin of cosh(u - c(s)) on U = [-1, 1]: on the bound for s < 1/3, inside the
+    # first coarse cell (half-width bracket, one golden step fewer) for s < 2/3,
+    # interior after; all three kinds of rows share one block.  Not quadratic, so
+    # the polish does not erase a wrong step count.
+    c = lambda s: np.where(s < 1.0 / 3.0, -1.5, np.where(s < 2.0 / 3.0, -0.97, 0.3))
+    spec = _heat_with_cost(lambda s, u: np.cosh(u - c(s)))
+    grid = pde.GridSpec(-2.0, 2.0, 33, 31, 1.0)
+    table = _block_and_row_by_row(spec, grid, monkeypatch)
+    ref = np.broadcast_to(np.maximum(c(grid.times), -1.0)[:, None], table.shape)
+    assert np.all(table[grid.times < 1.0 / 3.0] == -1.0)
+    assert np.max(np.abs(table - ref)) < 1e-8
+
+
+def test_block_minimizer_ties_go_to_the_smaller_u(monkeypatch):
+    # two equal minima at u = -0.5 and 0.5, both on the coarse scan
+    spec = _heat_with_cost(lambda s, u: (u * u - 0.25) ** 2)
+    table = _block_and_row_by_row(spec, pde.GridSpec(-2.0, 2.0, 33, 17, 1.0), monkeypatch)
+    assert np.max(np.abs(table + 0.5)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
