@@ -483,8 +483,9 @@ def build_parser():
                                 description="time-consistent control of forward-backward SDEs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid=False, monte=False):
-        sp.add_argument("--config", default=None, help="JSON problem config")
+    def common(sp, grid=False, monte=False, config=False):
+        if config:   # only the subcommands that read a problem file take one
+            sp.add_argument("--config", default=None, help="JSON problem config")
         sp.add_argument("--out", default="fbcontrol_out", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--steps", type=int, default=10000, help="ODE steps")
@@ -502,11 +503,11 @@ def build_parser():
             sp.add_argument("--tol-eq", dest="tol_eq", type=float, default=0.05)
 
     sp = sub.add_parser("lq-riccati", help="seven-function backward system")
-    common(sp)
+    common(sp, config=True)
     sp.set_defaults(func=cmd_lq_riccati)
 
     sp = sub.add_parser("meanfield-lq", help="two-function reduction")
-    common(sp)
+    common(sp, config=True)
     sp.set_defaults(func=cmd_meanfield_lq)
 
     sp = sub.add_parser("meanvar", help="wealth/variance equilibrium + cross-checks")
@@ -532,11 +533,11 @@ def build_parser():
     sp.set_defaults(func=cmd_stackelberg)
 
     sp = sub.add_parser("pde-solve", help="equilibrium fixed point on a grid")
-    common(sp, grid=True)
+    common(sp, grid=True, config=True)
     sp.set_defaults(func=cmd_pde_solve)
 
     sp = sub.add_parser("mc-verify", help="spike-perturbation verification")
-    common(sp, monte=True)
+    common(sp, monte=True, config=True)
     sp.add_argument("--strategy-const", dest="strategy_const", type=float, default=None,
                     help="override: constant strategy value")
     sp.set_defaults(func=cmd_mc_verify)

@@ -288,7 +288,8 @@ def validate_spec(spec, probe_grid=None):
     ctrl_free = True
     for s in s_arr:
         for x in x_arr:
-            for u in u_arr:
+            sig_at = {}
+            for j, u in enumerate(u_arr):
                 vals = {}
                 try:
                     vals["drift"] = _scalar(spec.drift(s, x, u))
@@ -299,21 +300,23 @@ def validate_spec(spec, probe_grid=None):
                         spec.cost_terminal(s, x, x, y0 if spec.m > 1 else 0.0))
                     vals["cost_generator"] = _scalar(
                         spec.cost_generator(s, s, x, x, u, y0, y0, 0.0, 0.0))
+                    drift_dx = _scalar(spec.drift(s, x + dx, u))
+                    sig_dx = _scalar(spec.diffusion(s, x + dx, u))
                 except Exception:
                     bad.append((float(s), float(x), float(u)))
                     continue
                 for name, v in vals.items():
                     if not math.isfinite(v):
                         bad.append((float(s), float(x), float(u), name))
-                sig = vals["diffusion"]
+                sig = sig_at[j] = vals["diffusion"]
                 amin = min(amin, 0.5 * sig * sig)
-                lip_b = max(lip_b, abs(_scalar(spec.drift(s, x + dx, u)) - vals["drift"]) / dx)
-                lip_sig = max(lip_sig, abs(_scalar(spec.diffusion(s, x + dx, u)) - sig) / dx)
-            if spec.diffusion_control_free and u_arr.size >= 2:
-                s0 = _scalar(spec.diffusion(s, x, u_arr[0]))
-                s1 = _scalar(spec.diffusion(s, x, u_arr[-1]))
-                if abs(s0 - s1) > 1e-12 * (1.0 + abs(s0)):
-                    ctrl_free = False
+                lip_b = max(lip_b, abs(drift_dx - vals["drift"]) / dx)
+                lip_sig = max(lip_sig, abs(sig_dx - sig) / dx)
+            # first against last probed control; a point that raised is in bad
+            s0, s1 = sig_at.get(0), sig_at.get(u_arr.size - 1)
+            if (spec.diffusion_control_free and None not in (s0, s1)
+                    and abs(s0 - s1) > 1e-12 * (1.0 + abs(s0))):
+                ctrl_free = False
     nondegenerate = math.isfinite(amin) and amin > 0.0
     detected = ("deterministic" if spec.reduced_running is not None
                 else "bolza_condexp" if spec.mc_cost is not None else "general")

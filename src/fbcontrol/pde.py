@@ -557,8 +557,11 @@ def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6,
     """Outer Picard loop on (fields, diagonal bundle, strategy).
 
     Returns (theta, theta0, strategy_table, log); non-convergence is reported
-    through log.converged, never raised.
+    through log.converged, never raised.  An unbounded control interval raises
+    DomainError before the first iteration, as in ``minimize_hamiltonian``.
     """
+    if not spec.u_bounded:
+        raise DomainError("numeric minimization needs a bounded control interval")
     xs, times = grid.xs, grid.times
     nt, nx = times.size, xs.size
     strategy = initial_strategy if initial_strategy is not None else StrategyTable(

@@ -106,26 +106,30 @@ class RiccatiTrajectory:
 def rk4_backward(rhs, terminal_value, T, steps):
     """Classical fixed-step RK4 from T down to 0; returns (grid, samples).
 
-    samples[k] approximates y(grid[k]); samples[-1] is the terminal value
-    exactly.  Raises BlowUpError at the first non-finite state.
+    ``rhs(s, y)`` receives the state as a list of floats and returns a
+    sequence of floats.  samples[k] approximates y(grid[k]); samples[-1] is the
+    terminal value exactly.  Raises BlowUpError at the first non-finite state.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    y = np.atleast_1d(np.asarray(terminal_value, dtype=float)).copy()
+    y = np.asarray(terminal_value, dtype=float).ravel().tolist()
     h = T / steps
     half, sixth = 0.5 * h, h / 6.0
     grid = np.linspace(0.0, T, steps + 1)
-    out = np.empty((steps + 1, y.size))
+    times = grid.tolist()
+    out = np.empty((steps + 1, len(y)))
     out[steps] = y
+    isfinite = math.isfinite
     for k in range(steps, 0, -1):
-        s = grid[k]
-        k1 = np.asarray(rhs(s, y), dtype=float)
-        k2 = np.asarray(rhs(s - half, y - half * k1), dtype=float)
-        k3 = np.asarray(rhs(s - half, y - half * k2), dtype=float)
-        k4 = np.asarray(rhs(s - h, y - h * k3), dtype=float)
-        y = y - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
-            raise BlowUpError(grid[k - 1])
+        s = times[k]
+        k1 = rhs(s, y)
+        k2 = rhs(s - half, [a - half * b for a, b in zip(y, k1)])
+        k3 = rhs(s - half, [a - half * b for a, b in zip(y, k2)])
+        k4 = rhs(s - h, [a - h * b for a, b in zip(y, k3)])
+        y = [a - sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not all(map(isfinite, y)):
+            raise BlowUpError(times[k - 1])
         out[k - 1] = y
     return grid, out
 
@@ -156,9 +160,8 @@ def solve_riccati_lq(lq: LQSpec, steps=10000) -> RiccatiTrajectory:
     def rhs(s, y):
         c = coef(s)
         A, B, C, D, Ah, Bh, Ch, Dh, Q, M, N, R = c
-        phi = y.tolist()
-        p1, p2, p3, p4, p5, p6, p7 = phi
-        psi, v = _lq_feedback(s, c, phi)
+        p1, p2, p3, p4, p5, p6, p7 = y
+        psi, v = _lq_feedback(s, c, y)
         acl = A + B * psi
         ccl = C + D * psi
         f1 = -(2.0 * p1 * acl + ccl * p1 * ccl + Q + p6 * M * p6
@@ -204,7 +207,7 @@ def solve_meanfield_riccati(A, B, C, D, Q, R, G1, G2, T=1.0, steps=10000):
     def rhs(s, y):
         c = coef(s)
         Af, Bf, Cf, Df, Qf, Rf = c
-        p, ph = y.tolist()
+        p, ph = y
         psi = feedback(s, c, p, ph)
         acl = Af + Bf * psi
         ccl = Cf + Df * psi
@@ -252,7 +255,7 @@ def meanvar_equilibrium(r, mu, sigma, gamma, T=1.0, steps=10000) -> MeanVarResul
         return -excess * (p4 - gf * p6 * p7) / den
 
     def rhs(s, y):
-        p1, p4, p6, p7 = y.tolist()
+        p1, p4, p6, p7 = y
         v = vbar_of(p1, p4, p6, p7)
         return [
             -2.0 * rf * p1,
@@ -317,7 +320,7 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
         return mix ** e1 / mixk ** e1
 
     def rhs(s, th):
-        th1, th2 = th.tolist()
+        th1, th2 = th
         if th1 <= 0.0 or th2 <= 0.0:
             raise PositivityError(
                 f"theta left the positive band at t={s:.6g}: ({th1:.3g}, {th2:.3g})")

@@ -18,6 +18,16 @@ def test_unknown_subcommand_and_flag_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_config_rejected_where_not_read(tmp_path, capsys):
+    # these subcommands solve a fixed problem, so a problem file would be ignored
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"params": {"gamma": 5.0}}))
+    for cmd in ("inconsistency", "stackelberg", "meanvar", "planner", "fk-check", "selftest"):
+        assert run([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 2, cmd
+        assert not (tmp_path / cmd).exists(), cmd
+    capsys.readouterr()
+
+
 def test_lq_riccati_writes_artifacts(tmp_path):
     out = tmp_path / "lq"
     assert run(["lq-riccati", "--out", str(out), "--steps", "200"]) == 0

@@ -175,6 +175,28 @@ def test_validate_spec_probes_column_s():
     assert validate_spec(collapsed)["column_s_failures"] == ["drift"]
 
 
+def test_validate_spec_records_raising_probes():
+    # the Lipschitz probe at x + dx and the control-free diffusion probe
+    # raise past x = 2 and u = 0.4; validate_spec reports and never raises
+    def drift(s, x, u):
+        if np.any(np.asarray(x) > 2.0):
+            raise ValueError("drift undefined past x = 2")
+        return u + 0.0 * x
+
+    def diffusion(s, x, u):
+        if np.any(np.asarray(u) > 0.4):
+            raise ValueError("diffusion undefined past u = 0.4")
+        return 1.0 + 0.0 * x
+
+    heat = model.linear_heat(a=1.0)
+    assert heat.diffusion_control_free
+    rep = validate_spec(replace(heat, drift=drift), {"s": [0.0], "x": [1.0, 2.0], "u": [0.0]})
+    assert rep["bad_points"] == [(0.0, 2.0, 0.0)] and not rep["finite"]
+    rep = validate_spec(replace(heat, diffusion=diffusion),
+                        {"s": [0.0], "x": [1.0], "u": [0.0, 0.5]})
+    assert rep["bad_points"] == [(0.0, 1.0, 0.5)] and rep["diffusion_control_free_ok"]
+
+
 def test_probe_grid_must_be_nonempty():
     with pytest.raises(DomainError):
         validate_spec(model.linear_heat(), {"s": [], "x": [0.0], "u": [0.0]})

@@ -379,6 +379,14 @@ def test_minimize_needs_bounded_interval():
         pde.minimize_hamiltonian(spec, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def test_fixed_point_needs_bounded_interval(monkeypatch):
+    # refused before the first iteration: no field is solved
+    spec = model.mean_variance(U=(-model.U_INF, model.U_INF))
+    monkeypatch.setattr(pde, "solve_theta", None)
+    with pytest.raises(DomainError, match="bounded control interval"):
+        pde.equilibrium_fixed_point(spec, pde.GridSpec(-2.0, 4.0, 33, 17, 1.0))
+
+
 def test_minimize_tie_breaks_toward_smaller_u():
     spec = replace(_quadratic_cost_spec(),
                    cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * u)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbcontrol.cli import _write_planner, _write_riccati
 from fbcontrol.errors import BlowUpError, DomainError, PositivityError, SingularityError
@@ -20,7 +21,7 @@ def mv_lq(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0):
 # ---------------------------------------------------------------------------
 
 def test_rk4_constant():
-    grid, out = rk4_backward(lambda s, y: 0.0 * y, [3.5], 1.0, 64)
+    grid, out = rk4_backward(lambda s, y: [0.0 * y[0]], [3.5], 1.0, 64)
     assert np.all(out == 3.5)
     assert grid[0] == 0.0 and grid[-1] == 1.0
 
@@ -28,22 +29,83 @@ def test_rk4_constant():
 def test_rk4_exponential_decay():
     # y' + 2 r y = 0, y(T) = gamma  =>  y(t) = gamma e^{2 r (T - t)}
     r, gamma, T = 0.03, 2.0, 1.0
-    grid, out = rk4_backward(lambda s, y: -2.0 * r * y, [gamma], T, 10000)
+    grid, out = rk4_backward(lambda s, y: [-2.0 * r * y[0]], [gamma], T, 10000)
     ref = gamma * np.exp(2.0 * r * (T - grid))
     assert np.max(np.abs(out[:, 0] - ref) / ref) < 1e-10
 
 
 def test_rk4_bernoulli():
     # y' = y^2, y(T) = 1  =>  y(t) = 1/(1 + T - t); value 0.5 at t = 0, T = 1
-    grid, out = rk4_backward(lambda s, y: y * y, [1.0], 1.0, 10000)
+    grid, out = rk4_backward(lambda s, y: [y[0] * y[0]], [1.0], 1.0, 10000)
     assert abs(out[0, 0] - 0.5) / 0.5 < 1e-10
 
 
 def test_rk4_blowup_detected():
     # y' = -y^2 backward from y(2) = 1 is 1/(t - 1), diverging at t = 1
+    with pytest.raises(BlowUpError):
+        rk4_backward(lambda s, y: [-y[0] * y[0]], [1.0], 2.0, 4000)
+
+
+def _rk4_reference(rhs, terminal_value, T, steps):
+    """The numpy-array RK4 driver that rk4_backward replaced, kept as the
+    reference: the state is an array and each stage goes through np.asarray."""
+    y = np.atleast_1d(np.asarray(terminal_value, dtype=float)).copy()
+    h = T / steps
+    half, sixth = 0.5 * h, h / 6.0
+    grid = np.linspace(0.0, T, steps + 1)
+    out = np.empty((steps + 1, y.size))
+    out[steps] = y
+    f = lambda s, y: np.asarray(rhs(s, y.tolist()), dtype=float)
+    for k in range(steps, 0, -1):
+        s = grid[k]
+        k1 = f(s, y)
+        k2 = f(s - half, y - half * k1)
+        k3 = f(s - half, y - half * k2)
+        k4 = f(s - h, y - h * k3)
+        y = y - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise BlowUpError(grid[k - 1])
+        out[k - 1] = y
+    return grid, out
+
+
+def _outcome(driver, rhs, y0, T, steps):
+    try:
+        return driver(rhs, y0, T, steps)
+    except BlowUpError as e:
+        return str(e)
+
+
+_coef = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), quadratic=st.booleans(), T=st.floats(0.05, 3.0),
+       steps=st.integers(1, 200), data=st.data())
+def test_rk4_float_kernel_matches_array_reference(n, quadratic, T, steps, data):
+    # random linear (y' = M y + c s) or quadratic (y_i' = a_i y_i y_{i+1} + b_i y_i
+    # + c_i s) systems; the float kernel must reproduce the array driver bit for
+    # bit, blow-ups included
+    vec = lambda: data.draw(st.lists(_coef, min_size=n, max_size=n))
+    y0, b, c = vec(), vec(), vec()
+    if quadratic:
+        a = vec()
+
+        def rhs(s, y):
+            return [a[i] * y[i] * y[(i + 1) % n] + b[i] * y[i] + c[i] * s for i in range(n)]
+    else:
+        M = [vec() for _ in range(n)]
+
+        def rhs(s, y):
+            return [sum(m * v for m, v in zip(row, y)) + ci * s for row, ci in zip(M, c)]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(BlowUpError):
-            rk4_backward(lambda s, y: -y * y, [1.0], 2.0, 4000)
+        ref = _outcome(_rk4_reference, rhs, y0, T, steps)
+    got = _outcome(rk4_backward, rhs, y0, T, steps)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 def test_rk4_rejects_bad_steps():
@@ -301,6 +363,23 @@ def test_planner_positivity_guard_fires_when_step_too_coarse():
     # stiff discount rate with a coarse step overshoots below zero
     with pytest.raises(PositivityError, match=r"t=0\.9375"):   # first mid-stage, T - h/2
         solve_planner(0.0, 0.0, 0.2, 0.5, 0.9, 60.0, 60.0, 0.5, T=1.0, steps=8)
+
+
+@pytest.mark.parametrize("alpha, rho, gamma, error, message", [
+    (0.99, 5.0, 0.9, PositivityError,
+     "theta left the positive band at t=0.95: (-3.67e+294, 3.72e+294)"),
+    (0.999, 20.0, 0.3, PositivityError,
+     "theta left the positive band at t=0.975: (1.48e+186, -1.47e+186)"),
+    (0.999, -20.0, 0.3, BlowUpError, "blow-up detected at t=0.8"),
+    (0.9999, 5.0, 0.5, BlowUpError, "blow-up detected at t=0.95"),
+])
+def test_planner_out_of_band_errors(alpha, rho, gamma, error, message):
+    # alpha near 1 makes the consumption exponents 1/(alpha - 1) huge: the run
+    # leaves the positive band, or a float power overflows and the NaN
+    # derivative stops the driver; type and message are those of the array driver
+    with pytest.raises(error) as info:
+        solve_planner(0.03, 0.08, 0.2, gamma, alpha, rho, rho / 2, 0.5, steps=20)
+    assert type(info.value) is error and str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
