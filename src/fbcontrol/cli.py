@@ -289,7 +289,7 @@ def cmd_mc_verify(args):
 def cmd_inconsistency(args):
     out = _outdir(args)
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed)
-    gaps = mc.demonstrate_inconsistency(args.example, cfg)
+    gaps = mc.demonstrate_inconsistency(args.example, cfg, _load_config(args).get("params"))
     _write_gap(gaps, out / "gap.csv")
     lines = [f"inconsistency[{args.example}]:"]
     for row in gaps["rows"]:
@@ -543,7 +543,7 @@ def build_parser():
     sp.set_defaults(func=cmd_mc_verify)
 
     sp = sub.add_parser("inconsistency", help="committed vs re-derived control gap")
-    common(sp)
+    common(sp, config=True)
     sp.add_argument("--example", default="stackelberg",
                     help="a family with a closed-form gap (ex31, ex41, stackelberg, "
                          "meanvar_precommit, or a registered one)")

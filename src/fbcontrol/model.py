@@ -300,8 +300,9 @@ def validate_spec(spec, probe_grid=None):
                         spec.cost_terminal(s, x, x, y0 if spec.m > 1 else 0.0))
                     vals["cost_generator"] = _scalar(
                         spec.cost_generator(s, s, x, x, u, y0, y0, 0.0, 0.0))
-                    drift_dx = _scalar(spec.drift(s, x + dx, u))
-                    sig_dx = _scalar(spec.diffusion(s, x + dx, u))
+                    # Lipschitz probes at x + dx; a NaN would hide in max() below
+                    vals["drift_dx"] = _scalar(spec.drift(s, x + dx, u))
+                    vals["diffusion_dx"] = _scalar(spec.diffusion(s, x + dx, u))
                 except Exception:
                     bad.append((float(s), float(x), float(u)))
                     continue
@@ -310,8 +311,8 @@ def validate_spec(spec, probe_grid=None):
                         bad.append((float(s), float(x), float(u), name))
                 sig = sig_at[j] = vals["diffusion"]
                 amin = min(amin, 0.5 * sig * sig)
-                lip_b = max(lip_b, abs(drift_dx - vals["drift"]) / dx)
-                lip_sig = max(lip_sig, abs(sig_dx - sig) / dx)
+                lip_b = max(lip_b, abs(vals["drift_dx"] - vals["drift"]) / dx)
+                lip_sig = max(lip_sig, abs(vals["diffusion_dx"] - sig) / dx)
             # first against last probed control; a point that raised is in bad
             s0, s1 = sig_at.get(0), sig_at.get(u_arr.size - 1)
             if (spec.diffusion_control_free and None not in (s0, s1)

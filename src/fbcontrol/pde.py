@@ -7,11 +7,14 @@ adjusted Hamiltonian, feeding the diagonal values of the cost field back into
 the strategy until the diagonal bundle and the strategy stop moving.
 
 Every field goes through one backward sweep kernel, ``_sweep``: one banded
-factorization per time step is shared by every field and anchor of a block
-(value components, x-anchors, (t, x, y) anchors of the general tensor, both
-fields of a perturbation window).  Anchors reach the coefficient callables
-as columns, so cost terminals and cost generators must broadcast array t, xt
-and y against the x row.  The Hamiltonian is defined only in ``model.py``.
+factorization per time step (a direct LAPACK ``dgbsv`` call) is shared by
+every field and anchor of the blocks it steps (value components, x-anchors,
+(t, x, y) anchors of the general tensor, both fields of a perturbation
+window).  Each Picard iteration is one sweep: the value field and the cost
+field are two blocks of it, so they share each step's control, coefficients
+and factorization.  Anchors reach the coefficient callables as columns, so
+cost terminals and cost generators must broadcast array t, xt and y against
+the x row.  The Hamiltonian is defined only in ``model.py``.
 
 Cost fields come in two storage modes.  When the cost terminal splits
 additively into a state part and an anchored-y part (and the cost generator
@@ -28,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv
 
 from .errors import (DegeneracyError, DomainError, EvaluationError,
                      FBControlError, YRangeError)
@@ -112,6 +116,23 @@ def _dxx_rows(vals, dx):
     return out
 
 
+def solve_banded(l_and_u, ab, b):
+    """Solve A x = b for the band matrix A stored as ab[u + i - j, j] = A[i, j].
+
+    The LAPACK ``dgbsv`` route of ``scipy.linalg.solve_banded`` without its
+    argument checks; b (n or (n, k), float) is overwritten by the solution.
+    """
+    l, u = l_and_u
+    lu = np.zeros((2 * l + u + 1, ab.shape[1]), order="F")   # dgbsv's pivoting room
+    lu[l:] = ab
+    _, _, x, info = dgbsv(l, u, lu, b, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgbsv")
+    return x
+
+
 def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx, lam0=0.0):
     """One backward IMEX step of  d_s v + a v_xx + drift v_x + source = 0.
 
@@ -139,6 +160,12 @@ def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx, lam0=0.0):
     rhs[..., 1:-1] = w[..., 1:-1] + dt * (drift[..., 1:-1] * (w[..., 2:] - w[..., :-2]) / (2.0 * dx) + src[..., 1:-1])
     rhs[..., 0] = w[..., 0] + dt * (drift[..., 0] * (-3.0 * w[..., 0] + 4.0 * w[..., 1] - w[..., 2]) / (2.0 * dx) + src[..., 0])
     rhs[..., -1] = w[..., -1] + dt * (drift[..., -1] * (3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]) / (2.0 * dx) + src[..., -1])
+    # a non-finite drift or field entry always leaves a non-finite rhs entry
+    if not np.all(np.isfinite(rhs)):
+        if not np.all(np.isfinite(drift)):
+            raise EvaluationError("drift")
+        raise FBControlError("non-finite field values entering the step"
+                             if not np.all(np.isfinite(w)) else "explicit step overflowed")
     ab = np.zeros((5, n))
     ab[2, 1:-1] = 1.0 + 2.0 * mu[1:-1]
     ab[1, 2:] = -mu[1:-1]          # superdiagonal entries A[i, i+1]
@@ -154,23 +181,27 @@ def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx, lam0=0.0):
         # one right-hand side per column; reshape first, since .T alone would
         # reverse every axis of a block with more than one leading axis
         v = solve_banded((2, 2), ab, rhs if w.ndim == 1 else rhs.reshape(-1, n).T)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+    except LinAlgError as exc:
         raise FBControlError(f"banded solve failed: {exc}") from exc
     if not np.all(np.isfinite(v)):
         raise FBControlError("banded solve produced non-finite values")
     return v if w.ndim == 1 else v.T.reshape(w.shape)
 
 
-def _sweep(spec, grid, times, control, values, source, lam0, anchored=False):
-    """Fill rows j = times.size - 2 .. 0 of values (block + (times.size, nx)) from row j + 1.
+def _sweep(spec, grid, times, control, blocks, lam0):
+    """Fill rows j = times.size - 2 .. 0 of every block from row j + 1.
 
-    Per step u = control(s), sigma, a and b are evaluated once at s = times[j + 1],
-    source(j + 1, s, u, sigma, w) gives the explicit source of the later block row w,
-    and one ``step_parabolic`` call steps the block.  With ``anchored``, entry k of
-    the first block axis is anchored at times[k] and stepped only down to row k, so
-    no coefficient sees s below its anchor time.
+    Each block is (values, source, anchored) with values shaped
+    lead + (times.size, nx).  Per step u = control(s), sigma, a and b are
+    evaluated once at s = times[j + 1], source(j + 1, s, u, sigma, w) gives the
+    explicit source of the block's later row w, and one ``step_parabolic``
+    call steps the rows of all blocks together (one band matrix, one
+    factorization).  With ``anchored``, entry k of the first block axis is
+    anchored at times[k] and stepped only down to row k, so no coefficient sees
+    s below its anchor time.
     """
     xs, dt, dx = grid.xs, grid.dt, grid.dx
+    nx = xs.size
     zero = np.zeros_like(xs)
     for j in range(times.size - 2, -1, -1):
         s = times[j + 1]
@@ -178,10 +209,17 @@ def _sweep(spec, grid, times, control, values, source, lam0, anchored=False):
         sig = np.asarray(spec.diffusion(s, xs, u), dtype=float) + zero
         a_row = 0.5 * sig * sig
         b_row = np.asarray(spec.drift(s, xs, u), dtype=float) + zero
-        block = values[:j + 1] if anchored else values
-        w = block[..., j + 1, :]
-        block[..., j, :] = step_parabolic(w, a_row, b_row, source(j + 1, s, u, sig, w),
-                                          dt, dx, lam0)
+        views = [values[:j + 1] if anchored else values for values, _, anchored in blocks]
+        later = [v[..., j + 1, :] for v in views]
+        srcs = [np.asarray(source(j + 1, s, u, sig, w), dtype=float) + np.zeros_like(w)
+                for (_, source, _), w in zip(blocks, later)]
+        stepped = step_parabolic(np.concatenate([w.reshape(-1, nx) for w in later]), a_row,
+                                 b_row, np.concatenate([g.reshape(-1, nx) for g in srcs]),
+                                 dt, dx, lam0)
+        start = 0
+        for v, w in zip(views, later):
+            v[..., j, :] = stepped[start:start + w.size // nx].reshape(w.shape)
+            start += w.size // nx
 
 
 def _strategy_row(strategy, xs):
@@ -227,13 +265,8 @@ class FieldTheta:
         return np.interp(x, self.xs, row)
 
 
-def solve_theta(spec, strategy, grid: GridSpec, lam0=0.0) -> FieldTheta:
-    """Backward-integrate the value field under a frozen feedback strategy.
-
-    The semilinear source g(s, x, psi, theta, theta_x sigma) is taken from the
-    explicit slice; sigma is evaluated at the frozen strategy, so control-
-    scaled diffusions become state fields here.
-    """
+def _theta_block(spec, grid: GridSpec):
+    """The value field's sweep block and the FieldTheta that shares its values."""
     xs, times, dx = grid.xs, grid.times, grid.dx
     term = np.atleast_2d(np.asarray(spec.terminal(xs), dtype=float))
     values = np.empty((term.shape[0], times.size, xs.size))
@@ -243,8 +276,19 @@ def solve_theta(spec, strategy, grid: GridSpec, lam0=0.0) -> FieldTheta:
         return np.atleast_2d(np.asarray(
             spec.generator(s, xs, u, *_y_z(spec, w, _dx_rows(w, dx) * sig)), dtype=float))
 
-    _sweep(spec, grid, times, _strategy_row(strategy, xs), values, source, lam0)
-    return FieldTheta(times, xs, values)
+    return FieldTheta(times, xs, values), (values, source, False)
+
+
+def solve_theta(spec, strategy, grid: GridSpec, lam0=0.0) -> FieldTheta:
+    """Backward-integrate the value field under a frozen feedback strategy.
+
+    The semilinear source g(s, x, psi, theta, theta_x sigma) is taken from the
+    explicit slice; sigma is evaluated at the frozen strategy, so control-
+    scaled diffusions become state fields here.
+    """
+    theta, block = _theta_block(spec, grid)
+    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs), [block], lam0)
+    return theta
 
 
 @dataclass
@@ -378,13 +422,11 @@ class GeneralCostField:
         return DiagonalBundle(d=d, dx=dxv, dy=dyv, dxx=dxxv)
 
 
-def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: GridSpec,
-                        lam0=0.0, force_general=False):
-    """Backward-integrate the anchored cost field with the nonlocal diagonal
-    replaced by the supplied guess.
+def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec, force_general):
+    """The anchored cost field's sweep block and the finisher that wraps its values.
 
-    All anchors are stepped in one sweep.  The z0 slot always uses the stepped
-    field's own explicit-slice gradient.
+    The source at row j reads theta's row j, so in a sweep shared with theta's
+    own block that row is filled before it is read.
     """
     xs, times, dx = grid.xs, grid.times, grid.dx
     nt, nx = times.size, xs.size
@@ -418,12 +460,37 @@ def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: Gri
         return np.asarray(spec.cost_generator(t, s, xt_col, xs, u, th, z, diag_guess.d[j],
                                               _dx_rows(w, dx) * sig), dtype=float)
 
-    _sweep(spec, grid, times, _strategy_row(strategy, xs), values, source, lam0,
-           anchored=not separable)
-    if separable:
-        return SeparableCostField(times, xs, values, split, anchor_free)
-    data = {(k, l): values[k, l, :, k:] for k in range(nt) for l in range(nx)}
-    return GeneralCostField(times, xs, ys, data)
+    def finish():
+        if separable:
+            return SeparableCostField(times, xs, values, split, anchor_free)
+        data = {(k, l): values[k, l, :, k:] for k in range(nt) for l in range(nx)}
+        return GeneralCostField(times, xs, ys, data)
+
+    return (values, source, not separable), finish
+
+
+def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: GridSpec,
+                        lam0=0.0, force_general=False):
+    """Backward-integrate the anchored cost field with the nonlocal diagonal
+    replaced by the supplied guess.
+
+    All anchors are stepped in one sweep.  The z0 slot always uses the stepped
+    field's own explicit-slice gradient.
+    """
+    block, finish = _cost_block(spec, theta, diag_guess, grid, force_general)
+    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs), [block], lam0)
+    return finish()
+
+
+def solve_fields(spec, strategy, grid: GridSpec, diag_guess, lam0=0.0, force_general=False):
+    """The value field and the anchored cost field under one frozen strategy, in
+    one sweep: ``solve_theta`` followed by ``solve_theta0_family``, with each
+    step's coefficients and banded factorization shared by both fields."""
+    theta, theta_block = _theta_block(spec, grid)
+    cost_block, finish = _cost_block(spec, theta, diag_guess, grid, force_general)
+    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs),
+           [theta_block, cost_block], lam0)
+    return theta, finish()
 
 
 def extract_diagonal(theta0, theta: FieldTheta) -> DiagonalBundle:
@@ -571,9 +638,7 @@ def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6,
     log = IterationLog()
     theta = theta0 = None
     for it in range(1, max_iters + 1):
-        theta = solve_theta(spec, strategy, grid, lam0)
-        theta0 = solve_theta0_family(spec, strategy, theta, bundle, grid, lam0,
-                                     force_general=force_general)
+        theta, theta0 = solve_fields(spec, strategy, grid, bundle, lam0, force_general)
         new_bundle = extract_diagonal(theta0, theta)
         if damping < 1.0 and it > 1:
             new_bundle = DiagonalBundle(*[(1.0 - damping) * getattr(bundle, k)
@@ -644,7 +709,7 @@ def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpe
                                                 _dx_rows(w[m], dx) * sig), dtype=float)
         return src
 
-    _sweep(spec, grid, window, lambda s: u_row, vals, source, lam0)
+    _sweep(spec, grid, window, lambda s: u_row, [(vals, source, False)], lam0)
     hat = vals[m]
     theta_e = FieldTheta(window, xs, vals[:m])
     j_pert = hat[0] + np.asarray(split.ghat(times[j0], xs, vals[0, 0]), dtype=float)

@@ -22,7 +22,7 @@ def test_config_rejected_where_not_read(tmp_path, capsys):
     # these subcommands solve a fixed problem, so a problem file would be ignored
     cfg = tmp_path / "p.json"
     cfg.write_text(json.dumps({"params": {"gamma": 5.0}}))
-    for cmd in ("inconsistency", "stackelberg", "meanvar", "planner", "fk-check", "selftest"):
+    for cmd in ("stackelberg", "meanvar", "planner", "fk-check", "selftest"):
         assert run([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 2, cmd
         assert not (tmp_path / cmd).exists(), cmd
     capsys.readouterr()
@@ -72,6 +72,31 @@ def test_inconsistency_csv(tmp_path):
     lines = (out / "gap.csv").read_text().splitlines()
     assert lines[0] == "tau,gap"
     assert len(lines) == 10
+
+
+def test_inconsistency_reads_config_params(tmp_path, capsys):
+    # the file's taus pick the tabulated times, its family parameters reach the gap
+    def gap_rows(example, params, *flags):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps({"params": params}))
+        out = tmp_path / f"{example}_{len(params)}"
+        argv = ["inconsistency", "--example", example, "--out", str(out)] + list(flags)
+        assert run(argv + ["--config", str(cfg)] if params else argv) == 0
+        lines = (out / "gap.csv").read_text().splitlines()
+        assert lines[0] == "tau,gap"
+        return [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+    assert len(gap_rows("ex31", {})) == 9
+    assert gap_rows("ex31", {"taus": [0.2, 0.6]}) == [[0.2, 0.1], [0.6, 0.3]]
+    sampled = ("--paths", "2000")
+    base = gap_rows("meanvar_precommit", {"taus": [0.5]}, *sampled)
+    steeper = gap_rows("meanvar_precommit", {"taus": [0.5], "gamma": 5.0}, *sampled)
+    assert base[0][0] == steeper[0][0] == 0.5 and base[0][1] != steeper[0][1]
+    cfg = tmp_path / "unknown.json"
+    cfg.write_text(json.dumps({"params": {"no_such_parameter": 1.0}}))
+    assert run(["inconsistency", "--example", "ex31", "--config", str(cfg),
+                "--out", str(tmp_path / "unknown")]) == 2
+    capsys.readouterr()
 
 
 def test_pde_solve_with_config(tmp_path):

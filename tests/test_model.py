@@ -197,6 +197,17 @@ def test_validate_spec_records_raising_probes():
     assert rep["bad_points"] == [(0.0, 1.0, 0.5)] and rep["diffusion_control_free_ok"]
 
 
+def test_validate_spec_records_non_finite_lipschitz_probes():
+    # NaN past x = 2: finite at every probed x, not at the Lipschitz probe 2 + dx
+    heat = model.linear_heat(a=1.0)
+    nan_past_2 = lambda s, x, u: np.where(np.asarray(x) > 2.0, np.nan, 1.0 + 0.0 * u)
+    probe = {"s": [0.0], "x": [1.0, 2.0], "u": [0.0]}
+    rep = validate_spec(replace(heat, drift=nan_past_2), probe)
+    assert rep["bad_points"] == [(0.0, 2.0, 0.0, "drift_dx")] and not rep["finite"]
+    rep = validate_spec(replace(heat, diffusion=nan_past_2), probe)
+    assert rep["bad_points"] == [(0.0, 2.0, 0.0, "diffusion_dx")] and not rep["finite"]
+
+
 def test_probe_grid_must_be_nonempty():
     with pytest.raises(DomainError):
         validate_spec(model.linear_heat(), {"s": [], "x": [0.0], "u": [0.0]})

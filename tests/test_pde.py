@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fbcontrol import model, pde
-from fbcontrol.errors import DegeneracyError, DomainError, YRangeError
+from fbcontrol.errors import (DegeneracyError, DomainError, EvaluationError, FBControlError,
+                              YRangeError)
 from fbcontrol.model import ControlProblemSpec, StrategyTable
 from fbcontrol.riccati import meanvar_closed_form
 
@@ -97,6 +99,51 @@ def test_step_degeneracy_error():
     with pytest.raises(DegeneracyError):
         pde.step_parabolic(np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs),
                            np.zeros_like(xs), 1e-3, 0.1, lam0=0.5)
+
+
+@np.errstate(invalid="ignore")   # inf * 0 in the explicit step, before the check
+def test_step_rejects_non_finite_drift_and_field():
+    xs = np.linspace(-1.0, 1.0, 21)
+    ones, zeros = np.ones_like(xs), np.zeros_like(xs)
+    for bad in (np.nan, np.inf, -np.inf):
+        for lead in ((), (3,)):
+            drift = zeros.copy()
+            drift[7] = bad
+            with pytest.raises(EvaluationError) as exc:
+                pde.step_parabolic(np.zeros(lead + xs.shape), ones, drift, zeros, 1e-3, 0.1)
+            assert exc.value.coefficient == "drift"
+            field = np.zeros(lead + xs.shape)
+            field[..., 0] = bad
+            with pytest.raises(FBControlError, match="non-finite field"):
+                pde.step_parabolic(field, ones, zeros, zeros, 1e-3, 0.1)
+
+
+def test_sweep_maps_a_non_finite_drift_to_an_evaluation_error():
+    spec = replace(model.linear_heat(a=1.0, terminal="x"),
+                   drift=lambda s, x, u: np.where(np.asarray(x) > 1.0, np.nan, 0.0))
+    with pytest.raises(EvaluationError, match="'drift'"):
+        pde.solve_theta(spec, ZERO, pde.GridSpec(-2.0, 2.0, 17, 9, 1.0))
+
+
+def test_solve_banded_singular_band():
+    with pytest.raises(np.linalg.LinAlgError):
+        pde.solve_banded((2, 2), np.zeros((5, 8)), np.ones(8))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 70), k=st.one_of(st.none(), st.integers(1, 6)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_banded_bit_equal_to_scipy(n, k, seed):
+    # diagonally dominant (2, 2) bands; pde.solve_banded overwrites its rhs
+    rng = np.random.default_rng(seed)
+    ab = rng.normal(size=(5, n))
+    ab[2] = np.sign(ab[2]) * (np.abs(np.delete(ab, 2, axis=0)).sum(axis=0) + rng.uniform(0.1, 2.0, n))
+    b = rng.normal(size=(n,) if k is None else (n, k))
+    ref = scipy.linalg.solve_banded((2, 2), ab, b)
+    ab_in = ab.copy()
+    x = pde.solve_banded((2, 2), ab_in, np.asfortranarray(b))
+    assert x.shape == b.shape and np.array_equal(x, ref)
+    assert np.array_equal(ab_in, ab)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +619,74 @@ def test_block_minimizer_ties_go_to_the_smaller_u(monkeypatch):
     spec = _heat_with_cost(lambda s, u: (u * u - 0.25) ** 2)
     table = _block_and_row_by_row(spec, pde.GridSpec(-2.0, 2.0, 33, 17, 1.0), monkeypatch)
     assert np.max(np.abs(table + 0.5)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# one sweep per Picard iteration against the two-sweep loop
+# ---------------------------------------------------------------------------
+
+def _two_sweep_fields(spec, strategy, grid, diag_guess, lam0=0.0, force_general=False):
+    """The value field, then the cost field: one sweep each."""
+    theta = pde.solve_theta(spec, strategy, grid, lam0)
+    return theta, pde.solve_theta0_family(spec, strategy, theta, diag_guess, grid, lam0,
+                                          force_general=force_general)
+
+
+def _cost_arrays(theta0):
+    if theta0.mode == "separable":
+        return [theta0.hat]
+    return [theta0.data[key] for key in sorted(theta0.data)]
+
+
+@pytest.mark.parametrize("family, nx, nt, general", [
+    ("mean_variance", 33, 17, False), ("mean_variance", 65, 40, False),
+    ("recursive_lq", 33, 17, False), ("recursive_lq", 65, 40, False),
+    ("bkm_separable", 33, 17, False), ("bkm_separable", 47, 26, False),
+    ("linear_heat", 33, 17, False), ("linear_heat", 65, 40, False),
+    ("x_anchored", 17, 17, False),      # one cost field per x-anchor
+    ("recursive_lq", 9, 9, True), ("bkm_separable", 9, 9, True)])
+def test_fused_sweep_matches_two_sweeps(family, nx, nt, general, monkeypatch):
+    spec = _anchored_spec() if family == "x_anchored" else model.make_spec(family)
+    grid = pde.GridSpec(-2.0, 2.0, nx, nt, 1.0, y_lo=-4.0, y_hi=4.0, ny=9) if general \
+        else pde.default_grid(spec, nx=nx, nt=nt)
+    runs = []
+    for fields in (pde.solve_fields, _two_sweep_fields):
+        bundles = []
+
+        def recording(spec, strategy, grid, diag_guess, *args, _fields=fields, _seen=bundles):
+            _seen.append(diag_guess)
+            return _fields(spec, strategy, grid, diag_guess, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(pde, "solve_fields", recording)
+            theta, theta0, strat, log = pde.equilibrium_fixed_point(
+                spec, grid, max_iters=6, force_general=general)
+        runs.append((theta, theta0, strat, log, bundles + [pde.extract_diagonal(theta0, theta)]))
+    (theta, theta0, strat, log, bundles), (r_theta, r_theta0, r_strat, r_log, r_bundles) = runs
+    assert theta0.mode == ("general" if general else "separable")
+    assert log.rows == r_log.rows and log.converged == r_log.converged
+    assert np.array_equal(strat.values, r_strat.values)
+    assert np.array_equal(theta.values, r_theta.values)
+    assert all(np.array_equal(a, b) for a, b in zip(_cost_arrays(theta0), _cost_arrays(r_theta0)))
+    assert len(bundles) == len(r_bundles) == log.iterations + 1
+    for b, r in zip(bundles, r_bundles):
+        assert all(np.array_equal(getattr(b, k), getattr(r, k)) for k in ("d", "dx", "dy", "dxx"))
+
+
+def test_fused_sweep_halves_the_banded_solves(monkeypatch):
+    spec = model.mean_variance()
+    grid = pde.default_grid(spec, nx=33, nt=17)
+    counts = []
+    for fields in (pde.solve_fields, _two_sweep_fields):
+        solves = []
+        with monkeypatch.context() as mp:
+            mp.setattr(pde, "solve_fields", fields)
+            mp.setattr(pde, "solve_banded", lambda lu, ab, b, _f=pde.solve_banded:
+                       solves.append(1 if b.ndim == 1 else b.shape[1]) or _f(lu, ab, b))
+            iters = pde.equilibrium_fixed_point(spec, grid)[3].iterations
+        counts.append((len(solves), sum(solves)))
+    assert counts[0] == (iters * (grid.nt - 1), 2 * iters * (grid.nt - 1))
+    assert counts[1] == (2 * counts[0][0], counts[0][1])
 
 
 # ---------------------------------------------------------------------------
