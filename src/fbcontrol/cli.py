@@ -229,15 +229,17 @@ def cmd_stackelberg(args):
 
 
 def cmd_pde_solve(args):
-    out = _outdir(args)
     doc = _load_config(args)
     family = doc.get("family", "recursive_lq")
     spec = model.make_spec(family, doc.get("params"), doc.get("T"), doc.get("U"))
-    if args.grid_x_lo is not None and args.grid_x_hi is not None:
+    if (args.grid_x_lo is None) != (args.grid_x_hi is None):
+        raise DomainError("--grid-x-lo and --grid-x-hi are given together or not at all")
+    if args.grid_x_lo is not None:
         grid = pde.GridSpec(args.grid_x_lo, args.grid_x_hi, args.grid_nx, args.grid_nt,
                             spec.horizon, ny=args.grid_ny)
     else:
         grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt, ny=args.grid_ny)
+    out = _outdir(args)
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, tol=args.tol)
     stride = max(1, args.grid_nx // 33)
     s, x = np.meshgrid(theta.times[::stride], theta.xs[::stride], indexing="ij")
@@ -300,13 +302,21 @@ def cmd_inconsistency(args):
     return 0
 
 
+# the problem fk-check checks when no --config is given
+FK_DEFAULT = {"family": "mean_variance",
+              "params": {"r": 0.0, "mu": 0.1, "sigma": 0.2, "gamma": 1.0, "x0": 1.0}}
+
+
 def cmd_fk_check(args):
-    out = _outdir(args)
-    spec = model.mean_variance(r=args.r, mu=args.mu, sigma=args.sigma, gamma=args.gamma,
-                               T=args.T, x0=args.x0)
+    doc = _load_config(args) if args.config else FK_DEFAULT
+    spec = model.make_spec(doc.get("family", "mean_variance"), doc.get("params"),
+                           doc.get("T"), doc.get("U"))
     grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt)
-    theta, theta0 = pde.mv_reference_fields(spec, grid)
+    if grid.nx < 11:     # sample points sit up to 5 x-nodes either side of the middle
+        raise DomainError(f"fk-check needs --grid-nx >= 11, got {grid.nx}")
+    theta, theta0 = pde.reference_fields(spec, grid)
     strat = model.equilibrium_strategy(spec)
+    out = _outdir(args)
     pts = [(grid.times[j], grid.xs[grid.nx // 2 + k])
            for j, k in ((0, 0), (grid.nt // 4, -5), (grid.nt // 2, 5),
                         (grid.nt // 2, 0), (3 * grid.nt // 4, 2))]
@@ -428,7 +438,7 @@ def _selftest_checks(seed):
     def fk_small():
         spec = model.mean_variance(r=0.0, mu=0.1, sigma=0.2, gamma=1.0, x0=1.0)
         grid = pde.default_grid(spec, nx=65, nt=65)
-        theta, theta0 = pde.mv_reference_fields(spec, grid)
+        theta, theta0 = pde.reference_fields(spec, grid)
         strat = model.equilibrium_strategy(spec)
         cfg = mc.MCConfig(n_paths=4000, seed=seed)
         rows = mc.check_feynman_kac(spec, theta, theta0, strat,
@@ -478,93 +488,65 @@ def cmd_selftest(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+_FLAGS = {
+    "--config": dict(default=None, help="JSON problem config"),
+    "--seed": dict(type=int, default=0),
+    "--steps": dict(type=int, default=10000, help="ODE steps"),
+    "--grid-nx": dict(type=int, default=65),
+    "--grid-nt": dict(type=int, default=201),
+    "--grid-ny": dict(type=int, default=17),
+    "--grid-x-lo": dict(type=float, default=None, help="set together with --grid-x-hi"),
+    "--grid-x-hi": dict(type=float, default=None, help="set together with --grid-x-lo"),
+    "--tol": dict(type=float, default=1e-6, help="fixed-point tolerance"),
+    "--paths": dict(type=int, default=20000),
+    "--eps": dict(default="0.1,0.05,0.025"),
+    "--times": dict(default="0.0,0.45,0.9"),
+    "--tol-eq": dict(type=float, default=0.05),
+}
+_GRID = ("--grid-nx", "--grid-nt")
+_MONTE = ("--paths", "--eps", "--times", "--tol-eq")
+
+
 def build_parser():
+    """Each subcommand declares only the flags it reads, so any other flag exits 2."""
     p = argparse.ArgumentParser(prog="fbcontrol",
                                 description="time-consistent control of forward-backward SDEs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid=False, monte=False, config=False):
-        if config:   # only the subcommands that read a problem file take one
-            sp.add_argument("--config", default=None, help="JSON problem config")
+    def add(name, func, what, flags=(), floats=()):
+        sp = sub.add_parser(name, help=what)
         sp.add_argument("--out", default="fbcontrol_out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--steps", type=int, default=10000, help="ODE steps")
-        if grid:
-            sp.add_argument("--grid-nx", dest="grid_nx", type=int, default=65)
-            sp.add_argument("--grid-nt", dest="grid_nt", type=int, default=201)
-            sp.add_argument("--grid-ny", dest="grid_ny", type=int, default=17)
-            sp.add_argument("--grid-x-lo", dest="grid_x_lo", type=float, default=None)
-            sp.add_argument("--grid-x-hi", dest="grid_x_hi", type=float, default=None)
-            sp.add_argument("--tol", type=float, default=1e-6, help="fixed-point tolerance")
-        if monte:
-            sp.add_argument("--paths", type=int, default=20000)
-            sp.add_argument("--eps", default="0.1,0.05,0.025")
-            sp.add_argument("--times", default="0.0,0.45,0.9")
-            sp.add_argument("--tol-eq", dest="tol_eq", type=float, default=0.05)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
+        for param, default in floats:
+            sp.add_argument(f"--{param}", type=float, default=default)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("lq-riccati", help="seven-function backward system")
-    common(sp, config=True)
-    sp.set_defaults(func=cmd_lq_riccati)
-
-    sp = sub.add_parser("meanfield-lq", help="two-function reduction")
-    common(sp, config=True)
-    sp.set_defaults(func=cmd_meanfield_lq)
-
-    sp = sub.add_parser("meanvar", help="wealth/variance equilibrium + cross-checks")
-    common(sp, grid=True, monte=True)
-    sp.add_argument("--r", type=float, default=0.03)
-    sp.add_argument("--mu", type=float, default=0.08)
-    sp.add_argument("--sigma", type=float, default=0.2)
-    sp.add_argument("--gamma", type=float, default=2.0)
-    sp.add_argument("--T", type=float, default=1.0)
-    sp.add_argument("--x0", type=float, default=1.0)
-    sp.set_defaults(func=cmd_meanvar)
-
-    sp = sub.add_parser("planner", help="two-agent consumption/investment coefficients")
-    common(sp)
-    for name, d in (("r", 0.03), ("mu", 0.08), ("sigma", 0.2), ("gamma", 0.5),
-                    ("alpha", 0.3), ("rho1", 0.08), ("rho2", 0.02), ("lam", 0.4),
-                    ("T", 1.0)):
-        sp.add_argument(f"--{name}", type=float, default=d)
-    sp.set_defaults(func=cmd_planner)
-
-    sp = sub.add_parser("stackelberg", help="leader benchmark closed forms")
-    common(sp)
-    sp.set_defaults(func=cmd_stackelberg)
-
-    sp = sub.add_parser("pde-solve", help="equilibrium fixed point on a grid")
-    common(sp, grid=True, config=True)
-    sp.set_defaults(func=cmd_pde_solve)
-
-    sp = sub.add_parser("mc-verify", help="spike-perturbation verification")
-    common(sp, monte=True, config=True)
+    add("lq-riccati", cmd_lq_riccati, "seven-function backward system",
+        ("--config", "--steps"))
+    add("meanfield-lq", cmd_meanfield_lq, "two-function reduction", ("--config", "--steps"))
+    add("meanvar", cmd_meanvar, "wealth/variance equilibrium + cross-checks",
+        ("--seed", "--steps") + _GRID + ("--tol",) + _MONTE,
+        (("r", 0.03), ("mu", 0.08), ("sigma", 0.2), ("gamma", 2.0), ("T", 1.0), ("x0", 1.0)))
+    add("planner", cmd_planner, "two-agent consumption/investment coefficients", ("--steps",),
+        (("r", 0.03), ("mu", 0.08), ("sigma", 0.2), ("gamma", 0.5), ("alpha", 0.3),
+         ("rho1", 0.08), ("rho2", 0.02), ("lam", 0.4), ("T", 1.0)))
+    add("stackelberg", cmd_stackelberg, "leader benchmark closed forms")
+    add("pde-solve", cmd_pde_solve, "equilibrium fixed point on a grid",
+        ("--config",) + _GRID + ("--grid-ny", "--grid-x-lo", "--grid-x-hi", "--tol"))
+    sp = add("mc-verify", cmd_mc_verify, "spike-perturbation verification",
+             ("--config", "--seed") + _MONTE)
     sp.add_argument("--strategy-const", dest="strategy_const", type=float, default=None,
                     help="override: constant strategy value")
-    sp.set_defaults(func=cmd_mc_verify)
-
-    sp = sub.add_parser("inconsistency", help="committed vs re-derived control gap")
-    common(sp, config=True)
+    sp = add("inconsistency", cmd_inconsistency, "committed vs re-derived control gap",
+             ("--config", "--seed", "--paths"))
     sp.add_argument("--example", default="stackelberg",
                     help="a family with a closed-form gap (ex31, ex41, stackelberg, "
                          "meanvar_precommit, or a registered one)")
-    sp.add_argument("--paths", type=int, default=20000)
-    sp.set_defaults(func=cmd_inconsistency)
-
-    sp = sub.add_parser("fk-check", help="field representation vs sampled expectations")
-    common(sp, grid=True)
-    sp.add_argument("--paths", type=int, default=20000)
-    sp.add_argument("--r", type=float, default=0.0)
-    sp.add_argument("--mu", type=float, default=0.1)
-    sp.add_argument("--sigma", type=float, default=0.2)
-    sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--T", type=float, default=1.0)
-    sp.add_argument("--x0", type=float, default=1.0)
-    sp.set_defaults(func=cmd_fk_check)
-
-    sp = sub.add_parser("selftest", help="fast deterministic acceptance subset")
-    common(sp)
-    sp.set_defaults(func=cmd_selftest)
-
+    add("fk-check", cmd_fk_check, "field representation vs sampled expectations",
+        ("--config", "--seed", "--paths") + _GRID)
+    add("selftest", cmd_selftest, "fast deterministic acceptance subset", ("--seed",))
     return p
 
 

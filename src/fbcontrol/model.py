@@ -59,6 +59,10 @@ class ClosedForms:
     The inconsistency gap between the controls committed at 0 and at tau is
     exact, or sampled: paths run from (0, x0) under the committed control, and
     a path departs where its gap exceeds 1e-3 |gap_scale|.
+
+    ``reference_fields(times, xs)`` returns the value field and the state part
+    of the anchor-free cost field under the equilibrium, both (nt, nx);
+    ``pde.reference_fields`` samples them for the representation check.
     """
 
     equilibrium: Optional[Callable] = None   # (s, x) -> time-consistent control
@@ -67,6 +71,7 @@ class ClosedForms:
     committed: Optional[Callable] = None     # (s, x) -> control committed at (0, x0)
     path_gap: Optional[Callable] = None      # (tau, X_tau) -> gap per path
     gap_scale: float = 1.0
+    reference_fields: Optional[Callable] = None   # (times, xs) -> (theta, hat)
 
 
 @dataclass(frozen=True)
@@ -365,13 +370,25 @@ def meanvar_closed_form(r, mu, sigma, gamma, T):
 
 def _mean_variance_closed_forms(r, mu, sigma, gamma, T, x0):
     """Equilibrium vbar(s), and the control committed at (t, x): -(mu-r)/sigma^2
-    (X - d(t, x) e^{-r(T-s)}), target d(t, x) = e^{theta^2 (T-t)}/gamma + e^{r(T-t)} x."""
+    (X - d(t, x) e^{-r(T-s)}), target d(t, x) = e^{theta^2 (T-t)}/gamma + e^{r(T-t)} x.
+
+    Under the x-free equilibrium control the terminal state from (s, x) is
+    Gaussian with mean m1 = x e^{r(T-s)} + (mu-r) c (T-s) and variance
+    sigma^2 c^2 (T-s), c = (mu-r)/(gamma sigma^2): the value field is m1 and the
+    state part of the cost field is -m1 + gamma/2 (m1^2 + variance)."""
     vbar = meanvar_closed_form(r, mu, sigma, gamma, T)["vbar"]
     theta2 = ((mu - r) / sigma) ** 2
     slope = (mu - r) / (sigma * sigma)
+    c = (mu - r) / (gamma * sigma * sigma)
 
     def d_anchor(t, x):
         return math.exp(theta2 * (T - t)) / gamma + np.exp(r * (T - t)) * x
+
+    def reference_fields(times, xs):
+        tt = times[:, None]
+        m1 = xs[None, :] * np.exp(r * (T - tt)) + (mu - r) * c * (T - tt)
+        var = sigma * sigma * c * c * (T - tt)
+        return m1, -m1 + 0.5 * gamma * (m1 * m1 + var)
 
     d0 = d_anchor(0.0, x0)
     return ClosedForms(
@@ -379,7 +396,8 @@ def _mean_variance_closed_forms(r, mu, sigma, gamma, T, x0):
         grid_control=(mu - r) / (gamma * sigma ** 2),
         committed=lambda s, x: -slope * (np.asarray(x, dtype=float) - d0 * math.exp(-r * (T - s))),
         path_gap=lambda tau, x: slope * np.abs(d0 - d_anchor(tau, x)),
-        gap_scale=slope * d0)
+        gap_scale=slope * d0,
+        reference_fields=reference_fields)
 
 
 def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,

@@ -21,6 +21,10 @@ additively into a state part and an anchored-y part (and the cost generator
 never sees the anchor y), the y-dependence is carried analytically and only
 state-part fields are stepped.  Otherwise a full anchor tensor is solved,
 which is only practical on small grids.
+
+No family is named here: closed-form fields come from the family's
+``closed_forms`` (``reference_fields``), and the grid's diffusion probe from
+its ``grid_control``.
 """
 
 from __future__ import annotations
@@ -792,24 +796,17 @@ def kernel_solve_linear(spec, grid: GridSpec, panels=2048, sweeps=20, tol=1e-12,
     return FieldTheta(times, xs, theta[None, :, :])
 
 
-def mv_reference_fields(spec, grid: GridSpec):
-    """Closed-form wealth/variance fields sampled on the grid.
+def reference_fields(spec, grid: GridSpec):
+    """The family's closed-form value and cost fields, sampled on the grid.
 
-    Under the x-free equilibrium control the terminal state from (s, x) is
-    Gaussian with mean x e^{r(T-s)} + (mu-r)^2/(gamma sigma^2) (T-s) and
-    variance sigma^2 c^2 (T-s), c = (mu-r)/(gamma sigma^2); the state-part
-    cost field is -m1 + gamma/2 (m1^2 + V).
+    Raises DomainError when the family has no ``closed_forms.reference_fields``
+    or its cost terminal has no anchor-free split to carry the y-part.
     """
-    p = spec.params
-    r, mu, sigma, gamma = p["r"], p["mu"], p["sigma"], p["gamma"]
-    T = spec.horizon
-    c = (mu - r) / (gamma * sigma * sigma)
-    times, xs = grid.times, grid.xs
-    tt = times[:, None]
-    xx = xs[None, :]
-    m1 = xx * np.exp(r * (T - tt)) + (mu - r) * c * (T - tt)
-    var = sigma * sigma * c * c * (T - tt)
-    hat = -m1 + 0.5 * gamma * (m1 * m1 + var)
-    theta = FieldTheta(times, xs, m1[None, :, :])
-    theta0 = SeparableCostField(times, xs, hat, spec.terminal_split, anchor_free=True)
-    return theta, theta0
+    fields, split = spec.closed_forms.reference_fields, spec.terminal_split
+    if fields is None:
+        raise DomainError(f"family '{spec.name}' has no closed-form reference fields")
+    if split is None or not (split.t_free and split.xtilde_free):
+        raise DomainError(f"family '{spec.name}' has no anchor-free terminal split")
+    theta, hat = fields(grid.times, grid.xs)
+    return (FieldTheta(grid.times, grid.xs, theta),
+            SeparableCostField(grid.times, grid.xs, hat, split, anchor_free=True))

@@ -94,14 +94,6 @@ class RiccatiTrajectory:
     ds: float
     terminal_residual: float
 
-    def strategy(self, u_lo=-1e12, u_hi=1e12):
-        sg, psi, v = self.s, self.psi, self.v
-
-        def fb(s, x):
-            return np.interp(s, sg, psi) * np.asarray(x, dtype=float) + np.interp(s, sg, v)
-
-        return StrategyTable(u_lo, u_hi, fn=fb)
-
 
 def rk4_backward(rhs, terminal_value, T, steps):
     """Classical fixed-step RK4 from T down to 0; returns (grid, samples).

@@ -239,7 +239,7 @@ def test_criterion_09_planner():
 def test_criterion_10_feynman_kac():
     spec = model.mean_variance(x0=1.0, **CANON)
     grid = pde.default_grid(spec, nx=129, nt=257)
-    theta, theta0 = pde.mv_reference_fields(spec, grid)
+    theta, theta0 = pde.reference_fields(spec, grid)
     strat = closed_strategy(spec, CANON)
     pts = [(grid.times[0], spec.x0), (grid.times[64], grid.xs[40]),
            (grid.times[128], grid.xs[64]), (grid.times[128], grid.xs[90]),

@@ -19,12 +19,24 @@ def test_unknown_subcommand_and_flag_exit_2(capsys):
 
 
 def test_config_rejected_where_not_read(tmp_path, capsys):
-    # these subcommands solve a fixed problem, so a problem file would be ignored
+    # a subcommand declares only the flags it reads, so any other one is refused
     cfg = tmp_path / "p.json"
     cfg.write_text(json.dumps({"params": {"gamma": 5.0}}))
-    for cmd in ("stackelberg", "meanvar", "planner", "fk-check", "selftest"):
-        assert run([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)]) == 2, cmd
-        assert not (tmp_path / cmd).exists(), cmd
+    unread = [(cmd, "--config", str(cfg))
+              for cmd in ("stackelberg", "meanvar", "planner", "selftest")]
+    unread += [(cmd, "--seed", "3") for cmd in ("lq-riccati", "meanfield-lq", "planner",
+                                                 "stackelberg", "pde-solve")]
+    unread += [(cmd, "--steps", "100") for cmd in ("stackelberg", "pde-solve", "mc-verify",
+                                                    "inconsistency", "fk-check", "selftest")]
+    for cmd in ("meanvar", "fk-check"):
+        unread += [(cmd, "--grid-ny", "9"), (cmd, "--grid-x-lo", "-1"),
+                   (cmd, "--grid-x-hi", "1")]
+    unread.append(("fk-check", "--tol", "1e-6"))
+    assert len(unread) == 22
+    for cmd, flag, value in unread:
+        out = tmp_path / f"{cmd}{flag}"
+        assert run([cmd, flag, value, "--out", str(out)]) == 2, (cmd, flag)
+        assert not out.exists(), (cmd, flag)
     capsys.readouterr()
 
 
@@ -113,6 +125,14 @@ def test_pde_solve_with_config(tmp_path):
     assert header == "iter,residual_D,residual_Dx,residual_Dy,residual_psi"
 
 
+def test_pde_solve_domain_bounds_come_in_pairs(tmp_path, capsys):
+    for flags in (["--grid-x-lo", "-0.5"], ["--grid-x-hi", "0.5"]):
+        out = tmp_path / flags[0]
+        assert run(["pde-solve", "--out", str(out)] + flags) == 2, flags
+        assert "config error: --grid-x-lo and --grid-x-hi" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_pde_solve_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"family": "no_such_family"}))
@@ -143,6 +163,40 @@ def test_mc_verify_out_of_range_seed_is_config_error(tmp_path, capsys):
         assert "config error: seed" in capsys.readouterr().err
     assert run(["selftest", "--out", str(tmp_path / "self"), "--seed", "-1"]) == 2
     assert "config error: seed" in capsys.readouterr().err
+
+
+def test_fk_check_reads_its_problem_from_config(tmp_path, capsys):
+    def fk_csv(name, doc=None):
+        argv = ["fk-check", "--paths", "2000", "--grid-nt", "65", "--out", str(tmp_path / name)]
+        if doc is not None:
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(doc))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 0, name
+        return (tmp_path / name / "fk.csv").read_bytes()
+
+    default = {"family": "mean_variance",
+               "params": {"r": 0.0, "mu": 0.1, "sigma": 0.2, "gamma": 1.0, "x0": 1.0}}
+    base = fk_csv("default")
+    assert fk_csv("explicit", default) == base
+    steeper = dict(default, params=dict(default["params"], gamma=2.0))
+    assert fk_csv("gamma2", steeper) != base
+    manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+    assert manifest["config"]["config"] is None
+    capsys.readouterr()
+
+
+def test_fk_check_refuses_what_it_cannot_check(tmp_path, capsys):
+    cfg = tmp_path / "rlq.json"
+    cfg.write_text(json.dumps({"family": "recursive_lq"}))   # no closed-form fields
+    assert run(["fk-check", "--config", str(cfg), "--out", str(tmp_path / "rlq")]) == 2
+    assert "config error" in capsys.readouterr().err
+    # the sample points sit 5 x-nodes either side of the middle
+    for nx in ("8", "9", "10"):
+        out = tmp_path / f"nx{nx}"
+        assert run(["fk-check", "--grid-nx", nx, "--paths", "10", "--out", str(out)]) == 2
+        assert "config error: fk-check needs --grid-nx >= 11" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _ex31_renamed(T=1.0, x0=0.0, U=(-5.0, 5.0)):

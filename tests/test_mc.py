@@ -11,7 +11,7 @@ from fbcontrol.mc import (BLOCK_PATHS, FK_STREAM, MCConfig, check_feynman_kac,
                           demonstrate_inconsistency, evaluate_cost, path_normals,
                           perturbed_strategy, simulate_forward, verify_equilibrium)
 from fbcontrol.model import ControlProblemSpec, StrategyTable
-from fbcontrol.pde import GridSpec, mv_reference_fields, default_grid, solve_theta, \
+from fbcontrol.pde import GridSpec, default_grid, reference_fields, solve_theta, \
     solve_theta0_family
 from fbcontrol.riccati import meanvar_closed_form
 
@@ -509,7 +509,7 @@ def test_fk_no_noise_is_exact():
 def test_fk_mean_variance_reference_fields():
     spec = mv_r0()
     grid = default_grid(spec, nx=65, nt=65)
-    theta, theta0 = mv_reference_fields(spec, grid)
+    theta, theta0 = reference_fields(spec, grid)
     strat = mv_r0_equilibrium(spec)
     rows = check_feynman_kac(spec, theta, theta0, strat,
                              [(0.0, spec.x0), (grid.times[32], grid.xs[40])],

@@ -406,7 +406,7 @@ def test_minimize_mean_variance_matches_closed_form():
     r, mu, sg, gam = 0.03, 0.08, 0.2, 2.0
     spec = model.mean_variance(r=r, mu=mu, sigma=sg, gamma=gam, x0=1.0)
     grid = pde.default_grid(spec, nx=129, nt=251)
-    theta, theta0 = pde.mv_reference_fields(spec, grid)
+    theta, theta0 = pde.reference_fields(spec, grid)
     bundle = pde.extract_diagonal(theta0, theta)
     closed = meanvar_closed_form(r, mu, sg, gam, 1.0)
     for j in (0, 125):
@@ -418,6 +418,20 @@ def test_minimize_mean_variance_matches_closed_form():
             bundle.d[j, i], bundle.dx[j, i], bundle.dy[j, i], bundle.dxx[j, i])
         ref = float(closed["vbar"](grid.times[j]))
         assert abs(u - ref) / ref < 1e-2
+
+
+def test_reference_fields_need_closed_forms_and_an_anchor_free_split():
+    spec = model.mean_variance(r=0.0, mu=0.1, sigma=0.2, gamma=1.0, x0=1.0)
+    grid = pde.GridSpec(-1.0, 3.0, 9, 9, 1.0)
+    theta, theta0 = pde.reference_fields(spec, grid)
+    assert np.array_equal(theta.values[0, -1], grid.xs)        # m1(T, x) = x
+    with pytest.raises(DomainError, match="no closed-form reference fields"):
+        pde.reference_fields(model.recursive_lq(), grid)
+    anchored = replace(spec.terminal_split, xtilde_free=False)
+    with pytest.raises(DomainError, match="no anchor-free terminal split"):
+        pde.reference_fields(replace(spec, terminal_split=anchored), grid)
+    with pytest.raises(DomainError, match="no anchor-free terminal split"):
+        pde.reference_fields(replace(spec, terminal_split=None), grid)
 
 
 def test_minimize_needs_bounded_interval():
