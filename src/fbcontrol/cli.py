@@ -95,6 +95,8 @@ def _summary(outdir: Path, lines):
 
 
 def _outdir(args) -> Path:
+    """Make the output directory; each subcommand calls it once its inputs are
+    checked and its solves are done, so a refused run leaves nothing behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -120,7 +122,6 @@ def _parse_floats(text):
 # ---------------------------------------------------------------------------
 
 def cmd_lq_riccati(args):
-    out = _outdir(args)
     doc = _load_config(args)
     keys = ("A", "B", "C", "D", "Ahat", "Bhat", "Chat", "Dhat", "H",
             "Q", "M", "N", "R", "G1", "G2", "G3", "g", "T")
@@ -129,6 +130,7 @@ def cmd_lq_riccati(args):
     vals = {k: doc.get(k, defaults.get(k, 0.0)) for k in keys}
     lq = riccati.LQSpec(**vals)
     traj = riccati.solve_riccati_lq(lq, steps=args.steps)
+    out = _outdir(args)
     _write_riccati(traj, out / "lq_riccati.csv")
     _summary(out, [
         f"lq-riccati: steps={args.steps} T={lq.T}",
@@ -140,12 +142,12 @@ def cmd_lq_riccati(args):
 
 
 def cmd_meanfield_lq(args):
-    out = _outdir(args)
     doc = _load_config(args)
     vals = {k: doc.get(k, d) for k, d in
             (("A", 0.0), ("B", 1.0), ("C", 1.0), ("D", 0.0), ("Q", 0.0),
              ("R", 2.0), ("G1", 0.0), ("G2", 2.0), ("T", 1.0))}
     grid, phi, phihat, psi = riccati.solve_meanfield_riccati(steps=args.steps, **vals)
+    out = _outdir(args)
     write_csv(out / "meanfield.csv", ("t", "phi", "phihat", "psi"),
               np.column_stack([grid, phi, phihat, psi]))
     _summary(out, [
@@ -156,17 +158,11 @@ def cmd_meanfield_lq(args):
     return 0
 
 
-def _mv_lq_spec(r, mu, sigma, gamma, T):
-    return riccati.LQSpec(A=r, B=mu - r, C=0.0, D=sigma, H=1.0,
-                          G1=gamma, G2=-gamma, G3=0.0, g=-1.0, T=T)
-
-
 def cmd_meanvar(args):
-    out = _outdir(args)
     r, mu, sigma, gamma, T = args.r, args.mu, args.sigma, args.gamma, args.T
     res = riccati.meanvar_equilibrium(r, mu, sigma, gamma, T, steps=args.steps)
-    traj = riccati.solve_riccati_lq(_mv_lq_spec(r, mu, sigma, gamma, T), steps=args.steps)
-    _write_riccati(traj, out / "mv_riccati.csv")
+    traj = riccati.solve_riccati_lq(riccati._mv_lq_spec(r, mu, sigma, gamma, T),
+                                    steps=args.steps)
     lines = [
         f"meanvar: r={r} mu={mu} sigma={sigma} gamma={gamma} T={T}",
         f"v(0) = {res.v[0]:.7f} (closed form {float(res.closed['vbar'](0.0)):.7f})",
@@ -179,8 +175,6 @@ def cmd_meanvar(args):
     spec = model.mean_variance(r=r, mu=mu, sigma=sigma, gamma=gamma, T=T, x0=args.x0)
     grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt)
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, tol=args.tol)
-    _write_strategy(strat, out / "mv_strategy_pde.csv")
-    _write_iterations(log, out / "mv_iterations.csv")
     ref = res.closed["vbar"](grid.times)[:, None] + 0.0 * grid.xs[None, :]
     err = float(np.max(np.abs(strat.values - ref) / np.abs(ref)))
     lines.append(f"pde cross-check: converged={log.converged} iters={log.iterations} "
@@ -188,6 +182,10 @@ def cmd_meanvar(args):
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_floats(args.eps))
     report = mc.verify_equilibrium(spec, res.strategy, _parse_floats(args.times), cfg,
                                    tol_eq=args.tol_eq)
+    out = _outdir(args)
+    _write_riccati(traj, out / "mv_riccati.csv")
+    _write_strategy(strat, out / "mv_strategy_pde.csv")
+    _write_iterations(log, out / "mv_iterations.csv")
     _write_verify(report, out / "mv_verify.csv")
     lines.append(f"spike verification: verdict={'PASS' if report.verdict else 'FAIL'} "
                  f"min quotient (smallest window)={report.min_quotient_smallest_eps:.4g}")
@@ -198,9 +196,9 @@ def cmd_meanvar(args):
 
 
 def cmd_planner(args):
-    out = _outdir(args)
     sol = riccati.solve_planner(args.r, args.mu, args.sigma, args.gamma, args.alpha,
                                 args.rho1, args.rho2, args.lam, args.T, steps=args.steps)
+    out = _outdir(args)
     _write_planner(sol, out / "planner.csv")
     _summary(out, [
         f"planner: theta1(0)={sol.theta1[0]:.10g} theta2(0)={sol.theta2[0]:.10g}",
@@ -212,9 +210,9 @@ def cmd_planner(args):
 
 
 def cmd_stackelberg(args):
-    out = _outdir(args)
     res = riccati.stackelberg_leader()
     gaps = mc.demonstrate_inconsistency("stackelberg")
+    out = _outdir(args)
     _write_gap(gaps, out / "stackelberg_gap.csv")
     qc = res.leader_cost_quadrature(0.0)
     _summary(out, [
@@ -236,11 +234,11 @@ def cmd_pde_solve(args):
         raise DomainError("--grid-x-lo and --grid-x-hi are given together or not at all")
     if args.grid_x_lo is not None:
         grid = pde.GridSpec(args.grid_x_lo, args.grid_x_hi, args.grid_nx, args.grid_nt,
-                            spec.horizon, ny=args.grid_ny)
+                            spec.horizon)
     else:
-        grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt, ny=args.grid_ny)
-    out = _outdir(args)
+        grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt)
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, tol=args.tol)
+    out = _outdir(args)
     stride = max(1, args.grid_nx // 33)
     s, x = np.meshgrid(theta.times[::stride], theta.xs[::stride], indexing="ij")
     write_csv(out / "theta.csv", ["s", "x"] + [f"theta_{c + 1}" for c in range(theta.m)],
@@ -265,7 +263,6 @@ def cmd_pde_solve(args):
 
 
 def cmd_mc_verify(args):
-    out = _outdir(args)
     doc = _load_config(args)
     family = doc.get("family", "mean_variance")
     spec = model.make_spec(family, doc.get("params"), doc.get("T"), doc.get("U"))
@@ -277,6 +274,7 @@ def cmd_mc_verify(args):
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_floats(args.eps))
     report = mc.verify_equilibrium(spec, strat, _parse_floats(args.times), cfg,
                                    tol_eq=args.tol_eq)
+    out = _outdir(args)
     _write_verify(report, out / "verify.csv")
     _summary(out, [
         f"mc-verify[{family}]: verdict={'PASS' if report.verdict else 'FAIL'}",
@@ -289,9 +287,9 @@ def cmd_mc_verify(args):
 
 
 def cmd_inconsistency(args):
-    out = _outdir(args)
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed)
     gaps = mc.demonstrate_inconsistency(args.example, cfg, _load_config(args).get("params"))
+    out = _outdir(args)
     _write_gap(gaps, out / "gap.csv")
     lines = [f"inconsistency[{args.example}]:"]
     for row in gaps["rows"]:
@@ -316,12 +314,12 @@ def cmd_fk_check(args):
         raise DomainError(f"fk-check needs --grid-nx >= 11, got {grid.nx}")
     theta, theta0 = pde.reference_fields(spec, grid)
     strat = model.equilibrium_strategy(spec)
-    out = _outdir(args)
     pts = [(grid.times[j], grid.xs[grid.nx // 2 + k])
            for j, k in ((0, 0), (grid.nt // 4, -5), (grid.nt // 2, 5),
                         (grid.nt // 2, 0), (3 * grid.nt // 4, 2))]
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed)
     rows = mc.check_feynman_kac(spec, theta, theta0, strat, pts, cfg)
+    out = _outdir(args)
     keys = ("r", "x", "y_mc", "y_field", "z_y", "y0_mc", "y0_field", "z_y0")
     write_csv(out / "fk.csv", keys, [[row[k] for k in keys] for row in rows])
     worst = max(max(abs(r_["z_y"]), abs(r_["z_y0"])) for r_ in rows)
@@ -348,7 +346,8 @@ def _selftest_checks(seed):
     add("mv_riccati_closed_form", mv_closed)
 
     def mv_ident():
-        traj = riccati.solve_riccati_lq(_mv_lq_spec(0.03, 0.08, 0.2, 2.0, 1.0), steps=4000)
+        traj = riccati.solve_riccati_lq(riccati._mv_lq_spec(0.03, 0.08, 0.2, 2.0, 1.0),
+                                        steps=4000)
         gam = 2.0
         assert np.max(np.abs(traj.phi[1] + gam)) < 1e-12
         assert np.max(np.abs(traj.phi[2])) < 1e-12
@@ -472,7 +471,7 @@ def cmd_selftest(args):
             f.write(f"{name},{int(ok)},\"{detail}\"\n")
     # representative artifacts, all deterministically formatted
     res = riccati.meanvar_equilibrium(0.03, 0.08, 0.2, 2.0, 1.0, steps=2000)
-    traj = riccati.solve_riccati_lq(_mv_lq_spec(0.03, 0.08, 0.2, 2.0, 1.0), steps=2000)
+    traj = riccati.solve_riccati_lq(riccati._mv_lq_spec(0.03, 0.08, 0.2, 2.0, 1.0), steps=2000)
     _write_riccati(traj, out / "mv_riccati.csv")
     sol = riccati.solve_planner(0.03, 0.08, 0.2, 0.5, 0.3, 0.08, 0.02, 0.4, steps=2000)
     _write_planner(sol, out / "planner.csv")
@@ -494,7 +493,6 @@ _FLAGS = {
     "--steps": dict(type=int, default=10000, help="ODE steps"),
     "--grid-nx": dict(type=int, default=65),
     "--grid-nt": dict(type=int, default=201),
-    "--grid-ny": dict(type=int, default=17),
     "--grid-x-lo": dict(type=float, default=None, help="set together with --grid-x-hi"),
     "--grid-x-hi": dict(type=float, default=None, help="set together with --grid-x-lo"),
     "--tol": dict(type=float, default=1e-6, help="fixed-point tolerance"),
@@ -534,7 +532,7 @@ def build_parser():
          ("rho1", 0.08), ("rho2", 0.02), ("lam", 0.4), ("T", 1.0)))
     add("stackelberg", cmd_stackelberg, "leader benchmark closed forms")
     add("pde-solve", cmd_pde_solve, "equilibrium fixed point on a grid",
-        ("--config",) + _GRID + ("--grid-ny", "--grid-x-lo", "--grid-x-hi", "--tol"))
+        ("--config",) + _GRID + ("--grid-x-lo", "--grid-x-hi", "--tol"))
     sp = add("mc-verify", cmd_mc_verify, "spike-perturbation verification",
              ("--config", "--seed") + _MONTE)
     sp.add_argument("--strategy-const", dest="strategy_const", type=float, default=None,

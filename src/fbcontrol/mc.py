@@ -134,17 +134,16 @@ def _euler_steps(spec, control, x, times, dt, normals, visit=None):
     return x
 
 
-def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, t_end=None,
-                     normals=None, keep_times=None) -> PathEnsemble:
-    """Euler-Maruyama under a feedback strategy on [t0, t_end].
+def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, normals=None,
+                     keep_times=None) -> PathEnsemble:
+    """Euler-Maruyama under a feedback strategy on [t0, T].
 
     The ensemble stores every grid row, or with ``keep_times`` only the rows
     nearest those times (``state_at`` of each of them is unchanged).
     """
-    T = spec.horizon if t_end is None else t_end
-    if not 0.0 <= t0 < T + 1e-12:
+    if not 0.0 <= t0 < spec.horizon + 1e-12:
         raise DomainError("simulation window outside the horizon")
-    times, dt = _time_grid(t0, T, cfg)
+    times, dt = _time_grid(t0, spec.horizon, cfg)
     n_steps = times.size - 1
     if normals is None:
         normals = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic)
@@ -167,18 +166,18 @@ def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, t_end=None,
 
 
 class PerturbedStrategy(StrategyTable):
-    """Base strategy overridden by a constant control on [t, t + eps)."""
+    """Base strategy overridden by a constant control on [t, t + eps).
+
+    The window's control is clipped to U; outside the window the base table,
+    which clamps, is followed as it is.
+    """
 
     def __init__(self, base, t, eps, u):
-        self.base = base
+        self.outside = base
         self.window = (float(t), float(t) + float(eps))
         self.u = float(u)
         super().__init__(base.u_lo, base.u_hi,
                          fn=lambda s, x: self.u + 0.0 * np.asarray(x, dtype=float))
-        # outside the window: a clamping table already lands in U, any other
-        # base is clipped
-        self.outside = (base if isinstance(base, StrategyTable) and base.clamp
-                        else StrategyTable(base.u_lo, base.u_hi, fn=base))
 
     def in_force(self, s):
         """The strategy followed at time s."""
@@ -353,7 +352,7 @@ def _mc_cost_samples(spec, strategy, t, x, cfg, normals):
     return _cost_moments(spec.mc_cost, xt, part)
 
 
-def evaluate_cost(spec, strategy_or_control, t, x, cfg: MCConfig, normals=None):
+def evaluate_cost(spec, strategy_or_control, t, x, cfg: MCConfig):
     """Recursive cost at (t, x) under a strategy; returns (estimate, stderr).
 
     Deterministic problems integrate the reduced running integrand by
@@ -367,9 +366,8 @@ def evaluate_cost(spec, strategy_or_control, t, x, cfg: MCConfig, normals=None):
     if spec.cost_class == "deterministic":
         return _deterministic_cost(spec, strategy, t, x)[0], 0.0
     if spec.cost_class == "bolza_condexp":
-        if normals is None:
-            n_steps = max(1, int(round((spec.horizon - t) * cfg.steps_per_unit)))
-            normals = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic)
+        n_steps = max(1, int(round((spec.horizon - t) * cfg.steps_per_unit)))
+        normals = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic)
         est, se, _ = _mc_cost_samples(spec, strategy, t, x, cfg, normals)
         return est, se
     raise UnsupportedCostClassError(
@@ -454,17 +452,15 @@ def _spike_quotients_mc(spec, psi_bar, t, x, cfg, normals):
             for spike, pert in zip(spikes, samples[1:])]
 
 
-def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
-                       x0=None) -> VerifyReport:
+def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> VerifyReport:
     """Difference-quotient test of local optimality under spike perturbations.
 
-    The closed-loop state is simulated from (0, x0); at each probe time the
+    The closed-loop state is simulated from (0, spec.x0); at each probe time the
     realized mean state and the 25/50/75% path states serve as evaluation
     points.  Perturbed and unperturbed costs share increments, the reported
     quotient per (t, eps, u) is the minimum over evaluation states, and the
     verdict passes iff the smallest-window minimum quotient clears -tol_eq.
     """
-    x0 = spec.x0 if x0 is None else x0
     T = spec.horizon
     for t in t_list:
         if t + max(cfg.eps_list) > T + 1e-12:
@@ -474,7 +470,7 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
     details = []
     if deterministic:
         nodes = np.linspace(0.0, T, 2049)
-        flow, _ = _flow_ode(spec, psi_bar, np.array([float(x0)]), nodes)
+        flow, _ = _flow_ode(spec, psi_bar, np.array([float(spec.x0)]), nodes)
         work = 1
         for t in t_list:
             x_t = float(np.interp(t, nodes, flow[0]))
@@ -488,7 +484,7 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05,
                     details.append({"t": t, "state": "flow", "x": x_t, "eps": eps,
                                     "u": u, "quotient": q, "stderr": 0.0})
     else:
-        base = simulate_forward(spec, psi_bar, 0.0, x0, cfg, keep_times=t_list)
+        base = simulate_forward(spec, psi_bar, 0.0, spec.x0, cfg, keep_times=t_list)
         work = 1
         for t_idx, t in enumerate(t_list):
             xt = base.state_at(t)

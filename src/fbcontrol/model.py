@@ -116,14 +116,12 @@ class StrategyTable:
     out-of-grid extrapolation, which holds the edge value) lands in U.
     """
 
-    def __init__(self, u_lo, u_hi, fn=None, s_grid=None, x_grid=None,
-                 values=None, clamp=True):
+    def __init__(self, u_lo, u_hi, fn=None, s_grid=None, x_grid=None, values=None):
         if (fn is None) == (values is None):
             raise DomainError("supply exactly one of fn or grid values")
         self.u_lo = float(u_lo)
         self.u_hi = float(u_hi)
         self.fn = fn
-        self.clamp = clamp
         if values is not None:
             self.s_grid = np.asarray(s_grid, dtype=float)
             self.x_grid = np.asarray(x_grid, dtype=float)
@@ -152,8 +150,7 @@ class StrategyTable:
         out = np.asarray(out, dtype=float)
         shape = np.shape(x)
         out = out + (0.0 if out.shape == shape else np.zeros(shape))
-        if self.clamp:
-            out = np.minimum(self.u_hi, np.maximum(self.u_lo, out))
+        out = np.minimum(self.u_hi, np.maximum(self.u_lo, out))
         return out if out.ndim else float(out)
 
     def max_x_jump(self):

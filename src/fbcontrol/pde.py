@@ -19,8 +19,10 @@ the x row.  The Hamiltonian is defined only in ``model.py``.
 Cost fields come in two storage modes.  When the cost terminal splits
 additively into a state part and an anchored-y part (and the cost generator
 never sees the anchor y), the y-dependence is carried analytically and only
-state-part fields are stepped.  Otherwise a full anchor tensor is solved,
-which is only practical on small grids.
+state-part fields are stepped.  A spec whose ``terminal_split`` is None or
+not ``t_free`` gets the full anchor tensor instead, which needs a y grid on
+the GridSpec and is only practical on small grids; ``replace(spec,
+terminal_split=None)`` selects it for any family.
 
 No family is named here: closed-form fields come from the family's
 ``closed_forms`` (``reference_fields``), and the grid's diffusion probe from
@@ -88,19 +90,19 @@ class GridSpec:
         return np.linspace(self.y_lo, self.y_hi, self.ny)
 
 
-def default_grid(spec, nx=129, nt=1001, span_sigmas=5.0, sigma_bar=None,
-                 y_lo=None, y_hi=None, ny=17):
-    """Truncated domain centered at x0 with width span_sigmas * sigma_bar * sqrt(T);
-    sigma_bar is measured at the family's ``closed_forms.grid_control`` (else 1 in U)."""
-    if sigma_bar is None:
-        u_ref = spec.closed_forms.grid_control
-        u_ref = float(np.clip(1.0, spec.u_lo, spec.u_hi)) if u_ref is None else u_ref
-        sigma_bar = max(abs(float(np.asarray(spec.diffusion(s, spec.x0, u_ref))))
-                        for s in (0.0, 0.5 * spec.horizon, spec.horizon))
-        sigma_bar = max(sigma_bar, 1e-2)
-    half = span_sigmas * sigma_bar * math.sqrt(spec.horizon)
-    return GridSpec(spec.x0 - half, spec.x0 + half, nx, nt, spec.horizon,
-                    y_lo=y_lo, y_hi=y_hi, ny=ny)
+def default_grid(spec, nx=129, nt=1001):
+    """Domain [x0 - 5 sigma_bar sqrt(T), x0 + 5 sigma_bar sqrt(T)] with no y grid.
+
+    sigma_bar is the largest |sigma| at x0 over s in {0, T/2, T}, measured at the
+    family's ``closed_forms.grid_control`` (else 1 clipped to U), and at least
+    1e-2.  A grid for the general cost-field tensor sets y_lo/y_hi on GridSpec.
+    """
+    u_ref = spec.closed_forms.grid_control
+    u_ref = float(np.clip(1.0, spec.u_lo, spec.u_hi)) if u_ref is None else u_ref
+    sigma_bar = max(abs(float(np.asarray(spec.diffusion(s, spec.x0, u_ref))))
+                    for s in (0.0, 0.5 * spec.horizon, spec.horizon))
+    half = 5.0 * max(sigma_bar, 1e-2) * math.sqrt(spec.horizon)
+    return GridSpec(spec.x0 - half, spec.x0 + half, nx, nt, spec.horizon)
 
 
 def _dx_rows(vals, dx):
@@ -137,7 +139,7 @@ def solve_banded(l_and_u, ab, b):
     return x
 
 
-def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx, lam0=0.0):
+def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx):
     """One backward IMEX step of  d_s v + a v_xx + drift v_x + source = 0.
 
     Diffusion is taken implicitly through a banded solve; drift and source are
@@ -145,16 +147,16 @@ def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx, lam0=0.0):
     the adjacent curvature through a one-sided second difference, which is
     exact for quadratic data and degrades to linear extrapolation for linear
     data.  A block of fields along leading axes shares one band matrix and one
-    solve, bit-identical to stepping each field on its own.
+    solve, bit-identical to stepping each field on its own.  A negative
+    diffusion entry raises DegeneracyError.
     """
     w = np.asarray(field_slice, dtype=float)
     n = w.shape[-1]
     a = np.asarray(a_row, dtype=float) + np.zeros(n)
     if not np.all(np.isfinite(a)):
         raise EvaluationError("diffusion")
-    if np.min(a) < lam0:
-        raise DegeneracyError(
-            f"diffusion coefficient {np.min(a):.3g} below required bound {lam0:.3g}")
+    if np.min(a) < 0.0:
+        raise DegeneracyError(f"negative diffusion coefficient {np.min(a):.3g}")
     drift = np.asarray(drift_row, dtype=float) + np.zeros_like(w)
     src = np.asarray(source_row, dtype=float) + np.zeros_like(w)
     if not np.all(np.isfinite(src)):
@@ -192,7 +194,7 @@ def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx, lam0=0.0):
     return v if w.ndim == 1 else v.T.reshape(w.shape)
 
 
-def _sweep(spec, grid, times, control, blocks, lam0):
+def _sweep(spec, grid, times, control, blocks):
     """Fill rows j = times.size - 2 .. 0 of every block from row j + 1.
 
     Each block is (values, source, anchored) with values shaped
@@ -219,7 +221,7 @@ def _sweep(spec, grid, times, control, blocks, lam0):
                 for (_, source, _), w in zip(blocks, later)]
         stepped = step_parabolic(np.concatenate([w.reshape(-1, nx) for w in later]), a_row,
                                  b_row, np.concatenate([g.reshape(-1, nx) for g in srcs]),
-                                 dt, dx, lam0)
+                                 dt, dx)
         start = 0
         for v, w in zip(views, later):
             v[..., j, :] = stepped[start:start + w.size // nx].reshape(w.shape)
@@ -283,7 +285,7 @@ def _theta_block(spec, grid: GridSpec):
     return FieldTheta(times, xs, values), (values, source, False)
 
 
-def solve_theta(spec, strategy, grid: GridSpec, lam0=0.0) -> FieldTheta:
+def solve_theta(spec, strategy, grid: GridSpec) -> FieldTheta:
     """Backward-integrate the value field under a frozen feedback strategy.
 
     The semilinear source g(s, x, psi, theta, theta_x sigma) is taken from the
@@ -291,7 +293,7 @@ def solve_theta(spec, strategy, grid: GridSpec, lam0=0.0) -> FieldTheta:
     scaled diffusions become state fields here.
     """
     theta, block = _theta_block(spec, grid)
-    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs), [block], lam0)
+    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs), [block])
     return theta
 
 
@@ -426,7 +428,7 @@ class GeneralCostField:
         return DiagonalBundle(d=d, dx=dxv, dy=dyv, dxx=dxxv)
 
 
-def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec, force_general):
+def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
     """The anchored cost field's sweep block and the finisher that wraps its values.
 
     The source at row j reads theta's row j, so in a sweep shared with theta's
@@ -437,7 +439,7 @@ def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec, force_gener
     if diag_guess is None:
         diag_guess = DiagonalBundle.zeros(nt, nx)
     split = spec.terminal_split
-    separable = split is not None and split.t_free and not force_general
+    separable = split is not None and split.t_free
     if separable:
         # one field when fhat ignores the x-anchor, else one per x-anchor
         anchor_free = split.xtilde_free
@@ -473,27 +475,25 @@ def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec, force_gener
     return (values, source, not separable), finish
 
 
-def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: GridSpec,
-                        lam0=0.0, force_general=False):
+def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: GridSpec):
     """Backward-integrate the anchored cost field with the nonlocal diagonal
     replaced by the supplied guess.
 
     All anchors are stepped in one sweep.  The z0 slot always uses the stepped
     field's own explicit-slice gradient.
     """
-    block, finish = _cost_block(spec, theta, diag_guess, grid, force_general)
-    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs), [block], lam0)
+    block, finish = _cost_block(spec, theta, diag_guess, grid)
+    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs), [block])
     return finish()
 
 
-def solve_fields(spec, strategy, grid: GridSpec, diag_guess, lam0=0.0, force_general=False):
+def solve_fields(spec, strategy, grid: GridSpec, diag_guess):
     """The value field and the anchored cost field under one frozen strategy, in
     one sweep: ``solve_theta`` followed by ``solve_theta0_family``, with each
     step's coefficients and banded factorization shared by both fields."""
     theta, theta_block = _theta_block(spec, grid)
-    cost_block, finish = _cost_block(spec, theta, diag_guess, grid, force_general)
-    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs),
-           [theta_block, cost_block], lam0)
+    cost_block, finish = _cost_block(spec, theta, diag_guess, grid)
+    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs), [theta_block, cost_block])
     return theta, finish()
 
 
@@ -622,12 +622,11 @@ class IterationLog:
                 for r in self.rows]
 
 
-def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6,
-                            damping=1.0, initial_strategy=None, lam0=0.0,
-                            force_general=False):
+def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6):
     """Outer Picard loop on (fields, diagonal bundle, strategy).
 
-    Returns (theta, theta0, strategy_table, log); non-convergence is reported
+    The first iteration runs under the zero control clipped to U.  Returns
+    (theta, theta0, strategy_table, log); non-convergence is reported
     through log.converged, never raised.  An unbounded control interval raises
     DomainError before the first iteration, as in ``minimize_hamiltonian``.
     """
@@ -635,19 +634,15 @@ def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6,
         raise DomainError("numeric minimization needs a bounded control interval")
     xs, times = grid.xs, grid.times
     nt, nx = times.size, xs.size
-    strategy = initial_strategy if initial_strategy is not None else StrategyTable(
-        spec.u_lo, spec.u_hi, fn=constant_control(float(np.clip(0.0, spec.u_lo, spec.u_hi))))
+    strategy = StrategyTable(spec.u_lo, spec.u_hi,
+                             fn=constant_control(float(np.clip(0.0, spec.u_lo, spec.u_hi))))
     bundle = DiagonalBundle.zeros(nt, nx)
     psi_tab = np.full((nt, nx), np.nan)
     log = IterationLog()
     theta = theta0 = None
     for it in range(1, max_iters + 1):
-        theta, theta0 = solve_fields(spec, strategy, grid, bundle, lam0, force_general)
+        theta, theta0 = solve_fields(spec, strategy, grid, bundle)
         new_bundle = extract_diagonal(theta0, theta)
-        if damping < 1.0 and it > 1:
-            new_bundle = DiagonalBundle(*[(1.0 - damping) * getattr(bundle, k)
-                                          + damping * getattr(new_bundle, k)
-                                          for k in ("d", "dx", "dy", "dxx")])
         psi_new = _minimize_table(spec, theta, new_bundle)
         res = new_bundle.sup_diff(bundle)
         res["psi"] = (float(np.max(np.abs(psi_new - psi_tab)))
@@ -676,8 +671,7 @@ class PerturbationResult:
     sup_theta_diff: float
 
 
-def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpec,
-                       lam0=0.0):
+def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpec):
     """Re-solve both fields on [t, t + eps] under the constant control u.
 
     Terminal data are the unperturbed fields at t + eps; the evaluated cost at
@@ -713,7 +707,7 @@ def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpe
                                                 _dx_rows(w[m], dx) * sig), dtype=float)
         return src
 
-    _sweep(spec, grid, window, lambda s: u_row, [(vals, source, False)], lam0)
+    _sweep(spec, grid, window, lambda s: u_row, [(vals, source, False)])
     hat = vals[m]
     theta_e = FieldTheta(window, xs, vals[:m])
     j_pert = hat[0] + np.asarray(split.ghat(times[j0], xs, vals[0, 0]), dtype=float)

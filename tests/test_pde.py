@@ -97,8 +97,8 @@ def test_step_exact_on_linear_data(n, a, dt, dx, c0, c1):
 def test_step_degeneracy_error():
     xs = np.linspace(-1.0, 1.0, 21)
     with pytest.raises(DegeneracyError):
-        pde.step_parabolic(np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs),
-                           np.zeros_like(xs), 1e-3, 0.1, lam0=0.5)
+        pde.step_parabolic(np.zeros_like(xs), np.full_like(xs, -0.5), np.zeros_like(xs),
+                           np.zeros_like(xs), 1e-3, 0.1)
 
 
 @np.errstate(invalid="ignore")   # inf * 0 in the explicit step, before the check
@@ -358,6 +358,26 @@ def test_general_tensor_never_evaluates_below_anchor_time():
     fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, None, grid)
     bundle = pde.extract_diagonal(fam, theta)
     assert np.all(np.isfinite(bundle.d)) and np.all(np.isfinite(bundle.dxx))
+
+
+@settings(max_examples=12, deadline=None)
+@given(family=st.sampled_from(["bkm_separable", "recursive_lq", "mean_variance", "linear_heat"]),
+       nx=st.integers(8, 13), nt=st.integers(8, 13), ny=st.integers(5, 11),
+       x_lo=st.floats(-3.0, -1.0), x_hi=st.floats(1.0, 3.0), u=st.floats(-1.0, 1.0))
+def test_separable_and_general_cost_fields_agree(family, nx, nt, ny, x_lo, x_hi, u):
+    # the same cost field carried analytically in y and as the full anchor tensor
+    spec = model.make_spec(family)
+    grid = pde.GridSpec(x_lo, x_hi, nx, nt, spec.horizon, y_lo=-12.0, y_hi=12.0, ny=ny)
+    strat = const_strategy(u, U=(spec.u_lo, spec.u_hi))
+    theta = pde.solve_theta(spec, strat, grid)
+    separable = pde.solve_theta0_family(spec, strat, theta, None, grid)
+    general = pde.solve_theta0_family(replace(spec, terminal_split=None), strat, theta, None,
+                                      grid)
+    assert (separable.mode, general.mode) == ("separable", "general")
+    bs, bg = pde.extract_diagonal(separable, theta), pde.extract_diagonal(general, theta)
+    for k in ("d", "dx", "dy", "dxx"):
+        s, g = getattr(bs, k), getattr(bg, k)
+        assert np.all(np.abs(g - s) <= 1e-10 * np.maximum(1.0, np.abs(s))), k
 
 
 def test_extract_diagonal_identity_costs():
@@ -639,11 +659,10 @@ def test_block_minimizer_ties_go_to_the_smaller_u(monkeypatch):
 # one sweep per Picard iteration against the two-sweep loop
 # ---------------------------------------------------------------------------
 
-def _two_sweep_fields(spec, strategy, grid, diag_guess, lam0=0.0, force_general=False):
+def _two_sweep_fields(spec, strategy, grid, diag_guess):
     """The value field, then the cost field: one sweep each."""
-    theta = pde.solve_theta(spec, strategy, grid, lam0)
-    return theta, pde.solve_theta0_family(spec, strategy, theta, diag_guess, grid, lam0,
-                                          force_general=force_general)
+    theta = pde.solve_theta(spec, strategy, grid)
+    return theta, pde.solve_theta0_family(spec, strategy, theta, diag_guess, grid)
 
 
 def _cost_arrays(theta0):
@@ -661,20 +680,22 @@ def _cost_arrays(theta0):
     ("recursive_lq", 9, 9, True), ("bkm_separable", 9, 9, True)])
 def test_fused_sweep_matches_two_sweeps(family, nx, nt, general, monkeypatch):
     spec = _anchored_spec() if family == "x_anchored" else model.make_spec(family)
-    grid = pde.GridSpec(-2.0, 2.0, nx, nt, 1.0, y_lo=-4.0, y_hi=4.0, ny=9) if general \
-        else pde.default_grid(spec, nx=nx, nt=nt)
+    if general:     # without a terminal split the cost field is the full anchor tensor
+        spec = replace(spec, terminal_split=None)
+        grid = pde.GridSpec(-2.0, 2.0, nx, nt, 1.0, y_lo=-4.0, y_hi=4.0, ny=9)
+    else:
+        grid = pde.default_grid(spec, nx=nx, nt=nt)
     runs = []
     for fields in (pde.solve_fields, _two_sweep_fields):
         bundles = []
 
-        def recording(spec, strategy, grid, diag_guess, *args, _fields=fields, _seen=bundles):
+        def recording(spec, strategy, grid, diag_guess, _fields=fields, _seen=bundles):
             _seen.append(diag_guess)
-            return _fields(spec, strategy, grid, diag_guess, *args)
+            return _fields(spec, strategy, grid, diag_guess)
 
         with monkeypatch.context() as mp:
             mp.setattr(pde, "solve_fields", recording)
-            theta, theta0, strat, log = pde.equilibrium_fixed_point(
-                spec, grid, max_iters=6, force_general=general)
+            theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, max_iters=6)
         runs.append((theta, theta0, strat, log, bundles + [pde.extract_diagonal(theta0, theta)]))
     (theta, theta0, strat, log, bundles), (r_theta, r_theta0, r_strat, r_log, r_bundles) = runs
     assert theta0.mode == ("general" if general else "separable")
