@@ -114,7 +114,10 @@ def _load_config(args):
 
 
 def _parse_floats(text):
-    return tuple(float(v) for v in text.split(","))
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise DomainError(f"malformed number list '{text}'") from None
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +163,8 @@ def cmd_meanfield_lq(args):
 
 def cmd_meanvar(args):
     r, mu, sigma, gamma, T = args.r, args.mu, args.sigma, args.gamma, args.T
+    cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_floats(args.eps))
+    times = _parse_floats(args.times)
     res = riccati.meanvar_equilibrium(r, mu, sigma, gamma, T, steps=args.steps)
     traj = riccati.solve_riccati_lq(riccati._mv_lq_spec(r, mu, sigma, gamma, T),
                                     steps=args.steps)
@@ -179,9 +184,7 @@ def cmd_meanvar(args):
     err = float(np.max(np.abs(strat.values - ref) / np.abs(ref)))
     lines.append(f"pde cross-check: converged={log.converged} iters={log.iterations} "
                  f"max rel strategy err={err:.3g}")
-    cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_floats(args.eps))
-    report = mc.verify_equilibrium(spec, res.strategy, _parse_floats(args.times), cfg,
-                                   tol_eq=args.tol_eq)
+    report = mc.verify_equilibrium(spec, res.strategy, times, cfg, tol_eq=args.tol_eq)
     out = _outdir(args)
     _write_riccati(traj, out / "mv_riccati.csv")
     _write_strategy(strat, out / "mv_strategy_pde.csv")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BlowUpError, DomainError, UnsupportedCostClassError
 from .model import EXAMPLE_FAMILIES, StrategyTable, make_spec
-from .riccati import _simpson
+from .riccati import _simpson, rk4_integrate
 
 BLOCK_PATHS = 1024          # path columns per Philox block
 FK_STREAM = 2 ** 32         # first stream tag of check_feynman_kac sample points
@@ -208,28 +208,40 @@ def _flow_ode(spec, control, x, s_nodes):
     """RK4 flow of dx/ds = b(s, x, control(s, x)) along the given nodes, for a
     column of initial states x integrated together.
 
-    Returns (states, controls), both shaped (columns, nodes): controls[:, k] is
-    the control at (s_nodes[k], states[:, k]).
+    A one-state column steps on floats: the control and the drift see a float
+    state.  A wider column is passed to them as one array per stage.  Returns
+    (states, controls), both shaped (columns, nodes): controls[:, k] is the
+    control at (s_nodes[k], states[:, k]), taken from the first stage of step
+    k.  Raises BlowUpError at the first node whose state is not finite.
     """
-    n = s_nodes.size
-    xs = np.empty((x.size, n))
-    us = np.empty((x.size, n))
-    xs[:, 0] = x
+    xs = np.empty((x.size, s_nodes.size))
+    us = np.empty((x.size, s_nodes.size))
+    node_controls = iter(us.T)
+    drift = spec.drift
+    u = None                    # the control of the latest stage
+    if x.size == 1:
+        def rhs(s, y):
+            nonlocal u
+            xx = y[0]
+            u = float(control(s, xx))
+            return [float(drift(s, xx, u))]
+    else:
+        def rhs(s, y):
+            nonlocal u
+            xx = np.array(y)
+            u = np.asarray(control(s, xx), dtype=float)
+            b = np.asarray(drift(s, xx, u), dtype=float)
+            return (b if b.shape == xx.shape else np.broadcast_to(b, xx.shape)).tolist()
 
-    def f(ss, xx):
-        u = np.asarray(control(ss, xx), dtype=float)
-        return np.asarray(spec.drift(ss, xx, u), dtype=float), u
+    def first(s, y):
+        b = rhs(s, y)
+        next(node_controls)[...] = u
+        return b
 
-    for k in range(n - 1):
-        h = s_nodes[k + 1] - s_nodes[k]
-        s = s_nodes[k]
-        xc = xs[:, k]
-        k1, us[:, k] = f(s, xc)
-        k2, _ = f(s + 0.5 * h, xc + 0.5 * h * k1)
-        k3, _ = f(s + 0.5 * h, xc + 0.5 * h * k2)
-        k4, _ = f(s + h, xc + h * k3)
-        xs[:, k + 1] = xc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    us[:, -1] = control(s_nodes[-1], xs[:, -1])
+    nodes = s_nodes.tolist()
+    rk4_integrate(rhs, x.tolist(), nodes, np.diff(s_nodes).tolist(), xs.T, first)
+    end = xs[:, -1]
+    next(node_controls)[...] = control(nodes[-1], float(end[0]) if x.size == 1 else end)
     return xs, us
 
 
@@ -296,7 +308,8 @@ def _spike_costs(spec, psi_bar, t, x, eps, u_list):
     w_end = outside.window[1]
     u_win = np.array([p(t, x) for p in perts])
     breaks = _breaks(t, spec.horizon, outside.window)
-    pieces = [(s0, s1, (lambda s, xx: u_win) if s0 < w_end else outside)
+    # the window control is shaped like the column's state, a float for one control
+    pieces = [(s0, s1, (lambda s, xx: u_win.reshape(np.shape(xx))) if s0 < w_end else outside)
               for s0, s1 in zip(breaks[:-1], breaks[1:])]
     return _cost_quadrature(spec, t, np.full(len(perts), float(x)), pieces)
 

@@ -145,6 +145,12 @@ class StrategyTable:
             w = min(max(w, 0.0), 1.0)
             row = (1.0 - w) * self.values[j] + w * self.values[j + 1]
             out = np.interp(x, self.x_grid, row)
+        if isinstance(x, float) and (isinstance(out, float) or getattr(out, "ndim", None) == 0):
+            # the ufunc clip below on floats: on a tie each ufunc returns its
+            # second operand, and a NaN passes both comparisons
+            v = float(out) + 0.0
+            v = self.u_lo if v < self.u_lo else v
+            return self.u_hi if v > self.u_hi else v
         # adding zero turns -0.0 into 0.0 and broadcasts to the shape of x;
         # ufuncs with the bound first clip as np.clip does, ties and NaN included
         out = np.asarray(out, dtype=float)

@@ -9,6 +9,7 @@ assigned, never integrated, so terminal residuals are exactly zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -95,6 +96,34 @@ class RiccatiTrajectory:
     terminal_residual: float
 
 
+def rk4_integrate(rhs, y, nodes, hs, out, first=None):
+    """Classical RK4 on a list of floats, one step per signed step size.
+
+    Step i starts at nodes[i] with step h = hs[i]; its stages sit at nodes[i],
+    nodes[i] + h/2 (twice) and nodes[i] + h, so a backward solve passes
+    negative steps (negating h is exact).  ``rhs(s, y)`` receives the state as
+    a list of floats and returns a sequence of floats; ``first``, when given,
+    takes its place at each step's first stage.  out[0] is set to y and
+    out[i + 1] to the state after step i.  Raises BlowUpError with the time
+    nodes[i + 1] at the first non-finite state.
+    """
+    first = first or rhs
+    isfinite = math.isfinite
+    out[0] = y
+    for i, s, h in zip(itertools.count(1), nodes, hs):
+        half = 0.5 * h
+        k1 = first(s, y)
+        k2 = rhs(s + half, [a + half * b for a, b in zip(y, k1)])
+        k3 = rhs(s + half, [a + half * b for a, b in zip(y, k2)])
+        k4 = rhs(s + h, [a + h * b for a, b in zip(y, k3)])
+        sixth = h / 6.0
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not all(map(isfinite, y)):
+            raise BlowUpError(nodes[i])
+        out[i] = y
+
+
 def rk4_backward(rhs, terminal_value, T, steps):
     """Classical fixed-step RK4 from T down to 0; returns (grid, samples).
 
@@ -105,24 +134,10 @@ def rk4_backward(rhs, terminal_value, T, steps):
     if steps < 1:
         raise DomainError("steps must be >= 1")
     y = np.asarray(terminal_value, dtype=float).ravel().tolist()
-    h = T / steps
-    half, sixth = 0.5 * h, h / 6.0
     grid = np.linspace(0.0, T, steps + 1)
-    times = grid.tolist()
     out = np.empty((steps + 1, len(y)))
-    out[steps] = y
-    isfinite = math.isfinite
-    for k in range(steps, 0, -1):
-        s = times[k]
-        k1 = rhs(s, y)
-        k2 = rhs(s - half, [a - half * b for a, b in zip(y, k1)])
-        k3 = rhs(s - half, [a - half * b for a, b in zip(y, k2)])
-        k4 = rhs(s - h, [a - h * b for a, b in zip(y, k3)])
-        y = [a - sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if not all(map(isfinite, y)):
-            raise BlowUpError(times[k - 1])
-        out[k - 1] = y
+    # steps run from the last row up, with stage times grid[k] - h/2 and grid[k] - h
+    rk4_integrate(rhs, y, grid[::-1].tolist(), itertools.repeat(-(T / steps), steps), out[::-1])
     return grid, out
 
 

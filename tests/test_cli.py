@@ -181,6 +181,28 @@ def test_mc_verify_out_of_range_seed_is_config_error(tmp_path, capsys):
     assert "config error: seed" in capsys.readouterr().err
 
 
+def test_malformed_number_lists_are_config_errors(tmp_path, capsys):
+    # checked before any solve, so meanvar fails fast as well
+    refused = [["mc-verify", "--eps", "abc"], ["mc-verify", "--times", "0.3,"],
+               ["meanvar", "--times", "0.1,abc"], ["meanvar", "--eps", "1e"]]
+    for k, argv in enumerate(refused):
+        out = tmp_path / f"out{k}"
+        assert run(argv + ["--paths", "10", "--out", str(out)]) == 2, argv
+        assert "config error: malformed number list" in capsys.readouterr().err, argv
+        assert not out.exists(), argv
+
+
+def test_non_finite_deterministic_flow_is_a_solver_error(tmp_path, capsys):
+    # under a NaN control the leader's state x' = u goes non-finite at once
+    cfg = tmp_path / "stackelberg.json"
+    cfg.write_text(json.dumps({"family": "stackelberg"}))
+    out = tmp_path / "nan"
+    assert run(["mc-verify", "--config", str(cfg), "--strategy-const", "nan",
+                "--out", str(out)]) == 1
+    assert "solver error: blow-up detected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fk_check_reads_its_problem_from_config(tmp_path, capsys):
     def fk_csv(name, doc=None):
         argv = ["fk-check", "--paths", "2000", "--grid-nt", "65", "--out", str(tmp_path / name)]

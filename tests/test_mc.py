@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fbcontrol import mc, model
 from fbcontrol.cli import _work_unit, _write_gap, _write_verify
-from fbcontrol.errors import DomainError, UnsupportedCostClassError
+from fbcontrol.errors import BlowUpError, DomainError, UnsupportedCostClassError
 from fbcontrol.mc import (BLOCK_PATHS, FK_STREAM, MCConfig, check_feynman_kac,
                           demonstrate_inconsistency, evaluate_cost, path_normals,
                           perturbed_strategy, simulate_forward, verify_equilibrium)
@@ -282,6 +282,19 @@ def test_verify_equilibrium_deterministic_exact():
     assert all(abs(r["quotient"]) < 1e-10 for r in at_eq)
 
 
+def _scalar_rk4_flow(f, x, nodes):
+    """Scalar RK4 of dx/ds = f(s, x) along the nodes; the state at every node."""
+    xs = [x]
+    for k in range(nodes.size - 1):
+        h, s, xc = nodes[k + 1] - nodes[k], nodes[k], xs[-1]
+        k1 = f(s, xc)
+        k2 = f(s + 0.5 * h, xc + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h, xc + 0.5 * h * k2)
+        k4 = f(s + h, xc + h * k3)
+        xs.append(xc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return xs
+
+
 def _scalar_quadrature_cost(spec, strategy, t, x, panels=2048):
     """Reference deterministic cost: one state at a time, one scalar RK4 flow
     per piece and one control call per node (no shared code)."""
@@ -296,14 +309,7 @@ def _scalar_quadrature_cost(spec, strategy, t, x, panels=2048):
         ctrl = lambda s, xx: float(np.asarray(strategy(min(s, s_in), xx)))
         f = lambda s, xx: float(np.asarray(spec.drift(s, xx, ctrl(s, xx))))
         nodes = np.linspace(s0, s1, panels + 1)
-        xs = [x]
-        for k in range(panels):
-            h, s, xc = nodes[k + 1] - nodes[k], nodes[k], xs[-1]
-            k1 = f(s, xc)
-            k2 = f(s + 0.5 * h, xc + 0.5 * h * k1)
-            k3 = f(s + 0.5 * h, xc + 0.5 * h * k2)
-            k4 = f(s + h, xc + h * k3)
-            xs.append(xc + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        xs = _scalar_rk4_flow(f, x, nodes)
         vals = spec.reduced_running(t, nodes, np.array([ctrl(s, xx) for s, xx in zip(nodes, xs)]))
         h = nodes[1] - nodes[0]
         total += (h / 3.0) * (vals[0] + vals[-1] + 4.0 * np.sum(vals[1:-1:2])
@@ -368,6 +374,42 @@ def test_batched_deterministic_quotients_equal_single_costs(family, kind):
     # except the window that ends at T
     assert report.work == 1 + (1 + 2 + 2) + (1 + 1 + 2)
     assert _work_unit(spec) == "RK4 flow integrations"
+
+
+@pytest.mark.parametrize("kind", ["time", "state", "grid"])
+def test_one_state_flow_equals_scalar_rk4(kind):
+    spec = model.make_spec("stackelberg", {"x0": 0.2})
+    strat = _test_strategy(kind, spec)
+    nodes = np.linspace(0.15, 0.85, 301)
+    f = lambda s, xx: float(np.asarray(spec.drift(s, xx, strat(s, xx))))
+    want = _scalar_rk4_flow(f, 0.2, nodes)
+    queried = []
+
+    def spy(s, xx):
+        queried.append(xx)
+        return strat(s, xx)
+
+    xs, us = mc._flow_ode(spec, spy, np.array([0.2]), nodes)
+    assert xs.tolist() == [want]
+    assert us.tolist() == [[strat(s, x) for s, x in zip(nodes, want)]]
+    # float states, four stages per step and one query at the last node: the
+    # node controls are the first stages' controls
+    assert all(type(x) is float for x in queried)
+    assert len(queried) == 4 * (nodes.size - 1) + 1
+
+
+def test_flows_stop_at_the_first_non_finite_state():
+    spec = model.make_spec("stackelberg", {"x0": 0.2})
+    nan_late = StrategyTable(spec.u_lo, spec.u_hi, fn=lambda s, x: (
+        math.nan if s >= 0.5 else -0.5) + 0.0 * np.asarray(x, dtype=float))
+    # node 1024 of 2048 panels is 0.5, the last stage of the step that ends there
+    with pytest.raises(BlowUpError) as err:
+        evaluate_cost(spec, nan_late, 0.0, 0.2, MCConfig(n_paths=2))
+    assert err.value.time == 0.5
+    # a column of spike flows stops the same way, at a node just past 0.5
+    with pytest.raises(BlowUpError) as err:
+        mc._spike_costs(spec, nan_late, 0.3, 0.2, 0.1, (-1.0, 1.0))
+    assert 0.5 <= err.value.time < 0.5 + 0.6 / 2048
 
 
 def _quotient_family(family):

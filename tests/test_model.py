@@ -325,6 +325,39 @@ def test_strategy_table_grid_output_always_in_interval(bounds, s, x, data):
         _assert_in_interval(tab(s, x), x, lo, hi)
 
 
+_ANY_FLOAT = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.one_of(_BOUNDS, st.sampled_from([(-1.0, -0.0), (0.0, 1.0), (-0.0, 0.0)])),
+       grid=st.booleans(), shaped=st.booleans(), s=st.floats(-10.0, 10.0), x=_ANY_FLOAT,
+       data=st.data())
+def test_strategy_table_scalar_query_bit_equal_to_array_query(bounds, grid, shaped, s, x,
+                                                              data):
+    # raw outputs beyond U, on its bounds, signed zeros and NaN; s and x mostly
+    # outside the grids
+    lo, hi = bounds
+    raw = st.one_of(_ANY_FLOAT, st.sampled_from([lo, hi]))
+    if grid:
+        s_grid = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4, unique=True))
+        x_grid = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=4, unique=True))
+        n = len(s_grid) * len(x_grid)
+        values = data.draw(st.lists(raw, min_size=n, max_size=n))
+        tab = StrategyTable(lo, hi, s_grid=sorted(s_grid), x_grid=sorted(x_grid),
+                            values=np.reshape(values, (len(s_grid), len(x_grid))))
+    else:
+        v = data.draw(raw)
+        # an elementwise fn, or one that returns a float whatever x is
+        fn = (lambda s_, x_: v * np.ones_like(np.asarray(x_, dtype=float))) if shaped \
+            else (lambda s_, x_: v)
+        tab = StrategyTable(lo, hi, fn=fn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = tab(s, float(x))
+        want = tab(s, np.array([x]))[0]
+    assert type(got) is float
+    assert got.hex() == float(want).hex()
+
+
 def test_strategy_table_requires_one_backend():
     with pytest.raises(DomainError):
         StrategyTable(-1, 1)
