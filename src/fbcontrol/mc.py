@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BlowUpError, DomainError, UnsupportedCostClassError
+from .errors import BlowUpError, DomainError, EvaluationError, UnsupportedCostClassError
 from .model import EXAMPLE_FAMILIES, StrategyTable, make_spec
 from .riccati import _simpson, rk4_integrate
 
@@ -259,7 +259,8 @@ def _cost_quadrature(spec, t, x, pieces, panels=2048):
 
     ``pieces`` lists (s0, s1, control) in time order; each piece is integrated
     for the whole column of initial states x at once.  Returns the cost per
-    column and the number of flows integrated.
+    column and the number of flows integrated.  Raises EvaluationError at the
+    first node where a control or the integrand is not finite.
     """
     total = np.zeros(x.size)
     flows = 0
@@ -273,6 +274,11 @@ def _cost_quadrature(spec, t, x, pieces, panels=2048):
         flow, u = _flow_ode(spec, lambda s, xx: control(min(s, s_in), xx), x, nodes)
         flows += 1
         vals = np.asarray(spec.reduced_running(t, nodes, u), dtype=float)
+        # a flow whose drift ignores the control stays finite under a NaN one
+        for name, arr in (("control", u), ("reduced_running", vals)):
+            ok = np.isfinite(np.broadcast_to(arr, u.shape)).all(axis=0)
+            if not ok.all():
+                raise EvaluationError(name, f"s={nodes[ok.argmin()]:.6g}")
         total = total + _simpson(vals, nodes[1] - nodes[0])
         x = flow[:, -1]
     return total, flows

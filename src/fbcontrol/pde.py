@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv
+from numpy.linalg import LinAlgError
 
 from .errors import (DegeneracyError, DomainError, EvaluationError,
                      FBControlError, YRangeError)
@@ -127,7 +126,10 @@ def solve_banded(l_and_u, ab, b):
 
     The LAPACK ``dgbsv`` route of ``scipy.linalg.solve_banded`` without its
     argument checks; b (n or (n, k), float) is overwritten by the solution.
+    scipy is imported here, not at module level, so that the routes which never
+    solve a band system start without it.
     """
+    from scipy.linalg.lapack import dgbsv
     l, u = l_and_u
     lu = np.zeros((2 * l + u + 1, ab.shape[1]), order="F")   # dgbsv's pivoting room
     lu[l:] = ab

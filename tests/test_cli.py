@@ -1,9 +1,14 @@
 import dataclasses
 import json
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import fbcontrol
 from fbcontrol import model
 from fbcontrol.cli import run
 
@@ -112,6 +117,54 @@ def test_inconsistency_reads_config_params(tmp_path, capsys):
     capsys.readouterr()
 
 
+# Runs subcommands in one fresh interpreter and prints, after the import and
+# after each run, its exit code and the scipy modules loaded so far.
+_COLD_START = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import fbcontrol
+seen = {"import fbcontrol": [0, scipy_modules()]}
+from fbcontrol.cli import run
+seen["import fbcontrol.cli"] = [0, scipy_modules()]
+for name, argv in json.loads(sys.argv[1]):
+    seen[name] = [run(argv), scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_the_banded_solve(tmp_path):
+    # a subprocess, since this pytest process has imported scipy already;
+    # fk-check samples closed-form fields and never solves a band system
+    ex31 = tmp_path / "ex31.json"
+    ex31.write_text(json.dumps({"family": "ex31"}))
+    mc = ["--times", "0.3", "--eps", "0.05"]
+    runs = [("lq-riccati", ["lq-riccati", "--steps", "200"]),
+            ("meanfield-lq", ["meanfield-lq", "--steps", "200"]),
+            ("planner", ["planner", "--steps", "200"]),
+            ("stackelberg", ["stackelberg"]),
+            ("mc-verify mean_variance", ["mc-verify", "--paths", "500"] + mc),
+            ("mc-verify ex31", ["mc-verify", "--config", str(ex31)] + mc),
+            ("inconsistency", ["inconsistency"]),
+            ("fk-check", ["fk-check", "--paths", "500", "--grid-nt", "65"]),
+            ("pde-solve", ["pde-solve", "--grid-nx", "17", "--grid-nt", "33"])]
+    runs = [(name, argv + ["--out", str(tmp_path / f"out{k}")])
+            for k, (name, argv) in enumerate(runs)]
+    env = dict(os.environ, PYTHONPATH=str(Path(fbcontrol.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert list(seen) == ["import fbcontrol", "import fbcontrol.cli"] + [n for n, _ in runs]
+    pde_rc, pde_loaded = seen.pop("pde-solve")
+    assert pde_rc == 0 and "scipy.linalg" in pde_loaded
+    for name, (rc, loaded) in seen.items():
+        assert rc in ((0, 3) if name == "mc-verify mean_variance" else (0,)), name
+        assert loaded == [], name
+
+
 def test_pde_solve_with_config(tmp_path):
     cfg = tmp_path / "prob.json"
     cfg.write_text(json.dumps({"family": "recursive_lq", "T": 1.0}))
@@ -193,14 +246,17 @@ def test_malformed_number_lists_are_config_errors(tmp_path, capsys):
 
 
 def test_non_finite_deterministic_flow_is_a_solver_error(tmp_path, capsys):
-    # under a NaN control the leader's state x' = u goes non-finite at once
-    cfg = tmp_path / "stackelberg.json"
-    cfg.write_text(json.dumps({"family": "stackelberg"}))
-    out = tmp_path / "nan"
-    assert run(["mc-verify", "--config", str(cfg), "--strategy-const", "nan",
-                "--out", str(out)]) == 1
-    assert "solver error: blow-up detected" in capsys.readouterr().err
-    assert not out.exists()
+    # under a NaN control the leader's state x' = u goes non-finite at once;
+    # ex31's state x' = 0 x stays finite, and the NaN control itself is caught
+    for family, message in (("stackelberg", "blow-up detected"),
+                            ("ex31", "non-finite evaluation of coefficient 'control'")):
+        cfg = tmp_path / f"{family}.json"
+        cfg.write_text(json.dumps({"family": family}))
+        out = tmp_path / f"nan_{family}"
+        assert run(["mc-verify", "--config", str(cfg), "--strategy-const", "nan",
+                    "--out", str(out)]) == 1, family
+        assert f"solver error: {message}" in capsys.readouterr().err, family
+        assert not out.exists(), family
 
 
 def test_fk_check_reads_its_problem_from_config(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fbcontrol import mc, model
 from fbcontrol.cli import _work_unit, _write_gap, _write_verify
-from fbcontrol.errors import BlowUpError, DomainError, UnsupportedCostClassError
+from fbcontrol.errors import (BlowUpError, DomainError, EvaluationError,
+                             UnsupportedCostClassError)
 from fbcontrol.mc import (BLOCK_PATHS, FK_STREAM, MCConfig, check_feynman_kac,
                           demonstrate_inconsistency, evaluate_cost, path_normals,
                           perturbed_strategy, simulate_forward, verify_equilibrium)
@@ -410,6 +412,27 @@ def test_flows_stop_at_the_first_non_finite_state():
     with pytest.raises(BlowUpError) as err:
         mc._spike_costs(spec, nan_late, 0.3, 0.2, 0.1, (-1.0, 1.0))
     assert 0.5 <= err.value.time < 0.5 + 0.6 / 2048
+
+
+def test_non_finite_control_on_a_control_free_flow_is_an_evaluation_error():
+    # ex31's drift is 0 * x, so its flow stays finite under a NaN control
+    spec = model.make_spec("ex31", {"x0": 0.2})
+    nan_late = StrategyTable(spec.u_lo, spec.u_hi, fn=lambda s, x: (
+        math.nan if s >= 0.5 else -0.5) + 0.0 * np.asarray(x, dtype=float))
+    with pytest.raises(EvaluationError) as err:
+        evaluate_cost(spec, nan_late, 0.0, 0.2, MCConfig(n_paths=2))
+    assert err.value.coefficient == "control" and err.value.where == "s=0.5"
+    with pytest.raises(EvaluationError) as err:
+        mc._spike_costs(spec, nan_late, 0.3, 0.2, 0.1, (-1.0, 1.0))
+    assert err.value.coefficient == "control"
+    # a finite control whose running integrand is not finite
+    bad_rate = dataclasses.replace(spec, reduced_running=lambda t, s, u: np.where(
+        s > 0.75, math.inf, u * u))
+    with pytest.raises(EvaluationError) as err:
+        evaluate_cost(bad_rate, model.equilibrium_strategy(spec), 0.0, 0.2,
+                      MCConfig(n_paths=2))
+    assert err.value.coefficient == "reduced_running"
+    assert err.value.where == f"s={0.75 + 1 / 2048:.6g}"
 
 
 def _quotient_family(family):
