@@ -65,6 +65,13 @@ class GridSpec:
             raise DomainError("x_lo must be below x_hi")
         if not self.T > 0:
             raise DomainError("horizon must be positive")
+        if (self.y_lo is None) != (self.y_hi is None):
+            raise DomainError("set both y_lo and y_hi, or neither")
+        if self.y_lo is not None:
+            if not self.y_lo < self.y_hi:
+                raise DomainError("y_lo must be below y_hi")
+            if self.ny < 2:
+                raise DomainError("need at least 2 y nodes")
 
     @property
     def xs(self):
@@ -350,24 +357,37 @@ class SeparableCostField:
         return float(hat[s_idx, x_idx]) + float(self.split.ghat(t, xt, y))
 
     def diagonal(self, theta: FieldTheta):
-        nt, nx = self.times.size, self.xs.size
+        """The diagonal D(s, x) = Theta0(s, s, x, x, theta(s, x)) and its slopes.
+
+        With one field per x-anchor, anchor l is read at column l only, and its
+        difference stencils there (the one-sided edge ones included) reach no
+        further than the four columns c0 = clip(l - 1, 0, nx - 4) .. c0 + 3.  So
+        one ``_dx_rows``/``_dxx_rows`` call on the (nx, nt, 4) block of those
+        windows gives every anchor's slopes, with the bits of its full field.
+        """
         th = theta.values[0]
         if self.anchor_free:
             hat_diag = self.hat
             hat_dx = _dx_rows(self.hat, self.dx)
             hat_dxx = _dxx_rows(self.hat, self.dx)
         else:
-            hat_diag, hat_dx, hat_dxx = np.empty((3, nt, nx))
-            for l in range(nx):
-                fld = self.hat[l]
-                hat_diag[:, l] = fld[:, l]
-                hat_dx[:, l] = _dx_rows(fld, self.dx)[:, l]
-                hat_dxx[:, l] = _dxx_rows(fld, self.dx)[:, l]
+            l = np.arange(self.xs.size)
+            c0 = np.clip(l - 1, 0, l.size - 4)
+            win = np.take_along_axis(self.hat, (c0[:, None] + np.arange(4))[:, None, :], axis=2)
+            k = l - c0      # anchor l's own column in its window
+            hat_diag, hat_dx, hat_dxx = (np.ascontiguousarray(a[l, :, k].T) for a in
+                                         (win, _dx_rows(win, self.dx), _dxx_rows(win, self.dx)))
         tt = self.times[:, None]
         xx = self.xs[None, :]
         d = hat_diag + np.asarray(self.split.ghat(tt, xx, th), dtype=float)
         dy = np.asarray(self.split.ghat_y(tt, xx, th), dtype=float) + np.zeros_like(d)
         return DiagonalBundle(d=d, dx=hat_dx, dy=dy, dxx=hat_dxx)
+
+
+# (anchor, x) columns per y-spline fit of the general diagonal: whole time rows
+# are fitted together up to this many columns, which bounds the fit's
+# temporaries (about 11 ny doubles a column) on fine grids
+_SPLINE_COLUMNS = 4096
 
 
 class GeneralCostField:
@@ -389,14 +409,17 @@ class GeneralCostField:
     def dx(self):
         return float(self.xs[1] - self.xs[0])
 
-    def _column(self, t_idx, s_idx, xt_idx, x_idx):
+    def _row_spline(self, t_idx, s_idx, xt_idx):
+        """The y-spline of the anchor's whole x row at time index s_idx.
+
+        A query fits the whole row, not its one column, because scipy's 3-knot
+        spline solves a dense system whose last bits differ between one
+        right-hand side and several; so a query and ``diagonal`` agree.
+        """
+        from scipy.interpolate import CubicSpline
         if s_idx < t_idx:
             raise DomainError("cost field queried below the anchor time (t > s)")
-        return self.data[(t_idx, xt_idx)][:, s_idx - t_idx, x_idx]
-
-    def _spline(self, col):
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(self.ys, col)
+        return CubicSpline(self.ys, self.data[(t_idx, xt_idx)][:, s_idx - t_idx, :])
 
     def _y_check(self, s, x, y):
         if y < self.ys[0] or y > self.ys[-1]:
@@ -404,29 +427,47 @@ class GeneralCostField:
 
     def value(self, t_idx, s_idx, xt_idx, x_idx, y):
         self._y_check(self.times[s_idx], self.xs[x_idx], y)
-        return float(self._spline(self._column(t_idx, s_idx, xt_idx, x_idx))(y))
+        return float(self._row_spline(t_idx, s_idx, xt_idx)(y)[x_idx])
 
     def value_dy(self, t_idx, s_idx, xt_idx, x_idx, y):
         self._y_check(self.times[s_idx], self.xs[x_idx], y)
-        return float(self._spline(self._column(t_idx, s_idx, xt_idx, x_idx))(y, 1))
+        return float(self._row_spline(t_idx, s_idx, xt_idx)(y, 1)[x_idx])
 
     def diagonal(self, theta: FieldTheta):
-        """One spline along y per diagonal node, shared by every x of its row."""
-        from scipy.interpolate import CubicSpline
-        nt, nx = self.times.size, self.xs.size
+        """The diagonal D(s, x) = Theta0(s, s, x, x, theta(s, x)) and its slopes.
+
+        One cubic spline along y is fitted to the first rows of all diagonal
+        anchors (j, i) of a block of whole time rows at once (every row, unless
+        that exceeds ``_SPLINE_COLUMNS`` columns).  Each time row j is then
+        evaluated at theta's row j, and anchor i keeps its own row at
+        theta(s_j, x_i), which gives d and, through the difference stencils,
+        dx and dxx; dy comes from the spline's y-derivative.  Every entry
+        carries the bits of the point queries ``value`` and ``value_dy`` at
+        that node.  The first node, in row-major order, whose theta leaves the
+        y grid raises YRangeError.
+        """
+        from scipy.interpolate import CubicSpline, PPoly
+        nt, nx, ny = self.times.size, self.xs.size, self.ys.size
         th = theta.values[0]
+        outside = np.argwhere((th < self.ys[0]) | (th > self.ys[-1]))    # row-major
+        if outside.size:
+            j, i = outside[0]
+            self._y_check(self.times[j], self.xs[i], th[j, i])
+        i = np.arange(nx)
         d, dyv, dxv, dxxv = np.empty((4, nt, nx))
-        dx = self.dx
-        for j in range(nt):
-            for i in range(nx):
-                y = th[j, i]
-                self._y_check(self.times[j], self.xs[i], y)
-                spline = CubicSpline(self.ys, self.data[(j, i)][:, 0, :])
-                row = spline(y)
-                d[j, i] = row[i]
-                dyv[j, i] = spline(y, 1)[i]
-                dxv[j, i] = _dx_rows(row, dx)[i]
-                dxxv[j, i] = _dxx_rows(row, dx)[i]
+        step = max(1, _SPLINE_COLUMNS // (nx * nx))
+        for j0 in range(0, nt, step):
+            block = range(j0, min(j0 + step, nt))
+            # first[r, b, l] is the row of anchor (j0 + b, l) at y-node r, at its birth
+            first = np.stack([self.data[(j, l)][:, 0] for j in block for l in range(nx)], axis=1)
+            spline = CubicSpline(self.ys, first.reshape(ny, len(block), nx, nx))
+            for b, j in enumerate(block):
+                c = spline.c[:, :, b]       # (4, ny - 1, anchor, x)
+                rows = PPoly.construct_fast(c, spline.x)(th[j])[i, i]
+                d[j] = rows[i, i]
+                dyv[j] = PPoly.construct_fast(c[..., i, i], spline.x)(th[j], 1)[i, i]
+                dxv[j] = _dx_rows(rows, self.dx)[i, i]
+                dxxv[j] = _dxx_rows(rows, self.dx)[i, i]
         return DiagonalBundle(d=d, dx=dxv, dy=dyv, dxx=dxxv)
 
 

@@ -190,6 +190,30 @@ def test_grid_spec_guards():
         pde.GridSpec(1.0, -1.0, 33, 33, 1.0)
 
 
+@pytest.mark.parametrize("y_lo, y_hi", [(-1.0, None), (None, 1.0)])
+def test_grid_spec_needs_both_y_bounds(y_lo, y_hi):
+    with pytest.raises(DomainError, match="both y_lo and y_hi"):
+        pde.GridSpec(-1.0, 1.0, 9, 9, 1.0, y_lo=y_lo, y_hi=y_hi)
+
+
+@pytest.mark.parametrize("y_lo, y_hi", [(1.0, 1.0), (2.0, -2.0)])
+def test_grid_spec_needs_y_lo_below_y_hi(y_lo, y_hi):
+    with pytest.raises(DomainError, match="y_lo must be below y_hi"):
+        pde.GridSpec(-1.0, 1.0, 9, 9, 1.0, y_lo=y_lo, y_hi=y_hi)
+
+
+@pytest.mark.parametrize("ny", [0, 1])
+def test_grid_spec_needs_two_y_nodes(ny):
+    with pytest.raises(DomainError, match="at least 2 y nodes"):
+        pde.GridSpec(-1.0, 1.0, 9, 9, 1.0, y_lo=-1.0, y_hi=1.0, ny=ny)
+
+
+@pytest.mark.parametrize("ny", [2, 3])
+def test_grid_spec_takes_two_and_three_y_nodes(ny):
+    grid = pde.GridSpec(-1.0, 1.0, 9, 9, 1.0, y_lo=-1.0, y_hi=1.0, ny=ny)
+    assert np.array_equal(grid.ys, np.linspace(-1.0, 1.0, ny))
+
+
 # ---------------------------------------------------------------------------
 # cost field and diagonal extraction
 # ---------------------------------------------------------------------------
@@ -327,21 +351,101 @@ def test_general_tensor_matches_per_anchor_loop():
             assert np.array_equal(fam.data[(k, l)], ref)
 
 
+def _assert_diagonal_is_point_queries(fam, theta, bundle):
+    """Every diagonal entry against one spline per queried column."""
+    nt, nx = theta.values.shape[1:]
+    for j in range(nt):
+        for i in range(nx):
+            y = theta.values[0, j, i]
+            row = np.array([fam.value(j, j, i, ii, y) for ii in range(nx)])
+            assert bundle.d[j, i] == fam.value(j, j, i, i, y)
+            assert bundle.dy[j, i] == fam.value_dy(j, j, i, i, y)
+            assert bundle.dx[j, i] == pde._dx_rows(row, fam.dx)[i]
+            assert bundle.dxx[j, i] == pde._dxx_rows(row, fam.dx)[i]
+
+
 def test_general_diagonal_matches_point_queries():
-    # one spline per diagonal node against one spline per queried column
     spec = replace(_anchored_spec(), terminal_split=None)
     grid = pde.GridSpec(-2.0, 2.0, 9, 8, 1.0, y_lo=-4.0, y_hi=4.0, ny=5)
     theta = pde.solve_theta(spec, X_STRATEGY, grid)
     fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, None, grid)
-    bundle = pde.extract_diagonal(fam, theta)
-    for j in range(grid.nt):
-        for i in range(grid.nx):
-            y = theta.values[0, j, i]
-            row = np.array([fam.value(j, j, i, ii, y) for ii in range(grid.nx)])
-            assert bundle.d[j, i] == fam.value(j, j, i, i, y)
-            assert bundle.dy[j, i] == fam.value_dy(j, j, i, i, y)
-            assert bundle.dx[j, i] == pde._dx_rows(row, grid.dx)[i]
-            assert bundle.dxx[j, i] == pde._dxx_rows(row, grid.dx)[i]
+    _assert_diagonal_is_point_queries(fam, theta, pde.extract_diagonal(fam, theta))
+
+
+@settings(max_examples=10, deadline=None)
+@given(nx=st.integers(8, 12), nt=st.integers(8, 12), ny=st.integers(2, 9),
+       seed=st.integers(0, 2 ** 32 - 1), on_knots=st.floats(0.0, 1.0))
+def test_general_diagonal_is_point_queries_anywhere_on_the_y_grid(nx, nt, ny, seed, on_knots):
+    # theta drawn over the whole y grid, a share of it exactly on the knots
+    # (the last knot always among them), where a spline switches pieces
+    spec = replace(_anchored_spec(), terminal_split=None)
+    grid = pde.GridSpec(-2.0, 2.0, nx, nt, 1.0, y_lo=-3.0, y_hi=3.0, ny=ny)
+    fam = pde.solve_theta0_family(spec, X_STRATEGY, pde.solve_theta(spec, X_STRATEGY, grid),
+                                  None, grid)
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(grid.ys[0], grid.ys[-1], (nt, nx))
+    knots = rng.random((nt, nx)) < on_knots
+    th[knots] = rng.choice(grid.ys, knots.sum())
+    th[rng.integers(nt), rng.integers(nx)] = grid.ys[-1]
+    theta = pde.FieldTheta(grid.times, grid.xs, th)
+    _assert_diagonal_is_point_queries(fam, theta, pde.extract_diagonal(fam, theta))
+
+
+@pytest.mark.parametrize("rows_per_fit", [1, 2, 3])
+def test_general_diagonal_fits_in_blocks_of_rows(rows_per_fit, monkeypatch):
+    # 8 rows: one-row fits, four 2-row fits, and 3-row fits with a 2-row remainder
+    spec = replace(_anchored_spec(), terminal_split=None)
+    grid = pde.GridSpec(-2.0, 2.0, 9, 8, 1.0, y_lo=-4.0, y_hi=4.0, ny=5)
+    theta = pde.solve_theta(spec, X_STRATEGY, grid)
+    fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, None, grid)
+    whole = fam.diagonal(theta)
+    monkeypatch.setattr(pde, "_SPLINE_COLUMNS", rows_per_fit * 81 + 80)
+    blocks = fam.diagonal(theta)
+    assert all(np.array_equal(getattr(blocks, k), getattr(whole, k)) for k in ("d", "dx", "dy", "dxx"))
+
+
+def test_general_diagonal_names_the_first_node_off_the_y_grid():
+    # two nodes leave the grid; the first in row-major order is reported,
+    # although the other one comes first column by column
+    spec = replace(_anchored_spec(), terminal_split=None)
+    grid = pde.GridSpec(-2.0, 2.0, 9, 8, 1.0, y_lo=-3.0, y_hi=3.0, ny=5)
+    fam = pde.solve_theta0_family(spec, X_STRATEGY, pde.solve_theta(spec, X_STRATEGY, grid),
+                                  None, grid)
+    th = np.zeros((grid.nt, grid.nx))
+    th[2, 5], th[4, 1] = 3.5, -4.0
+    with pytest.raises(YRangeError) as err:
+        fam.diagonal(pde.FieldTheta(grid.times, grid.xs, th))
+    assert err.value.node == (grid.times[2], grid.xs[5], 3.5)
+
+
+def _per_anchor_separable_diagonal(fam):
+    """The x-anchored diagonal read off each anchor's full field (the per-anchor loop)."""
+    nt, nx = fam.times.size, fam.xs.size
+    hat_diag, hat_dx, hat_dxx = np.empty((3, nt, nx))
+    for l in range(nx):
+        fld = fam.hat[l]
+        hat_diag[:, l] = fld[:, l]
+        hat_dx[:, l] = pde._dx_rows(fld, fam.dx)[:, l]
+        hat_dxx[:, l] = pde._dxx_rows(fld, fam.dx)[:, l]
+    return hat_diag, hat_dx, hat_dxx
+
+
+@pytest.mark.parametrize("nx", [8, 9])
+def test_x_anchored_diagonal_matches_per_anchor_loop(nx):
+    # anchors 0, 1, nx - 2 and nx - 1 read the edge windows, columns 0..3 and nx - 4..nx - 1
+    spec = _anchored_spec()
+    grid = pde.GridSpec(-2.0, 2.0, nx, 9, 1.0)
+    theta = pde.solve_theta(spec, X_STRATEGY, grid)
+    fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, None, grid)
+    assert fam.mode == "separable" and not fam.anchor_free
+    bundle = fam.diagonal(theta)
+    hat_diag, hat_dx, hat_dxx = _per_anchor_separable_diagonal(fam)
+    split = spec.terminal_split
+    tt, xx = grid.times[:, None], grid.xs[None, :]
+    assert np.array_equal(bundle.d, hat_diag + split.ghat(tt, xx, theta.values[0]))
+    assert np.array_equal(bundle.dx, hat_dx)
+    assert np.array_equal(bundle.dxx, hat_dxx)
+    assert np.array_equal(bundle.dy, split.ghat_y(tt, xx, theta.values[0]) + np.zeros((9, nx)))
 
 
 def test_general_tensor_never_evaluates_below_anchor_time():
