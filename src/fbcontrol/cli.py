@@ -473,7 +473,6 @@ def cmd_selftest(args):
         for name, ok, detail in results:
             f.write(f"{name},{int(ok)},\"{detail}\"\n")
     # representative artifacts, all deterministically formatted
-    res = riccati.meanvar_equilibrium(0.03, 0.08, 0.2, 2.0, 1.0, steps=2000)
     traj = riccati.solve_riccati_lq(riccati._mv_lq_spec(0.03, 0.08, 0.2, 2.0, 1.0), steps=2000)
     _write_riccati(traj, out / "mv_riccati.csv")
     sol = riccati.solve_planner(0.03, 0.08, 0.2, 0.5, 0.3, 0.08, 0.02, 0.4, steps=2000)

@@ -20,9 +20,9 @@ Cost fields come in two storage modes.  When the cost terminal splits
 additively into a state part and an anchored-y part (and the cost generator
 never sees the anchor y), the y-dependence is carried analytically and only
 state-part fields are stepped.  A spec whose ``terminal_split`` is None or
-not ``t_free`` gets the full anchor tensor instead, which needs a y grid on
-the GridSpec and is only practical on small grids; ``replace(spec,
-terminal_split=None)`` selects it for any family.
+not ``t_free`` (select it with ``replace(spec, terminal_split=None)``) gets the
+general anchor tensor, which needs a y grid on the GridSpec and keeps only each
+anchor's first row (s = t): O(nt nx^2 ny) doubles, one rolling row per anchor.
 
 No family is named here: closed-form fields come from the family's
 ``closed_forms`` (``reference_fields``), and the grid's diffusion probe from
@@ -204,16 +204,16 @@ def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx):
 
 
 def _sweep(spec, grid, times, control, blocks):
-    """Fill rows j = times.size - 2 .. 0 of every block from row j + 1.
+    """Step every block from times[j + 1] to times[j], j = times.size - 2 .. 0.
 
-    Each block is (values, source, anchored) with values shaped
-    lead + (times.size, nx).  Per step u = control(s), sigma, a and b are
-    evaluated once at s = times[j + 1], source(j + 1, s, u, sigma, w) gives the
-    explicit source of the block's later row w, and one ``step_parabolic``
-    call steps the rows of all blocks together (one band matrix, one
-    factorization).  With ``anchored``, entry k of the first block axis is
-    anchored at times[k] and stepped only down to row k, so no coefficient sees
-    s below its anchor time.
+    Each block is (values, source, rolling).  values is lead + (times.size, nx)
+    and gets row j from row j + 1, unless ``rolling``: then it has no time axis,
+    entry k of its first axis is anchored at times[k], and step j overwrites
+    the live entries values[:j + 1], so no coefficient sees s below an anchor
+    time and each entry ends at its first row.  Per step u = control(s), sigma,
+    a and b are evaluated once at s = times[j + 1], source(j + 1, s, u, sigma,
+    w) gives the explicit source of the block's later row w, and one
+    ``step_parabolic`` call steps the rows of all blocks together.
     """
     xs, dt, dx = grid.xs, grid.dt, grid.dx
     nx = xs.size
@@ -224,16 +224,17 @@ def _sweep(spec, grid, times, control, blocks):
         sig = np.asarray(spec.diffusion(s, xs, u), dtype=float) + zero
         a_row = 0.5 * sig * sig
         b_row = np.asarray(spec.drift(s, xs, u), dtype=float) + zero
-        views = [values[:j + 1] if anchored else values for values, _, anchored in blocks]
-        later = [v[..., j + 1, :] for v in views]
+        # (later row, where its step goes) per block
+        rows = [(values[:j + 1],) * 2 if rolling else (values[..., j + 1, :], values[..., j, :])
+                for values, _, rolling in blocks]
         srcs = [np.asarray(source(j + 1, s, u, sig, w), dtype=float) + np.zeros_like(w)
-                for (_, source, _), w in zip(blocks, later)]
-        stepped = step_parabolic(np.concatenate([w.reshape(-1, nx) for w in later]), a_row,
+                for (_, source, _), (w, _) in zip(blocks, rows)]
+        stepped = step_parabolic(np.concatenate([w.reshape(-1, nx) for w, _ in rows]), a_row,
                                  b_row, np.concatenate([g.reshape(-1, nx) for g in srcs]),
                                  dt, dx)
         start = 0
-        for v, w in zip(views, later):
-            v[..., j, :] = stepped[start:start + w.size // nx].reshape(w.shape)
+        for w, target in rows:
+            target[...] = stepped[start:start + w.size // nx].reshape(w.shape)
             start += w.size // nx
 
 
@@ -391,35 +392,35 @@ _SPLINE_COLUMNS = 4096
 
 
 class GeneralCostField:
-    """Full anchor tensor: one (s, x) field per (t-anchor, x-anchor, y-node).
-
-    Only anchors with t <= s are populated; queries below the anchor time
-    raise.  y-interpolation is cubic; leaving the y grid raises YRangeError.
+    """General anchor tensor, kept as each anchor's first row: first[k, l, r] is
+    the x row at s = times[k] of the field anchored at (times[k], xs[l], ys[r]),
+    all the diagonal reads.  Queries at s != t raise DomainError; y-interpolation
+    is cubic, and leaving the y grid raises YRangeError.
     """
 
     mode = "general"
 
-    def __init__(self, times, xs, ys, data):
+    def __init__(self, times, xs, ys, first):
         self.times = np.asarray(times, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
-        self.data = data  # data[(k, l)] has shape (ny, nt - k, nx)
+        self.first = first  # (nt, nx, ny, nx)
 
     @property
     def dx(self):
         return float(self.xs[1] - self.xs[0])
 
     def _row_spline(self, t_idx, s_idx, xt_idx):
-        """The y-spline of the anchor's whole x row at time index s_idx.
+        """The y-spline of the anchor's whole x row at its birth, s_idx = t_idx.
 
         A query fits the whole row, not its one column, because scipy's 3-knot
         spline solves a dense system whose last bits differ between one
         right-hand side and several; so a query and ``diagonal`` agree.
         """
         from scipy.interpolate import CubicSpline
-        if s_idx < t_idx:
-            raise DomainError("cost field queried below the anchor time (t > s)")
-        return CubicSpline(self.ys, self.data[(t_idx, xt_idx)][:, s_idx - t_idx, :])
+        if s_idx != t_idx:
+            raise DomainError(f"general cost field keeps s = t only (t index {t_idx}, s index {s_idx})")
+        return CubicSpline(self.ys, self.first[t_idx, xt_idx])
 
     def _y_check(self, s, x, y):
         if y < self.ys[0] or y > self.ys[-1]:
@@ -447,7 +448,7 @@ class GeneralCostField:
         y grid raises YRangeError.
         """
         from scipy.interpolate import CubicSpline, PPoly
-        nt, nx, ny = self.times.size, self.xs.size, self.ys.size
+        nt, nx = self.times.size, self.xs.size
         th = theta.values[0]
         outside = np.argwhere((th < self.ys[0]) | (th > self.ys[-1]))    # row-major
         if outside.size:
@@ -458,9 +459,8 @@ class GeneralCostField:
         step = max(1, _SPLINE_COLUMNS // (nx * nx))
         for j0 in range(0, nt, step):
             block = range(j0, min(j0 + step, nt))
-            # first[r, b, l] is the row of anchor (j0 + b, l) at y-node r, at its birth
-            first = np.stack([self.data[(j, l)][:, 0] for j in block for l in range(nx)], axis=1)
-            spline = CubicSpline(self.ys, first.reshape(ny, len(block), nx, nx))
+            # axes (y-node, anchor time j0 + b, x-anchor, x)
+            spline = CubicSpline(self.ys, self.first[j0:j0 + step].transpose(2, 0, 1, 3))
             for b, j in enumerate(block):
                 c = spline.c[:, :, b]       # (4, ny - 1, anchor, x)
                 rows = PPoly.construct_fast(c, spline.x)(th[j])[i, i]
@@ -496,12 +496,13 @@ def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
         ys = grid.ys
         if ys is None:
             raise DomainError("general cost field needs a y grid (set y_lo/y_hi on the grid)")
-        # block axes (t-anchor k, x-anchor l, y-node r); anchor k lives on rows k..nt-1
+        # rolling block axes (t-anchor k, x-anchor l, y-node r, x); anchor k ends at row k
         t_col = times[:, None, None, None]
         xt_col = xs[None, :, None, None]
-        values = np.empty((nt, nx, ys.size, nt, nx))
+        values = np.empty((nt, nx, ys.size, nx))
         term = spec.cost_terminal(t_col, xt_col, xs, ys[None, None, :, None])
-    values[..., -1, :] = np.asarray(term, dtype=float) + 0.0   # + 0.0 also turns -0.0 into 0.0
+    last = values[..., -1, :] if separable else values
+    last[...] = np.asarray(term, dtype=float) + 0.0   # + 0.0 also turns -0.0 into 0.0
 
     def source(j, s, u, sig, w):
         th, z = _y_z(spec, theta.slice(j), theta.dx_slice(j) * sig)
@@ -512,8 +513,7 @@ def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
     def finish():
         if separable:
             return SeparableCostField(times, xs, values, split, anchor_free)
-        data = {(k, l): values[k, l, :, k:] for k in range(nt) for l in range(nx)}
-        return GeneralCostField(times, xs, ys, data)
+        return GeneralCostField(times, xs, ys, values)
 
     return (values, source, not separable), finish
 

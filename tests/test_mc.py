@@ -342,7 +342,7 @@ class _DistinctStatesSpy:
         self.most_distinct_states = 0
 
     def __call__(self, s, x):
-        n = np.unique(np.asarray(x, dtype=float)).size
+        n = 1 if isinstance(x, float) else np.unique(np.asarray(x, dtype=float)).size
         self.most_distinct_states = max(self.most_distinct_states, n)
         return self.strategy(s, x)
 
@@ -363,11 +363,13 @@ def test_batched_deterministic_quotients_equal_single_costs(family, kind):
     # states and the strategy is evaluated on them together; ex31's drift is
     # zero and the column stays at one state
     assert eq.most_distinct_states == (len(u_list) if family == "stackelberg" else 1)
+    base = {}       # the unperturbed cost, once per (t, x)
     for d in report.details:
         t, x, eps = d["t"], d["x"], d["eps"]
+        if (t, x) not in base:
+            base[t, x] = evaluate_cost(spec, eq, t, x, cfg)[0]
         pert = perturbed_strategy(eq, t, eps, d["u"], spec)
-        base = evaluate_cost(spec, eq, t, x, cfg)[0]
-        assert d["quotient"] == (evaluate_cost(spec, pert, t, x, cfg)[0] - base) / eps
+        assert d["quotient"] == (evaluate_cost(spec, pert, t, x, cfg)[0] - base[t, x]) / eps
     # single costs equal the scalar one-state-at-a-time quadrature
     for t, eps, u in ((0.3, 0.05, spec.u_hi), (0.9, 0.1, spec.u_lo)):
         pert = perturbed_strategy(eq, t, eps, u, spec)

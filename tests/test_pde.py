@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -228,7 +229,7 @@ def test_theta0_trivial_identity_in_y():
     for k in (0, 3):
         for l in (0, 4):
             for y in (-2.0, 0.5, 3.0):
-                assert abs(t0.value(k, 6, l, 3, y) - y) == 0.0
+                assert abs(t0.value(k, k, l, 3, y) - y) == 0.0
 
 
 def test_theta0_upper_triangle_guard_and_y_range():
@@ -240,6 +241,10 @@ def test_theta0_upper_triangle_guard_and_y_range():
         t0.value(5, 3, 0, 0, 0.0)
     with pytest.raises(YRangeError):
         t0.value(0, 5, 0, 0, 9.0)
+    # only each anchor's first row (s = t) is kept
+    for query in (t0.value, t0.value_dy):
+        with pytest.raises(DomainError):
+            query(3, 5, 0, 0, 0.0)
 
 
 def test_theta0_separable_class_y_variation_and_dy():
@@ -253,7 +258,7 @@ def test_theta0_separable_class_y_variation_and_dy():
     for k in (0, 3):
         for l in (2, 6):
             for i in (1, 4, 7):
-                vals = [general.value(k, 5, l, i, y)
+                vals = [general.value(k, k, l, i, y)
                         - float(split.ghat(grid.times[k], grid.xs[l], y))
                         for y in (-1.0, 0.0, 2.0)]
                 worst = max(worst, max(vals) - min(vals))
@@ -348,7 +353,7 @@ def test_general_tensor_matches_per_anchor_loop():
             ref = np.stack([_reference_anchor_sweep(spec, theta, diag, grid, t, xt,
                                                     spec.cost_terminal(t, xt, grid.xs, y), k)
                             for y in grid.ys])
-            assert np.array_equal(fam.data[(k, l)], ref)
+            assert np.array_equal(fam.first[k, l], ref[:, 0])
 
 
 def _assert_diagonal_is_point_queries(fam, theta, bundle):
@@ -462,6 +467,24 @@ def test_general_tensor_never_evaluates_below_anchor_time():
     fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, None, grid)
     bundle = pde.extract_diagonal(fam, theta)
     assert np.all(np.isfinite(bundle.d)) and np.all(np.isfinite(bundle.dxx))
+
+
+def test_general_tensor_keeps_first_rows_only():
+    # the traced peak of the general solve and its diagonal stays below the
+    # bytes of one (nt, nx, ny, nt, nx) tensor, which held every anchor's rows
+    spec = model.bkm_separable()
+    nx, nt, ny = 17, 33, 17
+    grid = pde.GridSpec(-2.0, 2.0, nx, nt, 1.0, y_lo=-3.0, y_hi=3.0, ny=ny)
+    theta = pde.solve_theta(spec, ZERO, grid)
+    tracemalloc.start()
+    try:
+        fam = pde.solve_theta0_family(replace(spec, terminal_split=None), ZERO, theta, None, grid)
+        pde.extract_diagonal(fam, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nt * nx * ny * nt * nx * 8, f"traced peak {peak / 2 ** 20:.1f} MiB"
+    assert fam.first.shape == (nt, nx, ny, nx)
 
 
 @settings(max_examples=12, deadline=None)
@@ -770,9 +793,7 @@ def _two_sweep_fields(spec, strategy, grid, diag_guess):
 
 
 def _cost_arrays(theta0):
-    if theta0.mode == "separable":
-        return [theta0.hat]
-    return [theta0.data[key] for key in sorted(theta0.data)]
+    return [theta0.hat if theta0.mode == "separable" else theta0.first]
 
 
 @pytest.mark.parametrize("family, nx, nt, general", [
