@@ -385,9 +385,71 @@ class SeparableCostField:
         return DiagonalBundle(d=d, dx=hat_dx, dy=dy, dxx=hat_dxx)
 
 
+def _spline_fit(ys, vals):
+    """Coefficients of the not-a-knot cubic spline through vals (ny, ...) along
+    axis 0, bit for bit scipy's ``CubicSpline(ys, vals).c``: c[:, p] holds
+    piece p's powers of (y - ys[p]), cubic first, shape (4, ny - 1, ...).
+
+    The knot slopes follow scipy's default route: the secant for two knots,
+    its dense 3 x 3 system (``scipy.linalg.solve``) for three, and its
+    tridiagonal system (LAPACK ``dgtsv``, what ``solve_banded((1, 1), ...)``
+    calls) from four on; then the Hermite coefficients in its operation order.
+    The dense solve's last bits depend on the right-hand sides solved with a
+    column, so a fit reproduces scipy only for the same batch of columns.
+    scipy.linalg is imported here, as in ``solve_banded``.
+    """
+    n = ys.size
+    dx = np.diff(ys)
+    dxr = dx.reshape((n - 1,) + (1,) * (vals.ndim - 1))
+    slope = np.diff(vals, axis=0) / dxr
+    if n == 2:
+        s = np.concatenate((slope, slope))
+    elif n == 3:
+        from scipy.linalg import solve
+        A = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        b = np.empty(vals.shape)
+        b[0] = 2 * slope[0]
+        b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
+        b[2] = 2 * slope[1]
+        s = solve(A, b.reshape(3, -1), overwrite_a=True, overwrite_b=True,
+                  check_finite=False).reshape(b.shape)
+    else:
+        from scipy.linalg.lapack import dgtsv
+        d0, d1 = ys[2] - ys[0], ys[-1] - ys[-3]
+        diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        b = np.empty(vals.shape)
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+        b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+        lower, upper = np.append(dx[1:], d1), np.insert(dx[:-1], 0, d0)
+        _, _, _, s, info = dgtsv(lower, diag, upper, b.reshape(n, -1), overwrite_b=True)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        s = s.reshape(b.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], vals[:-1]))
+
+
+def _spline_piece(ys, y):
+    """Piece index of y on the knots ys, the last piece closed on the right
+    (PPoly's rule), and the offset y - ys[piece]."""
+    p = np.clip(np.searchsorted(ys, y, "right") - 1, 0, ys.size - 2)
+    return p, y - ys[p]
+
+
+def _spline_at(c, s, nu=0):
+    """Piece coefficients c (4, ...) at offsets s: the value, or the y-slope for
+    nu = 1, in PPoly's operation order, so the bits are scipy's."""
+    if nu == 0:
+        return 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
+    return 0.0 + c[2] + c[1] * s * 2.0 + c[0] * (s * s) * 3.0
+
+
 # (anchor, x) columns per y-spline fit of the general diagonal: whole time rows
 # are fitted together up to this many columns, which bounds the fit's
-# temporaries (about 11 ny doubles a column) on fine grids
+# temporaries (about 10 ny doubles a column: the data's slopes, the knot-slope
+# system's right-hand side, LAPACK's copy of it, the Hermite terms and the
+# 4 (ny - 1) coefficients) on fine grids
 _SPLINE_COLUMNS = 4096
 
 
@@ -395,7 +457,8 @@ class GeneralCostField:
     """General anchor tensor, kept as each anchor's first row: first[k, l, r] is
     the x row at s = times[k] of the field anchored at (times[k], xs[l], ys[r]),
     all the diagonal reads.  Queries at s != t raise DomainError; y-interpolation
-    is cubic, and leaving the y grid raises YRangeError.
+    is scipy's default (not-a-knot) cubic spline, fitted and evaluated here with
+    its bits, and a y off the grid (NaN included) raises YRangeError.
     """
 
     mode = "general"
@@ -411,63 +474,67 @@ class GeneralCostField:
         return float(self.xs[1] - self.xs[0])
 
     def _row_spline(self, t_idx, s_idx, xt_idx):
-        """The y-spline of the anchor's whole x row at its birth, s_idx = t_idx.
+        """The y-spline coefficients (4, ny - 1, nx) of the anchor's whole x row
+        at its birth, s_idx = t_idx.
 
-        A query fits the whole row, not its one column, because scipy's 3-knot
-        spline solves a dense system whose last bits differ between one
-        right-hand side and several; so a query and ``diagonal`` agree.
+        A query fits the whole row, not its one column, because the 3-knot fit
+        solves a dense system whose last bits differ between one right-hand
+        side and several; so a query and ``diagonal`` agree.
         """
-        from scipy.interpolate import CubicSpline
         if s_idx != t_idx:
             raise DomainError(f"general cost field keeps s = t only (t index {t_idx}, s index {s_idx})")
-        return CubicSpline(self.ys, self.first[t_idx, xt_idx])
+        return _spline_fit(self.ys, self.first[t_idx, xt_idx])
 
     def _y_check(self, s, x, y):
-        if y < self.ys[0] or y > self.ys[-1]:
+        if not (self.ys[0] <= y <= self.ys[-1]):
             raise YRangeError(s, x, y, self.ys[0], self.ys[-1])
 
-    def value(self, t_idx, s_idx, xt_idx, x_idx, y):
+    def _query(self, t_idx, s_idx, xt_idx, x_idx, y, nu):
         self._y_check(self.times[s_idx], self.xs[x_idx], y)
-        return float(self._row_spline(t_idx, s_idx, xt_idx)(y)[x_idx])
+        p, off = _spline_piece(self.ys, y)
+        return float(_spline_at(self._row_spline(t_idx, s_idx, xt_idx)[:, p, x_idx], off, nu))
+
+    def value(self, t_idx, s_idx, xt_idx, x_idx, y):
+        return self._query(t_idx, s_idx, xt_idx, x_idx, y, 0)
 
     def value_dy(self, t_idx, s_idx, xt_idx, x_idx, y):
-        self._y_check(self.times[s_idx], self.xs[x_idx], y)
-        return float(self._row_spline(t_idx, s_idx, xt_idx)(y, 1)[x_idx])
+        return self._query(t_idx, s_idx, xt_idx, x_idx, y, 1)
 
     def diagonal(self, theta: FieldTheta):
         """The diagonal D(s, x) = Theta0(s, s, x, x, theta(s, x)) and its slopes.
 
         One cubic spline along y is fitted to the first rows of all diagonal
-        anchors (j, i) of a block of whole time rows at once (every row, unless
-        that exceeds ``_SPLINE_COLUMNS`` columns).  Each time row j is then
-        evaluated at theta's row j, and anchor i keeps its own row at
-        theta(s_j, x_i), which gives d and, through the difference stencils,
-        dx and dxx; dy comes from the spline's y-derivative.  Every entry
-        carries the bits of the point queries ``value`` and ``value_dy`` at
-        that node.  The first node, in row-major order, whose theta leaves the
-        y grid raises YRangeError.
+        anchors (j, l) of a block of whole time rows at once (every row, unless
+        that exceeds ``_SPLINE_COLUMNS`` columns).  Anchor l of row j then
+        evaluates only its own x row, on the piece that holds theta(s_j, x_l),
+        which gives d at column l and, through the difference stencils, dx and
+        dxx; dy is the y-slope of column l alone.  Every entry carries the bits
+        of the point queries ``value`` and ``value_dy`` at that node.  The first
+        node, in row-major order, whose theta is off the y grid or NaN raises
+        YRangeError.
         """
-        from scipy.interpolate import CubicSpline, PPoly
         nt, nx = self.times.size, self.xs.size
         th = theta.values[0]
-        outside = np.argwhere((th < self.ys[0]) | (th > self.ys[-1]))    # row-major
+        outside = np.argwhere(~((self.ys[0] <= th) & (th <= self.ys[-1])))    # row-major
         if outside.size:
-            j, i = outside[0]
-            self._y_check(self.times[j], self.xs[i], th[j, i])
-        i = np.arange(nx)
+            j, l = outside[0]
+            self._y_check(self.times[j], self.xs[l], th[j, l])
+        piece, off = _spline_piece(self.ys, th)
+        l = np.arange(nx)
         d, dyv, dxv, dxxv = np.empty((4, nt, nx))
         step = max(1, _SPLINE_COLUMNS // (nx * nx))
         for j0 in range(0, nt, step):
-            block = range(j0, min(j0 + step, nt))
-            # axes (y-node, anchor time j0 + b, x-anchor, x)
-            spline = CubicSpline(self.ys, self.first[j0:j0 + step].transpose(2, 0, 1, 3))
-            for b, j in enumerate(block):
-                c = spline.c[:, :, b]       # (4, ny - 1, anchor, x)
-                rows = PPoly.construct_fast(c, spline.x)(th[j])[i, i]
-                d[j] = rows[i, i]
-                dyv[j] = PPoly.construct_fast(c[..., i, i], spline.x)(th[j], 1)[i, i]
-                dxv[j] = _dx_rows(rows, self.dx)[i, i]
-                dxxv[j] = _dxx_rows(rows, self.dx)[i, i]
+            rows = slice(j0, min(j0 + step, nt))
+            # axes (y-node, anchor time, x-anchor, x)
+            c = _spline_fit(self.ys, self.first[rows].transpose(2, 0, 1, 3))
+            b = np.arange(c.shape[2])[:, None]
+            # (4, row, anchor l, x): anchor l's piece at theta of row j, node l
+            c = c[:, piece[rows], b, l]
+            vals = _spline_at(c, off[rows, :, None])
+            d[rows] = vals[:, l, l]
+            dyv[rows] = _spline_at(c[..., l, l], off[rows], 1)
+            dxv[rows] = _dx_rows(vals, self.dx)[:, l, l]
+            dxxv[rows] = _dxx_rows(vals, self.dx)[:, l, l]
         return DiagonalBundle(d=d, dx=dxv, dy=dyv, dxx=dxxv)
 
 
@@ -503,6 +570,9 @@ def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
         term = spec.cost_terminal(t_col, xt_col, xs, ys[None, None, :, None])
     last = values[..., -1, :] if separable else values
     last[...] = np.asarray(term, dtype=float) + 0.0   # + 0.0 also turns -0.0 into 0.0
+    if not separable and not np.all(np.isfinite(values[-1])):
+        # no step reads the anchor at T, whose first row is the terminal itself
+        raise EvaluationError("cost_terminal")
 
     def source(j, s, u, sig, w):
         th, z = _y_z(spec, theta.slice(j), theta.dx_slice(j) * sig)
@@ -670,9 +740,13 @@ def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6):
 
     The first iteration runs under the zero control clipped to U.  Returns
     (theta, theta0, strategy_table, log); non-convergence is reported
-    through log.converged, never raised.  An unbounded control interval raises
-    DomainError before the first iteration, as in ``minimize_hamiltonian``.
+    through log.converged, never raised.  A tol that is not finite and positive,
+    which no residual can pass, and an unbounded control interval raise
+    DomainError before the first iteration, the latter as in
+    ``minimize_hamiltonian``.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"fixed-point tolerance must be finite and > 0, got {tol}")
     if not spec.u_bounded:
         raise DomainError("numeric minimization needs a bounded control interval")
     xs, times = grid.xs, grid.times

@@ -202,6 +202,17 @@ def test_refused_runs_leave_no_output_directory(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+def test_fixed_point_tolerance_must_be_finite_and_positive(tmp_path, capsys):
+    # no residual is below a tol <= 0 or NaN, so such a run would only spend
+    # every Picard iteration and report converged=False
+    for tol in ("-1", "0", "nan"):
+        for cmd in ("pde-solve", "meanvar"):
+            out = tmp_path / f"{cmd}_{tol}"
+            assert run([cmd, "--tol", tol, "--out", str(out)]) == 2, (cmd, tol)
+            assert "config error: fixed-point tolerance" in capsys.readouterr().err
+            assert not out.exists(), (cmd, tol)
+
+
 def test_pde_solve_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"family": "no_such_family"}))

@@ -1,6 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,6 +426,91 @@ def test_general_diagonal_names_the_first_node_off_the_y_grid():
     with pytest.raises(YRangeError) as err:
         fam.diagonal(pde.FieldTheta(grid.times, grid.xs, th))
     assert err.value.node == (grid.times[2], grid.xs[5], 3.5)
+
+
+def test_general_diagonal_and_queries_refuse_a_nan_theta():
+    # NaN fails every comparison, so it must not slip past the y-range check;
+    # it is reported as the first bad node in row-major order
+    spec = replace(_anchored_spec(), terminal_split=None)
+    grid = pde.GridSpec(-2.0, 2.0, 9, 8, 1.0, y_lo=-3.0, y_hi=3.0, ny=5)
+    fam = pde.solve_theta0_family(spec, X_STRATEGY, pde.solve_theta(spec, X_STRATEGY, grid),
+                                  None, grid)
+    th = np.zeros((grid.nt, grid.nx))
+    th[3, 2], th[5, 0] = np.nan, 4.0
+    with pytest.raises(YRangeError) as err:
+        fam.diagonal(pde.FieldTheta(grid.times, grid.xs, th))
+    s, x, y = err.value.node
+    assert (s, x) == (grid.times[3], grid.xs[2]) and math.isnan(y)
+    for query in (fam.value, fam.value_dy):
+        with pytest.raises(YRangeError):
+            query(2, 2, 1, 4, math.nan)
+
+
+def test_general_cost_field_refuses_a_non_finite_terminal_row():
+    # the anchor at T is never stepped, so its terminal row is checked on its own
+    base = model.bkm_separable()
+
+    def cost_terminal(t, xt, x, y):
+        return base.cost_terminal(t, xt, x, y) + np.where(np.asarray(t) >= 1.0, np.inf, 0.0)
+
+    spec = replace(base, terminal_split=None, cost_terminal=cost_terminal)
+    grid = pde.GridSpec(-2.0, 2.0, 9, 8, 1.0, y_lo=-3.0, y_hi=3.0, ny=5)
+    with pytest.raises(EvaluationError, match="'cost_terminal'"):
+        pde.solve_theta0_family(spec, ZERO, pde.solve_theta(spec, ZERO, grid), None, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ny=st.integers(2, 12), start=st.floats(-5.0, 5.0),
+       gaps=st.lists(st.floats(0.01, 3.0), min_size=11, max_size=11),
+       batch=st.sampled_from([(), (1,), (6,), (3, 4), (2, 3, 17)]),
+       scale=st.sampled_from([1e-6, 1.0, 1e4]), seed=st.integers(0, 2 ** 32 - 1))
+def test_spline_fit_and_evaluation_are_scipys_bits(ny, start, gaps, batch, scale, seed):
+    # the y-spline of the general cost field against scipy's CubicSpline, the
+    # route it replaces: coefficients, values and y-slopes on the knots, at both
+    # ends and between knots, compared by their bytes
+    from scipy.interpolate import CubicSpline
+    ys = start + np.concatenate(([0.0], np.cumsum(gaps[:ny - 1])))
+    rng = np.random.default_rng(seed)
+    vals = scale * rng.normal(size=(ny,) + batch)
+    ref = CubicSpline(ys, vals)
+    c = pde._spline_fit(ys, vals)
+    assert c.tobytes() == ref.c.tobytes()
+    y = np.concatenate((ys, rng.uniform(ys[0], ys[-1], 9)))
+    piece, off = pde._spline_piece(ys, y)
+    off = off.reshape(off.shape + (1,) * len(batch))
+    for nu in (0, 1):
+        assert pde._spline_at(c[:, piece], off, nu).tobytes() == ref(y, nu).tobytes()
+
+
+# Solves a general tensor at ny = 2, 3 and 5 (each knot-slope route of the
+# y-spline), takes its diagonal and point queries, and prints the scipy
+# modules loaded.
+_GENERAL_IMPORTS = """
+import json, sys
+from dataclasses import replace
+import numpy as np
+from fbcontrol import model, pde
+spec = replace(model.bkm_separable(), terminal_split=None)
+zero = model.StrategyTable(-1.0, 1.0, fn=lambda s, x: 0.0 * np.asarray(x, dtype=float))
+for ny in (2, 3, 5):
+    grid = pde.GridSpec(-2.0, 2.0, 9, 9, 1.0, y_lo=-3.0, y_hi=3.0, ny=ny)
+    theta = pde.solve_theta(spec, zero, grid)
+    fam = pde.solve_theta0_family(spec, zero, theta, None, grid)
+    pde.extract_diagonal(fam, theta)
+    fam.value(2, 2, 3, 4, 0.5), fam.value_dy(2, 2, 3, 4, 0.5)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_general_cost_field_loads_no_scipy_interpolate():
+    # a subprocess, since this pytest process has imported scipy.interpolate
+    env = dict(os.environ, PYTHONPATH=str(Path(pde.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _GENERAL_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "scipy.linalg" in loaded
+    assert [m for m in loaded if m.startswith("scipy.interpolate")] == []
 
 
 def _per_anchor_separable_diagonal(fam):
