@@ -986,6 +986,230 @@ def test_perturbation_window_validation(mv_r0_solution):
 
 
 # ---------------------------------------------------------------------------
+# every solve against a per-step reference loop
+# ---------------------------------------------------------------------------
+
+def _reference_step(spec, grid, s, u, w, source):
+    """One step of the per-step loop: the control row u, the coefficients at the
+    scalar s, the explicit source of the later rows w and one step_parabolic."""
+    xs = grid.xs
+    zero = np.zeros_like(xs)
+    u = np.asarray(u, dtype=float) + zero
+    sig = np.asarray(spec.diffusion(s, xs, u), dtype=float) + zero
+    b = np.asarray(spec.drift(s, xs, u), dtype=float) + zero
+    src = np.asarray(source(u, sig), dtype=float) + np.zeros_like(w)
+    return pde.step_parabolic(w, 0.5 * sig * sig, b, src, grid.dt, grid.dx)
+
+
+def _reference_theta(spec, strategy, grid):
+    """The value field, (m, nt, nx), one step at a time."""
+    xs, times = grid.xs, grid.times
+    term = np.atleast_2d(np.asarray(spec.terminal(xs), dtype=float))
+    vals = np.empty((term.shape[0], times.size, xs.size))
+    vals[:, -1] = term
+    for j in range(times.size - 2, -1, -1):
+        s, w = times[j + 1], vals[:, j + 1]
+
+        def source(u, sig):
+            y, z = w, pde._dx_rows(w, grid.dx) * sig
+            return np.atleast_2d(np.asarray(spec.generator(
+                s, xs, u, *((y, z) if spec.m > 1 else (y[0], z[0]))), dtype=float))
+
+        vals[:, j] = _reference_step(spec, grid, s, strategy(s, xs), w, source)
+    return vals
+
+
+def _reference_cost(spec, strategy, theta, diag, grid):
+    """The cost field's stepped values: (nt, nx) anchor-free, (nx, nt, nx) one
+    field per x-anchor, or the general tensor's first rows (nt, nx, ny, nx)."""
+    xs, times = grid.xs, grid.times
+    nt, nx = times.size, xs.size
+    split = spec.terminal_split
+    separable = split is not None and split.t_free
+    if separable:
+        xt = xs if split.xtilde_free else xs[:, None]
+        vals = np.empty(((nt,) if split.xtilde_free else (nx, nt)) + (nx,))
+        vals[..., -1, :] = np.asarray(split.fhat(grid.T, xt, xs), dtype=float) + 0.0
+    else:
+        t_col, xt = times[:, None, None, None], xs[None, :, None, None]
+        vals = np.empty((nt, nx, grid.ys.size, nx))
+        vals[...] = np.asarray(spec.cost_terminal(t_col, xt, xs, grid.ys[None, None, :, None]),
+                               dtype=float) + 0.0
+    for j in range(nt - 2, -1, -1):
+        s = times[j + 1]
+        w = vals[..., j + 1, :] if separable else vals[:j + 1]
+
+        def source(u, sig):
+            y, z = theta.values[:, j + 1], theta.dx_slice(j + 1) * sig
+            if spec.m == 1:
+                y, z = y[0], z[0]
+            t = s if separable else t_col[:j + 1]
+            return spec.cost_generator(t, s, xt, xs, u, y, z, diag.d[j + 1],
+                                       pde._dx_rows(w, grid.dx) * sig)
+
+        stepped = _reference_step(spec, grid, s, strategy(s, xs), w, source)
+        if separable:
+            vals[..., j, :] = stepped
+        else:
+            vals[:j + 1] = stepped
+    return vals
+
+
+def _reference_fields(spec, strategy, grid, diag_guess):
+    """``solve_fields`` from the reference loops, wrapped in pde's field types."""
+    theta = pde.FieldTheta(grid.times, grid.xs, _reference_theta(spec, strategy, grid))
+    diag = pde.DiagonalBundle.zeros(grid.nt, grid.nx) if diag_guess is None else diag_guess
+    vals = _reference_cost(spec, strategy, theta, diag, grid)
+    split = spec.terminal_split
+    if split is not None and split.t_free:
+        return theta, pde.SeparableCostField(grid.times, grid.xs, vals, split, split.xtilde_free)
+    return theta, pde.GeneralCostField(grid.times, grid.xs, grid.ys, vals)
+
+
+def _reference_case(family, general):
+    spec = _anchored_spec() if family == "x_anchored" else model.make_spec(family)
+    if general:
+        spec = replace(spec, terminal_split=None)
+        grid = pde.GridSpec(-2.0, 2.0, 9, 9, 1.0, y_lo=-4.0, y_hi=4.0, ny=5)
+    else:
+        grid = pde.default_grid(spec, nx=21, nt=17)
+    return spec, grid
+
+
+def _grid_strategy(spec, grid, seed):
+    """A grid table on the solver's nodes with values beyond U and signed zeros."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(1.5 * spec.u_lo, 1.5 * spec.u_hi, size=(grid.nt, grid.nx))
+    values[::3, ::4] = -0.0
+    return StrategyTable(spec.u_lo, spec.u_hi, s_grid=grid.times, x_grid=grid.xs, values=values)
+
+
+_REFERENCE_CASES = [("mean_variance", False), ("recursive_lq", False),
+                    ("bkm_separable", False), ("linear_heat", False), ("x_anchored", False),
+                    ("recursive_lq", True), ("bkm_separable", True)]
+
+
+@pytest.mark.parametrize("family, general", _REFERENCE_CASES)
+@pytest.mark.parametrize("table", ["fn", "grid"])
+def test_solves_match_the_per_step_loop(family, general, table):
+    spec, grid = _reference_case(family, general)
+    strategy = (StrategyTable(spec.u_lo, spec.u_hi,
+                              fn=lambda s, x: 0.4 * np.sin(np.asarray(x) + s)
+                              * (spec.u_hi - spec.u_lo))
+                if table == "fn" else _grid_strategy(spec, grid, 5))
+    ref_theta, ref_cost = _reference_fields(spec, strategy, grid, None)
+    theta = pde.solve_theta(spec, strategy, grid)
+    assert np.array_equal(theta.values, ref_theta.values)
+    diag = pde.DiagonalBundle(*(np.cos(np.arange(4)[:, None, None] + theta.values[0])))
+    cost = _cost_arrays(pde.solve_theta0_family(spec, strategy, theta, diag, grid))[0]
+    assert np.array_equal(cost, _cost_arrays(_reference_fields(spec, strategy, grid, diag)[1])[0])
+    fused_theta, fused_cost = pde.solve_fields(spec, strategy, grid, None)
+    assert np.array_equal(fused_theta.values, ref_theta.values)
+    assert np.array_equal(_cost_arrays(fused_cost)[0], _cost_arrays(ref_cost)[0])
+
+
+def test_mean_variance_fixed_point_matches_the_per_step_loop(monkeypatch):
+    spec = model.mean_variance()
+    grid = pde.default_grid(spec, nx=65, nt=201)
+    runs = []
+    for fields in (pde.solve_fields, _reference_fields):
+        with monkeypatch.context() as mp:
+            mp.setattr(pde, "solve_fields", fields)
+            runs.append(pde.equilibrium_fixed_point(spec, grid))
+    (theta, theta0, strat, log), (r_theta, r_theta0, r_strat, r_log) = runs
+    assert log.converged and log.rows == r_log.rows
+    assert np.array_equal(theta.values, r_theta.values)
+    assert np.array_equal(theta0.hat, r_theta0.hat)
+    assert np.array_equal(strat.values, r_strat.values)
+
+
+def _reference_perturbation(spec, theta, theta0, j0, j1, u, grid):
+    """The window's value components and cost field, (m + 1, window, nx)."""
+    xs, times, m = grid.xs, grid.times, theta.m
+    vals = np.empty((m + 1, j1 - j0 + 1, xs.size))
+    vals[:m, -1] = theta.slice(j1)
+    vals[m, -1] = theta0.hat[j1]
+    for j in range(j1 - j0 - 1, -1, -1):
+        s, w = times[j0 + j + 1], vals[:, j + 1]
+
+        def source(u_row, sig):
+            y, z = w[:m], pde._dx_rows(w[:m], grid.dx) * sig
+            if m == 1:
+                y, z = y[0], z[0]
+            src = np.empty_like(w)
+            src[:m] = np.atleast_2d(np.asarray(spec.generator(s, xs, u_row, y, z), dtype=float))
+            later = w[m] + np.asarray(spec.terminal_split.ghat(s, xs, w[0]), dtype=float)
+            src[m] = spec.cost_generator(s, s, xs, xs, u_row, y, z, later,
+                                         pde._dx_rows(w[m], grid.dx) * sig)
+            return src
+
+        vals[:, j] = _reference_step(spec, grid, s, np.full(xs.size, float(u)), w, source)
+    return vals
+
+
+@pytest.mark.parametrize("t, eps, u", [(0.2, 0.1, 2.5), (0.0, 0.3, -1.0), (0.5, 0.004, 0.0)])
+def test_perturbation_matches_the_per_step_loop(mv_r0_solution, t, eps, u):
+    spec, grid, theta, theta0 = mv_r0_solution
+    res = pde.solve_perturbation(spec, theta, theta0, t, eps, u, grid)
+    j0, j1 = int(round(t / grid.dt)), int(round((t + eps) / grid.dt))
+    ref = _reference_perturbation(spec, theta, theta0, j0, j1, u, grid)
+    assert np.array_equal(res.theta_e.values, ref[:-1])
+    assert np.array_equal(res.hat_e, ref[-1])
+
+
+# ---------------------------------------------------------------------------
+# which error a sweep raises, and at which step
+# ---------------------------------------------------------------------------
+
+def _faulty_heat(diffusion_bad, source_bad, seen):
+    """linear_heat whose diffusion is bad for s < 0.3 and whose generator, which
+    records the times it sees, is non-finite for s > 0.7 when ``source_bad``."""
+    def diffusion(s, x, u):
+        bad = np.asarray(s) < 0.3
+        return np.where(bad, diffusion_bad, 1.0) + 0.0 * np.asarray(x)
+
+    def generator(s, x, u, y, z):
+        seen.append(s)
+        return np.where(source_bad and s > 0.7, np.nan, 0.0) + 0.0 * np.asarray(x)
+
+    return replace(model.linear_heat(), diffusion=diffusion, generator=generator)
+
+
+@pytest.mark.parametrize("diffusion_bad", [np.nan, -1.0, np.inf])
+def test_a_later_steps_source_error_wins_over_an_earlier_diffusion_fault(diffusion_bad):
+    seen = []
+    spec = _faulty_heat(diffusion_bad, True, seen)
+    grid = pde.GridSpec(-2.0, 2.0, 17, 11, 1.0)
+    with pytest.raises(EvaluationError, match="'source'") as exc:
+        pde.solve_theta(spec, ZERO, grid)
+    assert exc.value.coefficient == "source"
+    assert seen == [grid.times[-1]]   # the first step already fails
+
+
+@pytest.mark.parametrize("diffusion_bad", [np.nan, np.inf])
+def test_a_diffusion_fault_is_raised_at_its_own_step(diffusion_bad):
+    seen = []
+    spec = _faulty_heat(diffusion_bad, False, seen)
+    grid = pde.GridSpec(-2.0, 2.0, 17, 11, 1.0)
+    with pytest.raises(EvaluationError, match="'diffusion'") as exc:
+        pde.solve_theta(spec, ZERO, grid)
+    assert exc.value.coefficient == "diffusion"
+    # every step down to the first s < 0.3 ran its source, and no step below it
+    assert seen == [s for s in grid.times[:0:-1] if s >= grid.times[grid.times < 0.3][-1]]
+
+
+def test_a_negative_diffusion_coefficient_keeps_its_message():
+    with pytest.raises(DegeneracyError, match=r"^negative diffusion coefficient -0\.5$"):
+        pde.step_parabolic(np.zeros(9), np.full(9, -0.5), 0.0, 0.0, 1e-3, 0.1)
+    # a = sigma^2 / 2 is never negative: a negative sigma in a sweep steps like |sigma|
+    grid = pde.GridSpec(-2.0, 2.0, 17, 11, 1.0)
+    flipped = _faulty_heat(-math.sqrt(2.0), False, [])
+    plain = _faulty_heat(math.sqrt(2.0), False, [])
+    assert np.array_equal(pde.solve_theta(flipped, ZERO, grid).values,
+                          pde.solve_theta(plain, ZERO, grid).values)
+
+
+# ---------------------------------------------------------------------------
 # kernel_solve_linear
 # ---------------------------------------------------------------------------
 
