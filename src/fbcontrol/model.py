@@ -109,6 +109,26 @@ class ControlProblemSpec:
         return abs(self.u_lo) < U_INF and abs(self.u_hi) < U_INF
 
 
+def _interp_rows(x, xp, fp):
+    """``np.interp(x, xp, fp[i])`` for every row i of fp (k, xp.size), with its
+    bits: the edge values outside [xp[0], xp[-1]], the node value on a node,
+    else slope (x - xp[j]) + fp[j], retried from the right node when that is NaN."""
+    if xp.size == 1:
+        return np.repeat(fp, x.size, axis=1)
+    j = np.clip(xp.searchsorted(x, "right") - 1, 0, xp.size - 2)
+    lo, hi = fp[:, j], fp[:, j + 1]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        slope = (hi - lo) / (xp[j + 1] - xp[j])
+        out = slope * (x - xp[j]) + lo
+        retry = np.isnan(out)
+        if retry.any():
+            out = np.where(retry, slope * (x - xp[j + 1]) + hi, out)
+            out = np.where(retry & np.isnan(out) & (lo == hi), lo, out)
+    out = np.where(x == xp[j], lo, out)
+    out = np.where(x < xp[0], fp[:, :1], np.where(x >= xp[-1], fp[:, -1:], out))
+    return np.where(np.isnan(x), x, out)
+
+
 class StrategyTable:
     """A feedback strategy: closed-form callable or interpolated grid table.
 
@@ -158,6 +178,27 @@ class StrategyTable:
         out = out + (0.0 if out.shape == shape else np.zeros(shape))
         out = np.minimum(self.u_hi, np.maximum(self.u_lo, out))
         return out if out.ndim else float(out)
+
+    def rows(self, s, x):
+        """The strategy on the times s (k,) and the states x (n,), as a (k, n)
+        block whose row i has the bits of ``self(s[i], x)``.
+
+        A grid table is evaluated for all times at once; an ``fn`` table is
+        called once per time, so the callable sees what ``__call__`` gives it.
+        """
+        s = np.asarray(s, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if self.fn is not None:
+            return np.array([self(si, x) for si in s]).reshape(s.size, x.size)
+        sg = self.s_grid
+        j = np.clip(sg.searchsorted(s) - 1, 0, sg.size - 2)
+        lo, hi = sg[j], sg[j + 1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = np.where(hi == lo, 0.0, (s - lo) / (hi - lo))
+        # Python's min(max(w, 0.0), 1.0): NaN and -0.0 pass both
+        w = np.where(w > 1.0, 1.0, np.where(0.0 > w, 0.0, w))[:, None]
+        out = _interp_rows(x, self.x_grid, (1.0 - w) * self.values[j] + w * self.values[j + 1])
+        return np.minimum(self.u_hi, np.maximum(self.u_lo, out + 0.0))
 
     def max_x_jump(self):
         """Largest jump between adjacent space nodes (minimizer continuity probe)."""

@@ -358,6 +358,46 @@ def test_strategy_table_scalar_query_bit_equal_to_array_query(bounds, grid, shap
     assert got.hex() == float(want).hex()
 
 
+_TABLE_VALUE = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 3.0, -3.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.one_of(_BOUNDS, st.sampled_from([(-1.0, -0.0), (0.0, 1.0), (-0.0, 0.0)])),
+       data=st.data())
+def test_strategy_table_rows_bit_equal_to_stacked_calls(bounds, data):
+    # s on nodes, between them and outside the grid; repeated time nodes; x off
+    # the grid and on its nodes; table values beyond U and signed zeros
+    lo, hi = bounds
+    s_nodes = sorted(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                        min_size=2, max_size=6)))
+    if s_nodes[0] == s_nodes[-1]:
+        s_nodes[-1] += 1.0
+    x_grid = sorted(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6,
+                                       unique=True)))
+    n = len(s_nodes) * len(x_grid)
+    values = np.reshape(data.draw(st.lists(_TABLE_VALUE, min_size=n, max_size=n)),
+                        (len(s_nodes), len(x_grid)))
+    tab = StrategyTable(lo, hi, s_grid=s_nodes, x_grid=x_grid, values=values)
+    s = np.array(data.draw(st.lists(st.one_of(st.sampled_from(s_nodes + [-0.0]),
+                                              st.floats(-1.0, 2.0)), max_size=8)))
+    x = np.array(data.draw(st.lists(st.one_of(st.sampled_from(x_grid + [-0.0]),
+                                              st.floats(-5.0, 5.0)), min_size=1, max_size=8)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = tab.rows(s, x)
+        want = np.array([tab(si, x) for si in s]).reshape(s.size, x.size)
+    assert got.shape == want.shape == (s.size, x.size)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_strategy_table_rows_call_an_fn_table_once_per_time():
+    seen = []
+    tab = StrategyTable(-1.0, 1.0, fn=lambda s, x: seen.append(s) or 2.0 * s - np.asarray(x))
+    s, x = np.array([0.0, 0.5, -0.0, 2.0]), np.linspace(-1.0, 1.0, 5)
+    got = tab.rows(s, x)
+    assert [np.float64(v).tobytes() for v in seen] == [v.tobytes() for v in s]
+    assert got.tobytes() == np.array([tab(si, x) for si in s]).tobytes()
+
+
 def test_strategy_table_requires_one_backend():
     with pytest.raises(DomainError):
         StrategyTable(-1, 1)
