@@ -989,16 +989,56 @@ def test_perturbation_window_validation(mv_r0_solution):
 # every solve against a per-step reference loop
 # ---------------------------------------------------------------------------
 
+def _reference_step_parabolic(w, a, drift, src, dt, dx):
+    """One IMEX step written out on its own, in the operation order the
+    solver's bits follow: explicit drift and source, then one banded solve."""
+    n = w.shape[-1]
+    a = np.asarray(a, dtype=float) + np.zeros(n)
+    if not np.all(np.isfinite(a)):
+        raise EvaluationError("diffusion")
+    if np.min(a) < 0.0:
+        raise DegeneracyError(f"negative diffusion coefficient {np.min(a):.3g}")
+    drift = np.asarray(drift, dtype=float) + np.zeros_like(w)
+    src = np.asarray(src, dtype=float) + np.zeros_like(w)
+    if not np.all(np.isfinite(src)):
+        raise EvaluationError("source")
+    mu = dt * a / (dx * dx)
+    rhs = np.empty(w.shape)
+    rhs[..., 1:-1] = w[..., 1:-1] + dt * (drift[..., 1:-1] * (w[..., 2:] - w[..., :-2]) / (2.0 * dx) + src[..., 1:-1])
+    rhs[..., 0] = w[..., 0] + dt * (drift[..., 0] * (-3.0 * w[..., 0] + 4.0 * w[..., 1] - w[..., 2]) / (2.0 * dx) + src[..., 0])
+    rhs[..., -1] = w[..., -1] + dt * (drift[..., -1] * (3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]) / (2.0 * dx) + src[..., -1])
+    if not np.all(np.isfinite(rhs)):
+        raise FBControlError("non-finite right-hand side")
+    ab = np.zeros((5, n))
+    ab[2, 1:-1] = 1.0 + 2.0 * mu[1:-1]
+    ab[1, 2:] = -mu[1:-1]
+    ab[3, :-2] = -mu[1:-1]
+    ab[2, 0], ab[1, 1], ab[0, 2] = 1.0 - mu[0], 2.0 * mu[0], -mu[0]
+    ab[2, -1], ab[3, -2], ab[4, -3] = 1.0 - mu[-1], 2.0 * mu[-1], -mu[-1]
+    return pde.solve_banded((2, 2), ab, rhs.reshape(-1, n).T).T.reshape(w.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_block_cases)
+def test_step_parabolic_matches_the_reference_step(lead, n, dt, dx, seed):
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (n,)
+    w, src = rng.normal(size=shape), rng.normal(size=shape)
+    a, drift = rng.uniform(0.0, 2.0, size=n), rng.normal(size=n)
+    assert np.array_equal(pde.step_parabolic(w, a, drift, src, dt, dx),
+                          _reference_step_parabolic(w, a, drift, src, dt, dx))
+
+
 def _reference_step(spec, grid, s, u, w, source):
     """One step of the per-step loop: the control row u, the coefficients at the
-    scalar s, the explicit source of the later rows w and one step_parabolic."""
+    scalar s, the explicit source of the later rows w and one reference step."""
     xs = grid.xs
     zero = np.zeros_like(xs)
     u = np.asarray(u, dtype=float) + zero
     sig = np.asarray(spec.diffusion(s, xs, u), dtype=float) + zero
     b = np.asarray(spec.drift(s, xs, u), dtype=float) + zero
     src = np.asarray(source(u, sig), dtype=float) + np.zeros_like(w)
-    return pde.step_parabolic(w, 0.5 * sig * sig, b, src, grid.dt, grid.dx)
+    return _reference_step_parabolic(w, 0.5 * sig * sig, b, src, grid.dt, grid.dx)
 
 
 def _reference_theta(spec, strategy, grid):
