@@ -111,13 +111,19 @@ def default_grid(spec, nx=129, nt=1001):
     return GridSpec(spec.x0 - half, spec.x0 + half, nx, nt, spec.horizon)
 
 
+def _diff_rows(vals):
+    """The numerators of ``_dx_rows``: central differences, second-order
+    one-sided at the edges."""
+    out = np.empty_like(vals)
+    out[..., 1:-1] = vals[..., 2:] - vals[..., :-2]
+    out[..., 0] = -3.0 * vals[..., 0] + 4.0 * vals[..., 1] - vals[..., 2]
+    out[..., -1] = 3.0 * vals[..., -1] - 4.0 * vals[..., -2] + vals[..., -3]
+    return out
+
+
 def _dx_rows(vals, dx):
     """Central first derivative, second-order one-sided at the edges."""
-    out = np.empty_like(vals)
-    out[..., 1:-1] = (vals[..., 2:] - vals[..., :-2]) / (2.0 * dx)
-    out[..., 0] = (-3.0 * vals[..., 0] + 4.0 * vals[..., 1] - vals[..., 2]) / (2.0 * dx)
-    out[..., -1] = (3.0 * vals[..., -1] - 4.0 * vals[..., -2] + vals[..., -3]) / (2.0 * dx)
-    return out
+    return _diff_rows(vals) / (2.0 * dx)
 
 
 def _dxx_rows(vals, dx):
@@ -148,6 +154,63 @@ def solve_banded(l_and_u, ab, b):
     return x
 
 
+def _check_diffusion(a):
+    """Raise for a diffusion row a that is not finite, or negative somewhere."""
+    if not np.all(np.isfinite(a)):
+        raise EvaluationError("diffusion")
+    if np.min(a) < 0.0:
+        raise DegeneracyError(f"negative diffusion coefficient {np.min(a):.3g}")
+
+
+def _bands(a, dt, dx):
+    """The (2, 2) band matrices (..., 5, n) of the implicit diffusion, one per
+    diffusion row a (..., n), stored as ``solve_banded`` reads them.  The ends
+    close by carrying the adjacent curvature through a one-sided second
+    difference."""
+    mu = dt * a / (dx * dx)
+    ab = np.zeros(a.shape[:-1] + (5, a.shape[-1]))
+    ab[..., 2, 1:-1] = 1.0 + 2.0 * mu[..., 1:-1]
+    ab[..., 1, 2:] = -mu[..., 1:-1]          # superdiagonal entries A[i, i+1]
+    ab[..., 3, :-2] = -mu[..., 1:-1]         # subdiagonal entries A[i, i-1]
+    # boundary rows: v_xx taken from the one-sided stencil (v0 - 2 v1 + v2)/dx^2
+    ab[..., 2, 0] = 1.0 - mu[..., 0]
+    ab[..., 1, 1] = 2.0 * mu[..., 0]
+    ab[..., 0, 2] = -mu[..., 0]
+    ab[..., 2, -1] = 1.0 - mu[..., -1]
+    ab[..., 3, -2] = 2.0 * mu[..., -1]
+    ab[..., 4, -3] = -mu[..., -1]
+    return ab
+
+
+def _explicit_rhs(w, diff, drift, src, dt, dx):
+    """The right-hand side w + dt (drift w_x + src) of one step for the later
+    rows w (k, n), whose ``_diff_rows`` are diff; drift broadcasts against w.
+    A non-finite source raises EvaluationError("source"), and a non-finite
+    result is traced to the drift, the field or an overflow."""
+    if not np.isfinite(src).all():
+        raise EvaluationError("source")
+    rhs = w + dt * (drift * diff / (2.0 * dx) + src)
+    # a non-finite drift or field entry always leaves a non-finite rhs entry
+    if not np.isfinite(rhs).all():
+        if not np.all(np.isfinite(drift)):
+            raise EvaluationError("drift")
+        raise FBControlError("non-finite field values entering the step"
+                             if not np.all(np.isfinite(w)) else "explicit step overflowed")
+    return rhs
+
+
+def _implicit_solve(ab, rhs):
+    """The rows (k, n) that the band matrix ab maps to the rows of rhs: one
+    ``solve_banded`` call, a right-hand side per row."""
+    try:
+        v = solve_banded((2, 2), ab, rhs.T)
+    except LinAlgError as exc:
+        raise FBControlError(f"banded solve failed: {exc}") from exc
+    if not np.isfinite(v).all():
+        raise FBControlError("banded solve produced non-finite values")
+    return v.T
+
+
 def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx):
     """One backward IMEX step of  d_s v + a v_xx + drift v_x + source = 0.
 
@@ -157,89 +220,85 @@ def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx):
     exact for quadratic data and degrades to linear extrapolation for linear
     data.  A block of fields along leading axes shares one band matrix and one
     solve, bit-identical to stepping each field on its own.  A negative
-    diffusion entry raises DegeneracyError.
+    diffusion entry raises DegeneracyError.  This is one step of ``_sweep``,
+    from the same band, right-hand side and solve helpers.
     """
     w = np.asarray(field_slice, dtype=float)
     n = w.shape[-1]
     a = np.asarray(a_row, dtype=float) + np.zeros(n)
-    if not np.all(np.isfinite(a)):
-        raise EvaluationError("diffusion")
-    if np.min(a) < 0.0:
-        raise DegeneracyError(f"negative diffusion coefficient {np.min(a):.3g}")
-    drift = np.asarray(drift_row, dtype=float) + np.zeros_like(w)
-    src = np.asarray(source_row, dtype=float) + np.zeros_like(w)
-    if not np.all(np.isfinite(src)):
-        raise EvaluationError("source")
-    mu = dt * a / (dx * dx)
-    rhs = np.empty(w.shape)
-    rhs[..., 1:-1] = w[..., 1:-1] + dt * (drift[..., 1:-1] * (w[..., 2:] - w[..., :-2]) / (2.0 * dx) + src[..., 1:-1])
-    rhs[..., 0] = w[..., 0] + dt * (drift[..., 0] * (-3.0 * w[..., 0] + 4.0 * w[..., 1] - w[..., 2]) / (2.0 * dx) + src[..., 0])
-    rhs[..., -1] = w[..., -1] + dt * (drift[..., -1] * (3.0 * w[..., -1] - 4.0 * w[..., -2] + w[..., -3]) / (2.0 * dx) + src[..., -1])
-    # a non-finite drift or field entry always leaves a non-finite rhs entry
-    if not np.all(np.isfinite(rhs)):
-        if not np.all(np.isfinite(drift)):
-            raise EvaluationError("drift")
-        raise FBControlError("non-finite field values entering the step"
-                             if not np.all(np.isfinite(w)) else "explicit step overflowed")
-    ab = np.zeros((5, n))
-    ab[2, 1:-1] = 1.0 + 2.0 * mu[1:-1]
-    ab[1, 2:] = -mu[1:-1]          # superdiagonal entries A[i, i+1]
-    ab[3, :-2] = -mu[1:-1]         # subdiagonal entries A[i, i-1]
-    # boundary rows: v_xx taken from the one-sided stencil (v0 - 2 v1 + v2)/dx^2
-    ab[2, 0] = 1.0 - mu[0]
-    ab[1, 1] = 2.0 * mu[0]
-    ab[0, 2] = -mu[0]
-    ab[2, -1] = 1.0 - mu[-1]
-    ab[3, -2] = 2.0 * mu[-1]
-    ab[4, -3] = -mu[-1]
-    try:
-        # one right-hand side per column; reshape first, since .T alone would
-        # reverse every axis of a block with more than one leading axis
-        v = solve_banded((2, 2), ab, rhs if w.ndim == 1 else rhs.reshape(-1, n).T)
-    except LinAlgError as exc:
-        raise FBControlError(f"banded solve failed: {exc}") from exc
-    if not np.all(np.isfinite(v)):
-        raise FBControlError("banded solve produced non-finite values")
-    return v if w.ndim == 1 else v.T.reshape(w.shape)
+    _check_diffusion(a)
+    # one right-hand side per row; reshape, since .T alone would reverse every
+    # axis of a block with more than one leading axis
+    rows = w.reshape(-1, n)
+    drift, src = ((np.asarray(v, dtype=float) + np.zeros_like(w)).reshape(-1, n)
+                  for v in (drift_row, source_row))
+    rhs = _explicit_rhs(rows, _diff_rows(rows), drift, src, dt, dx)
+    return _implicit_solve(_bands(a, dt, dx), rhs).reshape(w.shape)
 
 
-def _sweep(spec, grid, times, control, blocks):
+def _sweep(spec, grid, times, u, blocks):
     """Step every block from times[j + 1] to times[j], j = times.size - 2 .. 0.
 
     Each block is (values, source, rolling).  values is lead + (times.size, nx)
     and gets row j from row j + 1, unless ``rolling``: then it has no time axis,
     entry k of its first axis is anchored at times[k], and step j overwrites
     the live entries values[:j + 1], so no coefficient sees s below an anchor
-    time and each entry ends at its first row.  Per step u = control(s), sigma,
-    a and b are evaluated once at s = times[j + 1], source(j + 1, s, u, sigma,
-    w) gives the explicit source of the block's later row w, and one
-    ``step_parabolic`` call steps the rows of all blocks together.
+    time and each entry ends at its first row.
+
+    Everything that does not read the stepped rows is assembled once per
+    sweep: u holds the control rows at s = times[1:], (times.size - 1, nx);
+    sigma, a = sigma^2 / 2 and b take one call each on the column
+    s = times[1:]; every step's band matrix is built and every diffusion row
+    checked.  Step j then keeps only the explicit sources, the right-hand
+    side and one ``solve_banded`` call for the rows of all blocks together.
+    source(j + 1, s, u, sigma, w, w_x) gives the explicit source of the
+    block's later rows w, with w_x = ``_dx_rows(w, grid.dx)``.  Errors come
+    in ``step_parabolic``'s order, step by step: a faulty diffusion row of
+    step j raises only when the loop reaches step j, after its sources.
     """
     xs, dt, dx = grid.xs, grid.dt, grid.dx
     nx = xs.size
-    zero = np.zeros_like(xs)
+    s_col = times[1:, None]
+    zero = np.zeros((times.size - 1, nx))
+    sig = np.asarray(spec.diffusion(s_col, xs, u), dtype=float) + zero
+    a = 0.5 * sig * sig
+    b = np.asarray(spec.drift(s_col, xs, u), dtype=float) + zero
+    faulty = ~np.isfinite(a).all(axis=1) | (a.min(axis=1) < 0.0)
+    ab = _bands(a, dt, dx)
     for j in range(times.size - 2, -1, -1):
         s = times[j + 1]
-        u = control(s)
-        sig = np.asarray(spec.diffusion(s, xs, u), dtype=float) + zero
-        a_row = 0.5 * sig * sig
-        b_row = np.asarray(spec.drift(s, xs, u), dtype=float) + zero
-        # (later row, where its step goes) per block
+        # (later rows, where their step goes) per block
         rows = [(values[:j + 1],) * 2 if rolling else (values[..., j + 1, :], values[..., j, :])
                 for values, _, rolling in blocks]
-        srcs = [np.asarray(source(j + 1, s, u, sig, w), dtype=float) + np.zeros_like(w)
-                for (_, source, _), (w, _) in zip(blocks, rows)]
-        stepped = step_parabolic(np.concatenate([w.reshape(-1, nx) for w, _ in rows]), a_row,
-                                 b_row, np.concatenate([g.reshape(-1, nx) for g in srcs]),
-                                 dt, dx)
+        w = np.concatenate([later.reshape(-1, nx) for later, _ in rows])
+        diff = _diff_rows(w)
+        w_x = diff / (2.0 * dx)
+        srcs, start = [], 0
+        for (_, source, _), (later, _) in zip(blocks, rows):
+            stop = start + later.size // nx
+            g = np.asarray(source(j + 1, s, u[j], sig[j], later,
+                                  w_x[start:stop].reshape(later.shape)), dtype=float)
+            # + 0 broadcasts to the rows and turns -0.0 into 0.0
+            srcs.append((g + (0.0 if g.shape == later.shape else np.zeros_like(later)))
+                        .reshape(-1, nx))
+            start = stop
+        if faulty[j]:
+            _check_diffusion(a[j])
+        stepped = _implicit_solve(ab[j], _explicit_rhs(w, diff, b[j], np.concatenate(srcs),
+                                                       dt, dx))
         start = 0
-        for w, target in rows:
-            target[...] = stepped[start:start + w.size // nx].reshape(w.shape)
-            start += w.size // nx
+        for later, target in rows:
+            stop = start + later.size // nx
+            target[...] = stepped[start:stop].reshape(later.shape)
+            start = stop
 
 
-def _strategy_row(strategy, xs):
-    return lambda s: np.asarray(strategy(s, xs), dtype=float) + np.zeros_like(xs)
+def _control_rows(strategy, grid: GridSpec):
+    """The strategy's rows at s = times[1:], (nt - 1, nx): row i as
+    ``strategy(times[i + 1], xs)`` gives it (``StrategyTable.rows``)."""
+    xs = grid.xs
+    return (np.asarray(strategy.rows(grid.times[1:], xs), dtype=float)
+            + np.zeros((grid.nt - 1, xs.size)))
 
 
 def _y_z(spec, y, z):
@@ -281,18 +340,41 @@ class FieldTheta:
         return np.interp(x, self.xs, row)
 
 
+def _theta_yz(spec, theta: FieldTheta):
+    """(j, sigma) -> the generators' (y, z) on theta's row j: the row and
+    z = theta_x sigma, the slope taken with theta's own spacing.  The latest row
+    is kept, so the value and the cost source of one step share it."""
+    last = {}
+
+    def yz(j, sig, theta_x=None):
+        # theta_x: the row's slope, when the caller holds it with theta's spacing
+        if j not in last:
+            last.clear()
+            last[j] = _y_z(spec, theta.slice(j),
+                           (theta.dx_slice(j) if theta_x is None else theta_x) * sig)
+        return last[j]
+
+    return yz
+
+
 def _theta_block(spec, grid: GridSpec):
-    """The value field's sweep block and the FieldTheta that shares its values."""
+    """The value field's sweep block, the FieldTheta that shares its values and
+    the ``_theta_yz`` of that field, for a cost block in the same sweep."""
     xs, times, dx = grid.xs, grid.times, grid.dx
     term = np.atleast_2d(np.asarray(spec.terminal(xs), dtype=float))
     values = np.empty((term.shape[0], times.size, xs.size))
     values[:, -1, :] = term
+    theta = FieldTheta(times, xs, values)
+    yz = _theta_yz(spec, theta)
+    # theta's spacing xs[1] - xs[0] can differ from grid.dx in the last bit;
+    # only where they agree is the sweep's w_x theta's own slope
+    shared = theta.dx == dx
 
-    def source(j, s, u, sig, w):
-        return np.atleast_2d(np.asarray(
-            spec.generator(s, xs, u, *_y_z(spec, w, _dx_rows(w, dx) * sig)), dtype=float))
+    def source(j, s, u, sig, w, w_x):
+        y_z = yz(j, sig, w_x) if shared else _y_z(spec, w, w_x * sig)
+        return np.atleast_2d(np.asarray(spec.generator(s, xs, u, *y_z), dtype=float))
 
-    return FieldTheta(times, xs, values), (values, source, False)
+    return theta, yz, (values, source, False)
 
 
 def solve_theta(spec, strategy, grid: GridSpec) -> FieldTheta:
@@ -302,8 +384,8 @@ def solve_theta(spec, strategy, grid: GridSpec) -> FieldTheta:
     explicit slice; sigma is evaluated at the frozen strategy, so control-
     scaled diffusions become state fields here.
     """
-    theta, block = _theta_block(spec, grid)
-    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs), [block])
+    theta, _, block = _theta_block(spec, grid)
+    _sweep(spec, grid, grid.times, _control_rows(strategy, grid), [block])
     return theta
 
 
@@ -538,13 +620,14 @@ class GeneralCostField:
         return DiagonalBundle(d=d, dx=dxv, dy=dyv, dxx=dxxv)
 
 
-def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
+def _cost_block(spec, theta_yz, diag_guess, grid: GridSpec):
     """The anchored cost field's sweep block and the finisher that wraps its values.
 
-    The source at row j reads theta's row j, so in a sweep shared with theta's
-    own block that row is filled before it is read.
+    The source at row j reads the value field's row j through its
+    ``_theta_yz``, so in a sweep shared with theta's own block that row is
+    filled before it is read.
     """
-    xs, times, dx = grid.xs, grid.times, grid.dx
+    xs, times = grid.xs, grid.times
     nt, nx = times.size, xs.size
     if diag_guess is None:
         diag_guess = DiagonalBundle.zeros(nt, nx)
@@ -574,11 +657,11 @@ def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
         # no step reads the anchor at T, whose first row is the terminal itself
         raise EvaluationError("cost_terminal")
 
-    def source(j, s, u, sig, w):
-        th, z = _y_z(spec, theta.slice(j), theta.dx_slice(j) * sig)
+    def source(j, s, u, sig, w, w_x):
+        th, z = theta_yz(j, sig)
         t = s if t_col is None else t_col[:w.shape[0]]
         return np.asarray(spec.cost_generator(t, s, xt_col, xs, u, th, z, diag_guess.d[j],
-                                              _dx_rows(w, dx) * sig), dtype=float)
+                                              w_x * sig), dtype=float)
 
     def finish():
         if separable:
@@ -595,8 +678,8 @@ def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: Gri
     All anchors are stepped in one sweep.  The z0 slot always uses the stepped
     field's own explicit-slice gradient.
     """
-    block, finish = _cost_block(spec, theta, diag_guess, grid)
-    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs), [block])
+    block, finish = _cost_block(spec, _theta_yz(spec, theta), diag_guess, grid)
+    _sweep(spec, grid, grid.times, _control_rows(strategy, grid), [block])
     return finish()
 
 
@@ -604,9 +687,9 @@ def solve_fields(spec, strategy, grid: GridSpec, diag_guess):
     """The value field and the anchored cost field under one frozen strategy, in
     one sweep: ``solve_theta`` followed by ``solve_theta0_family``, with each
     step's coefficients and banded factorization shared by both fields."""
-    theta, theta_block = _theta_block(spec, grid)
-    cost_block, finish = _cost_block(spec, theta, diag_guess, grid)
-    _sweep(spec, grid, grid.times, _strategy_row(strategy, grid.xs), [theta_block, cost_block])
+    theta, theta_yz, theta_block = _theta_block(spec, grid)
+    cost_block, finish = _cost_block(spec, theta_yz, diag_guess, grid)
+    _sweep(spec, grid, grid.times, _control_rows(strategy, grid), [theta_block, cost_block])
     return theta, finish()
 
 
@@ -806,25 +889,25 @@ def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpe
         raise DomainError("perturbation window must be a nonempty subinterval of [0, T)")
     if not (spec.u_lo <= u <= spec.u_hi):
         raise DomainError("perturbation control outside the control interval")
-    xs, dx, window = grid.xs, grid.dx, times[j0:j1 + 1]
+    xs, window = grid.xs, times[j0:j1 + 1]
     m = theta.m
     split = spec.terminal_split
     # the m value components and the cost field, stepped as one block
     vals = np.empty((m + 1, window.size, xs.size))
     vals[:m, -1, :] = theta.slice(j1)
     vals[m, -1] = theta0.hat[j1]
-    u_row = np.full(xs.size, float(u))
 
-    def source(j, s, u_row, sig, w):
-        th, z = _y_z(spec, w[:m], _dx_rows(w[:m], dx) * sig)
+    def source(j, s, u_row, sig, w, w_x):
+        th, z = _y_z(spec, w[:m], w_x[:m] * sig)
         src = np.empty_like(w)
         src[:m] = np.atleast_2d(np.asarray(spec.generator(s, xs, u_row, th, z), dtype=float))
         diag_later = w[m] + np.asarray(split.ghat(s, xs, w[0]), dtype=float)
         src[m] = np.asarray(spec.cost_generator(s, s, xs, xs, u_row, th, z, diag_later,
-                                                _dx_rows(w[m], dx) * sig), dtype=float)
+                                                w_x[m] * sig), dtype=float)
         return src
 
-    _sweep(spec, grid, window, lambda s: u_row, [(vals, source, False)])
+    _sweep(spec, grid, window, np.full((window.size - 1, xs.size), float(u)),
+           [(vals, source, False)])
     hat = vals[m]
     theta_e = FieldTheta(window, xs, vals[:m])
     j_pert = hat[0] + np.asarray(split.ghat(times[j0], xs, vals[0, 0]), dtype=float)
