@@ -10,9 +10,11 @@ Every field goes through one backward sweep kernel, ``_sweep``: one banded
 factorization per time step (a direct LAPACK ``dgbsv`` call) is shared by
 every field and anchor of the blocks it steps (value components, x-anchors,
 (t, x, y) anchors of the general tensor, both fields of a perturbation
-window).  Each Picard iteration is one sweep: the value field and the cost
-field are two blocks of it, so they share each step's control, coefficients
-and factorization.  Anchors reach the coefficient callables as columns, so
+window).  A sweep assembles the control rows, sigma, a and b, the diffusion
+checks and the band matrices of all its steps once; the step loop keeps
+only the explicit sources, the right-hand side and the solve.  Each Picard
+iteration is one sweep: the value field and the cost field are two blocks
+of it, so they share each step's control, coefficients and factorization.  Anchors reach the coefficient callables as columns, so
 cost terminals and cost generators must broadcast array t, xt and y against
 the x row.  The Hamiltonian is defined only in ``model.py``.
 
@@ -295,10 +297,8 @@ def _sweep(spec, grid, times, u, blocks):
 
 def _control_rows(strategy, grid: GridSpec):
     """The strategy's rows at s = times[1:], (nt - 1, nx): row i as
-    ``strategy(times[i + 1], xs)`` gives it (``StrategyTable.rows``)."""
-    xs = grid.xs
-    return (np.asarray(strategy.rows(grid.times[1:], xs), dtype=float)
-            + np.zeros((grid.nt - 1, xs.size)))
+    ``strategy(times[i + 1], xs)`` gives it, + 0.0 turning -0.0 into 0.0."""
+    return strategy.rows(grid.times[1:], grid.xs) + 0.0
 
 
 def _y_z(spec, y, z):
