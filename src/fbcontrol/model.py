@@ -109,26 +109,6 @@ class ControlProblemSpec:
         return abs(self.u_lo) < U_INF and abs(self.u_hi) < U_INF
 
 
-def _interp_rows(x, xp, fp):
-    """``np.interp(x, xp, fp[i])`` for every row i of fp (k, xp.size), with its
-    bits: the edge values outside [xp[0], xp[-1]], the node value on a node,
-    else slope (x - xp[j]) + fp[j], retried from the right node when that is NaN."""
-    if xp.size == 1:
-        return np.repeat(fp, x.size, axis=1)
-    j = np.clip(xp.searchsorted(x, "right") - 1, 0, xp.size - 2)
-    lo, hi = fp[:, j], fp[:, j + 1]
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        slope = (hi - lo) / (xp[j + 1] - xp[j])
-        out = slope * (x - xp[j]) + lo
-        retry = np.isnan(out)
-        if retry.any():
-            out = np.where(retry, slope * (x - xp[j + 1]) + hi, out)
-            out = np.where(retry & np.isnan(out) & (lo == hi), lo, out)
-    out = np.where(x == xp[j], lo, out)
-    out = np.where(x < xp[0], fp[:, :1], np.where(x >= xp[-1], fp[:, -1:], out))
-    return np.where(np.isnan(x), x, out)
-
-
 class StrategyTable:
     """A feedback strategy: closed-form callable or interpolated grid table.
 
@@ -183,8 +163,9 @@ class StrategyTable:
         """The strategy on the times s (k,) and the states x (n,), as a (k, n)
         block whose row i has the bits of ``self(s[i], x)``.
 
-        A grid table is evaluated for all times at once; an ``fn`` table is
-        called once per time, so the callable sees what ``__call__`` gives it.
+        A grid table interpolates in time for all times at once, then each row
+        in x through ``np.interp``; an ``fn`` table is called once per time, so
+        the callable sees what ``__call__`` gives it.
         """
         s = np.asarray(s, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -197,8 +178,18 @@ class StrategyTable:
             w = np.where(hi == lo, 0.0, (s - lo) / (hi - lo))
         # Python's min(max(w, 0.0), 1.0): NaN and -0.0 pass both
         w = np.where(w > 1.0, 1.0, np.where(0.0 > w, 0.0, w))[:, None]
-        out = _interp_rows(x, self.x_grid, (1.0 - w) * self.values[j] + w * self.values[j + 1])
-        return np.minimum(self.u_hi, np.maximum(self.u_lo, out + 0.0))
+        # the blend and the clamp work in place: two (k, n) blocks at a time
+        blend, later = self.values[j], self.values[j + 1]
+        blend *= 1.0 - w
+        later *= w
+        blend += later
+        del later
+        out = np.empty((s.size, x.size))
+        for i, row in enumerate(blend):
+            out[i] = np.interp(x, self.x_grid, row)
+        out += 0.0
+        np.maximum(self.u_lo, out, out=out)
+        return np.minimum(self.u_hi, out, out=out)
 
     def max_x_jump(self):
         """Largest jump between adjacent space nodes (minimizer continuity probe)."""

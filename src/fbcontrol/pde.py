@@ -10,13 +10,14 @@ Every field goes through one backward sweep kernel, ``_sweep``: one banded
 factorization per time step (a direct LAPACK ``dgbsv`` call) is shared by
 every field and anchor of the blocks it steps (value components, x-anchors,
 (t, x, y) anchors of the general tensor, both fields of a perturbation
-window).  A sweep assembles the control rows, sigma, a and b, the diffusion
-checks and the band matrices of all its steps once; the step loop keeps
-only the explicit sources, the right-hand side and the solve.  Each Picard
-iteration is one sweep: the value field and the cost field are two blocks
-of it, so they share each step's control, coefficients and factorization.  Anchors reach the coefficient callables as columns, so
-cost terminals and cost generators must broadcast array t, xt and y against
-the x row.  The Hamiltonian is defined only in ``model.py``.
+window).  A sweep assembles the control rows of all its steps, and sigma,
+b, the diffusion checks and the band matrices in blocks of steps, ahead of
+the steps; the step loop keeps only the explicit sources, the right-hand
+side and the solve.  Each Picard iteration is one sweep: the value field
+and the cost field are two blocks of it, so they share each step's control,
+coefficients and factorization.  Anchors reach the coefficient callables as
+columns, so cost terminals and cost generators must broadcast array t, xt
+and y against the x row.  The Hamiltonian is defined only in ``model.py``.
 
 Cost fields come in two storage modes.  When the cost terminal splits
 additively into a state part and an anchored-y part (and the cost generator
@@ -238,6 +239,29 @@ def step_parabolic(field_slice, a_row, drift_row, source_row, dt, dx):
     return _implicit_solve(_bands(a, dt, dx), rhs).reshape(w.shape)
 
 
+_SWEEP_STEPS = 256   # steps assembled together: memory O(_SWEEP_STEPS nx), not O(nt nx)
+
+
+def _assembled(spec, grid, times, u):
+    """(sigma, b, faulty, band) of each step j = times.size - 2 .. 0, in that
+    order: sigma and b at s = times[j + 1] under the control row u[j], whether
+    the diffusion row a = sigma^2 / 2 is non-finite or negative somewhere, and
+    the step's band matrix.  Up to ``_SWEEP_STEPS`` steps are assembled at a
+    time, with one sigma and one b call on their column of s."""
+    xs, dt, dx = grid.xs, grid.dt, grid.dx
+    for stop in range(times.size - 1, 0, -_SWEEP_STEPS):
+        first = max(stop - _SWEEP_STEPS, 0)
+        s_col, us, shape = times[first + 1:stop + 1, None], u[first:stop], (stop - first, xs.size)
+        # + 0.0 turns -0.0 into 0.0; a row or column is broadcast, not copied
+        sig = np.broadcast_to(np.asarray(spec.diffusion(s_col, xs, us), dtype=float) + 0.0, shape)
+        b = np.broadcast_to(np.asarray(spec.drift(s_col, xs, us), dtype=float) + 0.0, shape)
+        a = 0.5 * sig * sig
+        faulty = ~np.isfinite(a).all(axis=1) | (a.min(axis=1) < 0.0)
+        ab = _bands(a, dt, dx)
+        for i in range(stop - first - 1, -1, -1):
+            yield sig[i], b[i], faulty[i], ab[i]
+
+
 def _sweep(spec, grid, times, u, blocks):
     """Step every block from times[j + 1] to times[j], j = times.size - 2 .. 0.
 
@@ -247,27 +271,20 @@ def _sweep(spec, grid, times, u, blocks):
     the live entries values[:j + 1], so no coefficient sees s below an anchor
     time and each entry ends at its first row.
 
-    Everything that does not read the stepped rows is assembled once per
-    sweep: u holds the control rows at s = times[1:], (times.size - 1, nx);
-    sigma, a = sigma^2 / 2 and b take one call each on the column
-    s = times[1:]; every step's band matrix is built and every diffusion row
-    checked.  Step j then keeps only the explicit sources, the right-hand
-    side and one ``solve_banded`` call for the rows of all blocks together.
-    source(j + 1, s, u, sigma, w, w_x) gives the explicit source of the
-    block's later rows w, with w_x = ``_dx_rows(w, grid.dx)``.  Errors come
+    Everything that does not read the stepped rows is assembled ahead of the
+    steps (``_assembled``): u holds the control rows at s = times[1:],
+    (times.size - 1, nx); sigma and b take one call per block of steps on a
+    column of s, and every step's band matrix is built and its diffusion row
+    checked there.  Step j then keeps only the explicit sources, the
+    right-hand side and one ``solve_banded`` call for the rows of all blocks
+    together.  source(j + 1, s, u, sigma, w, w_x) gives the explicit source of
+    the block's later rows w, with w_x = ``_dx_rows(w, grid.dx)``.  Errors come
     in ``step_parabolic``'s order, step by step: a faulty diffusion row of
     step j raises only when the loop reaches step j, after its sources.
     """
-    xs, dt, dx = grid.xs, grid.dt, grid.dx
-    nx = xs.size
-    s_col = times[1:, None]
-    zero = np.zeros((times.size - 1, nx))
-    sig = np.asarray(spec.diffusion(s_col, xs, u), dtype=float) + zero
-    a = 0.5 * sig * sig
-    b = np.asarray(spec.drift(s_col, xs, u), dtype=float) + zero
-    faulty = ~np.isfinite(a).all(axis=1) | (a.min(axis=1) < 0.0)
-    ab = _bands(a, dt, dx)
-    for j in range(times.size - 2, -1, -1):
+    nx, dt, dx = grid.nx, grid.dt, grid.dx
+    steps = _assembled(spec, grid, times, u)
+    for j, (sig, b, faulty, ab) in zip(range(times.size - 2, -1, -1), steps):
         s = times[j + 1]
         # (later rows, where their step goes) per block
         rows = [(values[:j + 1],) * 2 if rolling else (values[..., j + 1, :], values[..., j, :])
@@ -278,16 +295,15 @@ def _sweep(spec, grid, times, u, blocks):
         srcs, start = [], 0
         for (_, source, _), (later, _) in zip(blocks, rows):
             stop = start + later.size // nx
-            g = np.asarray(source(j + 1, s, u[j], sig[j], later,
+            g = np.asarray(source(j + 1, s, u[j], sig, later,
                                   w_x[start:stop].reshape(later.shape)), dtype=float)
             # + 0 broadcasts to the rows and turns -0.0 into 0.0
             srcs.append((g + (0.0 if g.shape == later.shape else np.zeros_like(later)))
                         .reshape(-1, nx))
             start = stop
-        if faulty[j]:
-            _check_diffusion(a[j])
-        stepped = _implicit_solve(ab[j], _explicit_rhs(w, diff, b[j], np.concatenate(srcs),
-                                                       dt, dx))
+        if faulty:
+            _check_diffusion(0.5 * sig * sig)
+        stepped = _implicit_solve(ab, _explicit_rhs(w, diff, b, np.concatenate(srcs), dt, dx))
         start = 0
         for later, target in rows:
             stop = start + later.size // nx
@@ -298,7 +314,9 @@ def _sweep(spec, grid, times, u, blocks):
 def _control_rows(strategy, grid: GridSpec):
     """The strategy's rows at s = times[1:], (nt - 1, nx): row i as
     ``strategy(times[i + 1], xs)`` gives it, + 0.0 turning -0.0 into 0.0."""
-    return strategy.rows(grid.times[1:], grid.xs) + 0.0
+    u = strategy.rows(grid.times[1:], grid.xs)
+    u += 0.0
+    return u
 
 
 def _y_z(spec, y, z):
@@ -340,41 +358,18 @@ class FieldTheta:
         return np.interp(x, self.xs, row)
 
 
-def _theta_yz(spec, theta: FieldTheta):
-    """(j, sigma) -> the generators' (y, z) on theta's row j: the row and
-    z = theta_x sigma, the slope taken with theta's own spacing.  The latest row
-    is kept, so the value and the cost source of one step share it."""
-    last = {}
-
-    def yz(j, sig, theta_x=None):
-        # theta_x: the row's slope, when the caller holds it with theta's spacing
-        if j not in last:
-            last.clear()
-            last[j] = _y_z(spec, theta.slice(j),
-                           (theta.dx_slice(j) if theta_x is None else theta_x) * sig)
-        return last[j]
-
-    return yz
-
-
 def _theta_block(spec, grid: GridSpec):
-    """The value field's sweep block, the FieldTheta that shares its values and
-    the ``_theta_yz`` of that field, for a cost block in the same sweep."""
-    xs, times, dx = grid.xs, grid.times, grid.dx
+    """The value field's sweep block and the FieldTheta that shares its values."""
+    xs, times = grid.xs, grid.times
     term = np.atleast_2d(np.asarray(spec.terminal(xs), dtype=float))
     values = np.empty((term.shape[0], times.size, xs.size))
     values[:, -1, :] = term
-    theta = FieldTheta(times, xs, values)
-    yz = _theta_yz(spec, theta)
-    # theta's spacing xs[1] - xs[0] can differ from grid.dx in the last bit;
-    # only where they agree is the sweep's w_x theta's own slope
-    shared = theta.dx == dx
 
     def source(j, s, u, sig, w, w_x):
-        y_z = yz(j, sig, w_x) if shared else _y_z(spec, w, w_x * sig)
-        return np.atleast_2d(np.asarray(spec.generator(s, xs, u, *y_z), dtype=float))
+        return np.atleast_2d(np.asarray(spec.generator(s, xs, u, *_y_z(spec, w, w_x * sig)),
+                                        dtype=float))
 
-    return theta, yz, (values, source, False)
+    return FieldTheta(times, xs, values), (values, source, False)
 
 
 def solve_theta(spec, strategy, grid: GridSpec) -> FieldTheta:
@@ -384,7 +379,7 @@ def solve_theta(spec, strategy, grid: GridSpec) -> FieldTheta:
     explicit slice; sigma is evaluated at the frozen strategy, so control-
     scaled diffusions become state fields here.
     """
-    theta, _, block = _theta_block(spec, grid)
+    theta, block = _theta_block(spec, grid)
     _sweep(spec, grid, grid.times, _control_rows(strategy, grid), [block])
     return theta
 
@@ -620,12 +615,11 @@ class GeneralCostField:
         return DiagonalBundle(d=d, dx=dxv, dy=dyv, dxx=dxxv)
 
 
-def _cost_block(spec, theta_yz, diag_guess, grid: GridSpec):
+def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
     """The anchored cost field's sweep block and the finisher that wraps its values.
 
-    The source at row j reads the value field's row j through its
-    ``_theta_yz``, so in a sweep shared with theta's own block that row is
-    filled before it is read.
+    The source at row j reads theta's row j, so in a sweep shared with theta's
+    own block that row is filled before it is read.
     """
     xs, times = grid.xs, grid.times
     nt, nx = times.size, xs.size
@@ -658,7 +652,7 @@ def _cost_block(spec, theta_yz, diag_guess, grid: GridSpec):
         raise EvaluationError("cost_terminal")
 
     def source(j, s, u, sig, w, w_x):
-        th, z = theta_yz(j, sig)
+        th, z = _y_z(spec, theta.slice(j), theta.dx_slice(j) * sig)
         t = s if t_col is None else t_col[:w.shape[0]]
         return np.asarray(spec.cost_generator(t, s, xt_col, xs, u, th, z, diag_guess.d[j],
                                               w_x * sig), dtype=float)
@@ -678,7 +672,7 @@ def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: Gri
     All anchors are stepped in one sweep.  The z0 slot always uses the stepped
     field's own explicit-slice gradient.
     """
-    block, finish = _cost_block(spec, _theta_yz(spec, theta), diag_guess, grid)
+    block, finish = _cost_block(spec, theta, diag_guess, grid)
     _sweep(spec, grid, grid.times, _control_rows(strategy, grid), [block])
     return finish()
 
@@ -687,8 +681,8 @@ def solve_fields(spec, strategy, grid: GridSpec, diag_guess):
     """The value field and the anchored cost field under one frozen strategy, in
     one sweep: ``solve_theta`` followed by ``solve_theta0_family``, with each
     step's coefficients and banded factorization shared by both fields."""
-    theta, theta_yz, theta_block = _theta_block(spec, grid)
-    cost_block, finish = _cost_block(spec, theta_yz, diag_guess, grid)
+    theta, theta_block = _theta_block(spec, grid)
+    cost_block, finish = _cost_block(spec, theta, diag_guess, grid)
     _sweep(spec, grid, grid.times, _control_rows(strategy, grid), [theta_block, cost_block])
     return theta, finish()
 

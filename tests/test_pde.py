@@ -1131,7 +1131,11 @@ _REFERENCE_CASES = [("mean_variance", False), ("recursive_lq", False),
 
 @pytest.mark.parametrize("family, general", _REFERENCE_CASES)
 @pytest.mark.parametrize("table", ["fn", "grid"])
-def test_solves_match_the_per_step_loop(family, general, table):
+@pytest.mark.parametrize("block", [None, 5])
+def test_solves_match_the_per_step_loop(family, general, table, block, monkeypatch):
+    # block 5: the steps are assembled in blocks of 5, 5, 5 and 1 (or 5 and 3)
+    if block:
+        monkeypatch.setattr(pde, "_SWEEP_STEPS", block)
     spec, grid = _reference_case(family, general)
     strategy = (StrategyTable(spec.u_lo, spec.u_hi,
                               fn=lambda s, x: 0.4 * np.sin(np.asarray(x) + s)
@@ -1216,7 +1220,11 @@ def _faulty_heat(diffusion_bad, source_bad, seen):
 
 
 @pytest.mark.parametrize("diffusion_bad", [np.nan, -1.0, np.inf])
-def test_a_later_steps_source_error_wins_over_an_earlier_diffusion_fault(diffusion_bad):
+@pytest.mark.parametrize("block", [None, 3])
+def test_a_later_steps_source_error_wins_over_an_earlier_diffusion_fault(diffusion_bad, block,
+                                                                          monkeypatch):
+    if block:
+        monkeypatch.setattr(pde, "_SWEEP_STEPS", block)
     seen = []
     spec = _faulty_heat(diffusion_bad, True, seen)
     grid = pde.GridSpec(-2.0, 2.0, 17, 11, 1.0)
@@ -1227,7 +1235,11 @@ def test_a_later_steps_source_error_wins_over_an_earlier_diffusion_fault(diffusi
 
 
 @pytest.mark.parametrize("diffusion_bad", [np.nan, np.inf])
-def test_a_diffusion_fault_is_raised_at_its_own_step(diffusion_bad):
+@pytest.mark.parametrize("block", [None, 3])
+def test_a_diffusion_fault_is_raised_at_its_own_step(diffusion_bad, block, monkeypatch):
+    # block 3: the faulty rows s < 0.3 are assembled with steps that still run first
+    if block:
+        monkeypatch.setattr(pde, "_SWEEP_STEPS", block)
     seen = []
     spec = _faulty_heat(diffusion_bad, False, seen)
     grid = pde.GridSpec(-2.0, 2.0, 17, 11, 1.0)
