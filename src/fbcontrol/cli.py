@@ -1,5 +1,5 @@
-"""Batch front-end: parse a run config, dispatch a solver, write CSV artifacts,
-a human-readable summary, and a manifest with output hashes.
+"""Batch front-end: parse a run config, dispatch a solver, then publish its CSV
+artifacts, a human-readable summary, and a manifest with output hashes.
 
 Exit codes: 0 success, 1 solver error, 2 config error, 3 failed verification.
 """
@@ -18,17 +18,6 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, FBControlError, UnsupportedCostClassError
 from . import model, riccati, pde, mc
-
-
-def _write_manifest(outdir: Path, command, config):
-    outputs = {}
-    for p in sorted(outdir.iterdir()):
-        if p.name == "manifest.json" or not p.is_file():
-            continue
-        outputs[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
-    doc = {"command": command, "config": config, "version": __version__,
-           "outputs": outputs}
-    (outdir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 FLOAT_FMT = "%.17g"
@@ -52,34 +41,69 @@ def write_csv(path, header, rows):
             f.writelines([line % tuple(row) for row in block])
 
 
-def _write_riccati(traj, path):
-    write_csv(path, ("t", "phi1", "phi2", "phi3", "phi4", "phi5", "phi6", "phi7", "psi", "v"),
-              np.column_stack([traj.s, traj.phi.T, traj.psi, traj.v]))
+def _sha256(path):
+    """Hex SHA-256 of a file, read a block at a time, so a large artifact is
+    never held whole while its table is still alive."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 16), b""):
+            h.update(block)
+    return h.hexdigest()
 
 
-def _write_planner(sol, path):
-    write_csv(path, ("t", "theta1", "theta2", "consumption_coeff"),
-              np.column_stack([sol.s, sol.theta1, sol.theta2, sol.consumption_coeff]))
+def _publish(args, tables, lines, rc=0):
+    """Write what a subcommand returned and return its exit code ``rc``.
+
+    Makes ``--out``, writes each of ``tables`` (file name -> CSV table
+    ``(header, rows)``, or a file's text), writes ``lines`` to summary.txt and
+    prints them, then writes manifest.json with the SHA-256 of every file
+    written.  Subcommands write nothing themselves, so a refused run leaves no
+    directory behind.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        if isinstance(table, str):
+            (out / name).write_text(table)
+        else:
+            write_csv(out / name, *table)
+    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    for line in lines:
+        print(line)
+    outputs = {name: _sha256(out / name) for name in [*tables, "summary.txt"]}
+    doc = {"command": args.command, "version": __version__, "outputs": outputs,
+           "config": {k: v for k, v in vars(args).items() if k != "func"}}
+    (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return rc
 
 
-def _write_verify(report, path):
+def _riccati_table(traj):
+    return (("t", "phi1", "phi2", "phi3", "phi4", "phi5", "phi6", "phi7", "psi", "v"),
+            np.column_stack([traj.s, traj.phi.T, traj.psi, traj.v]))
+
+
+def _planner_table(sol):
+    return (("t", "theta1", "theta2", "consumption_coeff"),
+            np.column_stack([sol.s, sol.theta1, sol.theta2, sol.consumption_coeff]))
+
+
+def _verify_table(report):
     keys = ("t", "eps", "u", "quotient", "stderr")
-    write_csv(path, keys, [[r[k] for k in keys] for r in report.rows])
+    return keys, [[r[k] for k in keys] for r in report.rows]
 
 
-def _write_gap(gap_report, path):
-    write_csv(path, ("tau", "gap"), [[r["tau"], r["gap"]] for r in gap_report["rows"]])
+def _gap_table(gap_report):
+    return ("tau", "gap"), [[r["tau"], r["gap"]] for r in gap_report["rows"]]
 
 
-def _write_strategy(strategy, path):
+def _strategy_table(strategy):
     s, x = np.meshgrid(strategy.s_grid, strategy.x_grid, indexing="ij")
-    write_csv(path, ("s", "x", "psi"), np.column_stack([s.ravel(), x.ravel(),
-                                                        strategy.values.ravel()]))
+    return ("s", "x", "psi"), np.column_stack([s.ravel(), x.ravel(), strategy.values.ravel()])
 
 
-def _write_iterations(log, path):
+def _iterations_table(log):
     keys = ("iter", "residual_D", "residual_Dx", "residual_Dy", "residual_psi")
-    write_csv(path, keys, [[r[k] for k in keys] for r in log.rows])
+    return keys, [[r[k] for k in keys] for r in log.rows]
 
 
 def _work_unit(spec):
@@ -88,29 +112,13 @@ def _work_unit(spec):
             else "simulated ensembles")
 
 
-def _summary(outdir: Path, lines):
-    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
-
-
-def _outdir(args) -> Path:
-    """Make the output directory; each subcommand calls it once its inputs are
-    checked and its solves are done, so a refused run leaves nothing behind."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _config_dict(args):
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 def _load_config(args):
-    if args.config:
-        return json.loads(Path(args.config).read_text())
-    return {}
+    if not args.config:
+        return {}
+    doc = json.loads(Path(args.config).read_text())
+    if not isinstance(doc, dict):
+        raise DomainError(f"config '{args.config}' is not a JSON object")
+    return doc
 
 
 def _parse_floats(text):
@@ -121,7 +129,8 @@ def _parse_floats(text):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (tables, summary lines) or (tables, lines, exit
+# code) for _publish to write, and touches no file
 # ---------------------------------------------------------------------------
 
 def cmd_lq_riccati(args):
@@ -133,15 +142,11 @@ def cmd_lq_riccati(args):
     vals = {k: doc.get(k, defaults.get(k, 0.0)) for k in keys}
     lq = riccati.LQSpec(**vals)
     traj = riccati.solve_riccati_lq(lq, steps=args.steps)
-    out = _outdir(args)
-    _write_riccati(traj, out / "lq_riccati.csv")
-    _summary(out, [
+    return {"lq_riccati.csv": _riccati_table(traj)}, [
         f"lq-riccati: steps={args.steps} T={lq.T}",
         f"phi1(0)={traj.phi[0, 0]:.12g} psi(0)={traj.psi[0]:.12g} v(0)={traj.v[0]:.12g}",
         f"terminal residual={traj.terminal_residual:.3g}",
-    ])
-    _write_manifest(out, "lq-riccati", _config_dict(args))
-    return 0
+    ]
 
 
 def cmd_meanfield_lq(args):
@@ -150,15 +155,11 @@ def cmd_meanfield_lq(args):
             (("A", 0.0), ("B", 1.0), ("C", 1.0), ("D", 0.0), ("Q", 0.0),
              ("R", 2.0), ("G1", 0.0), ("G2", 2.0), ("T", 1.0))}
     grid, phi, phihat, psi = riccati.solve_meanfield_riccati(steps=args.steps, **vals)
-    out = _outdir(args)
-    write_csv(out / "meanfield.csv", ("t", "phi", "phihat", "psi"),
-              np.column_stack([grid, phi, phihat, psi]))
-    _summary(out, [
+    table = ("t", "phi", "phihat", "psi"), np.column_stack([grid, phi, phihat, psi])
+    return {"meanfield.csv": table}, [
         f"meanfield-lq: steps={args.steps}",
         f"phi(0)={phi[0]:.12g} phihat(0)={phihat[0]:.12g} psi(0)={psi[0]:.12g}",
-    ])
-    _write_manifest(out, "meanfield-lq", _config_dict(args))
-    return 0
+    ]
 
 
 def cmd_meanvar(args):
@@ -185,54 +186,42 @@ def cmd_meanvar(args):
     lines.append(f"pde cross-check: converged={log.converged} iters={log.iterations} "
                  f"max rel strategy err={err:.3g}")
     report = mc.verify_equilibrium(spec, res.strategy, times, cfg, tol_eq=args.tol_eq)
-    out = _outdir(args)
-    _write_riccati(traj, out / "mv_riccati.csv")
-    _write_strategy(strat, out / "mv_strategy_pde.csv")
-    _write_iterations(log, out / "mv_iterations.csv")
-    _write_verify(report, out / "mv_verify.csv")
     lines.append(f"spike verification: verdict={'PASS' if report.verdict else 'FAIL'} "
                  f"min quotient (smallest window)={report.min_quotient_smallest_eps:.4g}")
     lines.append(f"spike verification work: {report.work} {_work_unit(spec)}")
-    _summary(out, lines)
-    _write_manifest(out, "meanvar", _config_dict(args))
-    return 0 if report.verdict else 3
+    tables = {"mv_riccati.csv": _riccati_table(traj),
+              "mv_strategy_pde.csv": _strategy_table(strat),
+              "mv_iterations.csv": _iterations_table(log),
+              "mv_verify.csv": _verify_table(report)}
+    return tables, lines, 0 if report.verdict else 3
 
 
 def cmd_planner(args):
     sol = riccati.solve_planner(args.r, args.mu, args.sigma, args.gamma, args.alpha,
                                 args.rho1, args.rho2, args.lam, args.T, steps=args.steps)
-    out = _outdir(args)
-    _write_planner(sol, out / "planner.csv")
-    _summary(out, [
+    return {"planner.csv": _planner_table(sol)}, [
         f"planner: theta1(0)={sol.theta1[0]:.10g} theta2(0)={sol.theta2[0]:.10g}",
         f"investment coefficient = {sol.investment_coeff:.10g}",
         f"consumption coefficient at 0 = {sol.consumption_coeff[0]:.10g}",
-    ])
-    _write_manifest(out, "planner", _config_dict(args))
-    return 0
+    ]
 
 
 def cmd_stackelberg(args):
     res = riccati.stackelberg_leader()
     gaps = mc.demonstrate_inconsistency("stackelberg")
-    out = _outdir(args)
-    _write_gap(gaps, out / "stackelberg_gap.csv")
     qc = res.leader_cost_quadrature(0.0)
-    _summary(out, [
+    return {"stackelberg_gap.csv": _gap_table(gaps)}, [
         "stackelberg: time-consistent equilibrium value = -0.5",
         f"committed control at (0, x): u(s) = (ln 2 - ln(2 - s) - 1)/2; u(0) = {float(res.precommitted(0.0, 0.0)):.6f}",
         f"leader cost at 0: quadrature {qc:.12f} vs closed {res.leader_cost(0.0):.12f}",
         "gap table written to stackelberg_gap.csv "
         f"(gap(0.5) = {float(res.gap(0.5)):.7f})",
-    ])
-    _write_manifest(out, "stackelberg", _config_dict(args))
-    return 0
+    ]
 
 
 def cmd_pde_solve(args):
-    doc = _load_config(args)
-    family = doc.get("family", "recursive_lq")
-    spec = model.make_spec(family, doc.get("params"), doc.get("T"), doc.get("U"))
+    doc = {"family": "recursive_lq", **_load_config(args)}
+    spec = model.spec_from_json(doc)
     if (args.grid_x_lo is None) != (args.grid_x_hi is None):
         raise DomainError("--grid-x-lo and --grid-x-hi are given together or not at all")
     if args.grid_x_lo is not None:
@@ -241,34 +230,30 @@ def cmd_pde_solve(args):
     else:
         grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt)
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, tol=args.tol)
-    out = _outdir(args)
     stride = max(1, args.grid_nx // 33)
     s, x = np.meshgrid(theta.times[::stride], theta.xs[::stride], indexing="ij")
-    write_csv(out / "theta.csv", ["s", "x"] + [f"theta_{c + 1}" for c in range(theta.m)],
-              np.column_stack([s.ravel(), x.ravel()]
-                              + [comp[::stride, ::stride].ravel() for comp in theta.values]))
+    theta_table = (["s", "x"] + [f"theta_{c + 1}" for c in range(theta.m)],
+                   np.column_stack([s.ravel(), x.ravel()]
+                                   + [comp[::stride, ::stride].ravel() for comp in theta.values]))
     # anchored cost field sampled along the diagonal anchor set
     stride = max(1, args.grid_nx // 17)
     t, x = np.meshgrid(theta0.times[::stride], theta0.xs[::stride], indexing="ij")
-    write_csv(out / "theta0.csv", ("t", "s", "xtilde", "x", "y", "theta0"),
-              np.column_stack([t.ravel(), t.ravel(), x.ravel(), x.ravel(),
-                               theta.values[0, ::stride, ::stride].ravel(),
-                               theta0.diagonal(theta).d[::stride, ::stride].ravel()]))
-    _write_strategy(strat, out / "strategy.csv")
-    _write_iterations(log, out / "iterations.csv")
-    _summary(out, [
-        f"pde-solve[{family}]: converged={log.converged} iterations={log.iterations}",
+    theta0_table = (("t", "s", "xtilde", "x", "y", "theta0"),
+                    np.column_stack([t.ravel(), t.ravel(), x.ravel(), x.ravel(),
+                                     theta.values[0, ::stride, ::stride].ravel(),
+                                     theta0.diagonal(theta).d[::stride, ::stride].ravel()]))
+    tables = {"theta.csv": theta_table, "theta0.csv": theta0_table,
+              "strategy.csv": _strategy_table(strat), "iterations.csv": _iterations_table(log)}
+    return tables, [
+        f"pde-solve[{doc['family']}]: converged={log.converged} iterations={log.iterations}",
         f"final residuals: {log.rows[-1] if log.rows else 'n/a'}",
         f"strategy max x-jump (minimizer continuity probe): {log.strategy_max_jump:.3g}",
-    ])
-    _write_manifest(out, "pde-solve", _config_dict(args))
-    return 0
+    ]
 
 
 def cmd_mc_verify(args):
-    doc = _load_config(args)
-    family = doc.get("family", "mean_variance")
-    spec = model.make_spec(family, doc.get("params"), doc.get("T"), doc.get("U"))
+    doc = {"family": "mean_variance", **_load_config(args)}
+    spec = model.spec_from_json(doc)
     if args.strategy_const is not None:
         strat = model.StrategyTable(spec.u_lo, spec.u_hi,
                                     fn=model.constant_control(args.strategy_const))
@@ -277,30 +262,22 @@ def cmd_mc_verify(args):
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_floats(args.eps))
     report = mc.verify_equilibrium(spec, strat, _parse_floats(args.times), cfg,
                                    tol_eq=args.tol_eq)
-    out = _outdir(args)
-    _write_verify(report, out / "verify.csv")
-    _summary(out, [
-        f"mc-verify[{family}]: verdict={'PASS' if report.verdict else 'FAIL'}",
+    return {"verify.csv": _verify_table(report)}, [
+        f"mc-verify[{doc['family']}]: verdict={'PASS' if report.verdict else 'FAIL'}",
         f"min quotient at smallest window = {report.min_quotient_smallest_eps:.6g} "
         f"(tolerance -{report.tol_eq})",
         f"work: {report.work} {_work_unit(spec)}",
-    ])
-    _write_manifest(out, "mc-verify", _config_dict(args))
-    return 0 if report.verdict else 3
+    ], 0 if report.verdict else 3
 
 
 def cmd_inconsistency(args):
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed)
     gaps = mc.demonstrate_inconsistency(args.example, cfg, _load_config(args).get("params"))
-    out = _outdir(args)
-    _write_gap(gaps, out / "gap.csv")
     lines = [f"inconsistency[{args.example}]:"]
     for row in gaps["rows"]:
         extra = "".join(f" {k}={v:.6g}" for k, v in row.items() if k not in ("tau", "gap"))
         lines.append(f"  tau={row['tau']:.3f} gap={row['gap']:.8g}{extra}")
-    _summary(out, lines)
-    _write_manifest(out, "inconsistency", _config_dict(args))
-    return 0
+    return {"gap.csv": _gap_table(gaps)}, lines
 
 
 # the problem fk-check checks when no --config is given
@@ -310,8 +287,7 @@ FK_DEFAULT = {"family": "mean_variance",
 
 def cmd_fk_check(args):
     doc = _load_config(args) if args.config else FK_DEFAULT
-    spec = model.make_spec(doc.get("family", "mean_variance"), doc.get("params"),
-                           doc.get("T"), doc.get("U"))
+    spec = model.spec_from_json({"family": "mean_variance", **doc})
     grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt)
     if grid.nx < 11:     # sample points sit up to 5 x-nodes either side of the middle
         raise DomainError(f"fk-check needs --grid-nx >= 11, got {grid.nx}")
@@ -322,14 +298,12 @@ def cmd_fk_check(args):
                         (grid.nt // 2, 0), (3 * grid.nt // 4, 2))]
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed)
     rows = mc.check_feynman_kac(spec, theta, theta0, strat, pts, cfg)
-    out = _outdir(args)
     keys = ("r", "x", "y_mc", "y_field", "z_y", "y0_mc", "y0_field", "z_y0")
-    write_csv(out / "fk.csv", keys, [[row[k] for k in keys] for row in rows])
     worst = max(max(abs(r_["z_y"]), abs(r_["z_y0"])) for r_ in rows)
     ok = worst <= 3.0
-    _summary(out, [f"fk-check: worst |z| = {worst:.3f} -> {'PASS' if ok else 'FAIL'}"])
-    _write_manifest(out, "fk-check", _config_dict(args))
-    return 0 if ok else 3
+    return ({"fk.csv": (keys, [[row[k] for k in keys] for row in rows])},
+            [f"fk-check: worst |z| = {worst:.3f} -> {'PASS' if ok else 'FAIL'}"],
+            0 if ok else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +429,6 @@ def _selftest_checks(seed):
 
 def cmd_selftest(args):
     mc.MCConfig(seed=args.seed)          # an out-of-range seed is a config error
-    out = _outdir(args)
     results = []
     for name, fn in _selftest_checks(args.seed):
         try:
@@ -468,21 +441,19 @@ def cmd_selftest(args):
         except FBControlError as exc:
             results.append((name, False, f"{type(exc).__name__}: {exc}"))
             print(f"{name}: FAIL ({exc})")
-    with open(out / "selftest.csv", "w") as f:
-        f.write("check,passed,detail\n")
-        for name, ok, detail in results:
-            f.write(f"{name},{int(ok)},\"{detail}\"\n")
+    # names and details are text, which write_csv does not format, so the
+    # table is published as its text
+    checks = "check,passed,detail\n" + "".join(f"{name},{int(ok)},\"{detail}\"\n"
+                                                for name, ok, detail in results)
     # representative artifacts, all deterministically formatted
     traj = riccati.solve_riccati_lq(riccati._mv_lq_spec(0.03, 0.08, 0.2, 2.0, 1.0), steps=2000)
-    _write_riccati(traj, out / "mv_riccati.csv")
     sol = riccati.solve_planner(0.03, 0.08, 0.2, 0.5, 0.3, 0.08, 0.02, 0.4, steps=2000)
-    _write_planner(sol, out / "planner.csv")
-    _write_gap(mc.demonstrate_inconsistency("stackelberg"), out / "stackelberg_gap.csv")
+    tables = {"selftest.csv": checks, "mv_riccati.csv": _riccati_table(traj),
+              "planner.csv": _planner_table(sol),
+              "stackelberg_gap.csv": _gap_table(mc.demonstrate_inconsistency("stackelberg"))}
     ok_all = all(ok for _, ok, _ in results)
-    _summary(out, [f"selftest: {sum(ok for _, ok, _ in results)}/{len(results)} checks passed",
-                   f"verdict: {'PASS' if ok_all else 'FAIL'}"])
-    _write_manifest(out, "selftest", _config_dict(args))
-    return 0 if ok_all else 3
+    return tables, [f"selftest: {sum(ok for _, ok, _ in results)}/{len(results)} checks passed",
+                    f"verdict: {'PASS' if ok_all else 'FAIL'}"], 0 if ok_all else 3
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +528,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        return _publish(args, *args.func(args))
     except (DomainError, UnsupportedCostClassError, json.JSONDecodeError,
             FileNotFoundError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

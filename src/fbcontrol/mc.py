@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BlowUpError, DomainError, EvaluationError, UnsupportedCostClassError
-from .model import EXAMPLE_FAMILIES, StrategyTable, make_spec
+from .model import EXAMPLE_FAMILIES, StrategyTable, family_params, make_spec
 from .riccati import _simpson, rk4_integrate
 
 BLOCK_PATHS = 1024          # path columns per Philox block
@@ -407,9 +407,6 @@ class VerifyReport:
     min_quotient_smallest_eps: float
     work: int                     # RK4 flows (deterministic) or simulated ensembles
 
-    def passed(self):
-        return self.verdict
-
 
 def _quotient(base, pert, eps):
     """CRN difference quotient of two cost samples and its stderr."""
@@ -549,7 +546,7 @@ def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
     with the fraction of paths whose re-derived control departs.
     """
     cfg = cfg or MCConfig(n_paths=20000, seed=123)
-    params = dict(params or {})
+    params = family_params(params)
     taus = np.asarray(params.pop("taus", np.linspace(0.1, 0.9, 9)), dtype=float)
     spec = make_spec(EXAMPLE_FAMILIES.get(example_id, example_id), params)
     cf = spec.closed_forms

@@ -693,12 +693,22 @@ def register_family(name, builder):
     FAMILIES[name] = builder
 
 
+def family_params(params):
+    """A copy of a family's parameters: a dict (a JSON object) or None for none."""
+    if params is None:
+        return {}
+    if not isinstance(params, dict):
+        raise DomainError("family parameters must be a JSON object, "
+                          f"got {type(params).__name__}")
+    return dict(params)
+
+
 def make_spec(family, params=None, T=None, U=None):
     if family not in FAMILIES:
         raise DomainError(f"unknown problem family '{family}'")
     builder = FAMILIES[family]
     accepted = set(inspect.signature(builder).parameters)
-    kwargs = dict(params or {})
+    kwargs = family_params(params)
     if T is not None:
         kwargs["T"] = T
     if U is not None:

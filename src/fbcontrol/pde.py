@@ -401,8 +401,9 @@ class DiagonalBundle:
 
     @staticmethod
     def zeros(nt, nx):
-        z = np.zeros((nt, nx))
-        return DiagonalBundle(z.copy(), z.copy(), z.copy(), z.copy())
+        """An all-zero bundle; its four fields share one read-only zero view."""
+        z = np.broadcast_to(0.0, (nt, nx))
+        return DiagonalBundle(z, z, z, z)
 
 
 class SeparableCostField:

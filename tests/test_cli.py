@@ -7,10 +7,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fbcontrol
 from fbcontrol import model
-from fbcontrol.cli import run
+from fbcontrol.cli import build_parser, run
 
 
 def _names(outdir):
@@ -200,6 +201,63 @@ def test_refused_runs_leave_no_output_directory(tmp_path, capsys):
         assert run(argv + ["--out", str(out)]) == 2, argv
         assert "config error" in capsys.readouterr().err, argv
         assert not out.exists(), argv
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    # a document or a params entry that is not a JSON object is a config error
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    bad_params = tmp_path / "params.json"
+    bad_params.write_text(json.dumps({"params": [1]}))
+    refused = [(cmd, not_object) for cmd in ("pde-solve", "mc-verify", "fk-check",
+                                             "lq-riccati", "meanfield-lq", "inconsistency")]
+    refused += [(cmd, bad_params) for cmd in ("pde-solve", "mc-verify", "fk-check",
+                                              "inconsistency")]
+    for k, (cmd, cfg) in enumerate(refused):
+        out = tmp_path / f"out{k}"
+        assert run([cmd, "--config", str(cfg), "--out", str(out)]) == 2, (cmd, cfg.name)
+        assert "config error" in capsys.readouterr().err, (cmd, cfg.name)
+        assert not out.exists(), (cmd, cfg.name)
+
+
+# every subcommand at sizes that run in about a second or less
+SMALL_RUNS = {
+    "lq-riccati": ["--steps", "200"],
+    "meanfield-lq": ["--steps", "200"],
+    "meanvar": ["--steps", "200", "--grid-nx", "17", "--grid-nt", "33", "--paths", "200",
+                "--times", "0.3", "--eps", "0.05"],
+    "planner": ["--steps", "200"],
+    "stackelberg": [],
+    "pde-solve": ["--grid-nx", "17", "--grid-nt", "33"],
+    "mc-verify": ["--paths", "200", "--times", "0.3", "--eps", "0.05"],
+    "inconsistency": ["--example", "ex31"],
+    "fk-check": ["--paths", "200", "--grid-nx", "17", "--grid-nt", "33"],
+    "selftest": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_manifest_lists_exactly_the_run_directory(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run([command] + SMALL_RUNS[command] + ["--out", str(out)]) in (0, 3)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert set(manifest["outputs"]) == set(_names(out)) - {"manifest.json"}
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    assert capsys.readouterr().out.endswith((out / "summary.txt").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_subcommand_functions_write_no_file(tmp_path, monkeypatch, capsys, command):
+    # only the publish step in run() writes, so a subcommand called alone
+    # leaves the working directory and --out untouched
+    monkeypatch.chdir(tmp_path)
+    args = build_parser().parse_args([command] + SMALL_RUNS[command] + ["--out", "out"])
+    tables, lines, *rc = args.func(args)
+    assert list(tmp_path.iterdir()) == []
+    assert tables and lines and rc in ([], [0], [3])
+    capsys.readouterr()
 
 
 def test_fixed_point_tolerance_must_be_finite_and_positive(tmp_path, capsys):

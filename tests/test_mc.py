@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fbcontrol import mc, model
-from fbcontrol.cli import _work_unit, _write_gap, _write_verify
+from fbcontrol.cli import _gap_table, _verify_table, _work_unit, write_csv
 from fbcontrol.errors import (BlowUpError, DomainError, EvaluationError,
                              UnsupportedCostClassError)
 from fbcontrol.mc import (BLOCK_PATHS, FK_STREAM, MCConfig, check_feynman_kac,
@@ -602,13 +602,13 @@ def test_emit_csvs(tmp_path):
                                 MCConfig(n_paths=100, seed=17, eps_list=(0.1,),
                                          u_list=(0.0, 2.5)))
     p = tmp_path / "verify.csv"
-    _write_verify(report, p)
+    write_csv(p, *_verify_table(report))
     lines = p.read_text().splitlines()
     assert lines[0] == "t,eps,u,quotient,stderr"
     assert len(lines) == 1 + len(report.rows)
 
     rep = demonstrate_inconsistency("ex31")
     g = tmp_path / "gap.csv"
-    _write_gap(rep, g)
+    write_csv(g, *_gap_table(rep))
     lines = g.read_text().splitlines()
     assert lines[0] == "tau,gap"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbcontrol.cli import _write_planner, _write_riccati
+from fbcontrol.cli import _planner_table, _riccati_table, write_csv
 from fbcontrol.errors import BlowUpError, DomainError, PositivityError, SingularityError
 from fbcontrol.riccati import (LQSpec, meanvar_closed_form, meanvar_equilibrium,
                                rk4_backward, solve_meanfield_riccati, solve_planner,
@@ -410,7 +410,7 @@ def test_stackelberg_cost_quadrature_matches_antiderivative():
 def test_csv_emission(tmp_path):
     traj = solve_riccati_lq(mv_lq(), steps=100)
     path = tmp_path / "lq.csv"
-    _write_riccati(traj, path)
+    write_csv(path, *_riccati_table(traj))
     lines = path.read_text().splitlines()
     assert lines[0] == "t,phi1,phi2,phi3,phi4,phi5,phi6,phi7,psi,v"
     assert len(lines) == 102
@@ -422,7 +422,7 @@ def test_csv_emission(tmp_path):
 
     sol = solve_planner(0.03, 0.08, 0.2, 0.5, 0.3, 0.08, 0.02, 0.4, steps=100)
     path2 = tmp_path / "planner.csv"
-    _write_planner(sol, path2)
+    write_csv(path2, *_planner_table(sol))
     lines = path2.read_text().splitlines()
     assert lines[0] == "t,theta1,theta2,consumption_coeff"
     assert len(lines) == 102
