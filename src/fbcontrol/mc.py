@@ -547,7 +547,13 @@ def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
     """
     cfg = cfg or MCConfig(n_paths=20000, seed=123)
     params = family_params(params)
-    taus = np.asarray(params.pop("taus", np.linspace(0.1, 0.9, 9)), dtype=float)
+    given = params.pop("taus", np.linspace(0.1, 0.9, 9))
+    try:
+        taus = np.asarray(given, dtype=float)
+    except (TypeError, ValueError):
+        taus = None
+    if taus is None or taus.ndim != 1:
+        raise DomainError(f"taus must be a list of numbers, got {given!r}")
     spec = make_spec(EXAMPLE_FAMILIES.get(example_id, example_id), params)
     cf = spec.closed_forms
     if cf.gap is not None:

@@ -704,15 +704,22 @@ def family_params(params):
 
 
 def make_spec(family, params=None, T=None, U=None):
+    """The spec of a registered family.  T is a number and U a pair of numbers
+    (a JSON list); anything else is a DomainError."""
     if family not in FAMILIES:
         raise DomainError(f"unknown problem family '{family}'")
     builder = FAMILIES[family]
     accepted = set(inspect.signature(builder).parameters)
     kwargs = family_params(params)
-    if T is not None:
-        kwargs["T"] = T
-    if U is not None:
-        kwargs["U"] = tuple(U)
+    try:
+        if T is not None:
+            kwargs["T"] = float(T)
+        if U is not None:
+            u_lo, u_hi = (float(u) for u in U)
+            kwargs["U"] = (u_lo, u_hi)
+    except (TypeError, ValueError):
+        raise DomainError(f"T must be a number and U a pair of numbers, got T={T!r}, "
+                          f"U={U!r}") from None
     bad = sorted(set(kwargs) - accepted)
     if bad:
         raise DomainError(f"family '{family}' does not accept parameters {bad}")

@@ -46,7 +46,6 @@ from .errors import (DegeneracyError, DomainError, EvaluationError,
                      FBControlError, YRangeError)
 from .model import StrategyTable, constant_control, hamiltonian_H0_hat
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -693,61 +692,124 @@ def extract_diagonal(theta0, theta: FieldTheta) -> DiagonalBundle:
     return theta0.diagonal(theta)
 
 
-def _parabolic_vertex(pa, pm, pb, fa, fm, fb):
-    num = (pm - pa) ** 2 * (fm - fb) - (pm - pb) ** 2 * (fm - fa)
-    den = (pm - pa) * (fm - fb) - (pm - pb) * (fm - fa)
-    safe = np.abs(den) > 1e-300
-    vertex = pm - 0.5 * np.where(safe, num / np.where(safe, den, 1.0), 0.0)
-    return np.where(safe, vertex, pm)
+# The Hamiltonian minimizer: a scan of _COARSE points, Brent's method on the
+# bracket of the scan's first minimum, and a five-point stencil about
+# Brent's best point.  Brent's tolerance and the stencil spacing are fractions
+# of one scan cell.
+_COARSE = 33
+_BRENT_TOL = 2.0 ** -10
+_STENCIL = 2.0 ** -8
+# a stencil whose second difference is below this many ulps of its largest
+# value is flat at float resolution and gives no vertex
+_RESOLVED = 1024.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden_rows(f, lo, hi, tol=1e-10, coarse=33):
-    """Vectorized golden-section search with parabolic polish on a (rows, n) block.
+def _scan(f, us):
+    """The scan's first minimum x (strict <: ties go to the smaller u), the
+    bracket [a, b] of its scan neighbours, and Brent's other two points w and
+    v, the scan neighbours (twice the one inside a bound), with their values:
+    (x, f(x), a, b, w, f(w), v, f(v))."""
+    fx = f_prev = f_left = f_right = f(us[0])
+    k = np.zeros(fx.shape, dtype=int)
+    new = np.ones(fx.shape, dtype=bool)          # where k == j - 1
+    for j in range(1, us.size):
+        fj = f(us[j])
+        f_right = np.where(new, fj, f_right)
+        new = fj < fx
+        k = np.where(new, j, k)
+        f_left = np.where(new, f_prev, f_left)
+        fx, f_prev = np.minimum(fj, fx), fj
+    last = us.size - 1
+    x, a, b = us[k], us[np.maximum(k - 1, 0)], us[np.minimum(k + 1, last)]
+    return (x, fx, a, b, np.where(k > 0, a, b), np.where(k > 0, f_left, f_right),
+            np.where(k < last, b, a), np.where(k < last, f_right, f_left))
 
-    The bracket is shrunk only to the width at which value differences remain
-    resolvable in float64; the polish is exact for quadratic objectives, which
-    pins the vertex well below the requested absolute tolerance.  Ties break
-    toward the smaller control.  Each row takes the golden-step count of its
-    own widest bracket, so a row's minimizer does not depend on the rows it is
-    batched with.
+
+def _brent_rows(f, lo, hi):
+    """Minimizer of f over [lo, hi] at every element of a (rows, n) block.
+
+    f maps a control (a scalar, or an array shaped like the block) to the
+    values on the block.  Three stages:
+
+    - a scan of ``_COARSE`` equally spaced controls.  Its first minimum (ties
+      go to the smaller u) and the two scan points next to it bracket the
+      search;
+    - Brent's method on that bracket (Brent 1973, *Algorithms for
+      Minimization without Derivatives*, ch. 5): a parabolic step through the
+      three best points when it falls well inside the bracket, else a
+      golden-section step into the larger part, and never a step shorter than
+      tol = ``_BRENT_TOL`` scan cells.  The first parabola is the scan's own
+      three-point stencil, so a quadratic is solved by the first step.  A best
+      point on a bound probes tol inside it instead of a golden step, so a
+      minimum on the bound costs one step.  Every element keeps its own state
+      and stops when its bracket is within 2 tol of its best point; a block
+      calls f as often as its slowest element needs;
+    - a stencil c + (-2h, -h, 0, h, 2h), h = ``_STENCIL`` scan cells, about
+      Brent's best point c (moved 2h inside [lo, hi] near a bound), wide
+      enough that its values differ far above rounding.  Its three inner
+      points give f'' at c, and the outer two refine f' to fourth order and
+      give f'''.  The answer, clipped to Brent's bracket, is c + s for the
+      root s nearest 0 of the model f' + f'' s + f''' s^2 / 2.  On a
+      quadratic that is the vertex of the three inner points, exact to
+      rounding; on other smooth f the cubic term shifts it neither by
+      h^2 f'''/(6 f''), as that vertex would be, nor by s^2 f'''/(2 f'') where
+      c sits 2h off a bound.  A stencil that is not convex above float
+      resolution gives no answer, and the element keeps Brent's best point: a
+      constant f keeps the smaller u, and a row on a bound keeps the bound
+      exactly.
+
+    f is called 40 times on a quadratic, 39 times on a constant and about 43
+    times on a smooth convex f; a kink in f costs golden steps.  Every
+    operation is elementwise, so an element's result does not depend on the
+    block it is batched with.
     """
-    us = np.linspace(lo, hi, coarse)
-    # running argmin of the coarse scan: strict < keeps the first (smallest u) minimum
-    f_best = f(us[0])
-    idx = np.zeros(f_best.shape, dtype=int)
-    for k in range(1, coarse):
-        F = f(us[k])
-        idx[F < f_best] = k
-        f_best = np.minimum(F, f_best)
-    u_best, a, b = us[idx], us[np.maximum(idx - 1, 0)], us[np.minimum(idx + 1, coarse - 1)]
-    scale = max(1.0, (hi - lo) / 20.0)
-    target = max(1e-4 * scale, tol)
-    n_iter = np.array([max(1, math.ceil(math.log(w / target) / math.log(1.0 / GOLDEN)))
-                       if w > target else 1 for w in np.max(b - a, axis=-1).tolist()])
-    x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for k in range(n_iter.max()):
-        live = (k < n_iter)[:, None]   # a finished row keeps its bracket and probes
-        take_left = f1 <= f2
-        a, b = np.where(live & ~take_left, x1, a), np.where(live & take_left, x2, b)
-        x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-        f1, f2 = f(x1), f(x2)
-
-    def offer(u_try, f_try):
-        nonlocal u_best, f_best
-        keep = (f_try < f_best) | ((f_try == f_best) & (u_try < u_best))
-        u_best, f_best = np.where(keep, u_try, u_best), np.minimum(f_try, f_best)
-
-    offer(np.where(f1 <= f2, x1, x2), np.minimum(f1, f2))
-    for delta in (None, 1e-5 * scale):
-        pa, pb = (a, b) if delta is None else (np.clip(u_best - delta, lo, hi),
-                                               np.clip(u_best + delta, lo, hi))
-        pm = 0.5 * (pa + pb)
-        fa, fm, fb = f(pa), f(pm), f(pb)
-        vertex = np.clip(_parabolic_vertex(pa, pm, pb, fa, fm, fb), lo, hi)
-        offer(pm, fm)
-        offer(vertex, f(vertex))
-    return np.clip(u_best, lo, hi)
+    us = np.linspace(lo, hi, _COARSE)
+    cell = us[1] - us[0]
+    tol = _BRENT_TOL * cell
+    x, fx, a, b, w, fw, v, fv = _scan(f, us)
+    d = e = np.full(x.shape, 2.0 * (hi - lo))    # the last two steps: the first may be parabolic
+    live = np.maximum(x - a, b - x) > 2.0 * tol
+    while live.any():
+        mid = 0.5 * (a + b)
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ((x - v) * q - (x - w) * r) / (2.0 * (r - q))
+        u = x + step
+        parabolic = (np.abs(e) > tol) & (np.abs(step) < 0.5 * np.abs(e)) & (u > a) & (u < b)
+        step = np.where((u - a < 2.0 * tol) | (b - u < 2.0 * tol), np.copysign(tol, mid - x), step)
+        gold = np.where(x >= mid, a, b) - x
+        on_bound = (x == a) | (x == b)
+        e, d = np.where(parabolic, d, gold), np.where(
+            parabolic, step, np.where(on_bound, np.copysign(tol, gold), _CGOLD * gold))
+        u = np.where(live, x + np.where(np.abs(d) >= tol, d, np.copysign(tol, d)), x)
+        del mid, r, q, step, parabolic, gold, on_bound     # before f's own temporaries
+        fu = f(u)
+        better = (fu < fx) | ((fu == fx) & (u < x))
+        lost, f_lost = np.where(better, x, u), np.where(better, fx, fu)
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+        a, b = np.where(lost < x, lost, a), np.where(lost > x, lost, b)
+        to_w = better | (f_lost <= fw) | (w == x)
+        to_v = ~to_w & ((f_lost <= fv) | (v == x) | (v == w))
+        v, fv = np.where(to_w, w, np.where(to_v, lost, v)), np.where(to_w, fw, np.where(to_v, f_lost, fv))
+        w, fw = np.where(to_w, lost, w), np.where(to_w, f_lost, fw)
+        live &= np.maximum(x - a, b - x) > 2.0 * tol
+    h = _STENCIL * cell
+    c = np.clip(x, lo + 2.0 * h, hi - 2.0 * h)
+    fc = f(c) if np.any(c != x) else fx
+    f_1, f1, f_2, f2 = f(c - h), f(c + h), f(c - 2.0 * h), f(c + 2.0 * h)
+    curv = f_1 + f1 - 2.0 * fc
+    # slope, curv and third are h f', h^2 f'' and h^3 f''' at c; the step is the
+    # root nearest 0 of slope + curv t + third t^2 / 2 (times h), in the form
+    # that tends to the vertex -slope/curv as third -> 0
+    slope = (8.0 * (f1 - f_1) - (f2 - f_2)) / 12.0
+    third = 0.5 * (f2 - f_2) - (f1 - f_1)
+    disc = curv * curv - 2.0 * slope * third
+    root = np.sqrt(np.where(disc > 0.0, disc, curv * curv))
+    ulp = np.spacing(np.maximum(np.maximum(np.abs(f_1), np.abs(f1)), np.abs(fc)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.clip(c - 2.0 * h * slope / (curv + root), a, b)
+    return np.clip(np.where(curv > _RESOLVED * ulp, vertex, x), lo, hi)
 
 
 # grid points per minimizer block: whole time rows are batched up to this many
@@ -760,9 +822,9 @@ def _minimize_block(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx):
     block shaped like d: s is an (rows, 1) column of times, x an (n,) row, and
     theta, theta_x, theta_xx and the weights d_y are (m, rows, n)."""
     zero = np.zeros(np.shape(d))
-    return _golden_rows(lambda u: hamiltonian_H0_hat(spec, s, s, x, x, u + zero, theta, theta_x,
-                                                     theta_xx, d, d_x, d_y, d_xx),
-                        spec.u_lo, spec.u_hi)
+    return _brent_rows(lambda u: hamiltonian_H0_hat(spec, s, s, x, x, u + zero, theta, theta_x,
+                                                    theta_xx, d, d_x, d_y, d_xx),
+                       spec.u_lo, spec.u_hi)
 
 
 def _minimize_table(spec, theta: FieldTheta, bundle: DiagonalBundle):

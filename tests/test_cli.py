@@ -271,6 +271,18 @@ def test_fixed_point_tolerance_must_be_finite_and_positive(tmp_path, capsys):
             assert not out.exists(), (cmd, tol)
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["inconsistency", "--example", "ex31"], {"params": {"taus": "abc"}}),
+    (["pde-solve"], {"family": "mean_variance", "T": "abc"}),
+    (["mc-verify"], {"family": "mean_variance", "U": 5})])
+def test_malformed_config_values_are_config_errors(argv, doc, tmp_path, capsys):
+    cfg, out = tmp_path / "bad.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pde_solve_bad_config_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"family": "no_such_family"}))

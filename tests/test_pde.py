@@ -759,50 +759,91 @@ def test_fixed_point_reports_nonconvergence_without_raising():
 # block minimizer against the row-by-row search
 # ---------------------------------------------------------------------------
 
-def _golden_row_reference(f, lo, hi, tol=1e-10, coarse=33):
-    """Golden-section search on one row of x: stacked coarse scan, np.argmin,
-    and the golden-step count of the row's widest bracket."""
-    us = np.linspace(lo, hi, coarse)
-    F = np.stack([np.asarray(f(u), dtype=float) for u in us])
-    idx = np.argmin(F, axis=0)
-    u_best = us[idx]
-    f_best = np.take_along_axis(F, idx[None, :], axis=0)[0]
-    a = us[np.maximum(idx - 1, 0)]
-    b = us[np.minimum(idx + 1, coarse - 1)]
-    scale = max(1.0, (hi - lo) / 20.0)
-    target = max(1e-4 * scale, tol)
-    width0 = float(np.max(b - a))
-    n_iter = (max(1, int(math.ceil(math.log(width0 / target) / math.log(1.0 / pde.GOLDEN))))
-              if width0 > target else 1)
-    x1 = b - pde.GOLDEN * (b - a)
-    x2 = a + pde.GOLDEN * (b - a)
-    f1, f2 = np.asarray(f(x1), dtype=float), np.asarray(f(x2), dtype=float)
-    for _ in range(n_iter):
-        take_left = f1 <= f2
-        b = np.where(take_left, x2, b)
-        a = np.where(take_left, a, x1)
-        x1 = b - pde.GOLDEN * (b - a)
-        x2 = a + pde.GOLDEN * (b - a)
-        f1, f2 = np.asarray(f(x1), dtype=float), np.asarray(f(x2), dtype=float)
-    cand = np.where(f1 <= f2, x1, x2)
-    fc = np.minimum(f1, f2)
-    keep = (fc < f_best) | ((fc == f_best) & (cand < u_best))
-    u_best = np.where(keep, cand, u_best)
-    f_best = np.minimum(fc, f_best)
-    for delta in (None, 1e-5 * scale):
-        if delta is None:
-            pa, pm, pb = a, 0.5 * (a + b), b
+def _brent_row_reference(f, lo, hi):
+    """The block minimizer's search on one row of x, element by element: a
+    running scan minimum, then Brent's method and the stencil vertex as scalar
+    code per element.  f is called once per stage on the whole row, with the
+    controls of every element; an element that has stopped holds its best
+    point.  The stencil centre is always evaluated."""
+    us = np.linspace(lo, hi, pde._COARSE)
+    cell = us[1] - us[0]
+    tol = pde._BRENT_TOL * cell
+    F = [np.asarray(f(u), dtype=float) for u in us]
+    n = F[0].size
+    k = np.zeros(n, dtype=int)
+    best = F[0].copy()
+    for j in range(1, us.size):
+        k[F[j] < best] = j          # strict <: the first minimum is kept
+        best = np.minimum(best, F[j])
+    state = []
+    for i in range(n):
+        j, val = int(k[i]), [float(Fj[i]) for Fj in F]
+        o1 = j - 1 if j > 0 else 1
+        o2 = j + 1 if j < us.size - 1 else us.size - 2
+        state.append(dict(a=float(us[max(j - 1, 0)]), b=float(us[min(j + 1, us.size - 1)]),
+                          x=float(us[j]), fx=val[j], w=float(us[o1]), fw=val[o1],
+                          v=float(us[o2]), fv=val[o2], d=2.0 * (hi - lo), e=2.0 * (hi - lo)))
+
+    def stopped(st):
+        return max(st["x"] - st["a"], st["b"] - st["x"]) <= 2.0 * tol
+
+    while not all(stopped(st) for st in state):
+        trial = []
+        for st in state:
+            if stopped(st):
+                trial.append(st["x"])
+                continue
+            a, b, x, w, v = st["a"], st["b"], st["x"], st["w"], st["v"]
+            mid = 0.5 * (a + b)
+            r, q = (x - w) * (st["fx"] - st["fv"]), (x - v) * (st["fx"] - st["fw"])
+            den = 2.0 * (r - q)
+            step = ((x - v) * q - (x - w) * r) / den if den != 0.0 else math.nan
+            e_prev = st["e"]
+            if abs(e_prev) > tol and abs(step) < 0.5 * abs(e_prev) and a < x + step < b:
+                st["e"] = st["d"]
+                if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
+                    step = math.copysign(tol, mid - x)
+                st["d"] = step
+            else:
+                st["e"] = (a if x >= mid else b) - x
+                st["d"] = (math.copysign(tol, st["e"]) if x in (a, b)
+                           else pde._CGOLD * st["e"])
+            d = st["d"]
+            trial.append(x + (d if abs(d) >= tol else math.copysign(tol, d)))
+        fu_row = np.asarray(f(np.array(trial)), dtype=float)
+        for st, u, fu in zip(state, trial, fu_row.tolist()):
+            if stopped(st):
+                continue
+            x, fx = st["x"], st["fx"]
+            if fu < fx or (fu == fx and u < x):
+                lost, f_lost = x, fx
+                st["x"], st["fx"] = u, fu
+            else:
+                lost, f_lost = u, fu
+            if lost < st["x"]:
+                st["a"] = lost
+            else:
+                st["b"] = lost
+            if f_lost <= st["fw"] or st["w"] == st["x"] or lost == x:
+                st["v"], st["fv"], st["w"], st["fw"] = st["w"], st["fw"], lost, f_lost
+            elif f_lost <= st["fv"] or st["v"] == st["x"] or st["v"] == st["w"]:
+                st["v"], st["fv"] = lost, f_lost
+    h = pde._STENCIL * cell
+    c = np.array([min(max(st["x"], lo + 2.0 * h), hi - 2.0 * h) for st in state])
+    fc, f_1, f1, f_2, f2 = (np.asarray(f(p), dtype=float).tolist()
+                            for p in (c, c - h, c + h, c - 2.0 * h, c + 2.0 * h))
+    out = np.empty(n)
+    for i, st in enumerate(state):
+        curv = f_1[i] + f1[i] - 2.0 * fc[i]
+        slope = (8.0 * (f1[i] - f_1[i]) - (f2[i] - f_2[i])) / 12.0
+        third = 0.5 * (f2[i] - f_2[i]) - (f1[i] - f_1[i])
+        disc = curv * curv - 2.0 * slope * third
+        root = math.sqrt(disc if disc > 0.0 else curv * curv)
+        if curv > pde._RESOLVED * math.ulp(max(abs(f_1[i]), abs(f1[i]), abs(fc[i]))):
+            out[i] = min(max(c[i] - 2.0 * h * slope / (curv + root), st["a"]), st["b"])
         else:
-            pa = np.clip(u_best - delta, lo, hi)
-            pb = np.clip(u_best + delta, lo, hi)
-            pm = 0.5 * (pa + pb)
-        fa, fm, fb = (np.asarray(f(v), dtype=float) for v in (pa, pm, pb))
-        vertex = np.clip(pde._parabolic_vertex(pa, pm, pb, fa, fm, fb), lo, hi)
-        for u_try, f_try in ((pm, fm), (vertex, np.asarray(f(vertex), dtype=float))):
-            keep = (f_try < f_best) | ((f_try == f_best) & (u_try < u_best))
-            u_best = np.where(keep, u_try, u_best)
-            f_best = np.minimum(f_try, f_best)
-    return np.clip(u_best, lo, hi)
+            out[i] = st["x"]
+    return np.clip(out, lo, hi)
 
 
 def _row_by_row_table(spec, theta, bundle):
@@ -812,7 +853,7 @@ def _row_by_row_table(spec, theta, bundle):
     for j, s in enumerate(theta.times):
         args = (theta.slice(j), theta.dx_slice(j), pde._dxx_rows(theta.slice(j), theta.dx),
                 bundle.d[j], bundle.dx[j], np.tile(bundle.dy[j], (spec.m, 1)), bundle.dxx[j])
-        out[j] = _golden_row_reference(
+        out[j] = _brent_row_reference(
             lambda u: model.hamiltonian_H0_hat(spec, s, s, xs, xs,
                                                np.asarray(u, dtype=float) + zero, *args),
             spec.u_lo, spec.u_hi)
@@ -853,9 +894,9 @@ def _heat_with_cost(g0):
 
 def test_block_minimizer_rows_on_a_bound(monkeypatch):
     # argmin of cosh(u - c(s)) on U = [-1, 1]: on the bound for s < 1/3, inside the
-    # first coarse cell (half-width bracket, one golden step fewer) for s < 2/3,
+    # first coarse cell (a bracket with the scan minimum on the bound) for s < 2/3,
     # interior after; all three kinds of rows share one block.  Not quadratic, so
-    # the polish does not erase a wrong step count.
+    # the final stencil depends on where Brent's search stopped.
     c = lambda s: np.where(s < 1.0 / 3.0, -1.5, np.where(s < 2.0 / 3.0, -0.97, 0.3))
     spec = _heat_with_cost(lambda s, u: np.cosh(u - c(s)))
     grid = pde.GridSpec(-2.0, 2.0, 33, 31, 1.0)
@@ -870,6 +911,62 @@ def test_block_minimizer_ties_go_to_the_smaller_u(monkeypatch):
     spec = _heat_with_cost(lambda s, u: (u * u - 0.25) ** 2)
     table = _block_and_row_by_row(spec, pde.GridSpec(-2.0, 2.0, 33, 17, 1.0), monkeypatch)
     assert np.max(np.abs(table + 0.5)) < 1e-6
+
+
+def test_minimizer_hits_the_vertex_of_a_quadratic_hamiltonian():
+    # at frozen fields the mean-variance Hamiltonian is A u^2 + B u + C on every
+    # node, so three evaluations give its vertex -B/(2A)
+    spec = model.mean_variance()
+    grid = pde.default_grid(spec, nx=129, nt=251)
+    theta, theta0 = pde.reference_fields(spec, grid)
+    bundle = pde.extract_diagonal(theta0, theta)
+    th = theta.values
+    args = (th, pde._dx_rows(th, theta.dx), pde._dxx_rows(th, theta.dx), bundle.d, bundle.dx,
+            np.broadcast_to(bundle.dy, th.shape), bundle.dxx)
+    s = grid.times[:, None]
+    H = lambda u: model.hamiltonian_H0_hat(spec, s, s, grid.xs, grid.xs,
+                                           np.full(bundle.d.shape, u), *args)
+    h_lo, h_0, h_hi = H(-1.0), H(0.0), H(1.0)
+    vertex = 0.5 * (h_lo - h_hi) / (h_lo + h_hi - 2.0 * h_0)
+    assert np.all(np.abs(vertex) < 1.0)
+    assert np.max(np.abs(pde._minimize_table(spec, theta, bundle) - vertex)) < 1e-12
+
+
+def test_minimizer_is_accurate_where_f_is_not_quadratic():
+    # e^u - g u has its minimum at ln g, with f''' = f'' there: a three-point
+    # slope would shift the vertex by h^2/6, about 1e-8 on U = [-1, 1]
+    g = np.exp(np.concatenate([[-1.5, -1.0, 1.0, 1.5], np.linspace(-0.999, 0.999, 61)]))
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        return np.exp(u + np.zeros((1, g.size))) - g * u
+
+    u = pde._brent_rows(f, -1.0, 1.0)[0]
+    assert np.max(np.abs(u - np.clip(np.log(g), -1.0, 1.0))) < 1e-10
+    assert np.all(u[[0, 1]] == -1.0) and np.all(u[[2, 3]] == 1.0)
+    assert len(calls) <= 45
+
+
+@pytest.mark.parametrize("family, iterations", [("mean_variance", 3), ("recursive_lq", 5)])
+def test_minimizer_evaluates_the_hamiltonian_at_most_45_times_per_point(family, iterations,
+                                                                       monkeypatch):
+    calls, search = [], pde._brent_rows
+
+    def counted(f, lo, hi):
+        calls.append(0)
+
+        def f_counted(u):
+            calls[-1] += 1
+            return f(u)
+        return search(f_counted, lo, hi)
+
+    monkeypatch.setattr(pde, "_brent_rows", counted)
+    spec = model.make_spec(family)
+    log = pde.equilibrium_fixed_point(spec, pde.default_grid(spec, nx=65, nt=63))[3]
+    assert log.converged and log.iterations == iterations
+    assert len(calls) == iterations          # 65 x 63 is one block per iteration
+    assert max(calls) <= 45
 
 
 # ---------------------------------------------------------------------------
