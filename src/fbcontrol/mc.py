@@ -290,9 +290,6 @@ def _deterministic_cost(spec, strategy, t, x):
     Integration is split at perturbation-window edges so each Simpson piece
     sees a smooth integrand.
     """
-    if spec.reduced_running is None:
-        raise UnsupportedCostClassError(
-            "deterministic evaluation needs a reduced running integrand")
     breaks = _breaks(t, spec.horizon, getattr(strategy, "window", None))
     total, flows = _cost_quadrature(spec, t, np.array([float(x)]),
                                     [(s0, s1, strategy) for s0, s1 in zip(breaks[:-1], breaks[1:])])
@@ -327,9 +324,6 @@ def _cost_paths(spec, control, t, x, cfg, normals):
     Only the current state and the running sum are kept, never the paths.
     """
     mc = spec.mc_cost
-    if mc is None:
-        raise UnsupportedCostClassError(
-            "spec declares bolza_condexp but carries no Monte Carlo cost decomposition")
     times, dt = _time_grid(t, spec.horizon, cfg)
     run = None
 
@@ -371,6 +365,10 @@ def _mc_cost_samples(spec, strategy, t, x, cfg, normals):
     return _cost_moments(spec.mc_cost, xt, part)
 
 
+_GENERAL_COST = ("general recursive costs are not simulated; use the perturbation-field "
+                 "route (pde.solve_perturbation)")
+
+
 def evaluate_cost(spec, strategy_or_control, t, x, cfg: MCConfig):
     """Recursive cost at (t, x) under a strategy; returns (estimate, stderr).
 
@@ -389,9 +387,7 @@ def evaluate_cost(spec, strategy_or_control, t, x, cfg: MCConfig):
         normals = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic)
         est, se, _ = _mc_cost_samples(spec, strategy, t, x, cfg, normals)
         return est, se
-    raise UnsupportedCostClassError(
-        "general recursive costs are not simulated; use the perturbation-field route "
-        "(pde.solve_perturbation)")
+    raise UnsupportedCostClassError(_GENERAL_COST)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +472,11 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
     points.  Perturbed and unperturbed costs share increments, the reported
     quotient per (t, eps, u) is the minimum over evaluation states, and the
     verdict passes iff the smallest-window minimum quotient clears -tol_eq.
+    A spec of the general cost class is refused before any simulation, as in
+    ``evaluate_cost``.
     """
+    if spec.cost_class == "general":
+        raise UnsupportedCostClassError(_GENERAL_COST)
     T = spec.horizon
     for t in t_list:
         if t + max(cfg.eps_list) > T + 1e-12:

@@ -89,7 +89,6 @@ class ControlProblemSpec:
     m: int = 1
     x0: float = 0.0
     diffusion_control_free: bool = False
-    cost_class: str = "general"     # deterministic | bolza_condexp | general
     params: dict = field(default_factory=dict)
     terminal_split: Optional[TerminalSplit] = None
     reduced_running: Optional[Callable] = None   # (t, s, u) -> cost rate
@@ -107,6 +106,14 @@ class ControlProblemSpec:
     @property
     def u_bounded(self):
         return abs(self.u_lo) < U_INF and abs(self.u_hi) < U_INF
+
+    @property
+    def cost_class(self):
+        """The cost route its cost data allow: ``deterministic`` (a reduced running
+        integrand), ``bolza_condexp`` (a Monte Carlo cost decomposition) or ``general``."""
+        if self.reduced_running is not None:
+            return "deterministic"
+        return "bolza_condexp" if self.mc_cost is not None else "general"
 
 
 class StrategyTable:
@@ -359,8 +366,6 @@ def validate_spec(spec, probe_grid=None):
                     and abs(s0 - s1) > 1e-12 * (1.0 + abs(s0))):
                 ctrl_free = False
     nondegenerate = math.isfinite(amin) and amin > 0.0
-    detected = ("deterministic" if spec.reduced_running is not None
-                else "bolza_condexp" if spec.mc_cost is not None else "general")
     return {
         "finite": not bad,
         "bad_points": bad,
@@ -369,7 +374,7 @@ def validate_spec(spec, probe_grid=None):
         "nondegenerate": nondegenerate,
         "diffusion_control_free_ok": ctrl_free,
         "suggested_route": "pde" if nondegenerate else "ode",
-        "cost_class_detected": detected,
+        "cost_class_detected": spec.cost_class,
         "column_s_failures": _column_s_failures(spec, s_arr, x_arr, u_arr),
     }
 
@@ -466,7 +471,7 @@ def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=h0,
         u_lo=u_lo, u_hi=u_hi, horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=False, cost_class="bolza_condexp",
+        diffusion_control_free=False,
         params={"r": r, "mu": mu, "sigma": sigma, "gamma": gamma, "x0": float(x0)},
         terminal_split=split,
         mc_cost=McCost(
@@ -500,8 +505,7 @@ def recursive_lq(T=1.0, x0=0.0, U=(-10.0, 10.0)):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: y,
         u_lo=float(U[0]), u_hi=float(U[1]), horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=True, cost_class="bolza_condexp",
-        params={"x0": float(x0)},
+        diffusion_control_free=True, params={"x0": float(x0)},
         terminal_split=split,
         mc_cost=McCost(running=lambda s, x, u: 0.5 * (u * u + x * x)),
     )
@@ -532,7 +536,7 @@ def linear_heat(a=1.0, T=1.0, terminal="x", x0=0.0):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: y,
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=True, cost_class="general",
+        diffusion_control_free=True,
         params={"a": a, "terminal": terminal if isinstance(terminal, str) else "custom",
                 "x0": float(x0)},
         terminal_split=split,
@@ -560,8 +564,7 @@ def bkm_separable(T=1.0, x0=0.0):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: fhat(t, xt, x) + ghat(t, xt, y),
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=True, cost_class="general",
-        params={"x0": float(x0)}, terminal_split=split,
+        diffusion_control_free=True, params={"x0": float(x0)}, terminal_split=split,
     )
 
 
@@ -592,8 +595,7 @@ def stackelberg(T=1.0, x0=0.0, U=(-5.0, 5.0)):
             np.asarray(y, dtype=float) + np.asarray(u, dtype=float) + np.asarray(u, dtype=float) ** 2),
         cost_terminal=lambda t, xt, x, y: 0.0,
         u_lo=float(U[0]), u_hi=float(U[1]), horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=True, cost_class="deterministic",
-        params={"x0": float(x0)},
+        diffusion_control_free=True, params={"x0": float(x0)},
         reduced_running=reduced,
         closed_forms=ClosedForms(equilibrium=constant_control(-0.5), gap=gap),
     )
@@ -623,8 +625,7 @@ def ex31(T=1.0, x0=0.0, U=(-5.0, 5.0)):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: np.asarray(y)[1],
         u_lo=float(U[0]), u_hi=float(U[1]), horizon=float(T), m=2, x0=float(x0),
-        diffusion_control_free=True, cost_class="deterministic",
-        params={"x0": float(x0)},
+        diffusion_control_free=True, params={"x0": float(x0)},
         reduced_running=reduced,
         closed_forms=ClosedForms(equilibrium=constant_control(-0.5), gap=lambda tau: tau / 2.0),
     )
@@ -643,8 +644,7 @@ def ex41(T=1.0, x0=1.0, U=(-10.0, 10.0)):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: np.asarray(u, dtype=float) ** 2,
         cost_terminal=lambda t, xt, x, y: np.asarray(y, dtype=float) ** 2,
         u_lo=float(U[0]), u_hi=float(U[1]), horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=False, cost_class="bolza_condexp",
-        params={"x0": float(x0)},
+        diffusion_control_free=False, params={"x0": float(x0)},
         mc_cost=McCost(
             running=lambda s, x, u: u * u,
             outer=lambda m1: m1 * m1,
@@ -668,8 +668,7 @@ def gbm(mu=0.5, sigma=0.2, T=1.0, x0=1.0):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: y,
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=True, cost_class="general",
-        params={"mu": mu, "sigma": sigma, "x0": float(x0)},
+        diffusion_control_free=True, params={"mu": mu, "sigma": sigma, "x0": float(x0)},
     )
 
 
@@ -705,7 +704,8 @@ def family_params(params):
 
 def make_spec(family, params=None, T=None, U=None):
     """The spec of a registered family.  T is a number and U a pair of numbers
-    (a JSON list); anything else is a DomainError."""
+    (a JSON list); anything else, and a parameter value the family's builder
+    cannot convert, is a DomainError."""
     if family not in FAMILIES:
         raise DomainError(f"unknown problem family '{family}'")
     builder = FAMILIES[family]
@@ -723,7 +723,12 @@ def make_spec(family, params=None, T=None, U=None):
     bad = sorted(set(kwargs) - accepted)
     if bad:
         raise DomainError(f"family '{family}' does not accept parameters {bad}")
-    return builder(**kwargs)
+    try:
+        return builder(**kwargs)
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"family '{family}' parameters {kwargs}: {exc}") from None
 
 
 def spec_to_json(spec):

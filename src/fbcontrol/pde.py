@@ -9,15 +9,17 @@ the strategy until the diagonal bundle and the strategy stop moving.
 Every field goes through one backward sweep kernel, ``_sweep``: one banded
 factorization per time step (a direct LAPACK ``dgbsv`` call) is shared by
 every field and anchor of the blocks it steps (value components, x-anchors,
-(t, x, y) anchors of the general tensor, both fields of a perturbation
-window).  A sweep assembles the control rows of all its steps, and sigma,
-b, the diffusion checks and the band matrices in blocks of steps, ahead of
-the steps; the step loop keeps only the explicit sources, the right-hand
-side and the solve.  Each Picard iteration is one sweep: the value field
-and the cost field are two blocks of it, so they share each step's control,
-coefficients and factorization.  Anchors reach the coefficient callables as
-columns, so cost terminals and cost generators must broadcast array t, xt
-and y against the x row.  The Hamiltonian is defined only in ``model.py``.
+(t, x, y) anchors of the general tensor).  A sweep assembles the control rows
+of all its steps, and sigma, b, the diffusion checks and the band matrices in
+blocks of steps, ahead of the steps; the step loop keeps only the explicit
+sources, the right-hand side and the solve.  Each Picard iteration is one
+sweep of two blocks, the value field's and the cost field's (``_theta_block``,
+``_cost_block``), which share each step's control, coefficients and
+factorization; a spike-perturbation window sweeps the same two blocks on its
+own times.  Grids and fields read one x spacing (``_OnGrid``).  Anchors reach
+the coefficient callables as columns, so cost terminals and cost generators
+must broadcast array t, xt and y against the x row.  The Hamiltonian is
+defined only in ``model.py``.
 
 Cost fields come in two storage modes.  When the cost terminal splits
 additively into a state part and an anchored-y part (and the cost generator
@@ -49,8 +51,17 @@ from .model import StrategyTable, constant_control, hamiltonian_H0_hat
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
+class _OnGrid:
+    """Equally spaced x nodes ``xs`` and their spacing (x_hi - x_lo)/(nx - 1); as
+    ``linspace`` keeps both ends, a field has its grid's dx bit for bit."""
+
+    @property
+    def dx(self):
+        return float((self.xs[-1] - self.xs[0]) / (self.xs.size - 1))
+
+
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_OnGrid):
     x_lo: float
     x_hi: float
     nx: int
@@ -82,10 +93,6 @@ class GridSpec:
     @property
     def times(self):
         return np.linspace(0.0, self.T, self.nt)
-
-    @property
-    def dx(self):
-        return (self.x_hi - self.x_lo) / (self.nx - 1)
 
     @property
     def dt(self):
@@ -323,7 +330,7 @@ def _y_z(spec, y, z):
     return (y, z) if spec.m > 1 else (y[0], z[0])
 
 
-class FieldTheta:
+class FieldTheta(_OnGrid):
     """Grid-sampled backward field with difference accessors.
 
     values has shape (m, nt, nx); the terminal row is assigned from the
@@ -337,10 +344,6 @@ class FieldTheta:
         if self.values.ndim == 2:
             self.values = self.values[None, :, :]
         self.m = self.values.shape[0]
-
-    @property
-    def dx(self):
-        return float(self.xs[1] - self.xs[0])
 
     def slice(self, j):
         return self.values[:, j, :]
@@ -357,10 +360,13 @@ class FieldTheta:
         return np.interp(x, self.xs, row)
 
 
-def _theta_block(spec, grid: GridSpec):
-    """The value field's sweep block and the FieldTheta that shares its values."""
-    xs, times = grid.xs, grid.times
-    term = np.atleast_2d(np.asarray(spec.terminal(xs), dtype=float))
+def _theta_block(spec, grid: GridSpec, times=None, term=None):
+    """The value field's sweep block and the FieldTheta that shares its values:
+    on times (the grid's by default), ending at the rows term (the spec's
+    terminal map by default)."""
+    xs = grid.xs
+    times = grid.times if times is None else times
+    term = np.atleast_2d(np.asarray(spec.terminal(xs) if term is None else term, dtype=float))
     values = np.empty((term.shape[0], times.size, xs.size))
     values[:, -1, :] = term
 
@@ -405,7 +411,7 @@ class DiagonalBundle:
         return DiagonalBundle(z, z, z, z)
 
 
-class SeparableCostField:
+class SeparableCostField(_OnGrid):
     """Cost field stored as state-part fields plus an analytic anchored-y part.
 
     ``hat`` is (nt, nx) when the state part ignores both anchors, else
@@ -413,18 +419,12 @@ class SeparableCostField:
     grids).  Anchored-y part and its derivative are closures from the split.
     """
 
-    mode = "separable"
-
     def __init__(self, times, xs, hat, split, anchor_free):
         self.times = np.asarray(times, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.hat = np.asarray(hat, dtype=float)
         self.split = split
         self.anchor_free = anchor_free
-
-    @property
-    def dx(self):
-        return float(self.xs[1] - self.xs[0])
 
     def value(self, t_idx, s_idx, xt_idx, x_idx, y):
         if s_idx < t_idx:
@@ -530,7 +530,7 @@ def _spline_at(c, s, nu=0):
 _SPLINE_COLUMNS = 4096
 
 
-class GeneralCostField:
+class GeneralCostField(_OnGrid):
     """General anchor tensor, kept as each anchor's first row: first[k, l, r] is
     the x row at s = times[k] of the field anchored at (times[k], xs[l], ys[r]),
     all the diagonal reads.  Queries at s != t raise DomainError; y-interpolation
@@ -538,17 +538,11 @@ class GeneralCostField:
     its bits, and a y off the grid (NaN included) raises YRangeError.
     """
 
-    mode = "general"
-
     def __init__(self, times, xs, ys, first):
         self.times = np.asarray(times, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.ys = np.asarray(ys, dtype=float)
         self.first = first  # (nt, nx, ny, nx)
-
-    @property
-    def dx(self):
-        return float(self.xs[1] - self.xs[0])
 
     def _row_spline(self, t_idx, s_idx, xt_idx):
         """The y-spline coefficients (4, ny - 1, nx) of the anchor's whole x row
@@ -615,16 +609,17 @@ class GeneralCostField:
         return DiagonalBundle(d=d, dx=dxv, dy=dyv, dxx=dxxv)
 
 
-def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
-    """The anchored cost field's sweep block and the finisher that wraps its values.
+def _cost_block(spec, theta: FieldTheta, diag, grid: GridSpec, term=None):
+    """The anchored cost field's sweep block, on theta's times, and the
+    finisher that wraps its values.
 
-    The source at row j reads theta's row j, so in a sweep shared with theta's
-    own block that row is filled before it is read.
+    diag(j, s, w) is the diagonal row that the source at row j reads, given the
+    block's later rows w; term an anchor-free terminal row (by default the
+    spec's cost terminal at T).  The source at row j reads theta's row j, so in
+    a sweep shared with theta's own block that row is filled before it is read.
     """
-    xs, times = grid.xs, grid.times
+    xs, times = grid.xs, theta.times
     nt, nx = times.size, xs.size
-    if diag_guess is None:
-        diag_guess = DiagonalBundle.zeros(nt, nx)
     split = spec.terminal_split
     separable = split is not None and split.t_free
     if separable:
@@ -633,7 +628,7 @@ def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
         t_col = None
         xt_col = xs if anchor_free else xs[:, None]
         values = np.empty(((nt,) if anchor_free else (nx, nt)) + (nx,))
-        term = split.fhat(grid.T, xt_col, xs)
+        term = split.fhat(grid.T, xt_col, xs) if term is None else term
     else:
         if spec.m != 1:
             raise DomainError("the general cost-field tensor supports m = 1 only")
@@ -654,7 +649,7 @@ def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
     def source(j, s, u, sig, w, w_x):
         th, z = _y_z(spec, theta.slice(j), theta.dx_slice(j) * sig)
         t = s if t_col is None else t_col[:w.shape[0]]
-        return np.asarray(spec.cost_generator(t, s, xt_col, xs, u, th, z, diag_guess.d[j],
+        return np.asarray(spec.cost_generator(t, s, xt_col, xs, u, th, z, diag(j, s, w),
                                               w_x * sig), dtype=float)
 
     def finish():
@@ -665,6 +660,12 @@ def _cost_block(spec, theta: FieldTheta, diag_guess, grid: GridSpec):
     return (values, source, not separable), finish
 
 
+def _guess_rows(diag_guess, grid: GridSpec):
+    """A fixed-point cost block's diag: the guess's rows of d, zero without a guess."""
+    d = DiagonalBundle.zeros(grid.nt, grid.nx).d if diag_guess is None else diag_guess.d
+    return lambda j, s, w: d[j]
+
+
 def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: GridSpec):
     """Backward-integrate the anchored cost field with the nonlocal diagonal
     replaced by the supplied guess.
@@ -672,7 +673,7 @@ def solve_theta0_family(spec, strategy, theta: FieldTheta, diag_guess, grid: Gri
     All anchors are stepped in one sweep.  The z0 slot always uses the stepped
     field's own explicit-slice gradient.
     """
-    block, finish = _cost_block(spec, theta, diag_guess, grid)
+    block, finish = _cost_block(spec, theta, _guess_rows(diag_guess, grid), grid)
     _sweep(spec, grid, grid.times, _control_rows(strategy, grid), [block])
     return finish()
 
@@ -682,7 +683,7 @@ def solve_fields(spec, strategy, grid: GridSpec, diag_guess):
     one sweep: ``solve_theta`` followed by ``solve_theta0_family``, with each
     step's coefficients and banded factorization shared by both fields."""
     theta, theta_block = _theta_block(spec, grid)
-    cost_block, finish = _cost_block(spec, theta, diag_guess, grid)
+    cost_block, finish = _cost_block(spec, theta, _guess_rows(diag_guess, grid), grid)
     _sweep(spec, grid, grid.times, _control_rows(strategy, grid), [theta_block, cost_block])
     return theta, finish()
 
@@ -933,9 +934,12 @@ def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpe
 
     Terminal data are the unperturbed fields at t + eps; the evaluated cost at
     the window start is the diagonal of the windowed cost field at the
-    windowed backward value.  Requires the separable cost-field mode.
+    windowed backward value.  The window sweeps the fixed point's own blocks
+    on its times, so it steps the same sources; its cost source reads the
+    window's own diagonal hat + ghat(s, x, theta) where the fixed point reads
+    its guess.  Requires an anchor-free separable cost field.
     """
-    if getattr(theta0, "mode", None) != "separable" or not theta0.anchor_free:
+    if not isinstance(theta0, SeparableCostField) or not theta0.anchor_free:
         raise DomainError("perturbation solver requires an anchor-free separable cost field")
     times = grid.times
     j0 = int(round(t / grid.dt))
@@ -947,29 +951,19 @@ def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpe
     if not (spec.u_lo <= u <= spec.u_hi):
         raise DomainError("perturbation control outside the control interval")
     xs, window = grid.xs, times[j0:j1 + 1]
-    m = theta.m
-    split = spec.terminal_split
-    # the m value components and the cost field, stepped as one block
-    vals = np.empty((m + 1, window.size, xs.size))
-    vals[:m, -1, :] = theta.slice(j1)
-    vals[m, -1] = theta0.hat[j1]
+    ghat = spec.terminal_split.ghat
+    theta_e, theta_block = _theta_block(spec, grid, window, theta.slice(j1))
 
-    def source(j, s, u_row, sig, w, w_x):
-        th, z = _y_z(spec, w[:m], w_x[:m] * sig)
-        src = np.empty_like(w)
-        src[:m] = np.atleast_2d(np.asarray(spec.generator(s, xs, u_row, th, z), dtype=float))
-        diag_later = w[m] + np.asarray(split.ghat(s, xs, w[0]), dtype=float)
-        src[m] = np.asarray(spec.cost_generator(s, s, xs, xs, u_row, th, z, diag_later,
-                                                w_x[m] * sig), dtype=float)
-        return src
+    def diag(j, s, w):      # the window's own diagonal at its later rows
+        return w + np.asarray(ghat(s, xs, theta_e.values[0, j]), dtype=float)
 
+    cost_block, finish = _cost_block(spec, theta_e, diag, grid, theta0.hat[j1])
     _sweep(spec, grid, window, np.full((window.size - 1, xs.size), float(u)),
-           [(vals, source, False)])
-    hat = vals[m]
-    theta_e = FieldTheta(window, xs, vals[:m])
-    j_pert = hat[0] + np.asarray(split.ghat(times[j0], xs, vals[0, 0]), dtype=float)
-    j_base = theta0.hat[j0] + np.asarray(split.ghat(times[j0], xs, theta.values[0, j0]), dtype=float)
-    sup = float(np.max(np.abs(vals[:m] - theta.values[:, j0:j1 + 1, :])))
+           [theta_block, cost_block])
+    hat = finish().hat
+    j_pert = hat[0] + np.asarray(ghat(times[j0], xs, theta_e.values[0, 0]), dtype=float)
+    j_base = theta0.hat[j0] + np.asarray(ghat(times[j0], xs, theta.values[0, j0]), dtype=float)
+    sup = float(np.max(np.abs(theta_e.values - theta.values[:, j0:j1 + 1, :])))
     return PerturbationResult(times=window, theta_e=theta_e, hat_e=hat,
                               j_perturbed=j_pert, j_base=j_base, sup_theta_diff=sup)
 

@@ -195,6 +195,8 @@ def test_refused_runs_leave_no_output_directory(tmp_path, capsys):
     refused = [["meanvar", "--grid-nx", "5"], ["lq-riccati", "--steps", "0"],
                ["meanfield-lq", "--steps", "0"], ["planner", "--steps", "0"],
                ["pde-solve", "--config", str(gbm)],
+               # general cost class: refused before the closed loop is simulated
+               ["mc-verify", "--config", str(gbm), "--strategy-const", "0"],
                ["mc-verify", "--config", str(tmp_path / "missing.json")]]
     for k, argv in enumerate(refused):
         out = tmp_path / f"out{k}"
@@ -274,7 +276,9 @@ def test_fixed_point_tolerance_must_be_finite_and_positive(tmp_path, capsys):
 @pytest.mark.parametrize("argv, doc", [
     (["inconsistency", "--example", "ex31"], {"params": {"taus": "abc"}}),
     (["pde-solve"], {"family": "mean_variance", "T": "abc"}),
-    (["mc-verify"], {"family": "mean_variance", "U": 5})])
+    (["mc-verify"], {"family": "mean_variance", "U": 5}),
+    (["pde-solve"], {"family": "mean_variance", "params": {"gamma": "abc"}}),
+    (["pde-solve"], {"family": "recursive_lq", "params": {"x0": [1]}})])
 def test_malformed_config_values_are_config_errors(argv, doc, tmp_path, capsys):
     cfg, out = tmp_path / "bad.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))

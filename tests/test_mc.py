@@ -248,6 +248,20 @@ def test_cost_general_class_rejected():
 # verify_equilibrium
 # ---------------------------------------------------------------------------
 
+def test_verify_refuses_a_general_spec_before_simulating(monkeypatch):
+    # gbm has neither a reduced running integrand nor a Monte Carlo cost
+    # decomposition, so its cost class is general and no route can price it
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulate_forward was called")
+
+    monkeypatch.setattr(mc, "simulate_forward", simulate)
+    spec = model.gbm()
+    assert spec.cost_class == "general"
+    with pytest.raises(UnsupportedCostClassError,
+                       match=r"^general recursive costs are not simulated; use the "
+                             r"perturbation-field route \(pde\.solve_perturbation\)$"):
+        verify_equilibrium(spec, const_strategy(0.0, spec), (0.0,), MCConfig(n_paths=10))
+
 def test_crn_quotient_exactly_zero_for_identical_strategies():
     spec = mv_r0()
     eq = const_strategy(2.5, spec)

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -161,6 +161,21 @@ def test_validate_spec_flags():
     assert not rep["nondegenerate"]
     assert rep["suggested_route"] == "ode"
     assert rep["cost_class_detected"] == "deterministic"
+
+
+def test_cost_class_follows_the_cost_data():
+    assert "cost_class" not in {f.name for f in fields(ControlProblemSpec)}
+    classes = {name: make_spec(name).cost_class for name in model.FAMILIES}
+    assert classes == {"mean_variance": "bolza_condexp", "recursive_lq": "bolza_condexp",
+                       "linear_heat": "general", "bkm_separable": "general",
+                       "stackelberg": "deterministic", "ex31": "deterministic",
+                       "ex41": "bolza_condexp", "gbm": "general"}
+    mv = model.mean_variance()
+    assert replace(mv, mc_cost=None).cost_class == "general"
+    assert replace(mv, reduced_running=lambda t, s, u: u).cost_class == "deterministic"
+    for name in model.FAMILIES:
+        spec = make_spec(name)
+        assert validate_spec(spec)["cost_class_detected"] == spec.cost_class, name
 
 
 def test_validate_spec_probes_column_s():

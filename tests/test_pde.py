@@ -230,7 +230,7 @@ def test_theta0_trivial_identity_in_y():
     grid = pde.GridSpec(-3.0, 3.0, 9, 9, 1.0, y_lo=-4.0, y_hi=4.0, ny=5)
     theta = pde.solve_theta(spec, ZERO, grid)
     t0 = pde.solve_theta0_family(spec, ZERO, theta, None, grid)
-    assert t0.mode == "general"
+    assert isinstance(t0, pde.GeneralCostField)
     for k in (0, 3):
         for l in (0, 4):
             for y in (-2.0, 0.5, 3.0):
@@ -288,7 +288,7 @@ def test_theta0_mean_variance_moment_oracle():
     grid = pde.default_grid(spec, nx=129, nt=501)
     theta = pde.solve_theta(spec, strat, grid)
     t0 = pde.solve_theta0_family(spec, strat, theta, None, grid)
-    assert t0.mode == "separable" and t0.anchor_free
+    assert isinstance(t0, pde.SeparableCostField) and t0.anchor_free
     c = (mu - r) / (gam * sg * sg)
     m1 = grid.xs[None, :] * np.exp(r * (1.0 - grid.times))[:, None] \
         + (mu - r) * c * (1.0 - grid.times)[:, None]
@@ -339,7 +339,7 @@ def test_anchored_family_matches_per_anchor_loop():
     theta = pde.solve_theta(spec, X_STRATEGY, grid)
     diag = pde.DiagonalBundle(*(np.cos(np.arange(4)[:, None, None] + theta.values[0])))
     fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, diag, grid)
-    assert fam.mode == "separable" and not fam.anchor_free
+    assert isinstance(fam, pde.SeparableCostField) and not fam.anchor_free
     for l, xt in enumerate(grid.xs):
         ref = _reference_anchor_sweep(spec, theta, diag, grid, None, xt,
                                       spec.terminal_split.fhat(grid.T, xt, grid.xs))
@@ -352,7 +352,7 @@ def test_general_tensor_matches_per_anchor_loop():
     theta = pde.solve_theta(spec, X_STRATEGY, grid)
     diag = pde.DiagonalBundle(*(np.sin(np.arange(4)[:, None, None] + theta.values[0])))
     fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, diag, grid)
-    assert fam.mode == "general"
+    assert isinstance(fam, pde.GeneralCostField)
     for k, t in enumerate(grid.times):
         for l, xt in enumerate(grid.xs):
             ref = np.stack([_reference_anchor_sweep(spec, theta, diag, grid, t, xt,
@@ -532,7 +532,7 @@ def test_x_anchored_diagonal_matches_per_anchor_loop(nx):
     grid = pde.GridSpec(-2.0, 2.0, nx, 9, 1.0)
     theta = pde.solve_theta(spec, X_STRATEGY, grid)
     fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, None, grid)
-    assert fam.mode == "separable" and not fam.anchor_free
+    assert isinstance(fam, pde.SeparableCostField) and not fam.anchor_free
     bundle = fam.diagonal(theta)
     hat_diag, hat_dx, hat_dxx = _per_anchor_separable_diagonal(fam)
     split = spec.terminal_split
@@ -590,7 +590,8 @@ def test_separable_and_general_cost_fields_agree(family, nx, nt, ny, x_lo, x_hi,
     separable = pde.solve_theta0_family(spec, strat, theta, None, grid)
     general = pde.solve_theta0_family(replace(spec, terminal_split=None), strat, theta, None,
                                       grid)
-    assert (separable.mode, general.mode) == ("separable", "general")
+    assert isinstance(separable, pde.SeparableCostField)
+    assert isinstance(general, pde.GeneralCostField)
     bs, bg = pde.extract_diagonal(separable, theta), pde.extract_diagonal(general, theta)
     for k in ("d", "dx", "dy", "dxx"):
         s, g = getattr(bs, k), getattr(bg, k)
@@ -980,7 +981,7 @@ def _two_sweep_fields(spec, strategy, grid, diag_guess):
 
 
 def _cost_arrays(theta0):
-    return [theta0.hat if theta0.mode == "separable" else theta0.first]
+    return [theta0.hat if isinstance(theta0, pde.SeparableCostField) else theta0.first]
 
 
 @pytest.mark.parametrize("family, nx, nt, general", [
@@ -1010,7 +1011,7 @@ def test_fused_sweep_matches_two_sweeps(family, nx, nt, general, monkeypatch):
             theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, max_iters=6)
         runs.append((theta, theta0, strat, log, bundles + [pde.extract_diagonal(theta0, theta)]))
     (theta, theta0, strat, log, bundles), (r_theta, r_theta0, r_strat, r_log, r_bundles) = runs
-    assert theta0.mode == ("general" if general else "separable")
+    assert isinstance(theta0, pde.GeneralCostField if general else pde.SeparableCostField)
     assert log.rows == r_log.rows and log.converged == r_log.converged
     assert np.array_equal(strat.values, r_strat.values)
     assert np.array_equal(theta.values, r_theta.values)
@@ -1177,7 +1178,8 @@ def _reference_cost(spec, strategy, theta, diag, grid):
         w = vals[..., j + 1, :] if separable else vals[:j + 1]
 
         def source(u, sig):
-            y, z = theta.values[:, j + 1], theta.dx_slice(j + 1) * sig
+            y = theta.values[:, j + 1]
+            z = pde._dx_rows(y, grid.dx) * sig
             if spec.m == 1:
                 y, z = y[0], z[0]
             t = s if separable else t_col[:j + 1]
@@ -1203,13 +1205,13 @@ def _reference_fields(spec, strategy, grid, diag_guess):
     return theta, pde.GeneralCostField(grid.times, grid.xs, grid.ys, vals)
 
 
-def _reference_case(family, general):
+def _reference_case(family, general, nx):
     spec = _anchored_spec() if family == "x_anchored" else model.make_spec(family)
     if general:
         spec = replace(spec, terminal_split=None)
         grid = pde.GridSpec(-2.0, 2.0, 9, 9, 1.0, y_lo=-4.0, y_hi=4.0, ny=5)
     else:
-        grid = pde.default_grid(spec, nx=21, nt=17)
+        grid = pde.default_grid(spec, nx=nx, nt=17)
     return spec, grid
 
 
@@ -1221,19 +1223,26 @@ def _grid_strategy(spec, grid, seed):
     return StrategyTable(spec.u_lo, spec.u_hi, s_grid=grid.times, x_grid=grid.xs, values=values)
 
 
-_REFERENCE_CASES = [("mean_variance", False), ("recursive_lq", False),
-                    ("bkm_separable", False), ("linear_heat", False), ("x_anchored", False),
-                    ("recursive_lq", True), ("bkm_separable", True)]
+# (family, general tensor, nx); at nx = 47 the default grids' xs[1] - xs[0]
+# is not their spacing, so a slope taken with it would show
+_REFERENCE_CASES = [pytest.param(family, general, nx, id=f"{family}-{general}"
+                                 + ("" if nx == 21 else f"-nx{nx}"))
+                    for family, general, nx in [
+                        ("mean_variance", False, 21), ("recursive_lq", False, 21),
+                        ("bkm_separable", False, 21), ("linear_heat", False, 21),
+                        ("x_anchored", False, 21), ("recursive_lq", True, 21),
+                        ("bkm_separable", True, 21), ("mean_variance", False, 47),
+                        ("x_anchored", False, 47)]]
 
 
-@pytest.mark.parametrize("family, general", _REFERENCE_CASES)
+@pytest.mark.parametrize("family, general, nx", _REFERENCE_CASES)
 @pytest.mark.parametrize("table", ["fn", "grid"])
 @pytest.mark.parametrize("block", [None, 5])
-def test_solves_match_the_per_step_loop(family, general, table, block, monkeypatch):
+def test_solves_match_the_per_step_loop(family, general, nx, table, block, monkeypatch):
     # block 5: the steps are assembled in blocks of 5, 5, 5 and 1 (or 5 and 3)
     if block:
         monkeypatch.setattr(pde, "_SWEEP_STEPS", block)
-    spec, grid = _reference_case(family, general)
+    spec, grid = _reference_case(family, general, nx)
     strategy = (StrategyTable(spec.u_lo, spec.u_hi,
                               fn=lambda s, x: 0.4 * np.sin(np.asarray(x) + s)
                               * (spec.u_hi - spec.u_lo))
@@ -1262,6 +1271,20 @@ def test_mean_variance_fixed_point_matches_the_per_step_loop(monkeypatch):
     assert np.array_equal(theta.values, r_theta.values)
     assert np.array_equal(theta0.hat, r_theta0.hat)
     assert np.array_equal(strat.values, r_strat.values)
+
+
+def test_every_field_reads_the_grids_own_spacing():
+    # one x spacing: a slope taken by a field and one taken by a sweep agree
+    for family in model.FAMILIES:
+        spec = model.make_spec(family)
+        for nx in range(8, 258):
+            grid = pde.default_grid(spec, nx=nx, nt=8)
+            rows = np.zeros((grid.nt, nx))
+            fields = (pde.FieldTheta(grid.times, grid.xs, rows),
+                      pde.SeparableCostField(grid.times, grid.xs, rows, None, True),
+                      pde.GeneralCostField(grid.times, grid.xs, np.zeros(2), None))
+            assert grid.dx == (grid.x_hi - grid.x_lo) / (nx - 1), (family, nx)
+            assert all(f.dx == grid.dx for f in fields), (family, nx)
 
 
 def _reference_perturbation(spec, theta, theta0, j0, j1, u, grid):
@@ -1296,6 +1319,25 @@ def test_perturbation_matches_the_per_step_loop(mv_r0_solution, t, eps, u):
     ref = _reference_perturbation(spec, theta, theta0, j0, j1, u, grid)
     assert np.array_equal(res.theta_e.values, ref[:-1])
     assert np.array_equal(res.hat_e, ref[-1])
+
+
+@pytest.mark.parametrize("family", ["mean_variance", "recursive_lq"])
+@pytest.mark.parametrize("nx", [65, 47])
+def test_window_under_the_fields_own_control_reproduces_their_rows(family, nx):
+    # the window steps the fixed point's own blocks, so under the constant
+    # control the fields were solved with it gives their rows j0..j1 bit for
+    # bit; these cost generators ignore the diagonal, which the window takes
+    # from its own rows and the fields from the (zero) guess
+    spec = model.make_spec(family)
+    grid = pde.default_grid(spec, nx=nx, nt=41)
+    u, j0, j1 = 0.5, 10, 25
+    theta, theta0 = pde.solve_fields(spec, const_strategy(u, U=(spec.u_lo, spec.u_hi)), grid,
+                                     None)
+    t = grid.times[j0]
+    res = pde.solve_perturbation(spec, theta, theta0, t, grid.times[j1] - t, u, grid)
+    assert res.sup_theta_diff == 0.0
+    assert np.array_equal(res.theta_e.values, theta.values[:, j0:j1 + 1])
+    assert np.array_equal(res.hat_e, theta0.hat[j0:j1 + 1])
 
 
 # ---------------------------------------------------------------------------
