@@ -179,10 +179,6 @@ class PerturbedStrategy(StrategyTable):
         super().__init__(base.u_lo, base.u_hi,
                          fn=lambda s, x: self.u + 0.0 * np.asarray(x, dtype=float))
 
-    def in_force(self, s):
-        """The strategy followed at time s."""
-        return self if self.window[0] <= s < self.window[1] else self.outside
-
     def __call__(self, s, x):
         if self.window[0] <= s < self.window[1]:
             return super().__call__(s, x)
@@ -190,14 +186,24 @@ class PerturbedStrategy(StrategyTable):
 
 
 def perturbed_strategy(psi_bar, t, eps, u, spec=None):
-    if eps <= 0:
-        raise DomainError("window width must be positive")
-    if spec is not None:
-        if t < 0 or t + eps > spec.horizon + 1e-12:
-            raise DomainError("perturbation window outside the horizon")
-        if not (spec.u_lo <= u <= spec.u_hi):
-            raise DomainError("perturbation control outside the control interval")
+    _spike_columns(spec, psi_bar, t, [(eps, u)])      # the checks of a spike
     return PerturbedStrategy(psi_bar, t, eps, u)
+
+
+def _spike_columns(spec, psi_bar, t, spikes):
+    """The spikes (eps, u) at t as two columns: window ends t + eps, and window
+    controls u clipped to psi_bar's bounds as the perturbed strategy clips a
+    float.  Given a spec, each window must lie in the horizon and u in U."""
+    for eps, u in spikes:
+        if eps <= 0:
+            raise DomainError("window width must be positive")
+        if spec is not None:
+            if t < 0 or t + eps > spec.horizon + 1e-12:
+                raise DomainError("perturbation window outside the horizon")
+            if not (spec.u_lo <= u <= spec.u_hi):
+                raise DomainError("perturbation control outside the control interval")
+    return (np.array([float(t) + float(eps) for eps, _ in spikes]),
+            np.array([min(max(float(u) + 0.0, psi_bar.u_lo), psi_bar.u_hi) for _, u in spikes]))
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +310,14 @@ def _spike_costs(spec, psi_bar, t, x, eps, u_list):
     u): the same pieces, the window under its clipped constant control and the
     rest under psi_bar, which every perturbation follows outside its window.
     """
-    perts = [perturbed_strategy(psi_bar, t, eps, u, spec) for u in u_list]
-    if not perts:
+    if not u_list:
         return np.empty(0), 0
-    outside = perts[0]
-    w_end = outside.window[1]
-    u_win = np.array([p(t, x) for p in perts])
-    breaks = _breaks(t, spec.horizon, outside.window)
+    ends, u_win = _spike_columns(spec, psi_bar, t, [(eps, u) for u in u_list])
+    breaks = _breaks(t, spec.horizon, ends[:1].tolist())
     # the window control is shaped like the column's state, a float for one control
-    pieces = [(s0, s1, (lambda s, xx: u_win.reshape(np.shape(xx))) if s0 < w_end else outside)
+    pieces = [(s0, s1, (lambda s, xx: u_win.reshape(np.shape(xx))) if s0 < ends[0] else psi_bar)
               for s0, s1 in zip(breaks[:-1], breaks[1:])]
-    return _cost_quadrature(spec, t, np.full(len(perts), float(x)), pieces)
+    return _cost_quadrature(spec, t, np.full(len(u_list), float(x)), pieces)
 
 
 def _cost_paths(spec, control, t, x, cfg, normals):
@@ -383,7 +386,7 @@ def evaluate_cost(spec, strategy_or_control, t, x, cfg: MCConfig):
     if spec.cost_class == "deterministic":
         return _deterministic_cost(spec, strategy, t, x)[0], 0.0
     if spec.cost_class == "bolza_condexp":
-        n_steps = max(1, int(round((spec.horizon - t) * cfg.steps_per_unit)))
+        n_steps = _time_grid(t, spec.horizon, cfg)[0].size - 1
         normals = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic)
         est, se, _ = _mc_cost_samples(spec, strategy, t, x, cfg, normals)
         return est, se
@@ -412,37 +415,44 @@ def _quotient(base, pert, eps):
     return q, se
 
 
-def _quotient_mc(spec, psi_bar, t, x, cfg, normals, eps, u, base=None):
-    if base is None:
-        base = _mc_cost_samples(spec, psi_bar, t, x, cfg, normals)
+def _quotient_mc(spec, psi_bar, t, x, cfg, normals, eps, u):
+    base = _mc_cost_samples(spec, psi_bar, t, x, cfg, normals)
     pert = perturbed_strategy(psi_bar, t, eps, u, spec)
     return _quotient(base, _mc_cost_samples(spec, pert, t, x, cfg, normals), eps)
 
 
-def _rows_control(strategies):
-    """Control of a (rows, paths) state block whose row r follows strategies[r].
-
-    Rows that follow the same strategy at time s (outside their windows every
-    perturbation follows its base) are evaluated in one call.
-    """
+def _columns_control(psi_bar, ends, controls):
+    """Control of a (rows, paths) state block whose row r takes the constant
+    controls[r] while s < ends[r] (its spike window) and follows psi_bar after
+    it; the rows outside their windows are evaluated by psi_bar in one call."""
     def control(s, x):
-        in_force = [st.in_force(s) if isinstance(st, PerturbedStrategy) else st
-                    for st in strategies]
-        if all(st is in_force[0] for st in in_force):
-            return in_force[0](s, x)
-        rows = {}
-        for r, st in enumerate(in_force):
-            rows.setdefault(id(st), (st, []))[1].append(r)
+        open_ = s < ends
+        if not open_.any():
+            return psi_bar(s, x)
         u = np.empty(x.shape)
-        for st, rr in rows.values():
-            u[rr] = st(s, x[rr])
+        u[open_] = controls[open_, None]
+        if not open_.all():
+            u[~open_] = psi_bar(s, x[~open_])
         return u
     return control
 
 
+def _spike_quotients_flow(spec, psi_bar, t, x, cfg):
+    """Quadrature quotients of every spike (t, eps, u), eps in cfg.eps_list and
+    u in cfg.u_list, from one state; returns ([((eps, u), (q, 0.0))], flows)."""
+    base, work = _deterministic_cost(spec, psi_bar, t, x)
+    quotients = []
+    for eps in cfg.eps_list:
+        costs, flows = _spike_costs(spec, psi_bar, t, x, eps, cfg.u_list)
+        work += flows
+        quotients += [((eps, u), (q, 0.0))
+                      for u, q in zip(cfg.u_list, ((costs - base) / eps).tolist())]
+    return quotients, work
+
+
 def _spike_quotients_mc(spec, psi_bar, t, x, cfg, normals):
     """CRN quotients of every spike (t, eps, u), eps in cfg.eps_list and u in
-    cfg.u_list, from one evaluation state; returns [((eps, u), (q, se))].
+    cfg.u_list, from one state; returns ([((eps, u), (q, se))], ensembles).
 
     The base ensemble and all perturbed ones step together as the rows of one
     (ensembles, paths) block on the shared increments, in chunks of at most
@@ -450,30 +460,32 @@ def _spike_quotients_mc(spec, psi_bar, t, x, cfg, normals):
     increments, provided the strategy and the coefficients act elementwise.
     """
     spikes = [(eps, u) for eps in cfg.eps_list for u in cfg.u_list]
-    strategies = [psi_bar] + [perturbed_strategy(psi_bar, t, eps, u, spec)
-                              for eps, u in spikes]
+    ends, controls = _spike_columns(spec, psi_bar, t, spikes)
+    # row 0 is the base ensemble, whose window [t, t) is empty
+    ends, controls = np.insert(ends, 0, t), np.insert(controls, 0, 0.0)
     n = normals.shape[1]
     per_chunk = max(1, _CRN_COLUMNS // n)
     samples = []
-    for g0 in range(0, len(strategies), per_chunk):
-        chunk = strategies[g0:g0 + per_chunk]
-        xt, part = _cost_paths(spec, _rows_control(chunk), t,
-                               np.full((len(chunk), n), float(x)), cfg, normals)
-        samples += [_cost_moments(spec.mc_cost, xt[g], part[g]) for g in range(len(chunk))]
-    return [(spike, _quotient(samples[0], pert, spike[0]))
-            for spike, pert in zip(spikes, samples[1:])]
+    for g0 in range(0, ends.size, per_chunk):
+        chunk = slice(g0, g0 + per_chunk)
+        xt, part = _cost_paths(spec, _columns_control(psi_bar, ends[chunk], controls[chunk]),
+                               t, np.full((ends[chunk].size, n), float(x)), cfg, normals)
+        samples += [_cost_moments(spec.mc_cost, xt[g], part[g]) for g in range(xt.shape[0])]
+    quotients = [(spike, _quotient(samples[0], pert, spike[0]))
+                 for spike, pert in zip(spikes, samples[1:])]
+    return quotients, len(samples)
 
 
 def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> VerifyReport:
     """Difference-quotient test of local optimality under spike perturbations.
 
-    The closed-loop state is simulated from (0, spec.x0); at each probe time the
-    realized mean state and the 25/50/75% path states serve as evaluation
-    points.  Perturbed and unperturbed costs share increments, the reported
-    quotient per (t, eps, u) is the minimum over evaluation states, and the
-    verdict passes iff the smallest-window minimum quotient clears -tol_eq.
-    A spec of the general cost class is refused before any simulation, as in
-    ``evaluate_cost``.
+    The closed-loop state is run from (0, spec.x0); at each probe time the
+    flow's state (deterministic costs, by quadrature) or the realized mean and
+    25/50/75% path states (on shared increments) serve as evaluation points.
+    The reported quotient per (t, eps, u) is the minimum over evaluation
+    states, and the verdict passes iff the smallest-window minimum quotient
+    clears -tol_eq.  A spec of the general cost class is refused before any
+    simulation, as in ``evaluate_cost``.
     """
     if spec.cost_class == "general":
         raise UnsupportedCostClassError(_GENERAL_COST)
@@ -482,48 +494,35 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
         if t + max(cfg.eps_list) > T + 1e-12:
             raise DomainError(f"probe time {t} leaves no room for the window")
     deterministic = spec.cost_class == "deterministic"
-    rows = []
-    details = []
     if deterministic:
         nodes = np.linspace(0.0, T, 2049)
-        flow, _ = _flow_ode(spec, psi_bar, np.array([float(spec.x0)]), nodes)
-        work = 1
-        for t in t_list:
-            x_t = float(np.interp(t, nodes, flow[0]))
-            base, flows = _deterministic_cost(spec, psi_bar, t, x_t)
-            work += flows
-            for eps in cfg.eps_list:
-                costs, flows = _spike_costs(spec, psi_bar, t, x_t, eps, cfg.u_list)
-                work += flows
-                for u, q in zip(cfg.u_list, ((costs - base) / eps).tolist()):
-                    rows.append({"t": t, "eps": eps, "u": u, "quotient": q, "stderr": 0.0})
-                    details.append({"t": t, "state": "flow", "x": x_t, "eps": eps,
-                                    "u": u, "quotient": q, "stderr": 0.0})
+        flow = _flow_ode(spec, psi_bar, np.array([float(spec.x0)]), nodes)[0][0]
     else:
-        base = simulate_forward(spec, psi_bar, 0.0, spec.x0, cfg, keep_times=t_list)
-        work = 1
-        for t_idx, t in enumerate(t_list):
-            xt = base.state_at(t)
-            states = [("mean", float(np.mean(xt)))]
-            for qq in (0.25, 0.5, 0.75):
-                states.append((f"q{int(qq * 100)}", float(np.quantile(xt, qq))))
+        closed_loop = simulate_forward(spec, psi_bar, 0.0, spec.x0, cfg, keep_times=t_list)
+    rows, details, work = [], [], 1
+    for t_idx, t in enumerate(t_list):
+        if deterministic:
+            states = [("flow", float(np.interp(t, nodes, flow)))]
+        else:
+            xt = closed_loop.state_at(t)
+            states = [("mean", float(np.mean(xt)))] + [
+                (f"q{q}", float(np.quantile(xt, q / 100))) for q in (25, 50, 75)]
             seen = set()
-            states = [(lbl, v) for lbl, v in states
-                      if not (v in seen or seen.add(v))]
-            n_steps = max(1, int(round((T - t) * cfg.steps_per_unit)))
-            z = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic,
-                             stream=1 + t_idx)
-            per_state = {}
-            for label, x_e in states:
-                quotients = _spike_quotients_mc(spec, psi_bar, t, x_e, cfg, z)
-                work += 1 + len(quotients)
-                for (eps, u), (q, se) in quotients:
-                    per_state.setdefault((eps, u), []).append((q, se))
-                    details.append({"t": t, "state": label, "x": x_e, "eps": eps,
-                                    "u": u, "quotient": q, "stderr": se})
-            for (eps, u), qs in per_state.items():
-                qmin, se = min(qs, key=lambda p: p[0])
-                rows.append({"t": t, "eps": eps, "u": u, "quotient": qmin, "stderr": se})
+            states = [(lbl, v) for lbl, v in states if not (v in seen or seen.add(v))]
+            z = path_normals(cfg.seed, cfg.n_paths, _time_grid(t, T, cfg)[0].size - 1,
+                             cfg.antithetic, stream=1 + t_idx)
+        per_spike = {}
+        for label, x_e in states:
+            quotients, n = (_spike_quotients_flow(spec, psi_bar, t, x_e, cfg) if deterministic
+                            else _spike_quotients_mc(spec, psi_bar, t, x_e, cfg, z))
+            work += n
+            for (eps, u), (q, se) in quotients:
+                per_spike.setdefault((eps, u), []).append((q, se))
+                details.append({"t": t, "state": label, "x": x_e, "eps": eps,
+                                "u": u, "quotient": q, "stderr": se})
+        for (eps, u), qs in per_spike.items():
+            qmin, se = min(qs, key=lambda p: p[0])
+            rows.append({"t": t, "eps": eps, "u": u, "quotient": qmin, "stderr": se})
     eps_min = min(cfg.eps_list)
     small = [r["quotient"] for r in rows if abs(r["eps"] - eps_min) < 1e-15]
     min_q = min(small) if small else math.nan

@@ -521,6 +521,9 @@ def linear_heat(a=1.0, T=1.0, terminal="x", x0=0.0):
         "gaussians": lambda x: (np.exp(-(np.asarray(x) - 0.7) ** 2)
                                 + 0.5 * np.exp(-2.0 * (np.asarray(x) + 1.1) ** 2)),
     }
+    if isinstance(terminal, str) and terminal not in terminals:
+        raise DomainError(f"linear_heat terminal must be one of {sorted(terminals)}, "
+                          f"got {terminal!r}")
     h = terminals[terminal] if isinstance(terminal, str) else terminal
     split = TerminalSplit(
         fhat=lambda t, xt, x: 0.0 * np.asarray(x, dtype=float),
@@ -704,13 +707,16 @@ def family_params(params):
 
 def make_spec(family, params=None, T=None, U=None):
     """The spec of a registered family.  T is a number and U a pair of numbers
-    (a JSON list); anything else, and a parameter value the family's builder
-    cannot convert, is a DomainError."""
+    (a JSON list); anything else, a parameter value that is a non-finite
+    number, and one the family's builder cannot convert, is a DomainError."""
     if family not in FAMILIES:
         raise DomainError(f"unknown problem family '{family}'")
     builder = FAMILIES[family]
     accepted = set(inspect.signature(builder).parameters)
     kwargs = family_params(params)
+    for name, value in kwargs.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"family '{family}' parameter '{name}' must be finite, got {value}")
     try:
         if T is not None:
             kwargs["T"] = float(T)

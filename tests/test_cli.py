@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -284,6 +285,26 @@ def test_malformed_config_values_are_config_errors(argv, doc, tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, doc, name", [
+    (["inconsistency", "--example", "ex31"], {"params": {"taus": "abc"}}, "taus"),
+    (["pde-solve"], {"family": "mean_variance", "T": "abc"}, "T"),
+    (["mc-verify"], {"family": "mean_variance", "U": 5}, "U"),
+    (["pde-solve"], {"family": "mean_variance", "params": {"gamma": "abc"}}, "gamma"),
+    (["pde-solve"], {"family": "recursive_lq", "params": {"x0": [1]}}, "x0"),
+    # non-finite numbers (JSON NaN, Infinity) and an unknown terminal name
+    (["pde-solve"], {"family": "mean_variance", "params": {"gamma": math.nan}}, "'gamma'"),
+    (["mc-verify"], {"params": {"sigma": math.inf}}, "'sigma'"),
+    (["pde-solve"], {"family": "linear_heat", "params": {"terminal": "abc"}},
+     "terminal must be one of ['gaussians', 'x', 'x2']")])
+def test_config_errors_name_the_bad_value(argv, doc, name, tmp_path, capsys):
+    cfg, out = tmp_path / "bad.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
     assert not out.exists()
 
 

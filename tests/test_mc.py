@@ -469,14 +469,32 @@ def test_crn_batch_equals_per_ensemble_quotients(family, crn_columns, monkeypatc
         # chunks of five ensembles, and (below one row) one ensemble per chunk
         monkeypatch.setattr(mc, "_CRN_COLUMNS", crn_columns)
     spec, strat, t, x = _quotient_family(family)
-    cfg = MCConfig(n_paths=700, seed=41, eps_list=(0.1, 0.05), u_list=(-1.0, 0.0, 2.0))
-    n_steps = int(round((spec.horizon - t) * cfg.steps_per_unit))
-    z = path_normals(cfg.seed, cfg.n_paths, n_steps, stream=5)
-    batch = mc._spike_quotients_mc(spec, strat, t, x, cfg, z)
-    assert [spike for spike, _ in batch] == [(e, u) for e in cfg.eps_list for u in cfg.u_list]
-    for (eps, u), (q, se) in batch:
-        assert (q, se) == mc._quotient_mc(spec, strat, t, x, cfg, z, eps, u)
-        assert se > 0
+    # an interior probe time; u = 5.0, which the mean-variance strategy's
+    # bounds [-3, 3] clip inside U = [-20, 20]; and t = 0.9, whose widest
+    # window ends exactly at T
+    assert 0.9 + 0.1 == spec.horizon
+    for t, u_list in ((t, (-1.0, 0.0, 2.0)), (t, (-1.0, 5.0)), (0.9, (-1.0, 2.0))):
+        cfg = MCConfig(n_paths=700, seed=41, eps_list=(0.1, 0.05), u_list=u_list)
+        n_steps = int(round((spec.horizon - t) * cfg.steps_per_unit))
+        z = path_normals(cfg.seed, cfg.n_paths, n_steps, stream=5)
+        batch, ensembles = mc._spike_quotients_mc(spec, strat, t, x, cfg, z)
+        assert ensembles == 1 + len(batch)
+        assert [spike for spike, _ in batch] == [(e, u) for e in cfg.eps_list for u in cfg.u_list]
+        for (eps, u), (q, se) in batch:
+            assert (q, se) == mc._quotient_mc(spec, strat, t, x, cfg, z, eps, u)
+            assert se > 0
+    clipped = mc._spike_columns(spec, strat, 0.2, [(0.1, 5.0)])[1].tolist()
+    assert clipped == ([3.0] if family == "mean_variance" else [5.0])
+
+
+def test_verify_without_spike_controls_counts_the_base_flows():
+    # the closed-loop flow and the unperturbed cost flow from t = 0.3; no row
+    # at the smallest window, so the minimum quotient is NaN and the verdict fails
+    spec = model.make_spec("ex31")
+    report = verify_equilibrium(spec, model.equilibrium_strategy(spec), (0.3,),
+                                MCConfig(n_paths=2, u_list=()))
+    assert report.work == 2 and report.rows == [] and report.details == []
+    assert report.verdict is False and math.isnan(report.min_quotient_smallest_eps)
 
 
 def test_verify_details_use_probe_time_streams():
@@ -507,7 +525,6 @@ def test_perturbed_strategy_clips_only_a_non_clamping_base():
     x = np.array([-1.0, 0.25, 0.9])
     assert np.array_equal(pert(0.5, x), base(0.5, x))
     assert np.array_equal(pert(0.3, x), np.ones(3))         # clip(5) inside the window
-    assert pert.in_force(0.35) is pert and pert.in_force(0.5) is base
 
 
 def test_verify_rejects_window_past_horizon():
