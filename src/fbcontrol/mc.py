@@ -551,8 +551,8 @@ def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
         taus = np.asarray(given, dtype=float)
     except (TypeError, ValueError):
         taus = None
-    if taus is None or taus.ndim != 1:
-        raise DomainError(f"taus must be a list of numbers, got {given!r}")
+    if taus is None or taus.ndim != 1 or not np.isfinite(taus).all():
+        raise DomainError(f"taus must be a list of finite numbers, got {given!r}")
     spec = make_spec(EXAMPLE_FAMILIES.get(example_id, example_id), params)
     cf = spec.closed_forms
     if cf.gap is not None:

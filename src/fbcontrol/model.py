@@ -94,6 +94,9 @@ class ControlProblemSpec:
     reduced_running: Optional[Callable] = None   # (t, s, u) -> cost rate
     mc_cost: Optional[McCost] = None
     closed_forms: ClosedForms = field(default_factory=ClosedForms)
+    # a promise that H0_hat is a polynomial of degree <= 2 in u at every
+    # (s, x, fields): pde's minimizer then takes the vertex of three values
+    quadratic_in_u: bool = False
 
     def __post_init__(self):
         if not self.horizon > 0:
@@ -479,6 +482,7 @@ def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,
             outer=lambda m1: -0.5 * gamma * m1 * m1,
             outer_prime=lambda m1: -gamma * m1),
         closed_forms=closed,
+        quadratic_in_u=True,
     )
 
 
@@ -508,6 +512,7 @@ def recursive_lq(T=1.0, x0=0.0, U=(-10.0, 10.0)):
         diffusion_control_free=True, params={"x0": float(x0)},
         terminal_split=split,
         mc_cost=McCost(running=lambda s, x, u: 0.5 * (u * u + x * x)),
+        quadratic_in_u=True,
     )
 
 
@@ -543,6 +548,7 @@ def linear_heat(a=1.0, T=1.0, terminal="x", x0=0.0):
         params={"a": a, "terminal": terminal if isinstance(terminal, str) else "custom",
                 "x0": float(x0)},
         terminal_split=split,
+        quadratic_in_u=True,
     )
 
 
@@ -568,6 +574,7 @@ def bkm_separable(T=1.0, x0=0.0):
         cost_terminal=lambda t, xt, x, y: fhat(t, xt, x) + ghat(t, xt, y),
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
         diffusion_control_free=True, params={"x0": float(x0)}, terminal_split=split,
+        quadratic_in_u=True,
     )
 
 
@@ -601,6 +608,7 @@ def stackelberg(T=1.0, x0=0.0, U=(-5.0, 5.0)):
         diffusion_control_free=True, params={"x0": float(x0)},
         reduced_running=reduced,
         closed_forms=ClosedForms(equilibrium=constant_control(-0.5), gap=gap),
+        quadratic_in_u=True,
     )
 
 
@@ -631,6 +639,7 @@ def ex31(T=1.0, x0=0.0, U=(-5.0, 5.0)):
         diffusion_control_free=True, params={"x0": float(x0)},
         reduced_running=reduced,
         closed_forms=ClosedForms(equilibrium=constant_control(-0.5), gap=lambda tau: tau / 2.0),
+        quadratic_in_u=True,
     )
 
 
@@ -656,6 +665,7 @@ def ex41(T=1.0, x0=1.0, U=(-10.0, 10.0)):
             committed=constant_control(u0),
             path_gap=lambda tau, x: np.abs(-x / (T - tau + 1.0) - u0),
             gap_scale=u0),
+        quadratic_in_u=True,
     )
 
 
@@ -672,6 +682,7 @@ def gbm(mu=0.5, sigma=0.2, T=1.0, x0=1.0):
         cost_terminal=lambda t, xt, x, y: y,
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
         diffusion_control_free=True, params={"mu": mu, "sigma": sigma, "x0": float(x0)},
+        quadratic_in_u=True,
     )
 
 
@@ -706,9 +717,10 @@ def family_params(params):
 
 
 def make_spec(family, params=None, T=None, U=None):
-    """The spec of a registered family.  T is a number and U a pair of numbers
-    (a JSON list); anything else, a parameter value that is a non-finite
-    number, and one the family's builder cannot convert, is a DomainError."""
+    """The spec of a registered family.  T is a finite number and U a pair of
+    numbers (a JSON list); anything else, a parameter value that is a
+    non-finite number, and one the family's builder cannot convert, is a
+    DomainError."""
     if family not in FAMILIES:
         raise DomainError(f"unknown problem family '{family}'")
     builder = FAMILIES[family]
@@ -726,6 +738,8 @@ def make_spec(family, params=None, T=None, U=None):
     except (TypeError, ValueError):
         raise DomainError(f"T must be a number and U a pair of numbers, got T={T!r}, "
                           f"U={U!r}") from None
+    if T is not None and not math.isfinite(kwargs["T"]):
+        raise DomainError(f"T must be a finite number, got T={T!r}")
     bad = sorted(set(kwargs) - accepted)
     if bad:
         raise DomainError(f"family '{family}' does not accept parameters {bad}")

@@ -696,7 +696,8 @@ def extract_diagonal(theta0, theta: FieldTheta) -> DiagonalBundle:
 # The Hamiltonian minimizer: a scan of _COARSE points, Brent's method on the
 # bracket of the scan's first minimum, and a five-point stencil about
 # Brent's best point.  Brent's tolerance and the stencil spacing are fractions
-# of one scan cell.
+# of one scan cell.  A family that declares its Hamiltonian quadratic in u
+# takes two three-point vertices instead (_quadratic_rows).
 _COARSE = 33
 _BRENT_TOL = 2.0 ** -10
 _STENCIL = 2.0 ** -8
@@ -704,6 +705,12 @@ _STENCIL = 2.0 ** -8
 # value is flat at float resolution and gives no vertex
 _RESOLVED = 1024.0
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _resolution(a, b, c):
+    """``_RESOLVED`` ulps of max(|a|, |b|, |c|), elementwise: a second difference
+    of the three values at or below it is flat at float resolution."""
+    return _RESOLVED * np.spacing(np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c)))
 
 
 def _scan(f, us):
@@ -807,10 +814,55 @@ def _brent_rows(f, lo, hi):
     third = 0.5 * (f2 - f_2) - (f1 - f_1)
     disc = curv * curv - 2.0 * slope * third
     root = np.sqrt(np.where(disc > 0.0, disc, curv * curv))
-    ulp = np.spacing(np.maximum(np.maximum(np.abs(f_1), np.abs(f1)), np.abs(fc)))
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = np.clip(c - 2.0 * h * slope / (curv + root), a, b)
-    return np.clip(np.where(curv > _RESOLVED * ulp, vertex, x), lo, hi)
+    return np.clip(np.where(curv > _resolution(f_1, f1, fc), vertex, x), lo, hi)
+
+
+def _quadratic_rows(f, lo, hi):
+    """Minimizer of f over [lo, hi] at every element of a (rows, n) block, for
+    an f that is a polynomial of degree <= 2 in u (``quadratic_in_u``).
+
+    f is read as ``_brent_rows`` reads it, six times:
+
+    - at lo, mid = (lo + hi) / 2 and hi.  Where the second difference is above
+      ``_RESOLVED`` ulps of the largest |f| of the three, the parabola is
+      convex and the first answer is its vertex clipped to [lo, hi]; elsewhere
+      it is the lower endpoint, and a tie keeps lo, so a constant f keeps lo;
+    - at c - h, c and c + h, one scan cell h of ``_brent_rows`` about c, the
+      first answer moved h inside [lo, hi].  Where these three are convex by
+      the same test, the answer is their vertex clipped to [lo, hi], with the
+      rounding of values taken near the minimum, not at the ends of U; else
+      the first answer stands.
+
+    The second three values also check the promise: an element where one of
+    them misses the first parabola by more than ``_RESOLVED`` ulps of the
+    largest |f(lo)|, |f(mid)|, |f(hi)| takes ``_brent_rows``' answer on the
+    block, bit for bit, after its own six calls.  A wrong declaration costs
+    time, not correctness.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    f_lo, f_mid, f_hi = f(lo), f(mid), f(hi)
+    slope, curv = 0.5 * (f_hi - f_lo), f_lo + f_hi - 2.0 * f_mid      # per half-width
+    flat = _resolution(f_lo, f_mid, f_hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = np.where(curv > flat, np.clip(mid - half * slope / curv, lo, hi),
+                         np.where(f_hi < f_lo, hi, lo))
+    us = np.linspace(lo, hi, _COARSE)
+    h = us[1] - us[0]
+    c = np.clip(first, lo + h, hi - h)
+    points = (c - h, c, c + h)
+    g_1, g0, g1 = (f(u) for u in points)
+    miss = 0.0
+    for u, g in zip(points, (g_1, g0, g1)):
+        t = (u - mid) / half
+        miss = np.maximum(miss, np.abs(g - (f_mid + t * (slope + 0.5 * t * curv))))
+    curv = g_1 + g1 - 2.0 * g0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(curv > _resolution(g_1, g0, g1),
+                       np.clip(c - 0.5 * h * (g1 - g_1) / curv, lo, hi), first)
+    wrong = miss > flat
+    return np.where(wrong, _brent_rows(f, lo, hi), out) if wrong.any() else out
 
 
 # grid points per minimizer block: whole time rows are batched up to this many
@@ -821,11 +873,14 @@ _MIN_POINTS = 4096
 def _minimize_block(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx):
     """Minimizer over U of ``hamiltonian_H0_hat`` at (s, s, x, x) on a (rows, n)
     block shaped like d: s is an (rows, 1) column of times, x an (n,) row, and
-    theta, theta_x, theta_xx and the weights d_y are (m, rows, n)."""
+    theta, theta_x, theta_xx and the weights d_y are (m, rows, n).  A spec that
+    declares ``quadratic_in_u`` takes ``_quadratic_rows``, any other
+    ``_brent_rows``."""
     zero = np.zeros(np.shape(d))
-    return _brent_rows(lambda u: hamiltonian_H0_hat(spec, s, s, x, x, u + zero, theta, theta_x,
-                                                    theta_xx, d, d_x, d_y, d_xx),
-                       spec.u_lo, spec.u_hi)
+    search = _quadratic_rows if spec.quadratic_in_u else _brent_rows
+    return search(lambda u: hamiltonian_H0_hat(spec, s, s, x, x, u + zero, theta, theta_x,
+                                               theta_xx, d, d_x, d_y, d_xx),
+                  spec.u_lo, spec.u_hi)
 
 
 def _minimize_table(spec, theta: FieldTheta, bundle: DiagonalBundle):

@@ -298,7 +298,12 @@ def test_malformed_config_values_are_config_errors(argv, doc, tmp_path, capsys):
     (["pde-solve"], {"family": "mean_variance", "params": {"gamma": math.nan}}, "'gamma'"),
     (["mc-verify"], {"params": {"sigma": math.inf}}, "'sigma'"),
     (["pde-solve"], {"family": "linear_heat", "params": {"terminal": "abc"}},
-     "terminal must be one of ['gaussians', 'x', 'x2']")])
+     "terminal must be one of ['gaussians', 'x', 'x2']"),
+    # a non-finite horizon and a non-finite tau
+    (["mc-verify"], {"family": "ex31", "T": math.inf}, "T must be a finite number, got T=inf"),
+    (["mc-verify"], {"family": "ex31", "T": math.nan}, "T must be a finite number, got T=nan"),
+    (["inconsistency", "--example", "ex31"], {"params": {"taus": [math.nan, 0.5]}},
+     "taus must be a list of finite numbers")])
 def test_config_errors_name_the_bad_value(argv, doc, name, tmp_path, capsys):
     cfg, out = tmp_path / "bad.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))

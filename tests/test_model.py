@@ -124,6 +124,30 @@ def test_h0_hat_affine_in_q0_with_slope_H():
         assert abs(h0 - (P0 * 0.5 + p0 * u)) < 1e-12
 
 
+_DECLARED = sorted(name for name, builder in model.FAMILIES.items()
+                   if builder().quadratic_in_u)
+
+
+@pytest.mark.parametrize("family", _DECLARED)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_declared_hamiltonians_are_quadratic_in_u(family, data):
+    # the promise of quadratic_in_u, at random (s, x, theta, theta_x, theta_xx, d,
+    # d_x, d_y, d_xx): the third difference of H0_hat over four equally spaced
+    # controls of U vanishes to rounding
+    spec = model.FAMILIES[family]()
+    value = st.floats(-10.0, 10.0)
+    s = data.draw(st.floats(0.0, spec.horizon))
+    x, d, d_x, d_xx = (data.draw(value) for _ in range(4))
+    theta, theta_x, theta_xx, d_y = (np.array([data.draw(value) for _ in range(spec.m)])
+                                     for _ in range(4))
+    H = np.array([hamiltonian_H0_hat(spec, s, s, x, x, u, theta, theta_x, theta_xx,
+                                     d, d_x, d_y, d_xx)
+                  for u in np.linspace(spec.u_lo, spec.u_hi, 4)])
+    third = H[3] - 3.0 * H[2] + 3.0 * H[1] - H[0]
+    assert abs(third) <= 64.0 * np.spacing(np.max(np.abs(H)))
+
+
 def test_heat_kernel_values():
     assert abs(heat_kernel(lambda r, m: 0.5, 0.0, 0.0, 1.0, 0.0)
                - 1.0 / math.sqrt(2.0 * math.pi)) < 1e-12

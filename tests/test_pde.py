@@ -847,14 +847,51 @@ def _brent_row_reference(f, lo, hi):
     return np.clip(out, lo, hi)
 
 
+def _quadratic_row_reference(f, lo, hi):
+    """The fast path on one row of x, element by element: f is called once per
+    point on the whole row, and the two vertices and the check are scalar code
+    per element.  A row with an element off its first parabola takes the
+    Brent reference's answer there."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    h = float(np.linspace(lo, hi, pde._COARSE)[1] - lo)
+    F = [np.asarray(f(u), dtype=float).tolist() for u in (lo, mid, hi)]
+    fits, first = [], []
+    for f_lo, f_mid, f_hi in zip(*F):
+        slope, curv = 0.5 * (f_hi - f_lo), f_lo + f_hi - 2.0 * f_mid
+        ulp = math.ulp(max(abs(f_lo), abs(f_mid), abs(f_hi)))
+        if curv > pde._RESOLVED * ulp:
+            first.append(min(max(mid - half * slope / curv, lo), hi))
+        else:
+            first.append(hi if f_hi < f_lo else lo)
+        fits.append((f_mid, slope, curv, pde._RESOLVED * ulp))
+    c = np.array([min(max(u, lo + h), hi - h) for u in first])
+    points = [c - h, c, c + h]
+    G = [np.asarray(f(p), dtype=float).tolist() for p in points]
+    out, wrong = np.empty(c.size), np.zeros(c.size, dtype=bool)
+    for i, (f_mid, slope, curv, bound) in enumerate(fits):
+        for g, p in zip(G, points):
+            t = (p[i] - mid) / half
+            wrong[i] |= abs(g[i] - (f_mid + t * (slope + 0.5 * t * curv))) > bound
+        g_1, g0, g1 = (g[i] for g in G)
+        curv = g_1 + g1 - 2.0 * g0
+        if curv > pde._RESOLVED * math.ulp(max(abs(g_1), abs(g1), abs(g0))):
+            out[i] = min(max(c[i] - 0.5 * h * (g1 - g_1) / curv, lo), hi)
+        else:
+            out[i] = first[i]
+    if wrong.any():
+        out[wrong] = _brent_row_reference(f, lo, hi)[wrong]
+    return out
+
+
 def _row_by_row_table(spec, theta, bundle):
-    """One search per time row, with scalar s."""
+    """One search per time row, with scalar s, on the route the spec takes."""
     xs, zero = theta.xs, np.zeros_like(theta.xs)
+    search = _quadratic_row_reference if spec.quadratic_in_u else _brent_row_reference
     out = np.empty(bundle.d.shape)
     for j, s in enumerate(theta.times):
         args = (theta.slice(j), theta.dx_slice(j), pde._dxx_rows(theta.slice(j), theta.dx),
                 bundle.d[j], bundle.dx[j], np.tile(bundle.dy[j], (spec.m, 1)), bundle.dxx[j])
-        out[j] = _brent_row_reference(
+        out[j] = search(
             lambda u: model.hamiltonian_H0_hat(spec, s, s, xs, xs,
                                                np.asarray(u, dtype=float) + zero, *args),
             spec.u_lo, spec.u_hi)
@@ -878,6 +915,15 @@ def _block_and_row_by_row(spec, grid, monkeypatch):
     ("linear_heat", 33, 17), ("linear_heat", 65, 40)])
 def test_block_minimizer_matches_row_by_row(family, nx, nt, monkeypatch):
     spec = model.make_spec(family)
+    _block_and_row_by_row(spec, pde.default_grid(spec, nx=nx, nt=nt), monkeypatch)
+
+
+@pytest.mark.parametrize("family, nx, nt", [
+    ("mean_variance", 33, 17), ("mean_variance", 65, 40),
+    ("recursive_lq", 33, 17), ("recursive_lq", 65, 70)])   # 65 x 70: chunks of 63 + 7 rows
+def test_brent_block_minimizer_matches_row_by_row_without_the_declaration(family, nx, nt,
+                                                                          monkeypatch):
+    spec = replace(model.make_spec(family), quadratic_in_u=False)
     _block_and_row_by_row(spec, pde.default_grid(spec, nx=nx, nt=nt), monkeypatch)
 
 
@@ -914,9 +960,10 @@ def test_block_minimizer_ties_go_to_the_smaller_u(monkeypatch):
     assert np.max(np.abs(table + 0.5)) < 1e-6
 
 
-def test_minimizer_hits_the_vertex_of_a_quadratic_hamiltonian():
-    # at frozen fields the mean-variance Hamiltonian is A u^2 + B u + C on every
-    # node, so three evaluations give its vertex -B/(2A)
+def _mean_variance_frozen_fields():
+    """The mean-variance closed-form fields and diagonal at 129 x 251, and the
+    vertex -B/(2A) of the Hamiltonian A u^2 + B u + C that they give each node,
+    from its values at u = -1, 0, 1."""
     spec = model.mean_variance()
     grid = pde.default_grid(spec, nx=129, nt=251)
     theta, theta0 = pde.reference_fields(spec, grid)
@@ -930,7 +977,52 @@ def test_minimizer_hits_the_vertex_of_a_quadratic_hamiltonian():
     h_lo, h_0, h_hi = H(-1.0), H(0.0), H(1.0)
     vertex = 0.5 * (h_lo - h_hi) / (h_lo + h_hi - 2.0 * h_0)
     assert np.all(np.abs(vertex) < 1.0)
-    assert np.max(np.abs(pde._minimize_table(spec, theta, bundle) - vertex)) < 1e-12
+    return spec, theta, bundle, vertex
+
+
+def test_minimizer_hits_the_vertex_of_a_quadratic_hamiltonian():
+    # Brent's search, whose stencil vertex is exact to rounding on a quadratic
+    spec, theta, bundle, vertex = _mean_variance_frozen_fields()
+    table = pde._minimize_table(replace(spec, quadratic_in_u=False), theta, bundle)
+    assert np.max(np.abs(table - vertex)) < 1e-12
+
+
+def test_fast_path_hits_the_vertex_of_a_quadratic_hamiltonian():
+    # two three-point vertices, the second one scan cell about the first
+    spec, theta, bundle, vertex = _mean_variance_frozen_fields()
+    assert spec.quadratic_in_u
+    assert np.max(np.abs(pde._minimize_table(spec, theta, bundle) - vertex)) < 1e-14
+
+
+def _cosh_in_u(s, u):
+    return np.cosh(u - 0.3)
+
+
+def _cosh_late(s, u):
+    return np.where(s < 0.5, 0.0, np.cosh(u - 0.3))
+
+
+@pytest.mark.parametrize("g0", [_cosh_in_u, _cosh_late])
+def test_a_wrong_declaration_falls_back_to_brent_bit_for_bit(g0, monkeypatch):
+    # the mean-variance Hamiltonian plus g0: not quadratic in u where g0 is cosh,
+    # though the spec still declares it.  Those nodes get Brent's answer bit for
+    # bit, after six evaluations of the fast path; the others keep the fast path
+    spec, theta, bundle, _ = _mean_variance_frozen_fields()
+    plain = pde._minimize_table(spec, theta, bundle)
+    spec = replace(spec, cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: g0(s, u) + 0.0 * x)
+    brent = pde._minimize_table(replace(spec, quadratic_in_u=False), theta, bundle)
+    quadratic, fallback = _counted(monkeypatch, "_quadratic_rows"), _counted(monkeypatch,
+                                                                            "_brent_rows")
+    table = pde._minimize_table(spec, theta, bundle)
+    late = theta.times >= 0.5 if g0 is _cosh_late else np.full(theta.times.size, True)
+    assert np.array_equal(table[late], brent[late])
+    assert np.array_equal(table[~late], plain[~late])
+    # a block with such a node pays the fast path's 6 calls, then Brent's
+    rows = pde._MIN_POINTS // theta.xs.size
+    blocks = [late[j:j + rows].any() for j in range(0, late.size, rows)]
+    assert len(quadratic) == len(blocks) and len(fallback) == sum(blocks)
+    assert [n - 6 for n, back in zip(quadratic, blocks) if back] == fallback
+    assert all(n == 6 for n, back in zip(quadratic, blocks) if not back)
 
 
 def test_minimizer_is_accurate_where_f_is_not_quadratic():
@@ -949,25 +1041,44 @@ def test_minimizer_is_accurate_where_f_is_not_quadratic():
     assert len(calls) <= 45
 
 
-@pytest.mark.parametrize("family, iterations", [("mean_variance", 3), ("recursive_lq", 5)])
-def test_minimizer_evaluates_the_hamiltonian_at_most_45_times_per_point(family, iterations,
-                                                                       monkeypatch):
-    calls, search = [], pde._brent_rows
+def _counted(monkeypatch, name):
+    """The number of f calls in each call of the search ``pde.<name>`` from here
+    on; calls that another counted search makes through it count for both."""
+    calls, search = [], getattr(pde, name)
 
     def counted(f, lo, hi):
         calls.append(0)
+        n = len(calls) - 1
 
         def f_counted(u):
-            calls[-1] += 1
+            calls[n] += 1
             return f(u)
         return search(f_counted, lo, hi)
 
-    monkeypatch.setattr(pde, "_brent_rows", counted)
-    spec = model.make_spec(family)
+    monkeypatch.setattr(pde, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, iterations", [("mean_variance", 3), ("recursive_lq", 5)])
+def test_minimizer_evaluates_the_hamiltonian_at_most_45_times_per_point(family, iterations,
+                                                                       monkeypatch):
+    # Brent's search, on the families without their declaration
+    calls = _counted(monkeypatch, "_brent_rows")
+    spec = replace(model.make_spec(family), quadratic_in_u=False)
     log = pde.equilibrium_fixed_point(spec, pde.default_grid(spec, nx=65, nt=63))[3]
     assert log.converged and log.iterations == iterations
     assert len(calls) == iterations          # 65 x 63 is one block per iteration
     assert max(calls) <= 45
+
+
+@pytest.mark.parametrize("family, iterations", [("mean_variance", 3), ("recursive_lq", 5)])
+def test_fast_path_evaluates_the_hamiltonian_6_times_per_point(family, iterations, monkeypatch):
+    quadratic, brent = _counted(monkeypatch, "_quadratic_rows"), _counted(monkeypatch,
+                                                                         "_brent_rows")
+    spec = model.make_spec(family)
+    log = pde.equilibrium_fixed_point(spec, pde.default_grid(spec, nx=65, nt=63))[3]
+    assert log.converged and log.iterations == iterations
+    assert quadratic == [6] * iterations and brent == []
 
 
 # ---------------------------------------------------------------------------
