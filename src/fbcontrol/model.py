@@ -27,15 +27,16 @@ class TerminalSplit:
     """Additive split h0(t, xt, x, y) = fhat(t, xt, x) + ghat(t, xt, y).
 
     Valid whenever the cost generator does not see the anchor y, which lets the
-    y-dependence of the cost field be carried analytically.  ``t_free`` /
-    ``xtilde_free`` mark that fhat and the cost generator ignore those anchors,
-    collapsing the anchor family to fewer (or one) backward solves.
+    y-dependence of the cost field be carried analytically.  A split also
+    promises that fhat and the cost generator ignore the anchor t (a family
+    whose state part depends on t sets ``terminal_split=None`` and gets the
+    general anchor tensor); ``xtilde_free`` marks that they ignore the anchor
+    xt as well, collapsing the anchor family to one backward solve.
     """
 
     fhat: Callable
     ghat: Callable
     ghat_y: Callable
-    t_free: bool = False
     xtilde_free: bool = False
 
 
@@ -88,15 +89,11 @@ class ControlProblemSpec:
     horizon: float
     m: int = 1
     x0: float = 0.0
-    diffusion_control_free: bool = False
     params: dict = field(default_factory=dict)
     terminal_split: Optional[TerminalSplit] = None
     reduced_running: Optional[Callable] = None   # (t, s, u) -> cost rate
     mc_cost: Optional[McCost] = None
     closed_forms: ClosedForms = field(default_factory=ClosedForms)
-    # a promise that H0_hat is a polynomial of degree <= 2 in u at every
-    # (s, x, fields): pde's minimizer then takes the vertex of three values
-    quadratic_in_u: bool = False
 
     def __post_init__(self):
         if not self.horizon > 0:
@@ -322,9 +319,12 @@ def validate_spec(spec, probe_grid=None):
 
     Never raises; returns a report dict.  The non-degeneracy flag refers to
     a = sigma^2/2 over the probed controls, so control-scaled diffusions are
-    reported degenerate whenever u = 0 is probed.  ``column_s_failures`` lists
-    the coefficients that break the PDE route's contract that s may be an
-    (rows, 1) column broadcasting against (rows, nx) states.
+    reported degenerate whenever u = 0 is probed.  ``diffusion_control_free``
+    is measured: sigma at the first and the last probed control agree (to
+    1e-12 relative) at every probed (s, x) where both evaluated.
+    ``column_s_failures`` lists the coefficients that break the PDE route's
+    contract that s may be an (rows, 1) column broadcasting against (rows, nx)
+    states.
     """
     probe = probe_grid or make_probe_grid(spec)
     s_arr, x_arr, u_arr = (np.asarray(probe[k], dtype=float) for k in ("s", "x", "u"))
@@ -365,8 +365,7 @@ def validate_spec(spec, probe_grid=None):
                 lip_sig = max(lip_sig, abs(vals["diffusion_dx"] - sig) / dx)
             # first against last probed control; a point that raised is in bad
             s0, s1 = sig_at.get(0), sig_at.get(u_arr.size - 1)
-            if (spec.diffusion_control_free and None not in (s0, s1)
-                    and abs(s0 - s1) > 1e-12 * (1.0 + abs(s0))):
+            if None not in (s0, s1) and abs(s0 - s1) > 1e-12 * (1.0 + abs(s0)):
                 ctrl_free = False
     nondegenerate = math.isfinite(amin) and amin > 0.0
     return {
@@ -375,7 +374,7 @@ def validate_spec(spec, probe_grid=None):
         "lipschitz": {"drift": lip_b, "diffusion": lip_sig},
         "lambda0": amin if math.isfinite(amin) else 0.0,
         "nondegenerate": nondegenerate,
-        "diffusion_control_free_ok": ctrl_free,
+        "diffusion_control_free": ctrl_free,
         "suggested_route": "pde" if nondegenerate else "ode",
         "cost_class_detected": spec.cost_class,
         "column_s_failures": _column_s_failures(spec, s_arr, x_arr, u_arr),
@@ -390,6 +389,14 @@ def _zero_generator(m):
     if m == 1:
         return lambda s, x, u, y, z: np.zeros_like(np.asarray(x, dtype=float))
     return lambda s, x, u, y, z: np.zeros((m,) + np.shape(np.asarray(x, dtype=float)))
+
+
+# the split of the cost terminal h0 = y: no state part, and the anchored-y part y
+_Y_SPLIT = TerminalSplit(
+    fhat=lambda t, xt, x: 0.0 * np.asarray(x, dtype=float),
+    ghat=lambda t, xt, y: np.asarray(y, dtype=float),
+    ghat_y=lambda t, xt, y: np.ones_like(np.asarray(y, dtype=float)),
+    xtilde_free=True)
 
 
 def constant_control(value):
@@ -464,7 +471,7 @@ def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,
         fhat=lambda t, xt, x: -x + 0.5 * gamma * x * x,
         ghat=lambda t, xt, y: -0.5 * gamma * y * y,
         ghat_y=lambda t, xt, y: -gamma * y,
-        t_free=True, xtilde_free=True)
+        xtilde_free=True)
     return ControlProblemSpec(
         name="mean_variance",
         drift=lambda s, x, u: r * x + (mu - r) * u,
@@ -474,7 +481,6 @@ def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=h0,
         u_lo=u_lo, u_hi=u_hi, horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=False,
         params={"r": r, "mu": mu, "sigma": sigma, "gamma": gamma, "x0": float(x0)},
         terminal_split=split,
         mc_cost=McCost(
@@ -482,7 +488,6 @@ def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,
             outer=lambda m1: -0.5 * gamma * m1 * m1,
             outer_prime=lambda m1: -gamma * m1),
         closed_forms=closed,
-        quadratic_in_u=True,
     )
 
 
@@ -495,11 +500,6 @@ def recursive_lq(T=1.0, x0=0.0, U=(-10.0, 10.0)):
     def g(s, x, u, y, z):
         return 0.5 * (np.asarray(u, dtype=float) ** 2 + np.asarray(x, dtype=float) ** 2)
 
-    split = TerminalSplit(
-        fhat=lambda t, xt, x: 0.0 * np.asarray(x, dtype=float),
-        ghat=lambda t, xt, y: np.asarray(y, dtype=float),
-        ghat_y=lambda t, xt, y: np.ones_like(np.asarray(y, dtype=float)),
-        t_free=True, xtilde_free=True)
     return ControlProblemSpec(
         name="recursive_lq",
         drift=lambda s, x, u: np.asarray(u, dtype=float) + 0.0 * np.asarray(x, dtype=float),
@@ -509,10 +509,9 @@ def recursive_lq(T=1.0, x0=0.0, U=(-10.0, 10.0)):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: y,
         u_lo=float(U[0]), u_hi=float(U[1]), horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=True, params={"x0": float(x0)},
-        terminal_split=split,
+        params={"x0": float(x0)},
+        terminal_split=_Y_SPLIT,
         mc_cost=McCost(running=lambda s, x, u: 0.5 * (u * u + x * x)),
-        quadratic_in_u=True,
     )
 
 
@@ -530,11 +529,6 @@ def linear_heat(a=1.0, T=1.0, terminal="x", x0=0.0):
         raise DomainError(f"linear_heat terminal must be one of {sorted(terminals)}, "
                           f"got {terminal!r}")
     h = terminals[terminal] if isinstance(terminal, str) else terminal
-    split = TerminalSplit(
-        fhat=lambda t, xt, x: 0.0 * np.asarray(x, dtype=float),
-        ghat=lambda t, xt, y: np.asarray(y, dtype=float),
-        ghat_y=lambda t, xt, y: np.ones_like(np.asarray(y, dtype=float)),
-        t_free=True, xtilde_free=True)
     return ControlProblemSpec(
         name="linear_heat",
         drift=lambda s, x, u: 0.0 * np.asarray(x, dtype=float),
@@ -544,11 +538,9 @@ def linear_heat(a=1.0, T=1.0, terminal="x", x0=0.0):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: y,
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=True,
         params={"a": a, "terminal": terminal if isinstance(terminal, str) else "custom",
                 "x0": float(x0)},
-        terminal_split=split,
-        quadratic_in_u=True,
+        terminal_split=_Y_SPLIT,
     )
 
 
@@ -563,7 +555,7 @@ def bkm_separable(T=1.0, x0=0.0):
     def ghat_y(t, xt, y):
         return np.asarray(xt, dtype=float) - np.asarray(y, dtype=float)
 
-    split = TerminalSplit(fhat=fhat, ghat=ghat, ghat_y=ghat_y, t_free=True, xtilde_free=False)
+    split = TerminalSplit(fhat=fhat, ghat=ghat, ghat_y=ghat_y, xtilde_free=False)
     return ControlProblemSpec(
         name="bkm_separable",
         drift=lambda s, x, u: 0.0 * np.asarray(x, dtype=float),
@@ -573,8 +565,7 @@ def bkm_separable(T=1.0, x0=0.0):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: fhat(t, xt, x) + ghat(t, xt, y),
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=True, params={"x0": float(x0)}, terminal_split=split,
-        quadratic_in_u=True,
+        params={"x0": float(x0)}, terminal_split=split,
     )
 
 
@@ -605,10 +596,9 @@ def stackelberg(T=1.0, x0=0.0, U=(-5.0, 5.0)):
             np.asarray(y, dtype=float) + np.asarray(u, dtype=float) + np.asarray(u, dtype=float) ** 2),
         cost_terminal=lambda t, xt, x, y: 0.0,
         u_lo=float(U[0]), u_hi=float(U[1]), horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=True, params={"x0": float(x0)},
+        params={"x0": float(x0)},
         reduced_running=reduced,
         closed_forms=ClosedForms(equilibrium=constant_control(-0.5), gap=gap),
-        quadratic_in_u=True,
     )
 
 
@@ -636,10 +626,9 @@ def ex31(T=1.0, x0=0.0, U=(-5.0, 5.0)):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: np.asarray(y)[1],
         u_lo=float(U[0]), u_hi=float(U[1]), horizon=float(T), m=2, x0=float(x0),
-        diffusion_control_free=True, params={"x0": float(x0)},
+        params={"x0": float(x0)},
         reduced_running=reduced,
         closed_forms=ClosedForms(equilibrium=constant_control(-0.5), gap=lambda tau: tau / 2.0),
-        quadratic_in_u=True,
     )
 
 
@@ -656,7 +645,7 @@ def ex41(T=1.0, x0=1.0, U=(-10.0, 10.0)):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: np.asarray(u, dtype=float) ** 2,
         cost_terminal=lambda t, xt, x, y: np.asarray(y, dtype=float) ** 2,
         u_lo=float(U[0]), u_hi=float(U[1]), horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=False, params={"x0": float(x0)},
+        params={"x0": float(x0)},
         mc_cost=McCost(
             running=lambda s, x, u: u * u,
             outer=lambda m1: m1 * m1,
@@ -665,7 +654,6 @@ def ex41(T=1.0, x0=1.0, U=(-10.0, 10.0)):
             committed=constant_control(u0),
             path_gap=lambda tau, x: np.abs(-x / (T - tau + 1.0) - u0),
             gap_scale=u0),
-        quadratic_in_u=True,
     )
 
 
@@ -681,8 +669,8 @@ def gbm(mu=0.5, sigma=0.2, T=1.0, x0=1.0):
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: y,
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
-        diffusion_control_free=True, params={"mu": mu, "sigma": sigma, "x0": float(x0)},
-        quadratic_in_u=True,
+        params={"mu": mu, "sigma": sigma, "x0": float(x0)},
+        terminal_split=_Y_SPLIT,
     )
 
 

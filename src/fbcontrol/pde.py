@@ -24,10 +24,11 @@ defined only in ``model.py``.
 Cost fields come in two storage modes.  When the cost terminal splits
 additively into a state part and an anchored-y part (and the cost generator
 never sees the anchor y), the y-dependence is carried analytically and only
-state-part fields are stepped.  A spec whose ``terminal_split`` is None or
-not ``t_free`` (select it with ``replace(spec, terminal_split=None)``) gets the
-general anchor tensor, which needs a y grid on the GridSpec and keeps only each
-anchor's first row (s = t): O(nt nx^2 ny) doubles, one rolling row per anchor.
+state-part fields are stepped; a split promises that the state part ignores
+the anchor t.  A spec whose ``terminal_split`` is None (select it with
+``replace(spec, terminal_split=None)``) gets the general anchor tensor, which
+needs a y grid on the GridSpec and keeps only each anchor's first row (s = t):
+O(nt nx^2 ny) doubles, one rolling row per anchor.
 
 No family is named here: closed-form fields come from the family's
 ``closed_forms`` (``reference_fields``), and the grid's diffusion probe from
@@ -621,7 +622,7 @@ def _cost_block(spec, theta: FieldTheta, diag, grid: GridSpec, term=None):
     xs, times = grid.xs, theta.times
     nt, nx = times.size, xs.size
     split = spec.terminal_split
-    separable = split is not None and split.t_free
+    separable = split is not None
     if separable:
         # one field when fhat ignores the x-anchor, else one per x-anchor
         anchor_free = split.xtilde_free
@@ -693,11 +694,12 @@ def extract_diagonal(theta0, theta: FieldTheta) -> DiagonalBundle:
     return theta0.diagonal(theta)
 
 
-# The Hamiltonian minimizer: a scan of _COARSE points, Brent's method on the
-# bracket of the scan's first minimum, and a five-point stencil about
-# Brent's best point.  Brent's tolerance and the stencil spacing are fractions
-# of one scan cell.  A family that declares its Hamiltonian quadratic in u
-# takes two three-point vertices instead (_quadratic_rows).
+# The Hamiltonian minimizer: two three-point vertices (_quadratic_rows), exact
+# for a Hamiltonian quadratic in u.  Where the Hamiltonian misses the first
+# parabola, _brent_rows: a scan of _COARSE points, Brent's method on the
+# bracket of the scan's first minimum, and a five-point stencil about Brent's
+# best point.  Brent's tolerance and the stencil spacing are fractions of one
+# scan cell.
 _COARSE = 33
 _BRENT_TOL = 2.0 ** -10
 _STENCIL = 2.0 ** -8
@@ -820,8 +822,8 @@ def _brent_rows(f, lo, hi):
 
 
 def _quadratic_rows(f, lo, hi):
-    """Minimizer of f over [lo, hi] at every element of a (rows, n) block, for
-    an f that is a polynomial of degree <= 2 in u (``quadratic_in_u``).
+    """Minimizer of f over [lo, hi] at every element of a (rows, n) block,
+    exact to rounding for an f that is a polynomial of degree <= 2 in u.
 
     f is read as ``_brent_rows`` reads it, six times:
 
@@ -835,11 +837,11 @@ def _quadratic_rows(f, lo, hi):
       rounding of values taken near the minimum, not at the ends of U; else
       the first answer stands.
 
-    The second three values also check the promise: an element where one of
-    them misses the first parabola by more than ``_RESOLVED`` ulps of the
-    largest |f(lo)|, |f(mid)|, |f(hi)| takes ``_brent_rows``' answer on the
-    block, bit for bit, after its own six calls.  A wrong declaration costs
-    time, not correctness.
+    The second three values also check that f is quadratic: an element where
+    one of them misses the first parabola by more than ``_RESOLVED`` ulps of
+    the largest |f(lo)|, |f(mid)|, |f(hi)| takes ``_brent_rows``' answer on
+    the block, bit for bit, after its own six calls.  An f that is not
+    quadratic costs six calls more per block, not correctness.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     f_lo, f_mid, f_hi = f(lo), f(mid), f(hi)
@@ -873,14 +875,13 @@ _MIN_POINTS = 4096
 def _minimize_block(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx):
     """Minimizer over U of ``hamiltonian_H0_hat`` at (s, s, x, x) on a (rows, n)
     block shaped like d: s is an (rows, 1) column of times, x an (n,) row, and
-    theta, theta_x, theta_xx and the weights d_y are (m, rows, n).  A spec that
-    declares ``quadratic_in_u`` takes ``_quadratic_rows``, any other
-    ``_brent_rows``."""
+    theta, theta_x, theta_xx and the weights d_y are (m, rows, n).  Every block
+    takes ``_quadratic_rows``, which hands the block to ``_brent_rows`` where
+    the Hamiltonian is not quadratic in u."""
     zero = np.zeros(np.shape(d))
-    search = _quadratic_rows if spec.quadratic_in_u else _brent_rows
-    return search(lambda u: hamiltonian_H0_hat(spec, s, s, x, x, u + zero, theta, theta_x,
-                                               theta_xx, d, d_x, d_y, d_xx),
-                  spec.u_lo, spec.u_hi)
+    return _quadratic_rows(lambda u: hamiltonian_H0_hat(spec, s, s, x, x, u + zero, theta,
+                                                        theta_x, theta_xx, d, d_x, d_y, d_xx),
+                           spec.u_lo, spec.u_hi)
 
 
 def _minimize_table(spec, theta: FieldTheta, bundle: DiagonalBundle):
@@ -902,8 +903,9 @@ def minimize_hamiltonian(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx
     """Pointwise minimizer of the adjusted Hamiltonian over the control interval.
 
     The second-order terms enter with the diagonal curvature and dy-weighted
-    field curvature; for control-free diffusion they are constant in u and the
-    minimizer reduces to the first-order form.
+    field curvature.  The search is ``_minimize_block``'s on one node: six
+    evaluations when the Hamiltonian is quadratic in u, Brent's search
+    after them otherwise.
     """
     if not spec.u_bounded:
         raise DomainError("numeric minimization needs a bounded control interval")
@@ -1105,7 +1107,7 @@ def reference_fields(spec, grid: GridSpec):
     fields, split = spec.closed_forms.reference_fields, spec.terminal_split
     if fields is None:
         raise DomainError(f"family '{spec.name}' has no closed-form reference fields")
-    if split is None or not (split.t_free and split.xtilde_free):
+    if split is None or not split.xtilde_free:
         raise DomainError(f"family '{spec.name}' has no anchor-free terminal split")
     theta, hat = fields(grid.times, grid.xs)
     return (FieldTheta(grid.times, grid.xs, theta),

@@ -191,11 +191,13 @@ def test_pde_solve_domain_bounds_come_in_pairs(tmp_path, capsys):
 
 def test_refused_runs_leave_no_output_directory(tmp_path, capsys):
     # inputs are checked and solves done before the output directory is made
-    gbm = tmp_path / "gbm.json"
-    gbm.write_text(json.dumps({"family": "gbm"}))       # its cost field needs a y grid
+    gbm, stackelberg = tmp_path / "gbm.json", tmp_path / "stackelberg.json"
+    gbm.write_text(json.dumps({"family": "gbm"}))
+    # no terminal split: its cost field needs a y grid
+    stackelberg.write_text(json.dumps({"family": "stackelberg"}))
     refused = [["meanvar", "--grid-nx", "5"], ["lq-riccati", "--steps", "0"],
                ["meanfield-lq", "--steps", "0"], ["planner", "--steps", "0"],
-               ["pde-solve", "--config", str(gbm)],
+               ["pde-solve", "--config", str(stackelberg)],
                # general cost class: refused before the closed loop is simulated
                ["mc-verify", "--config", str(gbm), "--strategy-const", "0"],
                ["mc-verify", "--config", str(tmp_path / "missing.json")]]

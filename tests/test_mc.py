@@ -587,7 +587,7 @@ def test_fk_no_noise_is_exact():
             fhat=lambda t, xt, x: 0.0 * np.asarray(x, dtype=float),
             ghat=lambda t, xt, y: np.asarray(y, dtype=float),
             ghat_y=lambda t, xt, y: np.ones_like(np.asarray(y, dtype=float)),
-            t_free=True, xtilde_free=True))
+            xtilde_free=True))
     grid = GridSpec(-2.0, 2.0, 17, 17, 1.0)
     strat = const_strategy(0.0, spec)
     theta = solve_theta(spec, strat, grid)

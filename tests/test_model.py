@@ -124,16 +124,13 @@ def test_h0_hat_affine_in_q0_with_slope_H():
         assert abs(h0 - (P0 * 0.5 + p0 * u)) < 1e-12
 
 
-_DECLARED = sorted(name for name, builder in model.FAMILIES.items()
-                   if builder().quadratic_in_u)
-
-
-@pytest.mark.parametrize("family", _DECLARED)
+@pytest.mark.parametrize("family", sorted(model.FAMILIES))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_declared_hamiltonians_are_quadratic_in_u(family, data):
-    # the promise of quadratic_in_u, at random (s, x, theta, theta_x, theta_xx, d,
-    # d_x, d_y, d_xx): the third difference of H0_hat over four equally spaced
+    # every built-in Hamiltonian is quadratic in u, so the minimizer's fast path
+    # solves it without Brent: at random (s, x, theta, theta_x, theta_xx, d, d_x,
+    # d_y, d_xx), the third difference of H0_hat over four equally spaced
     # controls of U vanishes to rounding
     spec = model.FAMILIES[family]()
     value = st.floats(-10.0, 10.0)
@@ -214,6 +211,14 @@ def test_validate_spec_probes_column_s():
     assert validate_spec(collapsed)["column_s_failures"] == ["drift"]
 
 
+def test_validate_spec_measures_a_control_free_diffusion():
+    # sigma at the first against the last probed control: only mean-variance's
+    # sigma u moves with u; ex41's sigma = x does not
+    free = {name: validate_spec(make_spec(name))["diffusion_control_free"]
+            for name in model.FAMILIES}
+    assert free == {name: name != "mean_variance" for name in model.FAMILIES}
+
+
 def test_validate_spec_records_raising_probes():
     # the Lipschitz probe at x + dx and the control-free diffusion probe
     # raise past x = 2 and u = 0.4; validate_spec reports and never raises
@@ -228,12 +233,11 @@ def test_validate_spec_records_raising_probes():
         return 1.0 + 0.0 * x
 
     heat = model.linear_heat(a=1.0)
-    assert heat.diffusion_control_free
     rep = validate_spec(replace(heat, drift=drift), {"s": [0.0], "x": [1.0, 2.0], "u": [0.0]})
     assert rep["bad_points"] == [(0.0, 2.0, 0.0)] and not rep["finite"]
     rep = validate_spec(replace(heat, diffusion=diffusion),
                         {"s": [0.0], "x": [1.0], "u": [0.0, 0.5]})
-    assert rep["bad_points"] == [(0.0, 1.0, 0.5)] and rep["diffusion_control_free_ok"]
+    assert rep["bad_points"] == [(0.0, 1.0, 0.5)] and rep["diffusion_control_free"]
 
 
 def test_validate_spec_records_non_finite_lipschitz_probes():

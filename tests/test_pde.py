@@ -748,6 +748,21 @@ def test_fixed_point_recursive_reduces_to_classical_hjb():
     assert worst < 5e-3
 
 
+def test_fixed_point_gbm_value_is_first_order_in_dt():
+    # uncontrolled, so theta is E[X_T | X_s = x] = x e^{mu (T - s)}; the drift is
+    # explicit, so the error halves with dt and does not move with nx
+    spec = model.gbm()
+    errors = []
+    for nt in (201, 401, 801):
+        grid = pde.default_grid(spec, nx=65, nt=nt)
+        theta, _, _, log = pde.equilibrium_fixed_point(spec, grid)
+        assert log.converged and log.iterations == 2
+        exact = grid.xs * np.exp(spec.params["mu"] * (spec.horizon - grid.times))[:, None]
+        errors.append(float(np.max(np.abs(theta.values[0] - exact))))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 0.9), (errors, orders)
+
+
 def test_fixed_point_reports_nonconvergence_without_raising():
     spec = model.mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, x0=1.0)
     grid = pde.default_grid(spec, nx=65, nt=65)
@@ -883,10 +898,10 @@ def _quadratic_row_reference(f, lo, hi):
     return out
 
 
-def _row_by_row_table(spec, theta, bundle):
-    """One search per time row, with scalar s, on the route the spec takes."""
+def _row_by_row_table(spec, theta, bundle, search=_quadratic_row_reference):
+    """One search per time row, with scalar s: by default the fast path's
+    reference, which falls back to Brent's where its check fails."""
     xs, zero = theta.xs, np.zeros_like(theta.xs)
-    search = _quadratic_row_reference if spec.quadratic_in_u else _brent_row_reference
     out = np.empty(bundle.d.shape)
     for j, s in enumerate(theta.times):
         args = (theta.slice(j), theta.dx_slice(j), pde._dxx_rows(theta.slice(j), theta.dx),
@@ -898,10 +913,24 @@ def _row_by_row_table(spec, theta, bundle):
     return out
 
 
-def _block_and_row_by_row(spec, grid, monkeypatch):
-    block = pde.equilibrium_fixed_point(spec, grid, max_iters=8)
+def _brent_only(monkeypatch):
+    """Send every minimizer block straight to Brent's search, which keeps
+    ``_brent_rows`` under test on the Hamiltonians that the fast path solves.
+    Set after ``_counted(monkeypatch, "_brent_rows")``, it reaches the count."""
+    monkeypatch.setattr(pde, "_quadratic_rows", pde._brent_rows)
+
+
+def _block_and_row_by_row(spec, grid, monkeypatch, brent=False):
+    """The fixed point's strategy table from the block minimizer, after checking
+    that the row-by-row reference gives the same iterations and table; with
+    ``brent``, both take Brent's search alone."""
     with monkeypatch.context() as mp:
-        mp.setattr(pde, "_minimize_table", _row_by_row_table)
+        if brent:
+            _brent_only(mp)
+        block = pde.equilibrium_fixed_point(spec, grid, max_iters=8)
+        search = _brent_row_reference if brent else _quadratic_row_reference
+        mp.setattr(pde, "_minimize_table",
+                   lambda *args: _row_by_row_table(*args, search=search))
         rows = pde.equilibrium_fixed_point(spec, grid, max_iters=8)
     assert block[3].rows == rows[3].rows
     assert np.array_equal(block[2].values, rows[2].values)
@@ -923,8 +952,9 @@ def test_block_minimizer_matches_row_by_row(family, nx, nt, monkeypatch):
     ("recursive_lq", 33, 17), ("recursive_lq", 65, 70)])   # 65 x 70: chunks of 63 + 7 rows
 def test_brent_block_minimizer_matches_row_by_row_without_the_declaration(family, nx, nt,
                                                                           monkeypatch):
-    spec = replace(model.make_spec(family), quadratic_in_u=False)
-    _block_and_row_by_row(spec, pde.default_grid(spec, nx=nx, nt=nt), monkeypatch)
+    # Brent's search alone, on Hamiltonians that the fast path solves
+    spec = model.make_spec(family)
+    _block_and_row_by_row(spec, pde.default_grid(spec, nx=nx, nt=nt), monkeypatch, brent=True)
 
 
 def test_block_minimizer_partial_last_chunk(monkeypatch):
@@ -980,17 +1010,17 @@ def _mean_variance_frozen_fields():
     return spec, theta, bundle, vertex
 
 
-def test_minimizer_hits_the_vertex_of_a_quadratic_hamiltonian():
+def test_minimizer_hits_the_vertex_of_a_quadratic_hamiltonian(monkeypatch):
     # Brent's search, whose stencil vertex is exact to rounding on a quadratic
     spec, theta, bundle, vertex = _mean_variance_frozen_fields()
-    table = pde._minimize_table(replace(spec, quadratic_in_u=False), theta, bundle)
+    _brent_only(monkeypatch)
+    table = pde._minimize_table(spec, theta, bundle)
     assert np.max(np.abs(table - vertex)) < 1e-12
 
 
 def test_fast_path_hits_the_vertex_of_a_quadratic_hamiltonian():
     # two three-point vertices, the second one scan cell about the first
     spec, theta, bundle, vertex = _mean_variance_frozen_fields()
-    assert spec.quadratic_in_u
     assert np.max(np.abs(pde._minimize_table(spec, theta, bundle) - vertex)) < 1e-14
 
 
@@ -1003,14 +1033,16 @@ def _cosh_late(s, u):
 
 
 @pytest.mark.parametrize("g0", [_cosh_in_u, _cosh_late])
-def test_a_wrong_declaration_falls_back_to_brent_bit_for_bit(g0, monkeypatch):
-    # the mean-variance Hamiltonian plus g0: not quadratic in u where g0 is cosh,
-    # though the spec still declares it.  Those nodes get Brent's answer bit for
-    # bit, after six evaluations of the fast path; the others keep the fast path
+def test_a_non_quadratic_hamiltonian_falls_back_to_brent_bit_for_bit(g0, monkeypatch):
+    # the mean-variance Hamiltonian plus g0: not quadratic in u where g0 is cosh.
+    # Those nodes get Brent's answer bit for bit, after six evaluations of the
+    # fast path; the others keep the fast path
     spec, theta, bundle, _ = _mean_variance_frozen_fields()
     plain = pde._minimize_table(spec, theta, bundle)
     spec = replace(spec, cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: g0(s, u) + 0.0 * x)
-    brent = pde._minimize_table(replace(spec, quadratic_in_u=False), theta, bundle)
+    with monkeypatch.context() as mp:
+        _brent_only(mp)
+        brent = pde._minimize_table(spec, theta, bundle)
     quadratic, fallback = _counted(monkeypatch, "_quadratic_rows"), _counted(monkeypatch,
                                                                             "_brent_rows")
     table = pde._minimize_table(spec, theta, bundle)
@@ -1062,9 +1094,10 @@ def _counted(monkeypatch, name):
 @pytest.mark.parametrize("family, iterations", [("mean_variance", 3), ("recursive_lq", 5)])
 def test_minimizer_evaluates_the_hamiltonian_at_most_45_times_per_point(family, iterations,
                                                                        monkeypatch):
-    # Brent's search, on the families without their declaration
+    # Brent's search alone
     calls = _counted(monkeypatch, "_brent_rows")
-    spec = replace(model.make_spec(family), quadratic_in_u=False)
+    _brent_only(monkeypatch)
+    spec = model.make_spec(family)
     log = pde.equilibrium_fixed_point(spec, pde.default_grid(spec, nx=65, nt=63))[3]
     assert log.converged and log.iterations == iterations
     assert len(calls) == iterations          # 65 x 63 is one block per iteration
@@ -1079,6 +1112,24 @@ def test_fast_path_evaluates_the_hamiltonian_6_times_per_point(family, iteration
     log = pde.equilibrium_fixed_point(spec, pde.default_grid(spec, nx=65, nt=63))[3]
     assert log.converged and log.iterations == iterations
     assert quadratic == [6] * iterations and brent == []
+
+
+def test_a_spec_built_directly_takes_the_fast_path(monkeypatch):
+    # nothing declares the route: a spec made from recursive_lq's callables gets
+    # 6 evaluations per node per iteration and recursive_lq's table, bit for bit
+    lq = model.recursive_lq()
+    spec = ControlProblemSpec(
+        name="direct", drift=lq.drift, diffusion=lq.diffusion, generator=lq.generator,
+        terminal=lq.terminal, cost_generator=lq.cost_generator, cost_terminal=lq.cost_terminal,
+        u_lo=lq.u_lo, u_hi=lq.u_hi, horizon=lq.horizon, terminal_split=lq.terminal_split)
+    grid = pde.default_grid(lq, nx=65, nt=63)
+    table = pde.equilibrium_fixed_point(lq, grid)[2].values
+    quadratic, brent = _counted(monkeypatch, "_quadratic_rows"), _counted(monkeypatch,
+                                                                         "_brent_rows")
+    _, _, strategy, log = pde.equilibrium_fixed_point(spec, grid)
+    assert log.converged and log.iterations == 5
+    assert quadratic == [6] * 5 and brent == []
+    assert np.array_equal(strategy.values, table)
 
 
 # ---------------------------------------------------------------------------
@@ -1274,7 +1325,7 @@ def _reference_cost(spec, strategy, theta, diag, grid):
     xs, times = grid.xs, grid.times
     nt, nx = times.size, xs.size
     split = spec.terminal_split
-    separable = split is not None and split.t_free
+    separable = split is not None
     if separable:
         xt = xs if split.xtilde_free else xs[:, None]
         vals = np.empty(((nt,) if split.xtilde_free else (nx, nt)) + (nx,))
@@ -1311,7 +1362,7 @@ def _reference_fields(spec, strategy, grid, diag_guess):
     diag = pde.DiagonalBundle.zeros(grid.nt, grid.nx) if diag_guess is None else diag_guess
     vals = _reference_cost(spec, strategy, theta, diag, grid)
     split = spec.terminal_split
-    if split is not None and split.t_free:
+    if split is not None:
         return theta, pde.SeparableCostField(grid.times, grid.xs, vals, split, split.xtilde_free)
     return theta, pde.GeneralCostField(grid.times, grid.xs, grid.ys, vals)
 
