@@ -232,15 +232,14 @@ def cmd_pde_solve(args):
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, tol=args.tol)
     stride = max(1, args.grid_nx // 33)
     s, x = np.meshgrid(theta.times[::stride], theta.xs[::stride], indexing="ij")
-    theta_table = (["s", "x"] + [f"theta_{c + 1}" for c in range(theta.m)],
-                   np.column_stack([s.ravel(), x.ravel()]
-                                   + [comp[::stride, ::stride].ravel() for comp in theta.values]))
+    theta_table = (("s", "x", "theta_1"), np.column_stack(
+        [s.ravel(), x.ravel(), theta.values[::stride, ::stride].ravel()]))
     # anchored cost field sampled along the diagonal anchor set
     stride = max(1, args.grid_nx // 17)
     t, x = np.meshgrid(theta0.times[::stride], theta0.xs[::stride], indexing="ij")
     theta0_table = (("t", "s", "xtilde", "x", "y", "theta0"),
                     np.column_stack([t.ravel(), t.ravel(), x.ravel(), x.ravel(),
-                                     theta.values[0, ::stride, ::stride].ravel(),
+                                     theta.values[::stride, ::stride].ravel(),
                                      theta0.diagonal(theta).d[::stride, ::stride].ravel()]))
     tables = {"theta.csv": theta_table, "theta0.csv": theta0_table,
               "strategy.csv": _strategy_table(strat), "iterations.csv": _iterations_table(log)}
@@ -381,7 +380,7 @@ def _selftest_checks(seed):
         grid = pde.GridSpec(-4.0, 4.0, 41, 41, 1.0)
         strat = model.StrategyTable(-1, 1, fn=model.constant_control(0.0))
         theta = pde.solve_theta(spec, strat, grid)
-        err = float(np.max(np.abs(theta.values[0] - grid.xs[None, :])))
+        err = float(np.max(np.abs(theta.values - grid.xs[None, :])))
         assert err < 1e-12
         v = pde.step_parabolic(np.zeros(41), np.ones(41), np.zeros(41), np.ones(41), 0.01, 0.2)
         assert float(np.max(np.abs(v - 0.01))) < 1e-12

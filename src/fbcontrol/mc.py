@@ -610,7 +610,7 @@ def check_feynman_kac(spec, theta, theta0, strategy, sample_points, cfg: MCConfi
         acc0 = np.zeros(n_paths)
         j = int(np.argmin(np.abs(theta.times - r)))
         i = int(np.argmin(np.abs(theta.xs - x)))
-        y_anchor = float(theta.values[0, j, i])
+        y_anchor = float(theta.values[j, i])
 
         def accumulate(k, xk, uk, _):
             # both running sums grow in place; no path or control is kept

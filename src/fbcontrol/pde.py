@@ -8,7 +8,7 @@ the strategy until the diagonal bundle and the strategy stop moving.
 
 Every field goes through one backward sweep kernel, ``_sweep``: one banded
 factorization per time step (a direct LAPACK ``dgbsv`` call) is shared by
-every field and anchor of the blocks it steps (value components, x-anchors,
+every field and anchor of the blocks it steps (the value field, x-anchors,
 (t, x, y) anchors of the general tensor).  A sweep assembles the control rows
 of all its steps, and sigma, b, the diffusion checks and the band matrices in
 blocks of steps, ahead of the steps; the step loop keeps only the explicit
@@ -20,6 +20,9 @@ own times.  Grids and fields read one x spacing (``_OnGrid``).  Anchors reach
 the coefficient callables as columns, so cost terminals and cost generators
 must broadcast array t, xt and y against the x row.  The Hamiltonian is
 defined only in ``model.py``.
+
+Every field is scalar in Y, (nt, nx) like the strategy, so every entry
+refuses a spec with m != 1 backward components (``_require_scalar_y``).
 
 Cost fields come in two storage modes.  When the cost terminal splits
 additively into a state part and an anchored-y part (and the cost generator
@@ -326,15 +329,17 @@ def _control_rows(strategy, grid: GridSpec):
     return u
 
 
-def _y_z(spec, y, z):
-    """The (y, z) arguments of the generators: component rows, bare when m = 1."""
-    return (y, z) if spec.m > 1 else (y[0], z[0])
+def _require_scalar_y(spec):
+    """DomainError for a spec with m != 1: every field here is scalar in Y."""
+    if spec.m != 1:
+        raise DomainError(f"family '{spec.name}' has m = {spec.m} backward components; "
+                          "the PDE route takes m = 1 only")
 
 
 class FieldTheta(_OnGrid):
-    """Grid-sampled backward field with difference accessors.
+    """Grid-sampled backward value field Y(s, x) with difference accessors.
 
-    values has shape (m, nt, nx); the terminal row is assigned from the
+    values has shape (nt, nx); the terminal row is assigned from the
     terminal map exactly.
     """
 
@@ -342,38 +347,34 @@ class FieldTheta(_OnGrid):
         self.times = np.asarray(times, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        if self.values.ndim == 2:
-            self.values = self.values[None, :, :]
-        self.m = self.values.shape[0]
 
     def slice(self, j):
-        return self.values[:, j, :]
+        return self.values[j]
 
     def dx_slice(self, j):
-        return _dx_rows(self.values[:, j, :], self.dx)
+        return _dx_rows(self.values[j], self.dx)
 
-    def at(self, s, x, component=0):
+    def at(self, s, x):
         ts = self.times
         j = int(np.clip(np.searchsorted(ts, s) - 1, 0, ts.size - 2))
         w = (s - ts[j]) / (ts[j + 1] - ts[j])
         w = min(max(w, 0.0), 1.0)
-        row = (1.0 - w) * self.values[component, j] + w * self.values[component, j + 1]
+        row = (1.0 - w) * self.values[j] + w * self.values[j + 1]
         return np.interp(x, self.xs, row)
 
 
 def _theta_block(spec, grid: GridSpec, times=None, term=None):
     """The value field's sweep block and the FieldTheta that shares its values:
-    on times (the grid's by default), ending at the rows term (the spec's
+    on times (the grid's by default), ending at the row term (the spec's
     terminal map by default)."""
+    _require_scalar_y(spec)
     xs = grid.xs
     times = grid.times if times is None else times
-    term = np.atleast_2d(np.asarray(spec.terminal(xs) if term is None else term, dtype=float))
-    values = np.empty((term.shape[0], times.size, xs.size))
-    values[:, -1, :] = term
+    values = np.empty((times.size, xs.size))
+    values[-1] = spec.terminal(xs) if term is None else term
 
     def source(j, s, u, sig, w, w_x):
-        return np.atleast_2d(np.asarray(spec.generator(s, xs, u, *_y_z(spec, w, w_x * sig)),
-                                        dtype=float))
+        return spec.generator(s, xs, u, w, w_x * sig)
 
     return FieldTheta(times, xs, values), (values, source, False)
 
@@ -444,7 +445,7 @@ class SeparableCostField(_OnGrid):
         one ``_dx_rows``/``_dxx_rows`` call on the (nx, nt, 4) block of those
         windows gives every anchor's slopes, with the bits of its full field.
         """
-        th = theta.values[0]
+        th = theta.values
         if self.anchor_free:
             hat_diag = self.hat
             hat_dx = _dx_rows(self.hat, self.dx)
@@ -586,7 +587,7 @@ class GeneralCostField(_OnGrid):
         YRangeError.
         """
         nt, nx = self.times.size, self.xs.size
-        th = theta.values[0]
+        th = theta.values
         outside = np.argwhere(~((self.ys[0] <= th) & (th <= self.ys[-1])))    # row-major
         if outside.size:
             j, l = outside[0]
@@ -619,6 +620,7 @@ def _cost_block(spec, theta: FieldTheta, diag, grid: GridSpec, term=None):
     spec's cost terminal at T).  The source at row j reads theta's row j, so in
     a sweep shared with theta's own block that row is filled before it is read.
     """
+    _require_scalar_y(spec)
     xs, times = grid.xs, theta.times
     nt, nx = times.size, xs.size
     split = spec.terminal_split
@@ -631,8 +633,6 @@ def _cost_block(spec, theta: FieldTheta, diag, grid: GridSpec, term=None):
         values = np.empty(((nt,) if anchor_free else (nx, nt)) + (nx,))
         term = split.fhat(grid.T, xt_col, xs) if term is None else term
     else:
-        if spec.m != 1:
-            raise DomainError("the general cost-field tensor supports m = 1 only")
         ys = grid.ys
         if ys is None:
             raise DomainError("general cost field needs a y grid (set y_lo/y_hi on the grid)")
@@ -648,9 +648,9 @@ def _cost_block(spec, theta: FieldTheta, diag, grid: GridSpec, term=None):
         raise EvaluationError("cost_terminal")
 
     def source(j, s, u, sig, w, w_x):
-        th, z = _y_z(spec, theta.slice(j), theta.dx_slice(j) * sig)
         t = s if t_col is None else t_col[:w.shape[0]]
-        return np.asarray(spec.cost_generator(t, s, xt_col, xs, u, th, z, diag(j, s, w),
+        return np.asarray(spec.cost_generator(t, s, xt_col, xs, u, theta.slice(j),
+                                              theta.dx_slice(j) * sig, diag(j, s, w),
                                               w_x * sig), dtype=float)
 
     def finish():
@@ -875,9 +875,10 @@ _MIN_POINTS = 4096
 def _minimize_block(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx):
     """Minimizer over U of ``hamiltonian_H0_hat`` at (s, s, x, x) on a (rows, n)
     block shaped like d: s is an (rows, 1) column of times, x an (n,) row, and
-    theta, theta_x, theta_xx and the weights d_y are (m, rows, n).  Every block
-    takes ``_quadratic_rows``, which hands the block to ``_brent_rows`` where
-    the Hamiltonian is not quadratic in u."""
+    theta, theta_x, theta_xx and the weights d_y are (1, rows, n): ``model``'s
+    Hamiltonians would read the rows axis of a bare one-row block as their
+    component axis.  Every block takes ``_quadratic_rows``, which hands the
+    block to ``_brent_rows`` where the Hamiltonian is not quadratic in u."""
     zero = np.zeros(np.shape(d))
     return _quadratic_rows(lambda u: hamiltonian_H0_hat(spec, s, s, x, x, u + zero, theta,
                                                         theta_x, theta_xx, d, d_x, d_y, d_xx),
@@ -893,9 +894,9 @@ def _minimize_table(spec, theta: FieldTheta, bundle: DiagonalBundle):
     out = np.empty((nt, nx))
     for j in range(0, nt, step):
         r = slice(j, j + step)
-        out[r] = _minimize_block(spec, theta.times[r, None], theta.xs, th[:, r], th_x[:, r],
-                                 th_xx[:, r], bundle.d[r], bundle.dx[r],
-                                 np.broadcast_to(bundle.dy[r], th[:, r].shape), bundle.dxx[r])
+        out[r] = _minimize_block(spec, theta.times[r, None], theta.xs, th[None, r],
+                                 th_x[None, r], th_xx[None, r], bundle.d[r], bundle.dx[r],
+                                 bundle.dy[None, r], bundle.dxx[r])
     return out
 
 
@@ -907,13 +908,13 @@ def minimize_hamiltonian(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx
     evaluations when the Hamiltonian is quadratic in u, Brent's search
     after them otherwise.
     """
+    _require_scalar_y(spec)
     if not spec.u_bounded:
         raise DomainError("numeric minimization needs a bounded control interval")
-    m = spec.m
     col = lambda v, *lead: np.asarray(v, dtype=float).reshape(*lead, 1, 1)
-    return float(_minimize_block(spec, s, np.array([x], dtype=float), col(theta, m),
-                                 col(theta_x, m), col(theta_xx, m), col(d), col(d_x),
-                                 col(d_y, m), col(d_xx))[0, 0])
+    return float(_minimize_block(spec, s, np.array([x], dtype=float), col(theta, 1),
+                                 col(theta_x, 1), col(theta_xx, 1), col(d), col(d_x),
+                                 col(d_y, 1), col(d_xx))[0, 0])
 
 
 @dataclass
@@ -1012,48 +1013,48 @@ def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpe
     theta_e, theta_block = _theta_block(spec, grid, window, theta.slice(j1))
 
     def diag(j, s, w):      # the window's own diagonal at its later rows
-        return w + np.asarray(ghat(s, xs, theta_e.values[0, j]), dtype=float)
+        return w + np.asarray(ghat(s, xs, theta_e.values[j]), dtype=float)
 
     cost_block, finish = _cost_block(spec, theta_e, diag, grid, theta0.hat[j1])
     _sweep(spec, grid, window, np.full((window.size - 1, xs.size), float(u)),
            [theta_block, cost_block])
     hat = finish().hat
-    j_pert = hat[0] + np.asarray(ghat(times[j0], xs, theta_e.values[0, 0]), dtype=float)
-    j_base = theta0.hat[j0] + np.asarray(ghat(times[j0], xs, theta.values[0, j0]), dtype=float)
-    sup = float(np.max(np.abs(theta_e.values - theta.values[:, j0:j1 + 1, :])))
+    j_pert = hat[0] + np.asarray(ghat(times[j0], xs, theta_e.values[0]), dtype=float)
+    j_base = theta0.hat[j0] + np.asarray(ghat(times[j0], xs, theta.values[j0]), dtype=float)
+    sup = float(np.max(np.abs(theta_e.values - theta.values[j0:j1 + 1])))
     return PerturbationResult(times=window, theta_e=theta_e, hat_e=hat,
                               j_perturbed=j_pert, j_base=j_base, sup_theta_diff=sup)
 
 
-def kernel_solve_linear(spec, grid: GridSpec, panels=2048, sweeps=20, tol=1e-12, u0=0.0,
-                        pad=None):
+# kernel_solve_linear's Simpson panels, its sweeps at most, and the change that stops them
+_KERNEL_PANELS, _KERNEL_SWEEPS, _KERNEL_TOL = 2048, 20, 1e-12
+
+
+def kernel_solve_linear(spec, grid: GridSpec, pad=None):
     """Volterra-form solve of the fully linear problem via the Gaussian kernel.
 
-    Valid for constant diffusion and coefficients independent of the field;
-    used to validate the finite-difference stepping.  Quadrature is composite
-    Simpson on a mu grid padded beyond the target domain; a truncation warning
-    fires when the kernel mass outside the padded window exceeds 1e-6 for some
-    target node.
+    Valid for constant diffusion and coefficients independent of the field
+    (read at u = 0); used to validate the finite-difference stepping.
+    Quadrature is composite Simpson on a mu grid padded beyond the target
+    domain; a truncation warning fires when the kernel mass outside the padded
+    window exceeds 1e-6 for some target node.
     """
+    _require_scalar_y(spec)
     xs, times = grid.xs, grid.times
-    sig0 = float(np.asarray(spec.diffusion(0.0, xs[xs.size // 2], u0)))
+    sig0 = float(np.asarray(spec.diffusion(0.0, xs[xs.size // 2], 0.0)))
     a = 0.5 * sig0 * sig0
     if a <= 0:
         raise DegeneracyError("kernel route needs strictly positive diffusion")
-    if panels % 2 != 0:
-        raise DomainError("composite Simpson needs an even panel count")
     std = math.sqrt(2.0 * a * grid.T)
     if pad is None:
         pad = 8.0 * std
-    mu = np.linspace(grid.x_lo - pad, grid.x_hi + pad, panels + 1)
+    mu = np.linspace(grid.x_lo - pad, grid.x_hi + pad, _KERNEL_PANELS + 1)
     dmu = mu[1] - mu[0]
-    wts = np.ones(panels + 1)
+    wts = np.ones(_KERNEL_PANELS + 1)
     wts[1:-1:2] = 4.0
     wts[2:-1:2] = 2.0
     wts *= dmu / 3.0
     h_mu = np.asarray(spec.terminal(mu), dtype=float)
-    if h_mu.ndim > 1:
-        h_mu = h_mu[0]
     worst_tail = math.erfc(pad / max(math.sqrt(2.0) * std, 1e-300))
     if worst_tail > 1e-6:
         warnings.warn("kernel quadrature window too small: tail mass %.2e" % worst_tail,
@@ -1065,18 +1066,16 @@ def kernel_solve_linear(spec, grid: GridSpec, panels=2048, sweeps=20, tol=1e-12,
         return np.exp(-(xs[:, None] - mu[None, :]) ** 2 / (4.0 * a * dt_)) / math.sqrt(4.0 * math.pi * a * dt_)
 
     def b_at(r, pts):
-        return np.asarray(spec.drift(r, pts, u0), dtype=float) + np.zeros_like(pts)
+        return np.asarray(spec.drift(r, pts, 0.0), dtype=float) + np.zeros_like(pts)
 
     def g_at(r, pts):
-        out = np.atleast_2d(np.asarray(spec.generator(r, pts, u0, 0.0, 0.0), dtype=float))
-        return out[0] + np.zeros_like(pts)
+        return np.asarray(spec.generator(r, pts, 0.0, 0.0, 0.0), dtype=float) + np.zeros_like(pts)
 
-    term_row = np.atleast_2d(np.asarray(spec.terminal(xs), dtype=float))[0]
     theta = np.zeros((times.size, xs.size))
-    theta[-1] = term_row
+    theta[-1] = spec.terminal(xs)
     theta_x_grid = np.zeros((times.size, xs.size))
     term_mats = {j: kernel_matrix(times[j], grid.T) for j in range(times.size - 1)}
-    for sweep in range(sweeps):
+    for sweep in range(_KERNEL_SWEEPS):
         prev = theta.copy()
         for j in range(times.size - 2, -1, -1):
             s = times[j]
@@ -1093,9 +1092,9 @@ def kernel_solve_linear(spec, grid: GridSpec, panels=2048, sweeps=20, tol=1e-12,
                 fr[jr] = kernel_matrix(s, r) @ (wts * integrand)
             theta[j] = acc + _trapz(fr, rs, axis=0)
         theta_x_grid = _dx_rows(theta, grid.dx)
-        if float(np.max(np.abs(theta - prev))) < tol:
+        if float(np.max(np.abs(theta - prev))) < _KERNEL_TOL:
             break
-    return FieldTheta(times, xs, theta[None, :, :])
+    return FieldTheta(times, xs, theta)
 
 
 def reference_fields(spec, grid: GridSpec):

@@ -125,12 +125,12 @@ def test_criterion_05_linear_pde_validation():
     zero = StrategyTable(-1.0, 1.0, fn=lambda s, x: 0.0 * np.asarray(x, dtype=float))
     grid = pde.GridSpec(-5.0, 5.0, 201, 1001, 1.0)   # dx = 0.05, dt = 1e-3
     theta_lin = pde.solve_theta(model.linear_heat(a=1.0, terminal="x"), zero, grid)
-    err_lin = float(np.max(np.abs(theta_lin.values[0] - grid.xs[None, :])))
+    err_lin = float(np.max(np.abs(theta_lin.values - grid.xs[None, :])))
     assert err_lin < 1e-12
     theta_sq = pde.solve_theta(model.linear_heat(a=1.0, terminal="x2"), zero, grid)
     ref = grid.xs[None, :] ** 2 + 2.0 * (1.0 - grid.times[:, None])
     interior = np.abs(grid.xs) <= 4.0
-    err_sq = float(np.max(np.abs(theta_sq.values[0] - ref)[:, interior]))
+    err_sq = float(np.max(np.abs(theta_sq.values - ref)[:, interior]))
     assert err_sq < 5e-3
     # kernel route against the stepping route on a bounded terminal
     spec_g = model.linear_heat(a=1.0, terminal="gaussians")
@@ -139,7 +139,7 @@ def test_criterion_05_linear_pde_validation():
     gridf = pde.GridSpec(-6.0, 6.0, 97, 1001, 1.0)
     thf = pde.solve_theta(spec_g, zero, gridf)
     mask = np.abs(gridk.xs) <= 4.0
-    err_k = float(np.max(np.abs(thk.values[0, 0] - thf.values[0, 0])[mask]))
+    err_k = float(np.max(np.abs(thk.values[0] - thf.values[0])[mask]))
     assert err_k < 5e-3
     mu = np.linspace(-8.0, 8.0, 2049)
     vals = np.array([model.heat_kernel(lambda r, m: 0.5, 0.0, 0.0, 1.0, m) for m in mu])

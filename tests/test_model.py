@@ -212,11 +212,14 @@ def test_validate_spec_probes_column_s():
 
 
 def test_validate_spec_measures_a_control_free_diffusion():
-    # sigma at the first against the last probed control: only mean-variance's
+    # sigma at every probed control against the first: only mean-variance's
     # sigma u moves with u; ex41's sigma = x does not
     free = {name: validate_spec(make_spec(name))["diffusion_control_free"]
             for name in model.FAMILIES}
     assert free == {name: name != "mean_variance" for name in model.FAMILIES}
+    # 1 + u^2 agrees at both ends of the probe u = -1 .. 1 and moves in between
+    even = replace(model.linear_heat(), diffusion=lambda s, x, u: 1.0 + u * u + 0.0 * x)
+    assert validate_spec(even)["diffusion_control_free"] is False
 
 
 def test_validate_spec_records_raising_probes():

@@ -13,6 +13,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fbcontrol import model, pde
+from fbcontrol.cli import run
 from fbcontrol.errors import (DegeneracyError, DomainError, EvaluationError, FBControlError,
                               YRangeError)
 from fbcontrol.model import ControlProblemSpec, StrategyTable
@@ -160,7 +161,7 @@ def test_solve_theta_linear_identity():
     spec = model.linear_heat(a=1.0, terminal="x")
     grid = pde.GridSpec(-4.0, 4.0, 81, 101, 1.0)
     theta = pde.solve_theta(spec, ZERO, grid)
-    assert np.max(np.abs(theta.values[0] - grid.xs[None, :])) < 1e-12
+    assert np.max(np.abs(theta.values - grid.xs[None, :])) < 1e-12
 
 
 def test_solve_theta_mean_variance_drift_oracle():
@@ -177,7 +178,7 @@ def test_solve_theta_mean_variance_drift_oracle():
     ref = grid.xs[None, :] * np.exp(r * (1.0 - grid.times))[:, None] \
         + (mu - r) * c * (1.0 - grid.times)[:, None]
     interior = slice(5, -5)
-    assert np.max(np.abs(theta.values[0][:, interior] - ref[:, interior])) < 1e-2
+    assert np.max(np.abs(theta.values[:, interior] - ref[:, interior])) < 1e-2
 
 
 def test_solve_theta_maximum_principle():
@@ -185,8 +186,8 @@ def test_solve_theta_maximum_principle():
     grid = pde.GridSpec(-6.0, 6.0, 121, 201, 1.0)
     theta = pde.solve_theta(spec, ZERO, grid)
     h = spec.terminal(grid.xs)
-    assert theta.values[0].min() >= h.min() - 1e-8
-    assert theta.values[0].max() <= h.max() + 1e-8
+    assert theta.values.min() >= h.min() - 1e-8
+    assert theta.values.max() <= h.max() + 1e-8
 
 
 def test_grid_spec_guards():
@@ -273,7 +274,7 @@ def test_theta0_separable_class_y_variation_and_dy():
     bg = pde.extract_diagonal(general, theta)
     bs = pde.extract_diagonal(separable, theta)
     assert np.max(np.abs(bg.d - bs.d)) < 1e-10
-    dy_exact = split.ghat_y(grid.times[:, None], grid.xs[None, :], theta.values[0])
+    dy_exact = split.ghat_y(grid.times[:, None], grid.xs[None, :], theta.values)
     assert np.max(np.abs(bs.dy - dy_exact)) == 0.0
     assert np.max(np.abs(bg.dy - dy_exact)) < 1e-8
 
@@ -326,8 +327,8 @@ def _reference_anchor_sweep(spec, theta, diag, grid, t_anchor, xt, terminal, k=0
         sig = np.asarray(spec.diffusion(s, xs, u), dtype=float) + np.zeros_like(xs)
         b = np.asarray(spec.drift(s, xs, u), dtype=float) + np.zeros_like(xs)
         w = fld[j + 1 - k]
-        src = spec.cost_generator(s if t_anchor is None else t_anchor, s, xt, xs, u, theta.values[0, j + 1],
-                                  theta.dx_slice(j + 1)[0] * sig, diag.d[j + 1],
+        src = spec.cost_generator(s if t_anchor is None else t_anchor, s, xt, xs, u, theta.values[j + 1],
+                                  theta.dx_slice(j + 1) * sig, diag.d[j + 1],
                                   pde._dx_rows(w, dx) * sig)
         fld[j - k] = pde.step_parabolic(w, 0.5 * sig * sig, b, src, dt, dx)
     return fld
@@ -337,7 +338,7 @@ def test_anchored_family_matches_per_anchor_loop():
     spec = _anchored_spec()
     grid = pde.GridSpec(-2.0, 2.0, 11, 9, 1.0)
     theta = pde.solve_theta(spec, X_STRATEGY, grid)
-    diag = pde.DiagonalBundle(*(np.cos(np.arange(4)[:, None, None] + theta.values[0])))
+    diag = pde.DiagonalBundle(*(np.cos(np.arange(4)[:, None, None] + theta.values)))
     fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, diag, grid)
     assert isinstance(fam, pde.SeparableCostField) and not fam.anchor_free
     for l, xt in enumerate(grid.xs):
@@ -350,7 +351,7 @@ def test_general_tensor_matches_per_anchor_loop():
     spec = replace(_anchored_spec(), terminal_split=None)
     grid = pde.GridSpec(-2.0, 2.0, 9, 8, 1.0, y_lo=-3.0, y_hi=3.0, ny=4)
     theta = pde.solve_theta(spec, X_STRATEGY, grid)
-    diag = pde.DiagonalBundle(*(np.sin(np.arange(4)[:, None, None] + theta.values[0])))
+    diag = pde.DiagonalBundle(*(np.sin(np.arange(4)[:, None, None] + theta.values)))
     fam = pde.solve_theta0_family(spec, X_STRATEGY, theta, diag, grid)
     assert isinstance(fam, pde.GeneralCostField)
     for k, t in enumerate(grid.times):
@@ -363,10 +364,10 @@ def test_general_tensor_matches_per_anchor_loop():
 
 def _assert_diagonal_is_point_queries(fam, theta, bundle):
     """Every diagonal entry against one spline per queried column."""
-    nt, nx = theta.values.shape[1:]
+    nt, nx = theta.values.shape
     for j in range(nt):
         for i in range(nx):
-            y = theta.values[0, j, i]
+            y = theta.values[j, i]
             row = np.array([fam.value(j, j, i, ii, y) for ii in range(nx)])
             assert bundle.d[j, i] == fam.value(j, j, i, i, y)
             assert bundle.dy[j, i] == fam.value_dy(j, j, i, i, y)
@@ -537,10 +538,10 @@ def test_x_anchored_diagonal_matches_per_anchor_loop(nx):
     hat_diag, hat_dx, hat_dxx = _per_anchor_separable_diagonal(fam)
     split = spec.terminal_split
     tt, xx = grid.times[:, None], grid.xs[None, :]
-    assert np.array_equal(bundle.d, hat_diag + split.ghat(tt, xx, theta.values[0]))
+    assert np.array_equal(bundle.d, hat_diag + split.ghat(tt, xx, theta.values))
     assert np.array_equal(bundle.dx, hat_dx)
     assert np.array_equal(bundle.dxx, hat_dxx)
-    assert np.array_equal(bundle.dy, split.ghat_y(tt, xx, theta.values[0]) + np.zeros((9, nx)))
+    assert np.array_equal(bundle.dy, split.ghat_y(tt, xx, theta.values) + np.zeros((9, nx)))
 
 
 def test_general_tensor_never_evaluates_below_anchor_time():
@@ -606,7 +607,7 @@ def test_extract_diagonal_identity_costs():
     theta = pde.solve_theta(spec, strat, grid)
     t0 = pde.solve_theta0_family(spec, strat, theta, None, grid)
     b = pde.extract_diagonal(t0, theta)
-    assert np.max(np.abs(b.d - theta.values[0])) == 0.0
+    assert np.max(np.abs(b.d - theta.values)) == 0.0
     assert np.max(np.abs(b.dy - 1.0)) == 0.0
     assert np.max(np.abs(b.dx)) == 0.0
 
@@ -651,8 +652,8 @@ def test_minimize_mean_variance_matches_closed_form():
         i = 64
         u = pde.minimize_hamiltonian(
             spec, grid.times[j], grid.xs[i],
-            theta.values[0, j, i], theta.dx_slice(j)[0, i],
-            pde._dxx_rows(theta.values[0, j], theta.dx)[i],
+            theta.values[j, i], theta.dx_slice(j)[i],
+            pde._dxx_rows(theta.values[j], theta.dx)[i],
             bundle.d[j, i], bundle.dx[j, i], bundle.dy[j, i], bundle.dxx[j, i])
         ref = float(closed["vbar"](grid.times[j]))
         assert abs(u - ref) / ref < 1e-2
@@ -662,7 +663,7 @@ def test_reference_fields_need_closed_forms_and_an_anchor_free_split():
     spec = model.mean_variance(r=0.0, mu=0.1, sigma=0.2, gamma=1.0, x0=1.0)
     grid = pde.GridSpec(-1.0, 3.0, 9, 9, 1.0)
     theta, theta0 = pde.reference_fields(spec, grid)
-    assert np.array_equal(theta.values[0, -1], grid.xs)        # m1(T, x) = x
+    assert np.array_equal(theta.values[-1], grid.xs)        # m1(T, x) = x
     with pytest.raises(DomainError, match="no closed-form reference fields"):
         pde.reference_fields(model.recursive_lq(), grid)
     anchored = replace(spec.terminal_split, xtilde_free=False)
@@ -729,14 +730,14 @@ def test_fixed_point_recursive_reduces_to_classical_hjb():
     assert log.converged
     # equilibrium value = backward field itself
     b = pde.extract_diagonal(theta0, theta)
-    assert np.max(np.abs(b.d - theta.values[0])) == 0.0
+    assert np.max(np.abs(b.d - theta.values)) == 0.0
     # closed form 0.5 tanh(T-s) x^2 + 0.5 ln cosh(T-s)
     ref = 0.5 * np.tanh(1.0 - grid.times)[:, None] * grid.xs[None, :] ** 2 \
         + 0.5 * np.log(np.cosh(1.0 - grid.times))[:, None]
     interior = np.abs(grid.xs) <= 1.5
-    assert np.max(np.abs(theta.values[0][:, interior] - ref[:, interior])) < 5e-3
+    assert np.max(np.abs(theta.values[:, interior] - ref[:, interior])) < 5e-3
     # residual of the pointwise-minimized dynamic-programming equation
-    vals = theta.values[0]
+    vals = theta.values
     worst = 0.0
     for j in range(1, grid.nt - 1, 10):
         th_s = (vals[j + 1] - vals[j - 1]) / (2 * grid.dt)
@@ -758,7 +759,7 @@ def test_fixed_point_gbm_value_is_first_order_in_dt():
         theta, _, _, log = pde.equilibrium_fixed_point(spec, grid)
         assert log.converged and log.iterations == 2
         exact = grid.xs * np.exp(spec.params["mu"] * (spec.horizon - grid.times))[:, None]
-        errors.append(float(np.max(np.abs(theta.values[0] - exact))))
+        errors.append(float(np.max(np.abs(theta.values - exact))))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders >= 0.9), (errors, orders)
 
@@ -905,7 +906,7 @@ def _row_by_row_table(spec, theta, bundle, search=_quadratic_row_reference):
     out = np.empty(bundle.d.shape)
     for j, s in enumerate(theta.times):
         args = (theta.slice(j), theta.dx_slice(j), pde._dxx_rows(theta.slice(j), theta.dx),
-                bundle.d[j], bundle.dx[j], np.tile(bundle.dy[j], (spec.m, 1)), bundle.dxx[j])
+                bundle.d[j], bundle.dx[j], bundle.dy[j], bundle.dxx[j])
         out[j] = search(
             lambda u: model.hamiltonian_H0_hat(spec, s, s, xs, xs,
                                                np.asarray(u, dtype=float) + zero, *args),
@@ -1302,20 +1303,17 @@ def _reference_step(spec, grid, s, u, w, source):
 
 
 def _reference_theta(spec, strategy, grid):
-    """The value field, (m, nt, nx), one step at a time."""
+    """The value field, (nt, nx), one step at a time."""
     xs, times = grid.xs, grid.times
-    term = np.atleast_2d(np.asarray(spec.terminal(xs), dtype=float))
-    vals = np.empty((term.shape[0], times.size, xs.size))
-    vals[:, -1] = term
+    vals = np.empty((times.size, xs.size))
+    vals[-1] = spec.terminal(xs)
     for j in range(times.size - 2, -1, -1):
-        s, w = times[j + 1], vals[:, j + 1]
+        s, w = times[j + 1], vals[j + 1]
 
         def source(u, sig):
-            y, z = w, pde._dx_rows(w, grid.dx) * sig
-            return np.atleast_2d(np.asarray(spec.generator(
-                s, xs, u, *((y, z) if spec.m > 1 else (y[0], z[0]))), dtype=float))
+            return spec.generator(s, xs, u, w, pde._dx_rows(w, grid.dx) * sig)
 
-        vals[:, j] = _reference_step(spec, grid, s, strategy(s, xs), w, source)
+        vals[j] = _reference_step(spec, grid, s, strategy(s, xs), w, source)
     return vals
 
 
@@ -1340,10 +1338,8 @@ def _reference_cost(spec, strategy, theta, diag, grid):
         w = vals[..., j + 1, :] if separable else vals[:j + 1]
 
         def source(u, sig):
-            y = theta.values[:, j + 1]
+            y = theta.values[j + 1]
             z = pde._dx_rows(y, grid.dx) * sig
-            if spec.m == 1:
-                y, z = y[0], z[0]
             t = s if separable else t_col[:j + 1]
             return spec.cost_generator(t, s, xt, xs, u, y, z, diag.d[j + 1],
                                        pde._dx_rows(w, grid.dx) * sig)
@@ -1412,7 +1408,7 @@ def test_solves_match_the_per_step_loop(family, general, nx, table, block, monke
     ref_theta, ref_cost = _reference_fields(spec, strategy, grid, None)
     theta = pde.solve_theta(spec, strategy, grid)
     assert np.array_equal(theta.values, ref_theta.values)
-    diag = pde.DiagonalBundle(*(np.cos(np.arange(4)[:, None, None] + theta.values[0])))
+    diag = pde.DiagonalBundle(*(np.cos(np.arange(4)[:, None, None] + theta.values)))
     cost = _cost_arrays(pde.solve_theta0_family(spec, strategy, theta, diag, grid))[0]
     assert np.array_equal(cost, _cost_arrays(_reference_fields(spec, strategy, grid, diag)[1])[0])
     fused_theta, fused_cost = pde.solve_fields(spec, strategy, grid, None)
@@ -1450,23 +1446,21 @@ def test_every_field_reads_the_grids_own_spacing():
 
 
 def _reference_perturbation(spec, theta, theta0, j0, j1, u, grid):
-    """The window's value components and cost field, (m + 1, window, nx)."""
-    xs, times, m = grid.xs, grid.times, theta.m
-    vals = np.empty((m + 1, j1 - j0 + 1, xs.size))
-    vals[:m, -1] = theta.slice(j1)
-    vals[m, -1] = theta0.hat[j1]
+    """The window's value field and cost field, stacked: (2, window, nx)."""
+    xs, times = grid.xs, grid.times
+    vals = np.empty((2, j1 - j0 + 1, xs.size))
+    vals[0, -1] = theta.slice(j1)
+    vals[1, -1] = theta0.hat[j1]
     for j in range(j1 - j0 - 1, -1, -1):
         s, w = times[j0 + j + 1], vals[:, j + 1]
 
         def source(u_row, sig):
-            y, z = w[:m], pde._dx_rows(w[:m], grid.dx) * sig
-            if m == 1:
-                y, z = y[0], z[0]
+            y, z = w[0], pde._dx_rows(w[0], grid.dx) * sig
             src = np.empty_like(w)
-            src[:m] = np.atleast_2d(np.asarray(spec.generator(s, xs, u_row, y, z), dtype=float))
-            later = w[m] + np.asarray(spec.terminal_split.ghat(s, xs, w[0]), dtype=float)
-            src[m] = spec.cost_generator(s, s, xs, xs, u_row, y, z, later,
-                                         pde._dx_rows(w[m], grid.dx) * sig)
+            src[0] = spec.generator(s, xs, u_row, y, z)
+            later = w[1] + np.asarray(spec.terminal_split.ghat(s, xs, y), dtype=float)
+            src[1] = spec.cost_generator(s, s, xs, xs, u_row, y, z, later,
+                                         pde._dx_rows(w[1], grid.dx) * sig)
             return src
 
         vals[:, j] = _reference_step(spec, grid, s, np.full(xs.size, float(u)), w, source)
@@ -1479,8 +1473,8 @@ def test_perturbation_matches_the_per_step_loop(mv_r0_solution, t, eps, u):
     res = pde.solve_perturbation(spec, theta, theta0, t, eps, u, grid)
     j0, j1 = int(round(t / grid.dt)), int(round((t + eps) / grid.dt))
     ref = _reference_perturbation(spec, theta, theta0, j0, j1, u, grid)
-    assert np.array_equal(res.theta_e.values, ref[:-1])
-    assert np.array_equal(res.hat_e, ref[-1])
+    assert np.array_equal(res.theta_e.values, ref[0])
+    assert np.array_equal(res.hat_e, ref[1])
 
 
 @pytest.mark.parametrize("family", ["mean_variance", "recursive_lq"])
@@ -1498,7 +1492,7 @@ def test_window_under_the_fields_own_control_reproduces_their_rows(family, nx):
     t = grid.times[j0]
     res = pde.solve_perturbation(spec, theta, theta0, t, grid.times[j1] - t, u, grid)
     assert res.sup_theta_diff == 0.0
-    assert np.array_equal(res.theta_e.values, theta.values[:, j0:j1 + 1])
+    assert np.array_equal(res.theta_e.values, theta.values[j0:j1 + 1])
     assert np.array_equal(res.hat_e, theta0.hat[j0:j1 + 1])
 
 
@@ -1569,11 +1563,10 @@ def test_a_negative_diffusion_coefficient_keeps_its_message():
 def test_kernel_identity_and_second_moment():
     grid = pde.GridSpec(-6.0, 6.0, 49, 17, 1.0)
     th = pde.kernel_solve_linear(model.linear_heat(a=1.0, terminal="x"), grid)
-    assert np.max(np.abs(th.values[0] - grid.xs[None, :])) < 1e-6
-    th2 = pde.kernel_solve_linear(model.linear_heat(a=1.0, terminal="x2"), grid,
-                                  panels=2048)
+    assert np.max(np.abs(th.values - grid.xs[None, :])) < 1e-6
+    th2 = pde.kernel_solve_linear(model.linear_heat(a=1.0, terminal="x2"), grid)
     i0 = grid.nx // 2
-    assert abs(th2.values[0, 0, i0] - 2.0) < 1e-4
+    assert abs(th2.values[0, i0] - 2.0) < 1e-4
 
 
 def test_kernel_agrees_with_finite_differences():
@@ -1589,10 +1582,54 @@ def test_kernel_agrees_with_finite_differences():
     gridf = pde.GridSpec(-6.0, 6.0, 97, 1001, 1.0)
     thf = pde.solve_theta(spec, ZERO, gridf)
     interior = np.abs(gridk.xs) <= 4.0
-    assert np.max(np.abs(thk.values[0, 0] - thf.values[0, 0])[interior]) < 5e-3
+    assert np.max(np.abs(thk.values[0] - thf.values[0])[interior]) < 5e-3
 
 
 def test_kernel_truncation_warning():
     grid = pde.GridSpec(-2.0, 2.0, 33, 9, 1.0)
     with pytest.warns(RuntimeWarning):
         pde.kernel_solve_linear(model.linear_heat(a=1.0, terminal="x"), grid, pad=0.5)
+
+
+# ---------------------------------------------------------------------------
+# more than one backward component
+# ---------------------------------------------------------------------------
+
+def _two_component_lq(T=1.0, x0=0.0, U=(-10.0, 10.0)):
+    """recursive_lq with a decoupled second component, g2 = 3u and Y2(T) = 0,
+    and the cost on Y1 only.  A route that read only Y1 would converge to a
+    strategy 3 away from recursive_lq's."""
+    base = model.recursive_lq(T, x0, U)
+
+    def generator(s, x, u, y, z):
+        u = np.asarray(u, dtype=float) + 0.0 * np.asarray(x, dtype=float)
+        return np.stack([base.generator(s, x, u, y[0], z[0]), 3.0 * u])
+
+    return replace(base, name="two_component_lq", m=2, generator=generator,
+                   terminal=lambda x: np.zeros((2,) + np.shape(x)),
+                   cost_terminal=lambda t, xt, x, y: np.asarray(y)[0])
+
+
+def test_every_pde_entry_refuses_more_than_one_backward_component(monkeypatch, tmp_path,
+                                                                  capsys):
+    # setitem, not register_family: the family leaves FAMILIES with the test
+    monkeypatch.setitem(model.FAMILIES, "two_component_lq", _two_component_lq)
+    spec = model.make_spec("two_component_lq")
+    grid = pde.GridSpec(-2.0, 2.0, 17, 17, 1.0)
+    strat = const_strategy(0.0, U=(spec.u_lo, spec.u_hi))
+    theta = pde.FieldTheta(grid.times, grid.xs, np.zeros((grid.nt, grid.nx)))
+    entries = [lambda: pde.solve_theta(spec, strat, grid),
+               lambda: pde.solve_theta0_family(spec, strat, theta, None, grid),
+               lambda: pde.solve_fields(spec, strat, grid, None),
+               lambda: pde.equilibrium_fixed_point(spec, grid),
+               lambda: pde.kernel_solve_linear(spec, grid),
+               lambda: pde.minimize_hamiltonian(spec, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                                0.0, 0.0, 1.0)]
+    for entry in entries:
+        with pytest.raises(DomainError, match="'two_component_lq' has m = 2"):
+            entry()
+    cfg, out = tmp_path / "two.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"family": "two_component_lq"}))
+    assert run(["pde-solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: family 'two_component_lq' has m = 2" in capsys.readouterr().err
+    assert not out.exists()
