@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -29,16 +30,62 @@ def write_csv(path, header, rows):
     value formatted by FLOAT_FMT, which round-trips doubles exactly.
 
     ``rows`` is a 2-D array or a list of rows, one value per name in each row.
+    Rows are written a block of _CSV_BLOCK at a time, which bounds memory.  In
+    a float64 array block, a column whose bit patterns repeat (runs of one
+    pattern, like the s column of a meshgrid table, or one period repeated,
+    like its x column) has each distinct pattern formatted once and its text
+    reused, so the bytes are those of formatting every cell.
     """
-    line = ",".join([FLOAT_FMT] * len(header)) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK):
-            block = rows[start:start + _CSV_BLOCK]
-            if isinstance(block, np.ndarray):
-                # Python floats format fastest; a block at a time bounds memory
-                block = block.tolist()
-            f.writelines([line % tuple(row) for row in block])
+            f.writelines(_block_lines(rows[start:start + _CSV_BLOCK], len(header)))
+
+
+def _block_lines(block, k):
+    """The CSV lines of one block of rows of k values."""
+    line = ",".join([FLOAT_FMT] * k) + "\n"
+    if not isinstance(block, np.ndarray):
+        return [line % tuple(row) for row in block]
+    rows = block.tolist()                # Python floats format fastest
+    if block.dtype == np.float64 and block.shape[1:] == (k,):
+        texts = [_repeated_text(block[:, c]) for c in range(k)]
+        line = ",".join(FLOAT_FMT if text is None else "%s" for text in texts) + "\n"
+        for c, text in enumerate(texts):
+            if text is not None:
+                for row, t in zip(rows, text):
+                    row[c] = t
+    return [line % tuple(row) for row in rows]
+
+
+def _repeated_text(col):
+    """An iterator over the FLOAT_FMT text of a float64 column that formats
+    each distinct bit pattern once, when the column is runs of one pattern or
+    one period repeated, with at most half as many patterns as values; else
+    None.
+
+    Patterns are compared as int64 bits, so -0.0 and 0.0, and NaNs with
+    different payloads, keep their own text.  The text comes from iterators,
+    and the caller puts it into the rows of ``block.tolist()``: lists of a
+    block's length per column live outside Python's small-object pools, and
+    over hundreds of writes in one process they raised its peak resident
+    memory.
+    """
+    n = col.size
+    if n < 2:
+        return None
+    bits = col.view(np.int64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * (starts.size + 1) <= n:
+        firsts = np.concatenate(([0], starts))
+        text = [FLOAT_FMT % v for v in col[firsts].tolist()]
+        return itertools.chain.from_iterable(
+            map(itertools.repeat, text, np.diff(firsts, append=n).tolist()))
+    period = int(np.argmax(bits[1:] == bits[0])) + 1     # first recurrence of row 0
+    if (2 * period <= n and bits[period] == bits[0]
+            and np.array_equal(bits[period:], bits[:-period])):
+        return itertools.cycle([FLOAT_FMT % v for v in col[:period].tolist()])
+    return None
 
 
 def _sha256(path):

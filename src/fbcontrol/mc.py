@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BlowUpError, DomainError, EvaluationError, UnsupportedCostClassError
-from .model import EXAMPLE_FAMILIES, StrategyTable, family_params, make_spec
+from .model import EXAMPLE_FAMILIES, StrategyTable, family_params, make_spec, require_scalar_y
 from .riccati import _simpson, rk4_integrate
 
 BLOCK_PATHS = 1024          # path columns per Philox block
@@ -595,7 +595,9 @@ def check_feynman_kac(spec, theta, theta0, strategy, sample_points, cfg: MCConfi
 
     At each (r, x): Y(r) = E[h(X_T) + int g ds] against theta(r, x), and the
     anchored cost against the diagonal of the cost field, with z-scores.
+    The fields are scalar in Y, so a spec with m != 1 is refused.
     """
+    require_scalar_y(spec)
     _probe_generator_independence(spec)
     rows = []
     for pt_idx, (r, x) in enumerate(sample_points):

@@ -116,6 +116,14 @@ class ControlProblemSpec:
         return "bolza_condexp" if self.mc_cost is not None else "general"
 
 
+def require_scalar_y(spec):
+    """DomainError for a spec with m != 1, which the routes whose fields are
+    scalar in Y (the PDE route, ``mc.check_feynman_kac``) cannot take."""
+    if spec.m != 1:
+        raise DomainError(f"family '{spec.name}' has m = {spec.m} backward components; "
+                          "the PDE route takes m = 1 only")
+
+
 class StrategyTable:
     """A feedback strategy: closed-form callable or interpolated grid table.
 

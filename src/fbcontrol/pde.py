@@ -22,7 +22,7 @@ must broadcast array t, xt and y against the x row.  The Hamiltonian is
 defined only in ``model.py``.
 
 Every field is scalar in Y, (nt, nx) like the strategy, so every entry
-refuses a spec with m != 1 backward components (``_require_scalar_y``).
+refuses a spec with m != 1 backward components (``model.require_scalar_y``).
 
 Cost fields come in two storage modes.  When the cost terminal splits
 additively into a state part and an anchored-y part (and the cost generator
@@ -50,7 +50,7 @@ from numpy.linalg import LinAlgError
 
 from .errors import (DegeneracyError, DomainError, EvaluationError,
                      FBControlError, YRangeError)
-from .model import StrategyTable, constant_control, hamiltonian_H0_hat
+from .model import StrategyTable, constant_control, hamiltonian_H0_hat, require_scalar_y
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -329,13 +329,6 @@ def _control_rows(strategy, grid: GridSpec):
     return u
 
 
-def _require_scalar_y(spec):
-    """DomainError for a spec with m != 1: every field here is scalar in Y."""
-    if spec.m != 1:
-        raise DomainError(f"family '{spec.name}' has m = {spec.m} backward components; "
-                          "the PDE route takes m = 1 only")
-
-
 class FieldTheta(_OnGrid):
     """Grid-sampled backward value field Y(s, x) with difference accessors.
 
@@ -367,7 +360,7 @@ def _theta_block(spec, grid: GridSpec, times=None, term=None):
     """The value field's sweep block and the FieldTheta that shares its values:
     on times (the grid's by default), ending at the row term (the spec's
     terminal map by default)."""
-    _require_scalar_y(spec)
+    require_scalar_y(spec)
     xs = grid.xs
     times = grid.times if times is None else times
     values = np.empty((times.size, xs.size))
@@ -620,7 +613,7 @@ def _cost_block(spec, theta: FieldTheta, diag, grid: GridSpec, term=None):
     spec's cost terminal at T).  The source at row j reads theta's row j, so in
     a sweep shared with theta's own block that row is filled before it is read.
     """
-    _require_scalar_y(spec)
+    require_scalar_y(spec)
     xs, times = grid.xs, theta.times
     nt, nx = times.size, xs.size
     split = spec.terminal_split
@@ -908,7 +901,7 @@ def minimize_hamiltonian(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx
     evaluations when the Hamiltonian is quadratic in u, Brent's search
     after them otherwise.
     """
-    _require_scalar_y(spec)
+    require_scalar_y(spec)
     if not spec.u_bounded:
         raise DomainError("numeric minimization needs a bounded control interval")
     col = lambda v, *lead: np.asarray(v, dtype=float).reshape(*lead, 1, 1)
@@ -1039,7 +1032,7 @@ def kernel_solve_linear(spec, grid: GridSpec, pad=None):
     domain; a truncation warning fires when the kernel mass outside the padded
     window exceeds 1e-6 for some target node.
     """
-    _require_scalar_y(spec)
+    require_scalar_y(spec)
     xs, times = grid.xs, grid.times
     sig0 = float(np.asarray(spec.diffusion(0.0, xs[xs.size // 2], 0.0)))
     a = 0.5 * sig0 * sig0

@@ -5,14 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fbcontrol
-from fbcontrol import model
-from fbcontrol.cli import build_parser, run
+from fbcontrol import cli, model
+from fbcontrol.cli import build_parser, run, write_csv
 
 
 def _names(outdir):
@@ -441,3 +443,117 @@ def test_registered_family_closed_forms_drive_the_cli(tmp_path, capsys):
     finally:
         model.FAMILIES.pop("ex31_renamed", None)
         model.FAMILIES.pop("heat_renamed", None)
+
+
+# ---------------------------------------------------------------------------
+# The CSV writer
+# ---------------------------------------------------------------------------
+
+def _reference_csv(header, rows):
+    """The writer's bytes by definition: every row through one %.17g line."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    return ",".join(header) + "\n" + "".join(line % tuple(row) for row in rows)
+
+
+NAN_PAYLOAD = float(np.array([0x7FF8000000000123], dtype=np.int64).view(np.float64)[0])
+SPECIAL = [0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf, 5e-324,
+           -2.5e-310, 1e300, -1e-300, 1.0, 0.1, -3.0]
+CELLS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+# 0, 1 and 2 rows, block edges, and tables longer than one block
+N_ROWS = st.one_of(st.sampled_from([0, 1, 2, 3, cli._CSV_BLOCK - 1, cli._CSV_BLOCK,
+                                    cli._CSV_BLOCK + 1, 2 * cli._CSV_BLOCK + 577]),
+                   st.integers(0, 300))
+# 65 and 1000 do not divide the block; 1500 is longer than one
+SPANS = st.one_of(st.sampled_from([1, 2, 3, 7, 65, 1000, cli._CSV_BLOCK, 1500]),
+                  st.integers(1, 80))
+
+
+@st.composite
+def _columns(draw, n):
+    """One column of n doubles: runs of one value, a period repeated, a period
+    broken at the end, a constant, or values with no structure."""
+    # a permutation of the special values puts 0.0 next to -0.0, or a NaN
+    # next to a NaN with another payload, in runs and periods
+    pool = np.array(draw(st.one_of(st.lists(CELLS, min_size=1, max_size=8),
+                                   st.permutations(SPECIAL))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = np.concatenate([pool, rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)])
+    kind = draw(st.sampled_from(["runs", "period", "broken", "constant", "free"]))
+    span = draw(SPANS)
+    rows = np.arange(n)
+    idx = {"runs": rows // span, "period": rows % span, "broken": rows % span,
+           "constant": 0 * rows, "free": rng.integers(0, pool.size, n)}[kind]
+    if kind == "broken":
+        tail = min(draw(st.integers(1, 3)), n)
+        idx[n - tail:] = rng.integers(0, pool.size, tail)
+    return pool[idx % pool.size]
+
+
+@st.composite
+def _tables(draw):
+    n, k = draw(N_ROWS), draw(st.integers(1, 5))
+    table = np.column_stack([draw(_columns(n)) for _ in range(k)]).reshape(n, k)
+    if draw(st.booleans()):
+        table = np.asfortranarray(table)        # strided column views
+    return tuple(f"c{i}" for i in range(k)), table
+
+
+@settings(max_examples=120, deadline=None)
+@given(table=_tables())
+def test_write_csv_bytes_match_the_row_formatter(table, tmp_path_factory):
+    header, rows = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, header, rows)
+    assert path.read_text() == _reference_csv(header, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), data=st.data())
+def test_write_csv_list_rows_match_the_row_formatter(k, data, tmp_path_factory):
+    # list rows hold Python floats and ints, as the report tables do
+    cell = st.one_of(CELLS, st.integers(-2 ** 70, 2 ** 70))
+    rows = data.draw(st.lists(st.lists(cell, min_size=k, max_size=k), max_size=40))
+    header = tuple(f"c{i}" for i in range(k))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, header, rows)
+    assert path.read_text() == _reference_csv(header, rows)
+
+
+@pytest.mark.parametrize("column", [np.repeat([0.0, -0.0, 0.0, math.nan, NAN_PAYLOAD], 300),
+                                    np.tile([0.0, 1.0, -0.0, 1.0], 300)],
+                         ids=["runs", "period"])
+def test_write_csv_keeps_signed_zeros_apart(column, tmp_path):
+    # repeats are found by bit pattern, so 0.0 and -0.0 are not one value
+    rows = np.column_stack([column, -column])
+    write_csv(tmp_path / "z.csv", ("a", "b"), rows)
+    assert (tmp_path / "z.csv").read_text() == _reference_csv(("a", "b"), rows)
+
+
+def test_write_csv_peak_memory_does_not_grow_with_rows(tmp_path):
+    # a meshgrid table is written a block at a time: the traced peak of the
+    # writer is the same at 2e4 and 2e5 rows
+    peaks = []
+    for nt in (200, 2000):
+        s, x = np.meshgrid(np.linspace(0.0, 1.0, nt), np.linspace(-2.0, 2.0, 100),
+                           indexing="ij")
+        table = np.column_stack([s.ravel(), x.ravel(), np.sin(s * x).ravel()])
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / f"mesh{nt}.csv", ("s", "x", "psi"), table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+
+def test_artifact_lines_are_their_own_values_at_17_digits(tmp_path):
+    # every line of every CSV artifact re-renders byte for byte from its values
+    runs = {"pde": ["pde-solve", "--grid-nx", "17", "--grid-nt", "33"],
+            "lq": ["lq-riccati", "--steps", "200"]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert run(argv + ["--out", str(out)]) == 0
+        for path in sorted(out.glob("*.csv")):
+            for line in path.read_text().splitlines()[1:]:
+                assert ",".join("%.17g" % float(v) for v in line.split(",")) == line, path.name

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from fbcontrol import model, pde
+from fbcontrol import mc, model, pde
 from fbcontrol.cli import run
 from fbcontrol.errors import (DegeneracyError, DomainError, EvaluationError, FBControlError,
                               YRangeError)
@@ -1633,3 +1633,14 @@ def test_every_pde_entry_refuses_more_than_one_backward_component(monkeypatch, t
     assert run(["pde-solve", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error: family 'two_component_lq' has m = 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_feynman_kac_check_refuses_more_than_one_backward_component():
+    # its fields and sampled sums are scalar in Y: an m = 2 spec is refused
+    # before any path, not run on its first component or on scalar y, z
+    spec = _two_component_lq()
+    grid = pde.GridSpec(-2.0, 2.0, 17, 17, 1.0)
+    theta = pde.FieldTheta(grid.times, grid.xs, np.zeros((grid.nt, grid.nx)))
+    strat = const_strategy(0.0, U=(spec.u_lo, spec.u_hi))
+    with pytest.raises(DomainError, match="'two_component_lq' has m = 2"):
+        mc.check_feynman_kac(spec, theta, None, strat, [(0.0, 0.5)], mc.MCConfig(n_paths=200))
