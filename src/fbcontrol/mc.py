@@ -239,13 +239,11 @@ def _flow_ode(spec, control, x, s_nodes):
             b = np.asarray(drift(s, xx, u), dtype=float)
             return (b if b.shape == xx.shape else np.broadcast_to(b, xx.shape)).tolist()
 
-    def first(s, y):
-        b = rhs(s, y)
+    def node():
         next(node_controls)[...] = u
-        return b
 
     nodes = s_nodes.tolist()
-    rk4_integrate(rhs, x.tolist(), nodes, np.diff(s_nodes).tolist(), xs.T, first)
+    rk4_integrate(rhs, x.tolist(), nodes, np.diff(s_nodes).tolist(), xs.T, node)
     end = xs[:, -1]
     next(node_controls)[...] = control(nodes[-1], float(end[0]) if x.size == 1 else end)
     return xs, us

@@ -40,6 +40,7 @@ its ``grid_control``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -147,19 +148,24 @@ def _dxx_rows(vals, dx):
     return out
 
 
+@functools.cache
+def _dgbsv():
+    """LAPACK ``dgbsv``, imported on first use, not at module level, so that
+    the routes which never solve a band system start without scipy."""
+    from scipy.linalg.lapack import dgbsv
+    return dgbsv
+
+
 def solve_banded(l_and_u, ab, b):
     """Solve A x = b for the band matrix A stored as ab[u + i - j, j] = A[i, j].
 
     The LAPACK ``dgbsv`` route of ``scipy.linalg.solve_banded`` without its
     argument checks; b (n or (n, k), float) is overwritten by the solution.
-    scipy is imported here, not at module level, so that the routes which never
-    solve a band system start without it.
     """
-    from scipy.linalg.lapack import dgbsv
     l, u = l_and_u
     lu = np.zeros((2 * l + u + 1, ab.shape[1]), order="F")   # dgbsv's pivoting room
     lu[l:] = ab
-    _, _, x, info = dgbsv(l, u, lu, b, overwrite_ab=True, overwrite_b=True)
+    _, _, x, info = _dgbsv()(l, u, lu, b, overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
@@ -468,7 +474,7 @@ def _spline_fit(ys, vals):
     calls) from four on; then the Hermite coefficients in its operation order.
     The dense solve's last bits depend on the right-hand sides solved with a
     column, so a fit reproduces scipy only for the same batch of columns.
-    scipy.linalg is imported here, as in ``solve_banded``.
+    scipy.linalg is imported here, as in ``_dgbsv``.
     """
     n = ys.size
     dx = np.diff(ys)

@@ -1,9 +1,12 @@
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fbcontrol import cli, mc, riccati
 from fbcontrol.cli import _planner_table, _riccati_table, write_csv
 from fbcontrol.errors import BlowUpError, DomainError, PositivityError, SingularityError
 from fbcontrol.riccati import (LQSpec, meanvar_closed_form, meanvar_equilibrium,
@@ -80,7 +83,7 @@ _coef = st.floats(-3.0, 3.0, allow_subnormal=False)
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 7), quadratic=st.booleans(), T=st.floats(0.05, 3.0),
+@given(n=st.integers(1, 16), quadratic=st.booleans(), T=st.floats(0.05, 3.0),
        steps=st.integers(1, 200), data=st.data())
 def test_rk4_float_kernel_matches_array_reference(n, quadratic, T, steps, data):
     # random linear (y' = M y + c s) or quadratic (y_i' = a_i y_i y_{i+1} + b_i y_i
@@ -111,6 +114,91 @@ def test_rk4_float_kernel_matches_array_reference(n, quadratic, T, steps, data):
 def test_rk4_rejects_bad_steps():
     with pytest.raises(DomainError):
         rk4_backward(lambda s, y: y, [1.0], 1.0, 0)
+
+
+def test_rk4_node_hook_follows_each_first_stage():
+    # per step: rhs at the node with the node's state, node(), then three more
+    # rhs calls; the hook never sees a stage of its own
+    steps, log = 40, []
+
+    def rhs(s, y):
+        log.append(("rhs", s, list(y)))
+        return [-y[0] + s, 0.5 * y[1] * y[0]]
+
+    grid, out = rk4_backward(rhs, [1.0, 2.0], 1.5, steps, lambda: log.append(("node",)))
+    assert len(log) == 5 * steps
+    assert sum(entry[0] == "rhs" for entry in log) == 4 * steps
+    for k in range(steps):
+        first, hook, *rest = log[5 * k:5 * k + 5]
+        assert hook == ("node",)
+        assert first == ("rhs", grid[steps - k], out[steps - k].tolist())
+        assert [entry[0] for entry in rest] == ["rhs"] * 3
+
+
+@pytest.mark.parametrize("bad_call", [1, 4, 5, 23, 160])
+def test_rk4_blowup_names_the_first_non_finite_node(bad_call):
+    # a NaN derivative at rhs call bad_call spoils the state after its step
+    steps, calls, hooks = 40, [], []
+
+    def rhs(s, y):
+        calls.append(s)
+        return [math.nan if len(calls) == bad_call else -y[0], 0.0]
+
+    with pytest.raises(BlowUpError) as err:
+        rk4_backward(rhs, [1.0, 2.0], 1.0, steps, lambda: hooks.append(len(calls)))
+    step = (bad_call - 1) // 4
+    grid = np.linspace(0.0, 1.0, steps + 1)
+    assert err.value.time == grid[steps - step - 1]
+    assert len(calls) == 4 * (step + 1) and hooks == list(range(1, 4 * step + 2, 4))
+
+
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_rk4_rhs_of_another_length_is_refused(width):
+    # a derivative with more or fewer components than the state is not cut to fit
+    with pytest.raises(ValueError):
+        rk4_backward(lambda s, y: [0.0] * width, [1.0, 2.0], 1.0, 4)
+
+
+def _rk4_list_kernel(rhs, y, nodes, hs, out, node=lambda: None):
+    """The list-comprehension step loop that the generated one replaced, kept
+    as the oracle: the same stages and update, one comprehension per stage,
+    with ``node`` called after each first stage."""
+    isfinite = math.isfinite
+    out[0] = y
+    for i, s, h in zip(itertools.count(1), nodes, hs):
+        half = 0.5 * h
+        k1 = rhs(s, y)
+        node()
+        k2 = rhs(s + half, [a + half * b for a, b in zip(y, k1)])
+        k3 = rhs(s + half, [a + half * b for a, b in zip(y, k2)])
+        k4 = rhs(s + h, [a + h * b for a, b in zip(y, k3)])
+        sixth = h / 6.0
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if not all(map(isfinite, y)):
+            raise BlowUpError(nodes[i])
+        out[i] = y
+
+
+@pytest.mark.parametrize("command", ["lq-riccati", "meanfield-lq", "planner", "meanvar",
+                                     "mc-verify ex31"])
+def test_generated_kernel_artifacts_match_the_list_kernel(command, tmp_path, monkeypatch,
+                                                          capsys):
+    # default flags; mc-verify on ex31 runs the deterministic flows of mc
+    argv = command.split()[:1]
+    if command == "mc-verify ex31":
+        (tmp_path / "ex31.json").write_text(json.dumps({"family": "ex31"}))
+        argv += ["--config", str(tmp_path / "ex31.json")]
+
+    def outputs(name):
+        assert cli.run(argv + ["--out", str(tmp_path / name)]) == 0
+        return json.loads((tmp_path / name / "manifest.json").read_text())["outputs"]
+
+    generated = outputs("generated")
+    monkeypatch.setattr(riccati, "rk4_integrate", _rk4_list_kernel)
+    monkeypatch.setattr(mc, "rk4_integrate", _rk4_list_kernel)
+    assert outputs("oracle") == generated
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +280,8 @@ def test_lq_time_varying_coefficients_evaluated_once_per_stage_time():
     lq = LQSpec(A=counted("A", A), B=B, C=C, D=counted("D", D), H=1.0, Q=Q,
                 R=counted("R", R), G1=G1, G2=0.0, T=1.0)
     traj = solve_riccati_lq(lq, steps=steps)
-    # RK4 stage times s, s - h/2, s - h, plus one post-pass per grid node
-    assert max(calls.values()) <= 4 * steps + 1
+    # RK4 stage times s, s - h/2, s - h, plus the feedback at s = 0
+    assert max(calls.values()) <= 3 * steps + 1
     ref_phi, ref_psi = _classical_lq_reference(A, B, C, D, Q, R, G1, 1.0, steps)
     assert np.max(np.abs(traj.phi[0] - ref_phi)) < 1e-8
     assert np.max(np.abs(traj.psi - ref_psi)) < 1e-8
@@ -212,6 +300,30 @@ def test_lq_time_varying_singularity_at_first_singular_stage():
     with pytest.raises(SingularityError) as err:
         solve_riccati_lq(lq, steps=steps)
     assert err.value.time == expected
+
+
+def test_lq_node_feedback_is_the_feedback_recomputed_at_every_node():
+    # psi and v at grid nodes 1..steps come from the first RK4 stage; they must
+    # be the feedback of the node's own time, coefficients and state, bit for bit
+    lq = LQSpec(A=lambda s: 0.3 - 0.4 * s, B=0.6, C=lambda s: -0.3 + 0.1 * s,
+                D=lambda s: 0.5 * math.cos(2.0 * s), Ahat=0.2, Bhat=lambda s: 0.1 * s,
+                Chat=-0.1, Dhat=0.3, H=1.0, Q=0.4, M=lambda s: 0.2 + s, N=0.1,
+                R=lambda s: 1.0 + 0.5 * s * s, G1=0.8, G2=-0.5, G3=0.2, g=-1.0, T=1.0)
+    traj = solve_riccati_lq(lq, steps=500)
+    coef = riccati._stage_coefficients([getattr(lq, k) for k in riccati._LQ_COEFFICIENTS])
+    ref = np.array([riccati._lq_feedback(s, coef(s), traj.phi[:, k].tolist())
+                    for k, s in enumerate(traj.s.tolist())])
+    assert np.array_equal(traj.psi, ref[:, 0]) and np.array_equal(traj.v, ref[:, 1])
+
+
+def test_meanfield_node_feedback_is_the_feedback_recomputed_at_every_node():
+    A, B, C = (lambda s: 0.2 - s), 1.0, (lambda s: 0.5 * s)
+    D, Q, R = 0.3, (lambda s: 0.4 + s * s), 1.0
+    grid, phi, phihat, psi = solve_meanfield_riccati(A, B, C, D, Q, R, 1.2, 0.3,
+                                                     T=1.0, steps=500)
+    ref = [-(D * p * C(s) + B * ph) / (D * p * D + R)
+           for s, p, ph in zip(grid.tolist(), phi.tolist(), phihat.tolist())]
+    assert np.array_equal(psi, ref)
 
 
 def test_lq_scalar_closed_form():
@@ -284,6 +396,16 @@ def test_meanvar_constant_when_riskless_rate_zero():
     res = meanvar_equilibrium(0.0, 0.08, 0.2, 2.0, 1.0, steps=2000)
     assert np.max(np.abs(res.v - res.v[0])) < 1e-12
     assert abs(res.v[0] - 0.08 / (2.0 * 0.04)) < 1e-12
+
+
+def test_meanvar_node_control_is_recomputed_at_every_node():
+    r, mu, sigma, gamma = 0.03, 0.08, 0.2, 2.0
+    res = meanvar_equilibrium(r, mu, sigma, gamma, 1.0, steps=500)
+    excess, s2 = mu - r, sigma * sigma
+    ref = [-excess * (p4 - gamma * p6 * p7) / (s2 * p1)
+           for p1, p4, p6, p7 in zip(*(a.tolist() for a in (res.phi1, res.phi4,
+                                                          res.phi6, res.phi7)))]
+    assert np.array_equal(res.v, ref)
 
 
 def test_meanvar_variants_are_reported_not_used():
