@@ -26,7 +26,7 @@ from .riccati import _simpson, rk4_integrate
 
 BLOCK_PATHS = 1024          # path columns per Philox block
 FK_STREAM = 2 ** 32         # first stream tag of check_feynman_kac sample points
-_CRN_COLUMNS = 1 << 17      # most (ensemble, path) columns one CRN batch steps at once
+_CHUNK_CELLS = 1 << 15      # most state cells (rows x paths) one Euler chunk steps
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class MCConfig:
             raise DomainError("need at least 1 step per unit time")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError(f"seed {self.seed} outside [0, 2**64)")
-        if any(e <= 0 for e in self.eps_list):
+        if not all(e > 0 for e in self.eps_list):          # NaN fails too
             raise DomainError("perturbation windows must be positive")
 
 
@@ -107,31 +107,50 @@ def _euler_steps(spec, control, x, times, dt, normals, visit=None):
     """Euler-Maruyama from the state block x along times; returns X_T.
 
     Paths run along the last axis of x; the increments normals[k] are shared
-    by (broadcast over) any leading axes.  After step k, visit(k, x_k, u_k,
-    x_{k+1}) sees the states and controls; nothing else is kept.
+    by (broadcast over) any leading axes.  The block steps in column chunks of
+    at most _CHUNK_CELLS cells, each chunk through all its steps before the
+    next starts, so that a chunk's state and temporaries stay in cache; the
+    coefficients and the control must therefore act elementwise.  After step
+    k of a chunk, visit(k, cols, x_k, u_k, x_{k+1}) sees that chunk's states
+    and controls, cols being its column slice; nothing else is kept.
+
+    A non-finite state raises BlowUpError naming what whole-block stepping
+    names: the earliest bad step, and at it the path of the first non-finite
+    entry in row-major order.
     """
-    if normals.shape[0] < times.size - 1:
+    n_steps = times.size - 1
+    if normals.shape[0] < n_steps:
         raise DomainError("supplied increment block is too short")
     sqdt = math.sqrt(dt)
-    for k in range(times.size - 1):
-        s = times[k]
-        u = np.asarray(control(s, x), dtype=float)
-        if u.shape != x.shape:
-            u = u + np.zeros(x.shape)
-        # x + b dt + (sig sqdt) z, accumulated in place
-        x_next = np.asarray(spec.drift(s, x, u), dtype=float) * dt
-        noise = np.asarray(spec.diffusion(s, x, u), dtype=float) * sqdt
-        noise *= normals[k]
-        x_next += x
-        x_next += noise
-        if not np.isfinite(x_next).all():
-            bad = int(np.argmax(~np.isfinite(x_next))) % x.shape[-1]
-            raise BlowUpError(times[k + 1], f"path {bad}")
-        if visit is not None:
-            visit(k, x, u, x_next)
-        x = x_next
-        del u, noise            # freed before the next step allocates its own
-    return x
+    width = max(1, _CHUNK_CELLS // math.prod(x.shape[:-1]))
+    xt = np.empty(x.shape)
+    bad = None                  # (step, row, path) of the earliest blow-up so far
+    for c0 in range(0, x.shape[-1], width):
+        cols = slice(c0, c0 + width)
+        xc, z = x[..., cols], normals[:, cols]
+        for k in range(n_steps if bad is None else bad[0] + 1):
+            s = times[k]
+            u = np.asarray(control(s, xc), dtype=float)
+            if u.shape != xc.shape:
+                u = u + np.zeros(xc.shape)
+            # x + b dt + (sig sqdt) z, accumulated in place
+            x_next = np.asarray(spec.drift(s, xc, u), dtype=float) * dt
+            noise = np.asarray(spec.diffusion(s, xc, u), dtype=float) * sqdt
+            noise *= z[k]
+            x_next += xc
+            x_next += noise
+            if not np.isfinite(x_next).all():
+                row, col = divmod(int(np.argmax(~np.isfinite(x_next))), x_next.shape[-1])
+                bad = min(bad, (k, row, c0 + col)) if bad else (k, row, c0 + col)
+                break
+            if visit is not None:
+                visit(k, cols, xc, u, x_next)
+            xc = x_next
+            del u, noise        # freed before the next step allocates its own
+        xt[..., cols] = xc
+    if bad is not None:
+        raise BlowUpError(times[bad[0] + 1], f"path {bad[2]}")
+    return xt
 
 
 def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, normals=None,
@@ -139,29 +158,30 @@ def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, normals=None,
     """Euler-Maruyama under a feedback strategy on [t0, T].
 
     The ensemble stores every grid row, or with ``keep_times`` only the rows
-    nearest those times (``state_at`` of each of them is unchanged).
+    nearest those times (``state_at`` of each of them is unchanged); stepping
+    then stops at the last kept row, and only its steps' increments are drawn.
     """
     if not 0.0 <= t0 < spec.horizon + 1e-12:
         raise DomainError("simulation window outside the horizon")
     times, dt = _time_grid(t0, spec.horizon, cfg)
-    n_steps = times.size - 1
-    if normals is None:
-        normals = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic)
     if keep_times is None:
-        rows = np.arange(n_steps + 1)
+        rows = np.arange(times.size)
     else:
         rows = np.unique([int(np.argmin(np.abs(times - t))) for t in keep_times])
+    n_steps = int(rows[-1])
+    if normals is None:
+        normals = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic)
     slot = {int(j): i for i, j in enumerate(rows)}
     x = np.full(normals.shape[1], x0, dtype=float)
     X = np.empty((rows.size, x.size))
     if 0 in slot:
         X[slot[0]] = x
 
-    def record(k, xk, u, x_next):
+    def record(k, cols, xk, u, x_next):
         if k + 1 in slot:
-            X[slot[k + 1]] = x_next
+            X[slot[k + 1], cols] = x_next
 
-    _euler_steps(spec, strategy, x, times, dt, normals, visit=record)
+    _euler_steps(spec, strategy, x, times[:n_steps + 1], dt, normals, visit=record)
     return PathEnsemble(t0=t0, times=times[rows], paths_tn=X, seed=cfg.seed)
 
 
@@ -195,7 +215,7 @@ def _spike_columns(spec, psi_bar, t, spikes):
     controls u clipped to psi_bar's bounds as the perturbed strategy clips a
     float.  Given a spec, each window must lie in the horizon and u in U."""
     for eps, u in spikes:
-        if eps <= 0:
+        if not eps > 0:
             raise DomainError("window width must be positive")
         if spec is not None:
             if t < 0 or t + eps > spec.horizon + 1e-12:
@@ -326,15 +346,10 @@ def _cost_paths(spec, control, t, x, cfg, normals):
     """
     mc = spec.mc_cost
     times, dt = _time_grid(t, spec.horizon, cfg)
-    run = None
+    run = None if mc.running is None else np.zeros(x.shape)
 
-    def accumulate(k, xk, uk, _):
-        nonlocal run
-        r = np.asarray(mc.running(times[k], xk, uk), dtype=float)
-        if run is None:
-            run = np.array(r)
-        else:
-            run += r
+    def accumulate(k, cols, xk, uk, _):
+        run[..., cols] += np.asarray(mc.running(times[k], xk, uk), dtype=float)
 
     xt = _euler_steps(spec, control, x, times, dt, normals,
                       visit=None if mc.running is None else accumulate)
@@ -453,22 +468,17 @@ def _spike_quotients_mc(spec, psi_bar, t, x, cfg, normals):
     cfg.u_list, from one state; returns ([((eps, u), (q, se))], ensembles).
 
     The base ensemble and all perturbed ones step together as the rows of one
-    (ensembles, paths) block on the shared increments, in chunks of at most
-    _CRN_COLUMNS columns.  Each quotient equals _quotient_mc on the same
-    increments, provided the strategy and the coefficients act elementwise.
+    (ensembles, paths) block on the shared increments.  Each quotient equals
+    _quotient_mc on the same increments, provided the strategy and the
+    coefficients act elementwise.
     """
     spikes = [(eps, u) for eps in cfg.eps_list for u in cfg.u_list]
     ends, controls = _spike_columns(spec, psi_bar, t, spikes)
     # row 0 is the base ensemble, whose window [t, t) is empty
     ends, controls = np.insert(ends, 0, t), np.insert(controls, 0, 0.0)
-    n = normals.shape[1]
-    per_chunk = max(1, _CRN_COLUMNS // n)
-    samples = []
-    for g0 in range(0, ends.size, per_chunk):
-        chunk = slice(g0, g0 + per_chunk)
-        xt, part = _cost_paths(spec, _columns_control(psi_bar, ends[chunk], controls[chunk]),
-                               t, np.full((ends[chunk].size, n), float(x)), cfg, normals)
-        samples += [_cost_moments(spec.mc_cost, xt[g], part[g]) for g in range(xt.shape[0])]
+    xt, part = _cost_paths(spec, _columns_control(psi_bar, ends, controls), t,
+                           np.full((ends.size, normals.shape[1]), float(x)), cfg, normals)
+    samples = [_cost_moments(spec.mc_cost, xt[g], part[g]) for g in range(ends.size)]
     quotients = [(spike, _quotient(samples[0], pert, spike[0]))
                  for spike, pert in zip(spikes, samples[1:])]
     return quotients, len(samples)
@@ -477,23 +487,30 @@ def _spike_quotients_mc(spec, psi_bar, t, x, cfg, normals):
 def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> VerifyReport:
     """Difference-quotient test of local optimality under spike perturbations.
 
-    The closed-loop state is run from (0, spec.x0); at each probe time the
-    flow's state (deterministic costs, by quadrature) or the realized mean and
-    25/50/75% path states (on shared increments) serve as evaluation points.
-    The reported quotient per (t, eps, u) is the minimum over evaluation
-    states, and the verdict passes iff the smallest-window minimum quotient
-    clears -tol_eq.  A spec of the general cost class is refused before any
-    simulation, as in ``evaluate_cost``.
+    The closed-loop state is run from (0, spec.x0) up to the last probe time;
+    at each probe time the flow's state (deterministic costs, by quadrature)
+    or the realized mean and 25/50/75% path states (on shared increments)
+    serve as evaluation points.  The reported quotient per (t, eps, u) is the
+    minimum over evaluation states, and the verdict passes iff the
+    smallest-window minimum quotient clears -tol_eq.  A spec of the general
+    cost class, a non-finite probe time and a non-finite tolerance are refused
+    before any simulation.
     """
     if spec.cost_class == "general":
         raise UnsupportedCostClassError(_GENERAL_COST)
+    if not math.isfinite(tol_eq):
+        raise DomainError(f"tolerance {tol_eq} is not finite")
     T = spec.horizon
     for t in t_list:
+        if not math.isfinite(t):
+            raise DomainError(f"probe time {t} is not finite")
         if t + max(cfg.eps_list) > T + 1e-12:
             raise DomainError(f"probe time {t} leaves no room for the window")
     deterministic = spec.cost_class == "deterministic"
     if deterministic:
+        # the flow runs through the first node past the last probe time only
         nodes = np.linspace(0.0, T, 2049)
+        nodes = nodes[:np.searchsorted(nodes, max(t_list, default=0.0), side="right") + 1]
         flow = _flow_ode(spec, psi_bar, np.array([float(spec.x0)]), nodes)[0][0]
     else:
         closed_loop = simulate_forward(spec, psi_bar, 0.0, spec.x0, cfg, keep_times=t_list)
@@ -612,14 +629,13 @@ def check_feynman_kac(spec, theta, theta0, strategy, sample_points, cfg: MCConfi
         i = int(np.argmin(np.abs(theta.xs - x)))
         y_anchor = float(theta.values[j, i])
 
-        def accumulate(k, xk, uk, _):
+        def accumulate(k, cols, xk, uk, _):
             # both running sums grow in place; no path or control is kept
-            nonlocal acc, acc0
             sk = times[k]
-            acc += np.atleast_2d(np.asarray(
+            acc[cols] += np.atleast_2d(np.asarray(
                 spec.generator(sk, xk, uk, 0.0, 0.0), dtype=float))[0] * dt
             yk = theta.at(sk, xk)
-            acc0 += np.asarray(spec.cost_generator(
+            acc0[cols] += np.asarray(spec.cost_generator(
                 r, sk, x, xk, uk, yk, 0.0 * yk, 0.0, 0.0), dtype=float) * dt
 
         xt = _euler_steps(spec, strategy, np.full(n_paths, x, dtype=float), times, step, z,

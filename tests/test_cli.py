@@ -360,6 +360,24 @@ def test_malformed_number_lists_are_config_errors(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+def test_non_finite_mc_verify_inputs_are_config_errors(tmp_path, capsys):
+    # NaN fails every check of a window, a probe time and the tolerance; with
+    # T = 1e-300 a NaN window used to reach the Euler step as a negative dt
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"family": "mean_variance", "T": 1e-300}))
+    ex31 = tmp_path / "ex31.json"
+    ex31.write_text(json.dumps({"family": "ex31"}))
+    refused = [["--eps", "nan"], ["--eps", "0.1,nan"], ["--config", str(tiny), "--eps", "nan"],
+               ["--times", "nan"], ["--times", "0.2,inf"], ["--tol-eq", "nan"],
+               ["--tol-eq", "inf"], ["--config", str(ex31), "--times", "nan"],
+               ["--config", str(ex31), "--tol-eq", "nan"]]
+    for k, argv in enumerate(refused):
+        out = tmp_path / f"out{k}"
+        assert run(["mc-verify", "--paths", "10", "--out", str(out)] + argv) == 2, argv
+        assert "config error: " in capsys.readouterr().err, argv
+        assert not out.exists(), argv
+
+
 def test_non_finite_deterministic_flow_is_a_solver_error(tmp_path, capsys):
     # under a NaN control the leader's state x' = u goes non-finite at once;
     # ex31's state x' = 0 x stays finite, and the NaN control itself is caught

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbcontrol import mc, model
+from fbcontrol import cli, mc, model
 from fbcontrol.cli import _gap_table, _verify_table, _work_unit, write_csv
 from fbcontrol.errors import (BlowUpError, DomainError, EvaluationError,
                              UnsupportedCostClassError)
@@ -38,8 +39,9 @@ def test_config_invariants():
         MCConfig(n_paths=1)
     with pytest.raises(DomainError):
         MCConfig(n_paths=10, steps_per_unit=0)
-    with pytest.raises(DomainError):
-        MCConfig(n_paths=10, eps_list=(0.1, -0.1))
+    for bad in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            MCConfig(n_paths=10, eps_list=(0.1, bad))
 
 
 def test_config_seed_bounds():
@@ -183,8 +185,9 @@ def test_perturbed_strategy_validation():
         perturbed_strategy(base, 0.95, 0.1, 0.0, spec)
     with pytest.raises(DomainError):
         perturbed_strategy(base, 0.1, 0.1, 1e6, spec)
-    with pytest.raises(DomainError):
-        perturbed_strategy(base, 0.1, -0.1, 0.0, spec)
+    for eps in (-0.1, math.nan):
+        with pytest.raises(DomainError):
+            perturbed_strategy(base, 0.1, eps, 0.0, spec)
 
 
 def test_paths_agree_before_window():
@@ -462,12 +465,14 @@ def _quotient_family(family):
     return spec, strat, 0.3, 0.8
 
 
-@pytest.mark.parametrize("crn_columns", [None, 5 * 700, 600])
+@pytest.mark.parametrize("chunk_cells", [None, 5 * 700, 7 * 100, 600])
 @pytest.mark.parametrize("family", ["mean_variance", "ex41"])
-def test_crn_batch_equals_per_ensemble_quotients(family, crn_columns, monkeypatch):
-    if crn_columns is not None:
-        # chunks of five ensembles, and (below one row) one ensemble per chunk
-        monkeypatch.setattr(mc, "_CRN_COLUMNS", crn_columns)
+def test_crn_batch_equals_per_ensemble_quotients(family, chunk_cells, monkeypatch):
+    if chunk_cells is not None:
+        # blocks of 7 or 5 ensembles of 700 paths: chunks of 500 or 700, 100 or
+        # 140, 85 or 120 columns; a single ensemble steps whole, whole, or in
+        # chunks of 600
+        monkeypatch.setattr(mc, "_CHUNK_CELLS", chunk_cells)
     spec, strat, t, x = _quotient_family(family)
     # an interior probe time; u = 5.0, which the mean-variance strategy's
     # bounds [-3, 3] clip inside U = [-20, 20]; and t = 0.9, whose widest
@@ -485,6 +490,77 @@ def test_crn_batch_equals_per_ensemble_quotients(family, crn_columns, monkeypatc
             assert se > 0
     clipped = mc._spike_columns(spec, strat, 0.2, [(0.1, 5.0)])[1].tolist()
     assert clipped == ([3.0] if family == "mean_variance" else [5.0])
+
+
+def test_chunked_artifacts_equal_whole_block(tmp_path, monkeypatch):
+    # mc-verify at 600 paths steps blocks of 16 ensembles and the one-row
+    # closed loop; fk-check steps one row per sample point
+    (tmp_path / "ex41.json").write_text('{"family": "ex41"}')
+    runs = {"verify.csv": [["mc-verify", "--times", "0.2,0.5"],
+                           ["mc-verify", "--config", str(tmp_path / "ex41.json"),
+                            "--strategy-const", "-0.5", "--times", "0.2,0.5"]],
+            "fk.csv": [["fk-check", "--grid-nt", "65"]]}
+
+    def artifacts(cells):
+        monkeypatch.setattr(mc, "_CHUNK_CELLS", cells)
+        out = []
+        for name, argvs in runs.items():
+            for k, argv in enumerate(argvs):
+                run_dir = tmp_path / f"{cells}-{name}-{k}"
+                # ex41 under the constant -0.5 fails verification (exit 3)
+                assert cli.run(argv + ["--paths", "600", "--out", str(run_dir)]) in (0, 3), argv
+                out.append((run_dir / name).read_bytes())
+        return out
+
+    whole = artifacts(1 << 62)
+    # columns per chunk of the 16-row block and of one row: 150 (dividing
+    # 600) and all 600; 18 and 300 (dividing 600); 28 and 448
+    for cells in (16 * 150, 300, 448):
+        assert artifacts(cells) == whole, cells
+
+
+_ID_TIMES = np.linspace(0.0, 1.0, 11)
+
+
+def _stepped_ids(shape, bad, cells, monkeypatch):
+    """Step cells holding their own flat ids under a control that turns NaN
+    at step k in cell i for each bad[i] = k; returns the BlowUpError and the
+    latest step each chunk's control saw."""
+    monkeypatch.setattr(mc, "_CHUNK_CELLS", cells)
+    starts = np.full(math.prod(shape), np.inf)
+    for i, k in bad.items():
+        starts[i] = _ID_TIMES[k]
+    latest = {}
+
+    def control(s, x):
+        first = int(x.flat[0]) % shape[-1]
+        latest[first] = max(latest.get(first, s), s)
+        return np.where(s >= starts[x.astype(int)], math.nan, 0.0)
+
+    frozen = SimpleNamespace(drift=lambda s, x, u: 0.0 * u, diffusion=lambda s, x, u: 0.0 * x)
+    x = np.arange(math.prod(shape), dtype=float).reshape(shape)
+    with pytest.raises(BlowUpError) as err:
+        mc._euler_steps(frozen, control, x, _ID_TIMES, 0.1, np.zeros((10, shape[-1])))
+    return err.value, latest
+
+
+@pytest.mark.parametrize("shape, bad, step, path, latest", [
+    # one row: the last chunk blows up at an earlier step than the first two
+    ((10,), {2: 6, 6: 4, 9: 2}, 2, 9, (6, 4, 2)),
+    # three rows: chunks 0 and 1 blow up at the same step, and the first
+    # non-finite entry in row-major order (row 0, path 5) is in chunk 1;
+    # chunk 2 would blow up later and stops at that step
+    ((3, 10), {21: 3, 13: 3, 5: 3, 18: 5}, 3, 5, (3, 3, 3)),
+])
+def test_chunked_blow_up_names_the_whole_block_time_and_path(shape, bad, step, path, latest,
+                                                             monkeypatch):
+    whole, _ = _stepped_ids(shape, bad, 1 << 62, monkeypatch)
+    # chunks of 4 paths: columns 0-3, 4-7 and 8-9
+    chunked, seen = _stepped_ids(shape, bad, 4 * math.prod(shape[:-1]), monkeypatch)
+    assert (whole.time, str(whole)) == (chunked.time, str(chunked))
+    assert chunked.time == _ID_TIMES[step + 1] and str(chunked).endswith(f"path {path}")
+    # a chunk steps no further than the earliest bad step found before it
+    assert seen == {c0: _ID_TIMES[k] for c0, k in zip((0, 4, 8), latest)}
 
 
 def test_verify_without_spike_controls_counts_the_base_flows():
@@ -515,6 +591,60 @@ def test_verify_details_use_probe_time_streams():
         for d in (d for d in report.details if d["t"] == t):
             q, se = mc._quotient_mc(spec, strat, t, d["x"], cfg, z, d["eps"], d["u"])
             assert (d["quotient"], d["stderr"]) == (q, se)
+
+
+def test_closed_loop_stops_at_the_last_probe_time(tmp_path, monkeypatch):
+    drawn = []
+    normals = mc.path_normals
+
+    def spy(seed, n_paths, n_steps, *args, **kwargs):
+        drawn.append(n_steps)
+        return normals(seed, n_paths, n_steps, *args, **kwargs)
+
+    simulate = mc.simulate_forward
+
+    def full_horizon(spec, strategy, t0, x0, cfg, normals=None, keep_times=None):
+        return simulate(spec, strategy, t0, x0, cfg)
+
+    def artifacts(tag):
+        spec = mv_r0()
+        cfg = MCConfig(n_paths=400, seed=8, eps_list=(0.1, 0.05), u_list=(0.0, 3.0))
+        report = verify_equilibrium(spec, mv_r0_equilibrium(spec), (0.2, 0.45), cfg)
+        gap = demonstrate_inconsistency("ex41", MCConfig(n_paths=400, seed=13),
+                                        {"taus": [0.1, 0.35]})
+        write_csv(tmp_path / f"verify-{tag}.csv", *_verify_table(report))
+        write_csv(tmp_path / f"gap-{tag}.csv", *_gap_table(gap))
+        return (report.details, (tmp_path / f"verify-{tag}.csv").read_bytes(),
+                (tmp_path / f"gap-{tag}.csv").read_bytes())
+
+    monkeypatch.setattr(mc, "path_normals", spy)
+    kept = artifacts("kept")
+    # the closed loops draw 45 and 35 steps, not 100
+    assert drawn[0] == 45 and 35 in drawn and 100 not in drawn
+    monkeypatch.setattr(mc, "simulate_forward", full_horizon)
+    assert artifacts("full") == kept
+    assert 100 in drawn
+
+
+def test_deterministic_closed_loop_stops_past_the_last_probe_time(monkeypatch):
+    spec = model.make_spec("stackelberg", {"x0": 0.2})     # x' = u
+    eq = _test_strategy("state", spec)
+    flows = []
+    flow_ode = mc._flow_ode
+
+    def spy(spec, control, x, s_nodes):
+        flows.append(s_nodes)
+        return flow_ode(spec, control, x, s_nodes)
+
+    monkeypatch.setattr(mc, "_flow_ode", spy)
+    cfg = MCConfig(n_paths=2, eps_list=(0.05,), u_list=(-1.0, 0.5))
+    report = verify_equilibrium(spec, eq, (0.1, 0.3), cfg)
+    # 0.3 lies between nodes 614 and 615 of 2048 panels: the flow ends at 615
+    nodes = np.linspace(0.0, spec.horizon, 2049)
+    assert np.array_equal(flows[0], nodes[:616])
+    full = flow_ode(spec, eq, np.array([0.2]), nodes)[0][0]
+    assert [d["x"] for d in report.details] == [float(np.interp(t, nodes, full))
+                                                for t in (0.1, 0.1, 0.3, 0.3)]
 
 
 def test_perturbed_strategy_clips_only_a_non_clamping_base():
