@@ -141,7 +141,8 @@ def _euler_steps(spec, control, x, times, dt, normals, visit=None):
             x_next += noise
             if not np.isfinite(x_next).all():
                 row, col = divmod(int(np.argmax(~np.isfinite(x_next))), x_next.shape[-1])
-                bad = min(bad, (k, row, c0 + col)) if bad else (k, row, c0 + col)
+                hit = (k, row, c0 + col)
+                bad = min(bad, hit) if bad else hit
                 break
             if visit is not None:
                 visit(k, cols, xc, u, x_next)
