@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 solver error, 2 config error, 3 failed verification.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -180,14 +181,34 @@ def _parse_floats(text):
 # code) for _publish to write, and touches no file
 # ---------------------------------------------------------------------------
 
-def cmd_lq_riccati(args):
+# the coefficients of an ODE subcommand's config: one document serves both,
+# so meanfield-lq reads the LQSpec fields of its reduction and ignores the rest
+_LQ_FIELDS = tuple(f.name for f in dataclasses.fields(riccati.LQSpec))
+_MEANFIELD_FIELDS = ("A", "B", "C", "D", "Q", "R", "G1", "G2", "T")
+# those a config leaves out; any other is 0.0
+_LQ_DEFAULTS = {"B": 1.0, "C": 1.0, "H": 1.0, "R": 2.0, "G2": 2.0, "T": 1.0}
+
+
+def _coefficients(args, names):
+    """The coefficients ``names`` from ``--config``, with ``_LQ_DEFAULTS`` for
+    those left out.  A key that is not in ``_LQ_FIELDS`` and a value that is
+    not a finite number are DomainErrors."""
     doc = _load_config(args)
-    keys = ("A", "B", "C", "D", "Ahat", "Bhat", "Chat", "Dhat", "H",
-            "Q", "M", "N", "R", "G1", "G2", "G3", "g", "T")
-    defaults = {"A": 0.0, "B": 1.0, "C": 1.0, "D": 0.0, "H": 1.0,
-                "R": 2.0, "G2": 2.0, "T": 1.0}
-    vals = {k: doc.get(k, defaults.get(k, 0.0)) for k in keys}
-    lq = riccati.LQSpec(**vals)
+    unknown = sorted(set(doc) - set(_LQ_FIELDS))
+    if unknown:
+        raise DomainError(f"unknown coefficients {unknown}; the config takes {list(_LQ_FIELDS)}")
+    for k, v in doc.items():
+        try:
+            finite = not isinstance(v, bool) and math.isfinite(v)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise DomainError(f"coefficient '{k}' must be a finite number, got {v!r}")
+    return {k: doc.get(k, _LQ_DEFAULTS.get(k, 0.0)) for k in names}
+
+
+def cmd_lq_riccati(args):
+    lq = riccati.LQSpec(**_coefficients(args, _LQ_FIELDS))
     traj = riccati.solve_riccati_lq(lq, steps=args.steps)
     return {"lq_riccati.csv": _riccati_table(traj)}, [
         f"lq-riccati: steps={args.steps} T={lq.T}",
@@ -197,11 +218,8 @@ def cmd_lq_riccati(args):
 
 
 def cmd_meanfield_lq(args):
-    doc = _load_config(args)
-    vals = {k: doc.get(k, d) for k, d in
-            (("A", 0.0), ("B", 1.0), ("C", 1.0), ("D", 0.0), ("Q", 0.0),
-             ("R", 2.0), ("G1", 0.0), ("G2", 2.0), ("T", 1.0))}
-    grid, phi, phihat, psi = riccati.solve_meanfield_riccati(steps=args.steps, **vals)
+    grid, phi, phihat, psi = riccati.solve_meanfield_riccati(
+        steps=args.steps, **_coefficients(args, _MEANFIELD_FIELDS))
     table = ("t", "phi", "phihat", "psi"), np.column_stack([grid, phi, phihat, psi])
     return {"meanfield.csv": table}, [
         f"meanfield-lq: steps={args.steps}",

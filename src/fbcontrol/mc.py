@@ -161,9 +161,12 @@ def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, normals=None,
     The ensemble stores every grid row, or with ``keep_times`` only the rows
     nearest those times (``state_at`` of each of them is unchanged); stepping
     then stops at the last kept row, and only its steps' increments are drawn.
+    An empty ``keep_times`` is refused.
     """
     if not 0.0 <= t0 < spec.horizon + 1e-12:
         raise DomainError("simulation window outside the horizon")
+    if keep_times is not None and np.size(keep_times) == 0:
+        raise DomainError("keep_times is empty")
     times, dt = _time_grid(t0, spec.horizon, cfg)
     if keep_times is None:
         rows = np.arange(times.size)
@@ -494,13 +497,15 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
     serve as evaluation points.  The reported quotient per (t, eps, u) is the
     minimum over evaluation states, and the verdict passes iff the
     smallest-window minimum quotient clears -tol_eq.  A spec of the general
-    cost class, a non-finite probe time and a non-finite tolerance are refused
-    before any simulation.
+    cost class, an empty or non-finite list of probe times and a non-finite
+    tolerance are refused before any simulation.
     """
     if spec.cost_class == "general":
         raise UnsupportedCostClassError(_GENERAL_COST)
     if not math.isfinite(tol_eq):
         raise DomainError(f"tolerance {tol_eq} is not finite")
+    if np.size(t_list) == 0:
+        raise DomainError("no probe times")
     T = spec.horizon
     for t in t_list:
         if not math.isfinite(t):
@@ -511,7 +516,7 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
     if deterministic:
         # the flow runs through the first node past the last probe time only
         nodes = np.linspace(0.0, T, 2049)
-        nodes = nodes[:np.searchsorted(nodes, max(t_list, default=0.0), side="right") + 1]
+        nodes = nodes[:np.searchsorted(nodes, max(t_list), side="right") + 1]
         flow = _flow_ode(spec, psi_bar, np.array([float(spec.x0)]), nodes)[0][0]
     else:
         closed_loop = simulate_forward(spec, psi_bar, 0.0, spec.x0, cfg, keep_times=t_list)
@@ -592,8 +597,7 @@ def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
 # ---------------------------------------------------------------------------
 
 def _probe_generator_independence(spec):
-    y1 = np.full(spec.m, 0.3)
-    y2 = np.full(spec.m, -1.1)
+    y1, y2 = 0.3, -1.1
     g1 = np.asarray(spec.generator(0.1, 0.2, float(np.clip(0.5, spec.u_lo, spec.u_hi)), y1, y1))
     g2 = np.asarray(spec.generator(0.1, 0.2, float(np.clip(0.5, spec.u_lo, spec.u_hi)), y2, y2))
     if not np.allclose(g1, g2, atol=1e-12):
@@ -633,15 +637,14 @@ def check_feynman_kac(spec, theta, theta0, strategy, sample_points, cfg: MCConfi
         def accumulate(k, cols, xk, uk, _):
             # both running sums grow in place; no path or control is kept
             sk = times[k]
-            acc[cols] += np.atleast_2d(np.asarray(
-                spec.generator(sk, xk, uk, 0.0, 0.0), dtype=float))[0] * dt
+            acc[cols] += np.asarray(spec.generator(sk, xk, uk, 0.0, 0.0), dtype=float) * dt
             yk = theta.at(sk, xk)
             acc0[cols] += np.asarray(spec.cost_generator(
                 r, sk, x, xk, uk, yk, 0.0 * yk, 0.0, 0.0), dtype=float) * dt
 
         xt = _euler_steps(spec, strategy, np.full(n_paths, x, dtype=float), times, step, z,
                           visit=accumulate)
-        hvals = np.atleast_2d(np.asarray(spec.terminal(xt), dtype=float))[0]
+        hvals = np.asarray(spec.terminal(xt), dtype=float)
         y_samples = hvals + acc
         y_mc = float(np.mean(y_samples))
         y_se = float(np.std(y_samples, ddof=1) / math.sqrt(n_paths))

@@ -80,8 +80,8 @@ class ControlProblemSpec:
     name: str
     drift: Callable                 # b(s, x, u)
     diffusion: Callable             # sigma(s, x, u)
-    generator: Callable             # g(s, x, u, y, z), shape (m, ...)
-    terminal: Callable              # h(x), shape (m, ...)
+    generator: Callable             # g(s, x, u, y, z), shaped like x; (m, *x.shape) if m = 2
+    terminal: Callable              # h(x), shaped like x; (m, *x.shape) if m = 2
     cost_generator: Callable        # g0(t, s, xt, x, u, y, z, y0, z0)
     cost_terminal: Callable         # h0(t, xt, x, y)
     u_lo: float
@@ -225,51 +225,42 @@ def _scalar(value):
     return float(arr.reshape(-1)[0]) if arr.size else float(arr)
 
 
-def _components(spec, value):
-    """Backward components along a leading axis of length m (added when m = 1)."""
-    arr = np.asarray(value, dtype=float)
-    return arr if spec.m > 1 or arr.shape[:1] == (1,) else arr[None]
-
-
 def _hamiltonians(spec, s, x, u, theta, p, P):
-    """a, b, sigma, z = p sigma and the first Hamiltonian P a + p b + g, per component."""
+    """a, b, sigma, z = p sigma and the first Hamiltonian P a + p b + g."""
     b = spec.drift(s, x, u)
     sig = spec.diffusion(s, x, u)
     a = 0.5 * sig * sig
     z = p * sig
-    one = spec.m == 1
-    g = spec.generator(s, x, u, theta[0] if one else theta, z[0] if one else z)
-    return a, b, sig, z, P * a + p * b + g
+    return a, b, sig, z, P * a + p * b + spec.generator(s, x, u, theta, z)
 
 
 def _finite(out, s, x, u):
     if not np.isfinite(out).all():
         raise EvaluationError("hamiltonian", (s, x, u) if np.ndim(x) == np.ndim(u) == 0 else s)
-    return out if out.ndim else float(out)
+    return out if np.ndim(out) else float(out)
 
 
 def hamiltonian_H(spec, s, x, u, theta, p, P):
     """First Hamiltonian: tr[P a] + p b + g(s, x, u, theta, p sigma), a = sigma^2/2.
 
-    Vectorized over x and u; theta, p, P carry the m components on a leading
-    axis (optional when m = 1).  Raises EvaluationError on a non-finite value.
+    Scalar in Y, like the PDE route that minimizes it: theta, p and P are
+    shaped like x (or broadcast against it), and a spec with m != 1 is
+    refused (``require_scalar_y``).  Raises EvaluationError on a non-finite
+    value.
     """
-    theta, p, P = [_components(spec, v) for v in (theta, p, P)]
-    h = _hamiltonians(spec, s, x, u, theta, p, P)[-1]
-    return _finite(h[0] if spec.m == 1 else h, s, x, u)
+    require_scalar_y(spec)
+    return _finite(_hamiltonians(spec, s, x, u, theta, p, P)[-1], s, x, u)
 
 
 def hamiltonian_H0_hat(spec, t, s, xt, x, u, theta, p, P, theta0, p0, q0, P0):
-    """Adjusted cost Hamiltonian: H0 + q0 . H, with H0 = tr[P0 a] + p0 b + g0.
+    """Adjusted cost Hamiltonian: H0 + q0 H, with H0 = tr[P0 a] + p0 b + g0.
 
-    Vectorized like ``hamiltonian_H``, q0 shaped like theta.
+    Shaped and refused like ``hamiltonian_H``; q0 is shaped like theta.
     """
-    theta, p, P, q0 = [_components(spec, v) for v in (theta, p, P, q0)]
+    require_scalar_y(spec)
     a, b, sig, z, h = _hamiltonians(spec, s, x, u, theta, p, P)
-    one = spec.m == 1
-    g0 = spec.cost_generator(t, s, xt, x, u, theta[0] if one else theta, z[0] if one else z,
-                             theta0, p0 * sig)
-    return _finite(P0 * a + p0 * b + g0 + (q0 * h).sum(axis=0), s, x, u)
+    g0 = spec.cost_generator(t, s, xt, x, u, theta, z, theta0, p0 * sig)
+    return _finite(P0 * a + p0 * b + g0 + q0 * h, s, x, u)
 
 
 def heat_kernel(a_fn, s, x, r, mu):
@@ -394,10 +385,8 @@ def validate_spec(spec, probe_grid=None):
 # Built-in problem families
 # ---------------------------------------------------------------------------
 
-def _zero_generator(m):
-    if m == 1:
-        return lambda s, x, u, y, z: np.zeros_like(np.asarray(x, dtype=float))
-    return lambda s, x, u, y, z: np.zeros((m,) + np.shape(np.asarray(x, dtype=float)))
+def _zero_generator(s, x, u, y, z):
+    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 # the split of the cost terminal h0 = y: no state part, and the anchored-y part y
@@ -485,7 +474,7 @@ def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,
         name="mean_variance",
         drift=lambda s, x, u: r * x + (mu - r) * u,
         diffusion=lambda s, x, u: sigma * u + 0.0 * x,
-        generator=_zero_generator(1),
+        generator=_zero_generator,
         terminal=lambda x: np.asarray(x, dtype=float),
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=h0,
@@ -542,7 +531,7 @@ def linear_heat(a=1.0, T=1.0, terminal="x", x0=0.0):
         name="linear_heat",
         drift=lambda s, x, u: 0.0 * np.asarray(x, dtype=float),
         diffusion=lambda s, x, u: sig * np.ones_like(np.asarray(x, dtype=float)),
-        generator=_zero_generator(1),
+        generator=_zero_generator,
         terminal=h,
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: y,
@@ -569,7 +558,7 @@ def bkm_separable(T=1.0, x0=0.0):
         name="bkm_separable",
         drift=lambda s, x, u: 0.0 * np.asarray(x, dtype=float),
         diffusion=lambda s, x, u: np.ones_like(np.asarray(x, dtype=float)),
-        generator=_zero_generator(1),
+        generator=_zero_generator,
         terminal=lambda x: np.asarray(x, dtype=float),
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: fhat(t, xt, x) + ghat(t, xt, y),
@@ -649,7 +638,7 @@ def ex41(T=1.0, x0=1.0, U=(-10.0, 10.0)):
         name="ex41",
         drift=lambda s, x, u: np.asarray(u, dtype=float) + 0.0 * np.asarray(x, dtype=float),
         diffusion=lambda s, x, u: np.asarray(x, dtype=float),
-        generator=_zero_generator(1),
+        generator=_zero_generator,
         terminal=lambda x: np.asarray(x, dtype=float),
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: np.asarray(u, dtype=float) ** 2,
         cost_terminal=lambda t, xt, x, y: np.asarray(y, dtype=float) ** 2,
@@ -673,7 +662,7 @@ def gbm(mu=0.5, sigma=0.2, T=1.0, x0=1.0):
         name="gbm",
         drift=lambda s, x, u: mu * np.asarray(x, dtype=float),
         diffusion=lambda s, x, u: sigma * np.asarray(x, dtype=float),
-        generator=_zero_generator(1),
+        generator=_zero_generator,
         terminal=lambda x: np.asarray(x, dtype=float),
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: y,

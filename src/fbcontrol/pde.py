@@ -51,7 +51,8 @@ from numpy.linalg import LinAlgError
 
 from .errors import (DegeneracyError, DomainError, EvaluationError,
                      FBControlError, YRangeError)
-from .model import StrategyTable, constant_control, hamiltonian_H0_hat, require_scalar_y
+from .model import (StrategyTable, constant_control, hamiltonian_H0_hat, heat_kernel,
+                    require_scalar_y)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -874,10 +875,9 @@ _MIN_POINTS = 4096
 def _minimize_block(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx):
     """Minimizer over U of ``hamiltonian_H0_hat`` at (s, s, x, x) on a (rows, n)
     block shaped like d: s is an (rows, 1) column of times, x an (n,) row, and
-    theta, theta_x, theta_xx and the weights d_y are (1, rows, n): ``model``'s
-    Hamiltonians would read the rows axis of a bare one-row block as their
-    component axis.  Every block takes ``_quadratic_rows``, which hands the
-    block to ``_brent_rows`` where the Hamiltonian is not quadratic in u."""
+    the fields and weights are (rows, n) like d.  Every block takes
+    ``_quadratic_rows``, which hands the block to ``_brent_rows`` where the
+    Hamiltonian is not quadratic in u."""
     zero = np.zeros(np.shape(d))
     return _quadratic_rows(lambda u: hamiltonian_H0_hat(spec, s, s, x, x, u + zero, theta,
                                                         theta_x, theta_xx, d, d_x, d_y, d_xx),
@@ -893,9 +893,9 @@ def _minimize_table(spec, theta: FieldTheta, bundle: DiagonalBundle):
     out = np.empty((nt, nx))
     for j in range(0, nt, step):
         r = slice(j, j + step)
-        out[r] = _minimize_block(spec, theta.times[r, None], theta.xs, th[None, r],
-                                 th_x[None, r], th_xx[None, r], bundle.d[r], bundle.dx[r],
-                                 bundle.dy[None, r], bundle.dxx[r])
+        out[r] = _minimize_block(spec, theta.times[r, None], theta.xs, th[r], th_x[r],
+                                 th_xx[r], bundle.d[r], bundle.dx[r], bundle.dy[r],
+                                 bundle.dxx[r])
     return out
 
 
@@ -910,10 +910,9 @@ def minimize_hamiltonian(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx
     require_scalar_y(spec)
     if not spec.u_bounded:
         raise DomainError("numeric minimization needs a bounded control interval")
-    col = lambda v, *lead: np.asarray(v, dtype=float).reshape(*lead, 1, 1)
-    return float(_minimize_block(spec, s, np.array([x], dtype=float), col(theta, 1),
-                                 col(theta_x, 1), col(theta_xx, 1), col(d), col(d_x),
-                                 col(d_y, 1), col(d_xx))[0, 0])
+    node = [np.asarray(v, dtype=float).reshape(1, 1)
+            for v in (theta, theta_x, theta_xx, d, d_x, d_y, d_xx)]
+    return float(_minimize_block(spec, s, np.array([x], dtype=float), *node)[0, 0])
 
 
 @dataclass
@@ -1061,8 +1060,7 @@ def kernel_solve_linear(spec, grid: GridSpec, pad=None):
 
     def kernel_matrix(s, r):
         # rows: target x, cols: quadrature mu
-        dt_ = r - s
-        return np.exp(-(xs[:, None] - mu[None, :]) ** 2 / (4.0 * a * dt_)) / math.sqrt(4.0 * math.pi * a * dt_)
+        return heat_kernel(lambda *_: a, s, xs[:, None], r, mu)
 
     def b_at(r, pts):
         return np.asarray(spec.drift(r, pts, 0.0), dtype=float) + np.zeros_like(pts)

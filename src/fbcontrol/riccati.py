@@ -252,8 +252,11 @@ def solve_meanfield_riccati(A, B, C, D, Q, R, G1, G2, T=1.0, steps=10000):
     """Two-function reduction for the conditional-mean terminal weight.
 
     Returns (grid, Phi, Phihat, Psi) with Phi(T) = G1, Phihat(T) = G1 + G2 and
-    Psi = -(D Phi D + R)^{-1} (D Phi C + B Phihat).
+    Psi = -(D Phi D + R)^{-1} (D Phi C + B Phihat).  A horizon T that is not
+    > 0 is a DomainError, as in ``LQSpec``.
     """
+    if not T > 0:
+        raise DomainError("horizon must be positive")
     coef = _stage_coefficients((A, B, C, D, Q, R))
     psis = np.empty(steps + 1)
     fb, k = None, steps + 1     # the feedback of the latest stage, its node

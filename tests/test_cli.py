@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbcontrol
-from fbcontrol import cli, model
+from fbcontrol import cli, model, riccati
 from fbcontrol.cli import build_parser, run, write_csv
 
 
@@ -307,7 +308,24 @@ def test_malformed_config_values_are_config_errors(argv, doc, tmp_path, capsys):
     (["mc-verify"], {"family": "ex31", "T": math.inf}, "T must be a finite number, got T=inf"),
     (["mc-verify"], {"family": "ex31", "T": math.nan}, "T must be a finite number, got T=nan"),
     (["inconsistency", "--example", "ex31"], {"params": {"taus": [math.nan, 0.5]}},
-     "taus must be a list of finite numbers")])
+     "taus must be a list of finite numbers"),
+    # an ODE coefficient that is not a finite number, or one the solver does not take
+    (["lq-riccati"], {"A": "x"}, "'A'"),
+    (["lq-riccati"], {"A": [1]}, "'A'"),
+    (["lq-riccati"], {"G1": None}, "'G1'"),
+    (["lq-riccati"], {"T": "1"}, "'T'"),
+    (["lq-riccati"], {"Rr": 5}, "unknown coefficients ['Rr']"),
+    (["lq-riccati"], {"R": math.nan}, "'R'"),
+    (["lq-riccati"], {"C": True}, "'C'"),
+    (["lq-riccati"], {"T": -1}, "horizon must be positive"),
+    (["meanfield-lq"], {"A": "x"}, "'A'"),
+    (["meanfield-lq"], {"G1": None}, "'G1'"),
+    (["meanfield-lq"], {"Rr": 1}, "unknown coefficients ['Rr']"),
+    (["meanfield-lq"], {"Ahat": "x"}, "'Ahat'"),   # an lq-riccati one it does not read
+    (["meanfield-lq"], {"B": math.inf}, "'B'"),
+    (["meanfield-lq"], {"D": 10 ** 400}, "'D'"),
+    (["meanfield-lq"], {"T": 0}, "horizon must be positive"),
+    (["meanfield-lq"], {"T": -1}, "horizon must be positive")])
 def test_config_errors_name_the_bad_value(argv, doc, name, tmp_path, capsys):
     cfg, out = tmp_path / "bad.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))
@@ -315,6 +333,33 @@ def test_config_errors_name_the_bad_value(argv, doc, name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and name in err
     assert not out.exists()
+
+
+def test_meanfield_config_reads_the_arguments_of_its_solver():
+    # cli spells the names out: a wrapped solver (perfbench's tracer wraps it) has
+    # another signature
+    params = set(inspect.signature(riccati.solve_meanfield_riccati).parameters) - {"steps"}
+    assert set(cli._MEANFIELD_FIELDS) == params
+    assert params <= set(cli._LQ_FIELDS)
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("lq-riccati", {"A": 0.0, "B": 1.0, "C": 1.0, "D": 0.0, "H": 1.0, "R": 2.0, "G1": 0.0,
+                    "G2": 2.0, "T": 1.0}),
+    # one document serves both: meanfield-lq ignores the coefficients it does not read
+    ("meanfield-lq", {"A": 0.0, "B": 1.0, "C": 1.0, "D": 0.0, "Q": 0.0, "R": 2.0, "G1": 0.0,
+                      "G2": 2.0, "T": 1.0, "H": 3.0, "Ahat": 0.5, "g": -1.0})])
+def test_ode_config_of_the_defaults_writes_the_default_artifacts(command, doc, tmp_path,
+                                                                 capsys):
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps(doc))
+    assert run([command, "--steps", "200", "--out", str(tmp_path / "plain")]) == 0
+    assert run([command, "--config", str(cfg), "--steps", "200",
+                "--out", str(tmp_path / "config")]) == 0
+    capsys.readouterr()
+    plain, config = (json.loads((tmp_path / d / "manifest.json").read_text())["outputs"]
+                     for d in ("plain", "config"))
+    assert plain == config
 
 
 def test_pde_solve_bad_config_exit_2(tmp_path, capsys):

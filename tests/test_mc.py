@@ -664,6 +664,31 @@ def test_verify_rejects_window_past_horizon():
                            MCConfig(n_paths=10))
 
 
+@pytest.mark.parametrize("family", ["mean_variance", "stackelberg"])
+def test_verify_refuses_empty_probe_times_before_simulating(family, monkeypatch):
+    # the Monte Carlo route (mean_variance) and the quadrature route
+    # (stackelberg) both refuse an empty t_list before any closed loop or flow
+    def simulate(*args, **kwargs):
+        raise AssertionError("a closed loop or a flow was run")
+
+    monkeypatch.setattr(mc, "simulate_forward", simulate)
+    monkeypatch.setattr(mc, "_flow_ode", simulate)
+    spec = model.FAMILIES[family]()
+    for t_list in ((), [], np.array([])):
+        with pytest.raises(DomainError, match="no probe times"):
+            verify_equilibrium(spec, const_strategy(0.0, spec), t_list, MCConfig(n_paths=10))
+
+
+def test_simulate_forward_refuses_empty_keep_times():
+    spec = mv_r0()
+    with pytest.raises(DomainError, match="keep_times is empty"):
+        simulate_forward(spec, const_strategy(0.0, spec), 0.0, 1.0, MCConfig(n_paths=10),
+                         keep_times=())
+    # a sampled inconsistency gap tabulates no taus through the same refusal
+    with pytest.raises(DomainError, match="keep_times is empty"):
+        demonstrate_inconsistency("ex41", MCConfig(n_paths=10), {"taus": []})
+
+
 # ---------------------------------------------------------------------------
 # demonstrate_inconsistency
 # ---------------------------------------------------------------------------

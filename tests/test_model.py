@@ -124,25 +124,76 @@ def test_h0_hat_affine_in_q0_with_slope_H():
         assert abs(h0 - (P0 * 0.5 + p0 * u)) < 1e-12
 
 
-@pytest.mark.parametrize("family", sorted(model.FAMILIES))
+# the built-in families with one backward component, the only ones the
+# Hamiltonians take
+SCALAR_Y_FAMILIES = sorted(name for name, build in model.FAMILIES.items() if build().m == 1)
+
+
+@pytest.mark.parametrize("family", SCALAR_Y_FAMILIES)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_declared_hamiltonians_are_quadratic_in_u(family, data):
     # every built-in Hamiltonian is quadratic in u, so the minimizer's fast path
-    # solves it without Brent: at random (s, x, theta, theta_x, theta_xx, d, d_x,
-    # d_y, d_xx), the third difference of H0_hat over four equally spaced
-    # controls of U vanishes to rounding
+    # solves it without Brent: at random scalar (s, x, theta, theta_x, theta_xx,
+    # d, d_x, d_y, d_xx), the third difference of H0_hat over four equally
+    # spaced controls of U vanishes to rounding
     spec = model.FAMILIES[family]()
     value = st.floats(-10.0, 10.0)
     s = data.draw(st.floats(0.0, spec.horizon))
-    x, d, d_x, d_xx = (data.draw(value) for _ in range(4))
-    theta, theta_x, theta_xx, d_y = (np.array([data.draw(value) for _ in range(spec.m)])
-                                     for _ in range(4))
+    x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx = (data.draw(value) for _ in range(8))
     H = np.array([hamiltonian_H0_hat(spec, s, s, x, x, u, theta, theta_x, theta_xx,
                                      d, d_x, d_y, d_xx)
                   for u in np.linspace(spec.u_lo, spec.u_hi, 4)])
     third = H[3] - 3.0 * H[2] + 3.0 * H[1] - H[0]
     assert abs(third) <= 64.0 * np.spacing(np.max(np.abs(H)))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("family", SCALAR_Y_FAMILIES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_block_hamiltonian_equals_node_calls(family, rows, data):
+    # the minimizer's call: an (rows, 1) column of times, an (n,) row of states
+    # and (rows, n) controls, fields and weights; every entry has the bits of
+    # the scalar call at its node, a one-row block included
+    spec = model.FAMILIES[family]()
+    n = data.draw(st.integers(1, 5))
+    value = st.floats(-10.0, 10.0)
+    s = np.array([data.draw(st.floats(0.0, spec.horizon)) for _ in range(rows)])[:, None]
+    x = np.array([data.draw(value) for _ in range(n)])
+    u, *args = (np.array([[data.draw(value) for _ in range(n)] for _ in range(rows)])
+                  for _ in range(8))
+    u = np.clip(u, spec.u_lo, spec.u_hi)
+    block = hamiltonian_H0_hat(spec, s, s, x, x, u, *args)
+    assert block.shape == (rows, n)
+    nodes = np.array([[hamiltonian_H0_hat(spec, s[i, 0], s[i, 0], x[j], x[j], u[i, j],
+                                          *(float(a[i, j]) for a in args))
+                       for j in range(n)] for i in range(rows)])
+    assert np.array_equal(block.view(np.int64), nodes.view(np.int64))
+
+
+def test_scalar_fields_broadcast_against_a_row_of_states():
+    # scalar fields next to an (n,) row of states and controls: each node
+    # gets the value of its own scalar call, none is summed or dropped
+    spec = model.recursive_lq()
+    x, u = np.array([0.0, 1.0, 2.0]), np.array([0.5, -0.5, 0.25])
+    theta_p_P = (0.3, 1.0, 2.0)
+    H = hamiltonian_H(spec, 0.1, x, u, *theta_p_P)
+    assert np.array_equal(H, [hamiltonian_H(spec, 0.1, xi, ui, *theta_p_P) for xi, ui in zip(x, u)])
+    weights = (0.4, -0.7, 1.5, 0.2)
+    H0 = hamiltonian_H0_hat(spec, 0.1, 0.1, x, x, u, *theta_p_P, *weights)
+    assert np.array_equal(H0, [hamiltonian_H0_hat(spec, 0.1, 0.1, xi, xi, ui, *theta_p_P, *weights)
+                               for xi, ui in zip(x, u)])
+
+
+def test_hamiltonians_refuse_two_backward_components():
+    # the Hamiltonians are scalar in Y, like the PDE route that minimizes them:
+    # ex31 (m = 2) is refused as the PDE entries refuse it
+    spec = model.ex31()
+    with pytest.raises(DomainError, match="has m = 2"):
+        hamiltonian_H(spec, 0.2, 0.0, 0.5, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="has m = 2"):
+        hamiltonian_H0_hat(spec, 0.1, 0.2, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_heat_kernel_values():
