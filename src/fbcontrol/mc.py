@@ -222,7 +222,7 @@ def _spike_columns(spec, psi_bar, t, spikes):
         if not eps > 0:
             raise DomainError("window width must be positive")
         if spec is not None:
-            if t < 0 or t + eps > spec.horizon + 1e-12:
+            if not (t >= 0 and t + eps <= spec.horizon + 1e-12):
                 raise DomainError("perturbation window outside the horizon")
             if not (spec.u_lo <= u <= spec.u_hi):
                 raise DomainError("perturbation control outside the control interval")
@@ -241,8 +241,8 @@ def _flow_ode(spec, control, x, s_nodes):
     A one-state column steps on floats: the control and the drift see a float
     state.  A wider column is passed to them as one array per stage.  Returns
     (states, controls), both shaped (columns, nodes): controls[:, k] is the
-    control at (s_nodes[k], states[:, k]), taken from the first stage of step
-    k.  Raises BlowUpError at the first node whose state is not finite.
+    control at (s_nodes[k], states[:, k]), taken from the ``rhs`` call at that
+    node.  Raises BlowUpError at the first node whose state is not finite.
     """
     xs = np.empty((x.size, s_nodes.size))
     us = np.empty((x.size, s_nodes.size))
@@ -266,10 +266,7 @@ def _flow_ode(spec, control, x, s_nodes):
     def node():
         next(node_controls)[...] = u
 
-    nodes = s_nodes.tolist()
-    rk4_integrate(rhs, x.tolist(), nodes, np.diff(s_nodes).tolist(), xs.T, node)
-    end = xs[:, -1]
-    next(node_controls)[...] = control(nodes[-1], float(end[0]) if x.size == 1 else end)
+    rk4_integrate(rhs, x.tolist(), s_nodes.tolist(), np.diff(s_nodes).tolist(), xs.T, node)
     return xs, us
 
 
@@ -574,6 +571,8 @@ def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
         taus = None
     if taus is None or taus.ndim != 1 or not np.isfinite(taus).all():
         raise DomainError(f"taus must be a list of finite numbers, got {given!r}")
+    if taus.size == 0:
+        raise DomainError("taus is empty")
     spec = make_spec(EXAMPLE_FAMILIES.get(example_id, example_id), params)
     cf = spec.closed_forms
     if cf.gap is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,6 +103,7 @@ class RiccatiTrajectory:
 _STEP_LOOP = """\
 def rk4_loop(rhs, y, nodes, hs, out, node):
     [{y}] = y
+    i = 0
     for i, s, h in zip(count(1), nodes, hs):
         half = 0.5 * h
         [{k1}] = rhs(s, y)
@@ -115,6 +117,9 @@ def rk4_loop(rhs, y, nodes, hs, out, node):
         if not ({finite}):
             raise BlowUpError(nodes[i])
         out[i] = y
+    if node is not no_node:
+        rhs(nodes[i], y)
+        node()
 """
 _STEP_LOOPS = {}
 
@@ -134,7 +139,7 @@ def _step_loop(n):
                         "\n        ") or "pass",
             finite=each("isfinite(y{j})", " and ") or "True")
         scope = {"count": itertools.count, "isfinite": math.isfinite,
-                 "BlowUpError": BlowUpError}
+                 "BlowUpError": BlowUpError, "no_node": _no_node}
         exec(compile(source, f"<rk4 step loop, n={n}>", "exec"), scope)
         loop = _STEP_LOOPS[n] = scope["rk4_loop"]
     return loop
@@ -151,11 +156,12 @@ def rk4_integrate(rhs, y, nodes, hs, out, node=_no_node):
     nodes[i] + h/2 (twice) and nodes[i] + h, so a backward solve passes
     negative steps (negating h is exact).  ``rhs(s, y)`` receives the state as
     a list of floats and returns a sequence of exactly len(y) floats; another
-    length raises ValueError.  ``node()`` is called with no arguments right
-    after each step's first ``rhs`` call, whose arguments are that step's node
-    and state, so a caller can keep what its ``rhs`` computed there.  out[0]
-    is set to y and out[i + 1] to the state after step i.  Raises BlowUpError
-    with the time nodes[i + 1] at the first non-finite state.
+    length raises ValueError.  ``node()`` is called with no arguments at every
+    node right after ``rhs`` sees it with its state, so a caller can keep what
+    ``rhs`` computed: after a step's first stage, and at the last node after
+    one more ``rhs`` call, made only given a hook, whose derivative is
+    discarded.  out[0] is set to y and out[i + 1] to the state after step i.
+    Raises BlowUpError with the time nodes[i + 1] at the first non-finite state.
 
     The step loop holds the state as len(y) local floats.  It is generated
     once per state length and cached: about 0.5-1 ms at lengths up to 7 and
@@ -171,11 +177,13 @@ def rk4_backward(rhs, terminal_value, T, steps, node=_no_node):
     ``rhs(s, y)`` receives the state as a list of floats and returns a
     sequence of as many floats.  samples[k] approximates y(grid[k]);
     samples[-1] is the terminal value exactly.  ``node()`` is called right
-    after ``rhs`` is evaluated at each node grid[k], k = steps down to 1 (the
-    first stage of the step leaving it), as in ``rk4_integrate``, whose
-    generated step loop this runs.  Raises BlowUpError at the first non-finite
-    state.
+    after ``rhs`` is evaluated at each node grid[k], k = steps down to 0, as
+    in ``rk4_integrate``, whose generated step loop this runs.  A horizon T
+    that is not finite and > 0 is a DomainError.  Raises BlowUpError at the
+    first non-finite state.
     """
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"horizon must be positive and finite, got T={T}")
     if steps < 1:
         raise DomainError("steps must be >= 1")
     y = np.asarray(terminal_value, dtype=float).ravel().tolist()
@@ -209,8 +217,7 @@ def solve_riccati_lq(lq: LQSpec, steps=10000) -> RiccatiTrajectory:
     """Integrate the seven coupled backward equations with the feedback pair
     recomputed inside every RK4 stage."""
     coef = _stage_coefficients([getattr(lq, k) for k in _LQ_COEFFICIENTS])
-    psis, vs = np.empty(steps + 1), np.empty(steps + 1)
-    fb, k = None, steps + 1     # the feedback pair of the latest stage, its node
+    fbs, fb = array("d"), None  # node feedback pairs, flat, last node first; latest stage's
 
     def rhs(s, y):
         nonlocal fb
@@ -230,16 +237,10 @@ def solve_riccati_lq(lq: LQSpec, steps=10000) -> RiccatiTrajectory:
         f7 = -(p6 * B * v + Bh * v + Ch * p7 + Dh * p6 * D * v)
         return [f1, 0.0, 0.0, f4, f5, f6, f7]
 
-    def node():
-        nonlocal k
-        k -= 1
-        psis[k], vs[k] = fb
-
     terminal = np.array([lq.G1, lq.G2, lq.G3, lq.g, 0.0, lq.H, 0.0])
-    grid, out = rk4_backward(rhs, terminal, lq.T, steps, node)
+    grid, out = rk4_backward(rhs, terminal, lq.T, steps, lambda: fbs.extend(fb))
     phi = out.T
-    # nodes 1..steps were filled by the first stage of the step leaving them
-    psis[0], vs[0] = _lq_feedback(0.0, coef(0.0), out[0].tolist())
+    psis, vs = np.frombuffer(fbs).reshape(-1, 2)[::-1].T
     # phi2, phi3 have identically zero derivative; keep them bit-exact.
     resid = float(np.max(np.abs(phi[:, -1] - terminal)))
     assert float(np.max(np.abs(phi[1] - lq.G2))) == 0.0
@@ -252,42 +253,27 @@ def solve_meanfield_riccati(A, B, C, D, Q, R, G1, G2, T=1.0, steps=10000):
     """Two-function reduction for the conditional-mean terminal weight.
 
     Returns (grid, Phi, Phihat, Psi) with Phi(T) = G1, Phihat(T) = G1 + G2 and
-    Psi = -(D Phi D + R)^{-1} (D Phi C + B Phihat).  A horizon T that is not
-    > 0 is a DomainError, as in ``LQSpec``.
+    Psi = -(D Phi D + R)^{-1} (D Phi C + B Phihat).
     """
-    if not T > 0:
-        raise DomainError("horizon must be positive")
     coef = _stage_coefficients((A, B, C, D, Q, R))
-    psis = np.empty(steps + 1)
-    fb, k = None, steps + 1     # the feedback of the latest stage, its node
+    psis, psi = array("d"), None    # node feedbacks, last node first; latest stage's
 
-    def feedback(s, c, p, ph):
-        Af, Bf, Cf, Df, Qf, Rf = c
+    def rhs(s, y):
+        nonlocal psi
+        Af, Bf, Cf, Df, Qf, Rf = coef(s)
+        p, ph = y
         den = Df * p * Df + Rf
         if abs(den) < SINGULAR_TOL:
             raise SingularityError(s, "in the feedback gain")
-        return -(Df * p * Cf + Bf * ph) / den
-
-    def rhs(s, y):
-        nonlocal fb
-        c = coef(s)
-        Af, Bf, Cf, Df, Qf, Rf = c
-        p, ph = y
-        fb = psi = feedback(s, c, p, ph)
+        psi = -(Df * p * Cf + Bf * ph) / den
         acl = Af + Bf * psi
         ccl = Cf + Df * psi
         quad = ccl * p * ccl + Qf + psi * Rf * psi
         return [-(2.0 * p * acl + quad), -(2.0 * ph * acl + quad)]
 
-    def node():
-        nonlocal k
-        k -= 1
-        psis[k] = fb
-
-    grid, out = rk4_backward(rhs, np.array([G1, G1 + G2]), T, steps, node)
-    # nodes 1..steps were filled by the first stage of the step leaving them
-    psis[0] = feedback(0.0, coef(0.0), *out[0].tolist())
-    return grid, out[:, 0], out[:, 1], psis
+    grid, out = rk4_backward(rhs, np.array([G1, G1 + G2]), T, steps,
+                             lambda: psis.append(psi))
+    return grid, out[:, 0], out[:, 1], np.frombuffer(psis)[::-1]
 
 
 @dataclass
@@ -303,6 +289,14 @@ class MeanVarResult:
     strategy: StrategyTable
     max_rel_err_phi1: float
     max_rel_err_v: float
+
+
+def _finite_floats(**params):
+    """The parameters as floats; one that is not a finite number is a DomainError."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"parameter '{name}' must be a finite number, got {value}")
+    return {name: float(value) for name, value in params.items()}
 
 
 def _mv_lq_spec(r, mu, sigma, gamma, T):
@@ -321,39 +315,30 @@ def meanvar_equilibrium(r, mu, sigma, gamma, T=1.0, steps=10000) -> MeanVarResul
     transcription variants that fail them are surfaced under ``variants`` for
     comparison and are never used.
     """
-    if sigma <= 0 or gamma <= 0:
+    r, mu, sigma, gamma = _finite_floats(r=r, mu=mu, sigma=sigma, gamma=gamma).values()
+    if not (sigma > 0 and gamma > 0):
         raise DomainError("sigma and gamma must be positive")
-    s2 = sigma * sigma
-    rf, excess, gf, s2f = float(r), float(mu - r), float(gamma), float(s2)
-    v = np.empty(steps + 1)
-    vk, k = None, steps + 1     # the control of the latest stage, its node
-
-    def vbar_of(p1, p4, p6, p7):
-        den = s2f * p1
-        if abs(den) < SINGULAR_TOL:
-            raise SingularityError(0.0, "sigma^2 phi1 vanished")
-        return -excess * (p4 - gf * p6 * p7) / den
+    s2, excess = sigma * sigma, mu - r
+    vs, vk = array("d"), None   # node controls, last node first; latest stage's
 
     def rhs(s, y):
         nonlocal vk
         p1, p4, p6, p7 = y
-        vk = vbar_of(p1, p4, p6, p7)
+        den = s2 * p1
+        if abs(den) < SINGULAR_TOL:
+            raise SingularityError(0.0, "sigma^2 phi1 vanished")
+        vk = -excess * (p4 - gamma * p6 * p7) / den
         return [
-            -2.0 * rf * p1,
-            -(vk * excess * p1 + rf * p4),
-            -rf * p6,
+            -2.0 * r * p1,
+            -(vk * excess * p1 + r * p4),
+            -r * p6,
             -(p6 * excess * vk),
         ]
 
-    def node():
-        nonlocal k
-        k -= 1
-        v[k] = vk
-
-    grid, out = rk4_backward(rhs, np.array([gamma, -1.0, 1.0, 0.0]), T, steps, node)
+    grid, out = rk4_backward(rhs, np.array([gamma, -1.0, 1.0, 0.0]), T, steps,
+                             lambda: vs.append(vk))
     p1, p4, p6, p7 = out.T
-    # nodes 1..steps were filled by the first stage of the step leaving them
-    v[0] = vbar_of(*out[0].tolist())
+    v = np.frombuffer(vs)[::-1]
     closed = meanvar_closed_form(r, mu, sigma, gamma, T)
     variants = {
         "phi1_alt": lambda t: np.exp(2.0 * gamma * (T - np.asarray(t, dtype=float))),
@@ -388,11 +373,12 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
     coarse).  The linear investment coefficient is (mu - r)/(gamma sigma^2);
     the consumption coefficient table is returned per grid node.
     """
-    r, mu, sigma, gamma, alpha, rho1, rho2, lam = map(
-        float, (r, mu, sigma, gamma, alpha, rho1, rho2, lam))
-    if sigma <= 0 or gamma <= 0 or gamma == 1.0:
+    params = _finite_floats(r=r, mu=mu, sigma=sigma, gamma=gamma, alpha=alpha, rho1=rho1,
+                            rho2=rho2, lam=lam)
+    r, mu, sigma, gamma, alpha, rho1, rho2, lam = params.values()
+    if not (sigma > 0 and gamma > 0) or gamma == 1.0:
         raise DomainError("need sigma > 0, gamma > 0, gamma != 1")
-    if alpha / (1.0 - gamma) <= 0:
+    if not alpha / (1.0 - gamma) > 0:
         raise DomainError("need alpha/(1 - gamma) > 0")
     if not 0.0 <= lam <= 1.0:
         raise DomainError("weight lam must lie in [0, 1]")
@@ -400,11 +386,6 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
     q = r + (mu - r) ** 2 / (2.0 * gamma * sigma * sigma)
     e1 = 1.0 / (alpha - 1.0)
     ea = alpha / (alpha - 1.0)
-
-    def cons_coeff(th1, th2):
-        mix = lam * th1 + (1.0 - lam) * th2
-        mixk = lam * th1 ** kappa + (1.0 - lam) * th2 ** kappa
-        return mix ** e1 / mixk ** e1
 
     def rhs(s, th):
         th1, th2 = th
@@ -430,12 +411,11 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
     th1, th2 = out[:, 0], out[:, 1]
     if np.any(th1 <= 0.0) or np.any(th2 <= 0.0):
         raise PositivityError("theta non-positive at a grid node")
-    cons = cons_coeff(th1, th2)
+    mix = lam * th1 + (1.0 - lam) * th2
+    mixk = lam * th1 ** kappa + (1.0 - lam) * th2 ** kappa
     return PlannerSolution(
-        s=grid, theta1=th1, theta2=th2, consumption_coeff=cons,
-        investment_coeff=(mu - r) / (gamma * sigma * sigma),
-        params={"r": r, "mu": mu, "sigma": sigma, "gamma": gamma, "alpha": alpha,
-                "rho1": rho1, "rho2": rho2, "lam": lam, "T": T})
+        s=grid, theta1=th1, theta2=th2, consumption_coeff=mix ** e1 / mixk ** e1,
+        investment_coeff=(mu - r) / (gamma * sigma * sigma), params=dict(params, T=T))
 
 
 @dataclass

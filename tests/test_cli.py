@@ -325,11 +325,40 @@ def test_malformed_config_values_are_config_errors(argv, doc, tmp_path, capsys):
     (["meanfield-lq"], {"B": math.inf}, "'B'"),
     (["meanfield-lq"], {"D": 10 ** 400}, "'D'"),
     (["meanfield-lq"], {"T": 0}, "horizon must be positive"),
-    (["meanfield-lq"], {"T": -1}, "horizon must be positive")])
+    (["meanfield-lq"], {"T": -1}, "horizon must be positive"),
+    # an empty taus, whichever route the family's gap takes
+    (["inconsistency", "--example", "ex31"], {"params": {"taus": []}}, "taus is empty"),
+    (["inconsistency", "--example", "stackelberg"], {"params": {"taus": []}}, "taus is empty"),
+    (["inconsistency", "--example", "ex41"], {"params": {"taus": []}}, "taus is empty"),
+    (["inconsistency", "--example", "meanvar_precommit"], {"params": {"taus": []}},
+     "taus is empty"),
+    # flags of the subcommands that take no config (doc None): a horizon that
+    # is not finite and positive, and a parameter that is not a finite number
+    (["planner", "--T", "0"], None, "horizon must be positive"),
+    (["planner", "--T", "-1"], None, "horizon must be positive"),
+    (["planner", "--T", "inf"], None, "horizon must be positive"),
+    (["planner", "--T", "nan"], None, "horizon must be positive"),
+    (["meanvar", "--T", "inf"], None, "horizon must be positive"),
+    (["meanvar", "--T", "nan"], None, "horizon must be positive"),
+    (["meanvar", "--T", "0"], None, "horizon must be positive"),
+    (["planner", "--sigma", "nan"], None, "'sigma'"),
+    (["planner", "--r", "nan"], None, "'r'"),
+    (["planner", "--mu", "nan"], None, "'mu'"),
+    (["planner", "--gamma", "nan"], None, "'gamma'"),
+    (["planner", "--alpha", "nan"], None, "'alpha'"),
+    (["planner", "--rho1", "nan"], None, "'rho1'"),
+    (["planner", "--rho2", "inf"], None, "'rho2'"),
+    (["planner", "--lam", "nan"], None, "'lam'"),
+    (["meanvar", "--mu", "nan"], None, "'mu'"),
+    (["meanvar", "--r", "inf"], None, "'r'"),
+    (["meanvar", "--sigma", "nan"], None, "'sigma'"),
+    (["meanvar", "--gamma", "nan"], None, "'gamma'")])
 def test_config_errors_name_the_bad_value(argv, doc, name, tmp_path, capsys):
     cfg, out = tmp_path / "bad.json", tmp_path / "out"
-    cfg.write_text(json.dumps(doc))
-    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    if doc is not None:
+        cfg.write_text(json.dumps(doc))
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and name in err
     assert not out.exists()

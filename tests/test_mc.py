@@ -181,8 +181,9 @@ def test_perturbed_strategy_window_semantics():
 def test_perturbed_strategy_validation():
     spec = mv_r0()
     base = mv_r0_equilibrium(spec)
-    with pytest.raises(DomainError):
-        perturbed_strategy(base, 0.95, 0.1, 0.0, spec)
+    for t in (0.95, -0.1, math.nan):
+        with pytest.raises(DomainError, match="outside the horizon"):
+            perturbed_strategy(base, t, 0.1, 0.0, spec)
     with pytest.raises(DomainError):
         perturbed_strategy(base, 0.1, 0.1, 1e6, spec)
     for eps in (-0.1, math.nan):
@@ -684,8 +685,8 @@ def test_simulate_forward_refuses_empty_keep_times():
     with pytest.raises(DomainError, match="keep_times is empty"):
         simulate_forward(spec, const_strategy(0.0, spec), 0.0, 1.0, MCConfig(n_paths=10),
                          keep_times=())
-    # a sampled inconsistency gap tabulates no taus through the same refusal
-    with pytest.raises(DomainError, match="keep_times is empty"):
+    # an inconsistency gap refuses no taus before it simulates
+    with pytest.raises(DomainError, match="taus is empty"):
         demonstrate_inconsistency("ex41", MCConfig(n_paths=10), {"taus": []})
 
 

@@ -118,7 +118,8 @@ def test_rk4_rejects_bad_steps():
 
 def test_rk4_node_hook_follows_each_first_stage():
     # per step: rhs at the node with the node's state, node(), then three more
-    # rhs calls; the hook never sees a stage of its own
+    # rhs calls; the hook never sees a stage of its own.  At node 0 a last rhs
+    # call with the final state precedes the last node()
     steps, log = 40, []
 
     def rhs(s, y):
@@ -126,13 +127,33 @@ def test_rk4_node_hook_follows_each_first_stage():
         return [-y[0] + s, 0.5 * y[1] * y[0]]
 
     grid, out = rk4_backward(rhs, [1.0, 2.0], 1.5, steps, lambda: log.append(("node",)))
-    assert len(log) == 5 * steps
-    assert sum(entry[0] == "rhs" for entry in log) == 4 * steps
+    assert len(log) == 5 * steps + 2
+    assert sum(entry[0] == "rhs" for entry in log) == 4 * steps + 1
     for k in range(steps):
         first, hook, *rest = log[5 * k:5 * k + 5]
         assert hook == ("node",)
         assert first == ("rhs", grid[steps - k], out[steps - k].tolist())
         assert [entry[0] for entry in rest] == ["rhs"] * 3
+    assert log[-2:] == [("rhs", 0.0, out[0].tolist()), ("node",)]
+
+
+def test_rk4_without_a_hook_makes_four_rhs_calls_per_step(monkeypatch):
+    # the last node's rhs call exists for the hook only
+    steps, calls = 40, []
+    rk4 = riccati.rk4_backward
+
+    def counted(rhs, *args, **kwargs):
+        def rhs_counted(s, y):
+            calls.append(s)
+            return rhs(s, y)
+        return rk4(rhs_counted, *args, **kwargs)
+
+    counted(lambda s, y: [-y[0], 0.0], [1.0, 2.0], 1.0, steps)
+    assert len(calls) == 4 * steps
+    calls.clear()
+    monkeypatch.setattr(riccati, "rk4_backward", counted)
+    solve_planner(0.03, 0.08, 0.2, 0.5, 0.3, 0.05, 0.05, 0.4, steps=steps)
+    assert len(calls) == 4 * steps
 
 
 @pytest.mark.parametrize("bad_call", [1, 4, 5, 23, 160])
@@ -159,12 +180,14 @@ def test_rk4_rhs_of_another_length_is_refused(width):
         rk4_backward(lambda s, y: [0.0] * width, [1.0, 2.0], 1.0, 4)
 
 
-def _rk4_list_kernel(rhs, y, nodes, hs, out, node=lambda: None):
+def _rk4_list_kernel(rhs, y, nodes, hs, out, node=riccati._no_node):
     """The list-comprehension step loop that the generated one replaced, kept
     as the oracle: the same stages and update, one comprehension per stage,
-    with ``node`` called after each first stage."""
+    with ``node`` called after each first stage and, given a hook, after one
+    more rhs call at the last node."""
     isfinite = math.isfinite
     out[0] = y
+    i = 0
     for i, s, h in zip(itertools.count(1), nodes, hs):
         half = 0.5 * h
         k1 = rhs(s, y)
@@ -178,6 +201,9 @@ def _rk4_list_kernel(rhs, y, nodes, hs, out, node=lambda: None):
         if not all(map(isfinite, y)):
             raise BlowUpError(nodes[i])
         out[i] = y
+    if node is not riccati._no_node:
+        rhs(nodes[i], y)
+        node()
 
 
 @pytest.mark.parametrize("command", ["lq-riccati", "meanfield-lq", "planner", "meanvar",
