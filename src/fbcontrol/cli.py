@@ -229,6 +229,8 @@ def cmd_meanfield_lq(args):
 
 def cmd_meanvar(args):
     r, mu, sigma, gamma, T = args.r, args.mu, args.sigma, args.gamma, args.T
+    if not math.isfinite(args.x0):       # the PDE grid is centred on x0
+        raise DomainError(f"--x0 must be a finite number, got {args.x0}")
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_floats(args.eps))
     times = _parse_floats(args.times)
     res = riccati.meanvar_equilibrium(r, mu, sigma, gamma, T, steps=args.steps)
@@ -319,6 +321,8 @@ def cmd_mc_verify(args):
     doc = {"family": "mean_variance", **_load_config(args)}
     spec = model.spec_from_json(doc)
     if args.strategy_const is not None:
+        if not math.isfinite(args.strategy_const):
+            raise DomainError(f"--strategy-const must be a finite number, got {args.strategy_const}")
         strat = model.StrategyTable(spec.u_lo, spec.u_hi,
                                     fn=model.constant_control(args.strategy_const))
     else:

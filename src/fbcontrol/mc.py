@@ -27,6 +27,7 @@ from .riccati import _simpson, rk4_integrate
 BLOCK_PATHS = 1024          # path columns per Philox block
 FK_STREAM = 2 ** 32         # first stream tag of check_feynman_kac sample points
 _CHUNK_CELLS = 1 << 15      # most state cells (rows x paths) one Euler chunk steps
+_PANELS = 2048              # RK4 and Simpson panels of a cost-flow piece and of the closed loop
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,6 @@ def _euler_steps(spec, control, x, times, dt, normals, visit=None):
     entry in row-major order.
     """
     n_steps = times.size - 1
-    if normals.shape[0] < n_steps:
-        raise DomainError("supplied increment block is too short")
     sqdt = math.sqrt(dt)
     width = max(1, _CHUNK_CELLS // math.prod(x.shape[:-1]))
     xt = np.empty(x.shape)
@@ -154,8 +153,7 @@ def _euler_steps(spec, control, x, times, dt, normals, visit=None):
     return xt
 
 
-def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, normals=None,
-                     keep_times=None) -> PathEnsemble:
+def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, keep_times=None) -> PathEnsemble:
     """Euler-Maruyama under a feedback strategy on [t0, T].
 
     The ensemble stores every grid row, or with ``keep_times`` only the rows
@@ -173,8 +171,7 @@ def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, normals=None,
     else:
         rows = np.unique([int(np.argmin(np.abs(times - t))) for t in keep_times])
     n_steps = int(rows[-1])
-    if normals is None:
-        normals = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic)
+    normals = path_normals(cfg.seed, cfg.n_paths, n_steps, cfg.antithetic)
     slot = {int(j): i for i, j in enumerate(rows)}
     x = np.full(normals.shape[1], x0, dtype=float)
     X = np.empty((rows.size, x.size))
@@ -209,7 +206,7 @@ class PerturbedStrategy(StrategyTable):
         return self.outside(s, x)
 
 
-def perturbed_strategy(psi_bar, t, eps, u, spec=None):
+def perturbed_strategy(psi_bar, t, eps, u, spec):
     _spike_columns(spec, psi_bar, t, [(eps, u)])      # the checks of a spike
     return PerturbedStrategy(psi_bar, t, eps, u)
 
@@ -217,15 +214,14 @@ def perturbed_strategy(psi_bar, t, eps, u, spec=None):
 def _spike_columns(spec, psi_bar, t, spikes):
     """The spikes (eps, u) at t as two columns: window ends t + eps, and window
     controls u clipped to psi_bar's bounds as the perturbed strategy clips a
-    float.  Given a spec, each window must lie in the horizon and u in U."""
+    float.  Each window must lie in spec's horizon and each u in its U."""
     for eps, u in spikes:
         if not eps > 0:
             raise DomainError("window width must be positive")
-        if spec is not None:
-            if not (t >= 0 and t + eps <= spec.horizon + 1e-12):
-                raise DomainError("perturbation window outside the horizon")
-            if not (spec.u_lo <= u <= spec.u_hi):
-                raise DomainError("perturbation control outside the control interval")
+        if not (t >= 0 and t + eps <= spec.horizon + 1e-12):
+            raise DomainError("perturbation window outside the horizon")
+        if not (spec.u_lo <= u <= spec.u_hi):
+            raise DomainError("perturbation control outside the control interval")
     return (np.array([float(t) + float(eps) for eps, _ in spikes]),
             np.array([min(max(float(u) + 0.0, psi_bar.u_lo), psi_bar.u_hi) for _, u in spikes]))
 
@@ -279,7 +275,7 @@ def _breaks(t, T, window):
     return sorted(breaks)
 
 
-def _cost_quadrature(spec, t, x, pieces, panels=2048):
+def _cost_quadrature(spec, t, x, pieces):
     """Composite Simpson on the reduced running integrand along the ODE flow.
 
     ``pieces`` lists (s0, s1, control) in time order; each piece is integrated
@@ -295,7 +291,7 @@ def _cost_quadrature(spec, t, x, pieces, panels=2048):
         # pieces are treated closed-from-the-left: clamp queries below s1 so a
         # half-open window keeps its own control on the whole piece
         s_in = np.nextafter(s1, s0)
-        nodes = np.linspace(s0, s1, panels + 1)
+        nodes = np.linspace(s0, s1, _PANELS + 1)
         flow, u = _flow_ode(spec, lambda s, xx: control(min(s, s_in), xx), x, nodes)
         flows += 1
         vals = np.asarray(spec.reduced_running(t, nodes, u), dtype=float)
@@ -386,7 +382,7 @@ _GENERAL_COST = ("general recursive costs are not simulated; use the perturbatio
                  "route (pde.solve_perturbation)")
 
 
-def evaluate_cost(spec, strategy_or_control, t, x, cfg: MCConfig):
+def evaluate_cost(spec, strategy, t, x, cfg: MCConfig):
     """Recursive cost at (t, x) under a strategy; returns (estimate, stderr).
 
     Deterministic problems integrate the reduced running integrand by
@@ -394,9 +390,6 @@ def evaluate_cost(spec, strategy_or_control, t, x, cfg: MCConfig):
     function on simulated moments.  Anything else is directed to the
     perturbation-field route.
     """
-    strategy = strategy_or_control
-    if not isinstance(strategy, StrategyTable) and callable(strategy):
-        strategy = StrategyTable(spec.u_lo, spec.u_hi, fn=lambda s, xx: strategy_or_control(s, xx))
     if spec.cost_class == "deterministic":
         return _deterministic_cost(spec, strategy, t, x)[0], 0.0
     if spec.cost_class == "bolza_condexp":
@@ -512,7 +505,7 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
     deterministic = spec.cost_class == "deterministic"
     if deterministic:
         # the flow runs through the first node past the last probe time only
-        nodes = np.linspace(0.0, T, 2049)
+        nodes = np.linspace(0.0, T, _PANELS + 1)
         nodes = nodes[:np.searchsorted(nodes, max(t_list), side="right") + 1]
         flow = _flow_ode(spec, psi_bar, np.array([float(spec.x0)]), nodes)[0][0]
     else:

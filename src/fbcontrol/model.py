@@ -523,21 +523,19 @@ def linear_heat(a=1.0, T=1.0, terminal="x", x0=0.0):
         "gaussians": lambda x: (np.exp(-(np.asarray(x) - 0.7) ** 2)
                                 + 0.5 * np.exp(-2.0 * (np.asarray(x) + 1.1) ** 2)),
     }
-    if isinstance(terminal, str) and terminal not in terminals:
+    if not (isinstance(terminal, str) and terminal in terminals):
         raise DomainError(f"linear_heat terminal must be one of {sorted(terminals)}, "
                           f"got {terminal!r}")
-    h = terminals[terminal] if isinstance(terminal, str) else terminal
     return ControlProblemSpec(
         name="linear_heat",
         drift=lambda s, x, u: 0.0 * np.asarray(x, dtype=float),
         diffusion=lambda s, x, u: sig * np.ones_like(np.asarray(x, dtype=float)),
         generator=_zero_generator,
-        terminal=h,
+        terminal=terminals[terminal],
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),
         cost_terminal=lambda t, xt, x, y: y,
         u_lo=-1.0, u_hi=1.0, horizon=float(T), m=1, x0=float(x0),
-        params={"a": a, "terminal": terminal if isinstance(terminal, str) else "custom",
-                "x0": float(x0)},
+        params={"a": a, "terminal": terminal, "x0": float(x0)},
         terminal_split=_Y_SPLIT,
     )
 
@@ -739,8 +737,6 @@ def make_spec(family, params=None, T=None, U=None):
 
 def spec_to_json(spec):
     """The JSON document that ``spec_from_json`` rebuilds the spec from."""
-    if spec.params.get("terminal") == "custom":
-        raise DomainError(f"a '{spec.name}' spec with a callable terminal has no JSON form")
     doc = {"family": spec.name, "params": dict(spec.params), "T": spec.horizon}
     builder = FAMILIES.get(spec.name)
     if builder is None or "U" in inspect.signature(builder).parameters:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -1028,14 +1027,14 @@ def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpe
 _KERNEL_PANELS, _KERNEL_SWEEPS, _KERNEL_TOL = 2048, 20, 1e-12
 
 
-def kernel_solve_linear(spec, grid: GridSpec, pad=None):
+def kernel_solve_linear(spec, grid: GridSpec):
     """Volterra-form solve of the fully linear problem via the Gaussian kernel.
 
     Valid for constant diffusion and coefficients independent of the field
     (read at u = 0); used to validate the finite-difference stepping.
-    Quadrature is composite Simpson on a mu grid padded beyond the target
-    domain; a truncation warning fires when the kernel mass outside the padded
-    window exceeds 1e-6 for some target node.
+    Quadrature is composite Simpson on a mu grid padded by 8 kernel standard
+    deviations sqrt(2 a T) beyond the target domain, outside of which the
+    kernel mass is at most erfc(8/sqrt(2)), about 1.2e-15, for every target node.
     """
     require_scalar_y(spec)
     xs, times = grid.xs, grid.times
@@ -1043,9 +1042,7 @@ def kernel_solve_linear(spec, grid: GridSpec, pad=None):
     a = 0.5 * sig0 * sig0
     if a <= 0:
         raise DegeneracyError("kernel route needs strictly positive diffusion")
-    std = math.sqrt(2.0 * a * grid.T)
-    if pad is None:
-        pad = 8.0 * std
+    pad = 8.0 * math.sqrt(2.0 * a * grid.T)
     mu = np.linspace(grid.x_lo - pad, grid.x_hi + pad, _KERNEL_PANELS + 1)
     dmu = mu[1] - mu[0]
     wts = np.ones(_KERNEL_PANELS + 1)
@@ -1053,10 +1050,6 @@ def kernel_solve_linear(spec, grid: GridSpec, pad=None):
     wts[2:-1:2] = 2.0
     wts *= dmu / 3.0
     h_mu = np.asarray(spec.terminal(mu), dtype=float)
-    worst_tail = math.erfc(pad / max(math.sqrt(2.0) * std, 1e-300))
-    if worst_tail > 1e-6:
-        warnings.warn("kernel quadrature window too small: tail mass %.2e" % worst_tail,
-                      RuntimeWarning)
 
     def kernel_matrix(s, r):
         # rows: target x, cols: quadrature mu

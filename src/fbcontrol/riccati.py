@@ -93,7 +93,6 @@ class RiccatiTrajectory:
     phi: np.ndarray               # shape (7, len(s))
     psi: np.ndarray               # feedback slope samples
     v: np.ndarray                 # feedback offset samples
-    ds: float
     terminal_residual: float
 
 
@@ -245,8 +244,7 @@ def solve_riccati_lq(lq: LQSpec, steps=10000) -> RiccatiTrajectory:
     resid = float(np.max(np.abs(phi[:, -1] - terminal)))
     assert float(np.max(np.abs(phi[1] - lq.G2))) == 0.0
     assert float(np.max(np.abs(phi[2] - lq.G3))) == 0.0
-    return RiccatiTrajectory(s=grid, phi=phi, psi=psis, v=vs,
-                             ds=lq.T / steps, terminal_residual=resid)
+    return RiccatiTrajectory(s=grid, phi=phi, psi=psis, v=vs, terminal_residual=resid)
 
 
 def solve_meanfield_riccati(A, B, C, D, Q, R, G1, G2, T=1.0, steps=10000):
@@ -291,11 +289,11 @@ class MeanVarResult:
     max_rel_err_v: float
 
 
-def _finite_floats(**params):
+def _finite_floats(what="parameter", **params):
     """The parameters as floats; one that is not a finite number is a DomainError."""
     for name, value in params.items():
         if not math.isfinite(value):
-            raise DomainError(f"parameter '{name}' must be a finite number, got {value}")
+            raise DomainError(f"{what} '{name}' must be a finite number, got {value}")
     return {name: float(value) for name, value in params.items()}
 
 
@@ -378,12 +376,17 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
     r, mu, sigma, gamma, alpha, rho1, rho2, lam = params.values()
     if not (sigma > 0 and gamma > 0) or gamma == 1.0:
         raise DomainError("need sigma > 0, gamma > 0, gamma != 1")
-    if not alpha / (1.0 - gamma) > 0:
-        raise DomainError("need alpha/(1 - gamma) > 0")
+    if not (alpha / (1.0 - gamma) > 0 and alpha != 1.0):       # NaN fails the first
+        raise DomainError("need alpha/(1 - gamma) > 0 and alpha != 1")
     if not 0.0 <= lam <= 1.0:
         raise DomainError("weight lam must lie in [0, 1]")
     kappa = (1.0 - gamma - alpha) / (1.0 - gamma)
-    q = r + (mu - r) ** 2 / (2.0 * gamma * sigma * sigma)
+    try:
+        q = r + (mu - r) ** 2 / (2.0 * gamma * sigma * sigma)
+        invest = (mu - r) / (gamma * sigma * sigma)
+    except (OverflowError, ZeroDivisionError):      # float powers and quotients raise
+        q = invest = math.inf
+    _finite_floats("planner coefficient", kappa=kappa, q=q, investment_coeff=invest)
     e1 = 1.0 / (alpha - 1.0)
     ea = alpha / (alpha - 1.0)
 
@@ -415,29 +418,27 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
     mixk = lam * th1 ** kappa + (1.0 - lam) * th2 ** kappa
     return PlannerSolution(
         s=grid, theta1=th1, theta2=th2, consumption_coeff=mix ** e1 / mixk ** e1,
-        investment_coeff=(mu - r) / (gamma * sigma * sigma), params=dict(params, T=T))
+        investment_coeff=invest, params=dict(params, T=T))
 
 
 @dataclass
 class StackelbergResult:
-    T: float
     equilibrium_value: float
     equilibrium_strategy: StrategyTable
     precommitted: Callable          # u(s; t) announced at anchor t
-    reduced_integrand: Callable     # (t, s, u) -> running cost rate
     gap: Callable                   # tau -> sup-norm control gap
     leader_cost: Callable           # t -> closed-form cost of the anchored optimum
     leader_cost_quadrature: Callable
 
 
-def stackelberg_leader(T=1.0) -> StackelbergResult:
-    """Closed forms for the leader benchmark.
+def stackelberg_leader() -> StackelbergResult:
+    """Closed forms for the leader benchmark, the T = 1 instance of ``model.stackelberg``.
 
     The control announced at anchor t is [ln(2-t) - ln(2-s) - 1]/2 and the
     time-consistent feedback is the constant -1/2; the reduced integrand, the
     equilibrium and the gap are those of ``model.stackelberg``.
     """
-    spec = _stackelberg_spec(T=T)
+    spec = _stackelberg_spec()
 
     def precommitted(s, t=0.0):
         return 0.5 * (np.log(2.0 - np.asarray(t, dtype=float)) - np.log(2.0 - np.asarray(s, dtype=float)) - 1.0)
@@ -446,14 +447,14 @@ def stackelberg_leader(T=1.0) -> StackelbergResult:
         w = 2.0 - t
         return -(1.0 - t - math.log(w) ** 2) / 4.0
 
-    def leader_cost_quadrature(t, panels=4096):
-        s = np.linspace(t, T, panels + 1)
+    def leader_cost_quadrature(t):
+        s = np.linspace(t, spec.horizon, 4097)
         vals = spec.reduced_running(t, s, precommitted(s, t))
         return float(_simpson(vals, s[1] - s[0]))
 
     return StackelbergResult(
-        T=float(T), equilibrium_value=-0.5, equilibrium_strategy=equilibrium_strategy(spec),
-        precommitted=precommitted, reduced_integrand=spec.reduced_running, gap=spec.closed_forms.gap,
+        equilibrium_value=-0.5, equilibrium_strategy=equilibrium_strategy(spec),
+        precommitted=precommitted, gap=spec.closed_forms.gap,
         leader_cost=leader_cost, leader_cost_quadrature=leader_cost_quadrature)
 
 

@@ -352,7 +352,25 @@ def test_malformed_config_values_are_config_errors(argv, doc, tmp_path, capsys):
     (["meanvar", "--mu", "nan"], None, "'mu'"),
     (["meanvar", "--r", "inf"], None, "'r'"),
     (["meanvar", "--sigma", "nan"], None, "'sigma'"),
-    (["meanvar", "--gamma", "nan"], None, "'gamma'")])
+    (["meanvar", "--gamma", "nan"], None, "'gamma'"),
+    # a linear_heat terminal that is not one of the names
+    (["pde-solve"], {"family": "linear_heat", "params": {"terminal": 3}},
+     "terminal must be one of ['gaussians', 'x', 'x2'], got 3"),
+    (["pde-solve"], {"family": "linear_heat", "params": {"terminal": None}},
+     "terminal must be one of ['gaussians', 'x', 'x2'], got None"),
+    # a start state the PDE grid cannot centre on
+    (["meanvar", "--x0", "nan"], None, "--x0 must be a finite number"),
+    (["meanvar", "--x0", "inf"], None, "--x0 must be a finite number"),
+    # planner parameters whose derived coefficients divide by zero or overflow
+    (["planner", "--alpha", "1"], None, "alpha != 1"),
+    (["planner", "--sigma", "1e-200"], None, "planner coefficient 'q'"),
+    (["planner", "--r", "1e300"], None, "planner coefficient 'q'"),
+    (["planner", "--mu", "1e300"], None, "planner coefficient 'q'"),
+    (["planner", "--gamma", "0.9999999999999999", "--alpha", "1e300"], None,
+     "planner coefficient 'kappa'"),
+    # a constant strategy that is not a finite number
+    (["mc-verify", "--strategy-const", "nan"], None, "--strategy-const must be a finite number"),
+    (["mc-verify", "--strategy-const", "inf"], None, "--strategy-const must be a finite number")])
 def test_config_errors_name_the_bad_value(argv, doc, name, tmp_path, capsys):
     cfg, out = tmp_path / "bad.json", tmp_path / "out"
     if doc is not None:
@@ -361,6 +379,19 @@ def test_config_errors_name_the_bad_value(argv, doc, name, tmp_path, capsys):
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and name in err
+    assert not out.exists()
+
+
+def test_meanvar_refuses_a_non_finite_x0_before_any_riccati_solve(tmp_path, monkeypatch,
+                                                                  capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("a Riccati system was solved")
+
+    monkeypatch.setattr(riccati, "meanvar_equilibrium", solve)
+    monkeypatch.setattr(riccati, "solve_riccati_lq", solve)
+    out = tmp_path / "out"
+    assert run(["meanvar", "--x0", "nan", "--out", str(out)]) == 2
+    assert "config error: --x0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -452,16 +483,18 @@ def test_non_finite_mc_verify_inputs_are_config_errors(tmp_path, capsys):
         assert not out.exists(), argv
 
 
-def test_non_finite_deterministic_flow_is_a_solver_error(tmp_path, capsys):
+def test_non_finite_deterministic_flow_is_a_solver_error(tmp_path, capsys, monkeypatch):
     # under a NaN control the leader's state x' = u goes non-finite at once;
-    # ex31's state x' = 0 x stays finite, and the NaN control itself is caught
+    # ex31's state x' = 0 x stays finite, and the NaN control itself is caught.
+    # --strategy-const refuses NaN, so the NaN strategy is the default one
+    monkeypatch.setattr(model, "equilibrium_strategy", lambda spec: model.StrategyTable(
+        spec.u_lo, spec.u_hi, fn=model.constant_control(math.nan)))
     for family, message in (("stackelberg", "blow-up detected"),
                             ("ex31", "non-finite evaluation of coefficient 'control'")):
         cfg = tmp_path / f"{family}.json"
         cfg.write_text(json.dumps({"family": family}))
         out = tmp_path / f"nan_{family}"
-        assert run(["mc-verify", "--config", str(cfg), "--strategy-const", "nan",
-                    "--out", str(out)]) == 1, family
+        assert run(["mc-verify", "--config", str(cfg), "--out", str(out)]) == 1, family
         assert f"solver error: {message}" in capsys.readouterr().err, family
         assert not out.exists(), family
 

@@ -181,11 +181,15 @@ def test_perturbed_strategy_window_semantics():
 def test_perturbed_strategy_validation():
     spec = mv_r0()
     base = mv_r0_equilibrium(spec)
-    for t in (0.95, -0.1, math.nan):
+    for t in (0.95, -0.1, math.nan, math.inf):
         with pytest.raises(DomainError, match="outside the horizon"):
             perturbed_strategy(base, t, 0.1, 0.0, spec)
-    with pytest.raises(DomainError):
-        perturbed_strategy(base, 0.1, 0.1, 1e6, spec)
+    for u in (1e6, math.nan):
+        with pytest.raises(DomainError, match="outside the control interval"):
+            perturbed_strategy(base, 0.1, 0.1, u, spec)
+    # the checks need the spec's horizon and U, so a spike without one is refused
+    with pytest.raises(TypeError, match="spec"):
+        perturbed_strategy(base, math.nan, 0.1, 0.0)
     for eps in (-0.1, math.nan):
         with pytest.raises(DomainError):
             perturbed_strategy(base, 0.1, eps, 0.0, spec)
@@ -196,9 +200,8 @@ def test_paths_agree_before_window():
     base = mv_r0_equilibrium(spec)
     pert = perturbed_strategy(base, 0.5, 0.1, 0.0, spec)
     cfg = MCConfig(n_paths=500, seed=6)
-    z = path_normals(6, 500, 100)
-    e_base = simulate_forward(spec, base, 0.0, 1.0, cfg, normals=z)
-    e_pert = simulate_forward(spec, pert, 0.0, 1.0, cfg, normals=z)
+    e_base = simulate_forward(spec, base, 0.0, 1.0, cfg)
+    e_pert = simulate_forward(spec, pert, 0.0, 1.0, cfg)
     j = int(np.argmin(np.abs(e_base.times - 0.5)))
     assert np.array_equal(e_base.paths_tn[: j + 1], e_pert.paths_tn[: j + 1])
     assert not np.array_equal(e_base.paths_tn[-1], e_pert.paths_tn[-1])
@@ -651,7 +654,7 @@ def test_deterministic_closed_loop_stops_past_the_last_probe_time(monkeypatch):
 def test_perturbed_strategy_clips_only_a_non_clamping_base():
     spec = mv_r0()
     base = StrategyTable(-1.0, 1.0, fn=lambda s, x: 3.0 * np.asarray(x, dtype=float))
-    pert = perturbed_strategy(base, 0.3, 0.1, 5.0)
+    pert = perturbed_strategy(base, 0.3, 0.1, 5.0, spec)      # 5 lies in the spec's U
     assert pert.outside is base
     x = np.array([-1.0, 0.25, 0.9])
     assert np.array_equal(pert(0.5, x), base(0.5, x))

@@ -520,10 +520,11 @@ def test_spec_json_round_trip():
             (spec.name, 2.0, 0.25, spec.u_lo, spec.u_hi)
 
 
-def test_spec_json_refuses_callable_terminal():
-    # the builder's params record only "custom", which no reader can rebuild
-    with pytest.raises(DomainError):
-        spec_to_json(model.linear_heat(terminal=lambda x: x ** 3))
+def test_linear_heat_refuses_a_terminal_that_is_not_a_name():
+    # params record the terminal's name, from which spec_from_json rebuilds it
+    for terminal in (lambda x: x ** 3, 3, None, ["x"]):
+        with pytest.raises(DomainError, match="terminal must be one of"):
+            model.linear_heat(terminal=terminal)
 
 
 def test_closed_forms_live_on_the_spec():

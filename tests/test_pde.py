@@ -1576,19 +1576,13 @@ def test_kernel_agrees_with_finite_differences():
     b1, b2 = rng.uniform(0.7, 2.0, size=2)
     h = lambda x: (a1 * np.exp(-b1 * (np.asarray(x) - c1) ** 2)
                    + a2 * np.exp(-b2 * (np.asarray(x) - c2) ** 2))
-    spec = model.linear_heat(a=1.0, terminal=h)
+    spec = replace(model.linear_heat(a=1.0), terminal=h)
     gridk = pde.GridSpec(-6.0, 6.0, 97, 33, 1.0)
     thk = pde.kernel_solve_linear(spec, gridk)
     gridf = pde.GridSpec(-6.0, 6.0, 97, 1001, 1.0)
     thf = pde.solve_theta(spec, ZERO, gridf)
     interior = np.abs(gridk.xs) <= 4.0
     assert np.max(np.abs(thk.values[0] - thf.values[0])[interior]) < 5e-3
-
-
-def test_kernel_truncation_warning():
-    grid = pde.GridSpec(-2.0, 2.0, 33, 9, 1.0)
-    with pytest.warns(RuntimeWarning):
-        pde.kernel_solve_linear(model.linear_heat(a=1.0, terminal="x"), grid, pad=0.5)
 
 
 # ---------------------------------------------------------------------------
