@@ -30,13 +30,14 @@ def write_csv(path, header, rows):
     """Write a CSV artifact: the column names, then one line per row with every
     value formatted by FLOAT_FMT, which round-trips doubles exactly.
 
-    ``rows`` is a 2-D array or a list of rows, one value per name in each row.
-    Rows are written a block of _CSV_BLOCK at a time, which bounds memory.  In
-    a float64 array block, a column whose bit patterns repeat (runs of one
-    pattern, like the s column of a meshgrid table, or one period repeated,
-    like its x column) has each distinct pattern formatted once and its text
-    reused, so the bytes are those of formatting every cell.
+    ``rows`` is anything that converts to a 2-D float array, one value per
+    name in each row.  Rows are written a block of _CSV_BLOCK at a time, which
+    bounds memory.  A column whose bit patterns repeat (runs of one pattern,
+    like the s column of a meshgrid table, or one period repeated, like its x
+    column) has each distinct pattern formatted once and its text reused, so
+    the bytes are those of formatting every cell.
     """
+    rows = np.asarray(rows, dtype=float)
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK):
@@ -45,17 +46,13 @@ def write_csv(path, header, rows):
 
 def _block_lines(block, k):
     """The CSV lines of one block of rows of k values."""
-    line = ",".join([FLOAT_FMT] * k) + "\n"
-    if not isinstance(block, np.ndarray):
-        return [line % tuple(row) for row in block]
     rows = block.tolist()                # Python floats format fastest
-    if block.dtype == np.float64 and block.shape[1:] == (k,):
-        texts = [_repeated_text(block[:, c]) for c in range(k)]
-        line = ",".join(FLOAT_FMT if text is None else "%s" for text in texts) + "\n"
-        for c, text in enumerate(texts):
-            if text is not None:
-                for row, t in zip(rows, text):
-                    row[c] = t
+    texts = [_repeated_text(block[:, c]) for c in range(k)]
+    line = ",".join(FLOAT_FMT if text is None else "%s" for text in texts) + "\n"
+    for c, text in enumerate(texts):
+        if text is not None:
+            for row, t in zip(rows, text):
+                row[c] = t
     return [line % tuple(row) for row in rows]
 
 
@@ -228,11 +225,16 @@ def cmd_meanfield_lq(args):
 
 
 def cmd_meanvar(args):
-    r, mu, sigma, gamma, T = args.r, args.mu, args.sigma, args.gamma, args.T
+    T = args.T
     if not math.isfinite(args.x0):       # the PDE grid is centred on x0
         raise DomainError(f"--x0 must be a finite number, got {args.x0}")
+    # the parameters are refused by name before the grid, which a NaN one collapses
+    r, mu, sigma, gamma = riccati._finite_floats(
+        r=args.r, mu=args.mu, sigma=args.sigma, gamma=args.gamma).values()
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed, eps_list=_parse_floats(args.eps))
     times = _parse_floats(args.times)
+    spec = model.mean_variance(r=r, mu=mu, sigma=sigma, gamma=gamma, T=T, x0=args.x0)
+    grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt)
     res = riccati.meanvar_equilibrium(r, mu, sigma, gamma, T, steps=args.steps)
     traj = riccati.solve_riccati_lq(riccati._mv_lq_spec(r, mu, sigma, gamma, T),
                                     steps=args.steps)
@@ -245,8 +247,6 @@ def cmd_meanvar(args):
         f"phi1_alt(0)={float(res.variants['phi1_alt'](0.0)):.7g} "
         f"vbar_alt(0)={float(res.variants['vbar_alt'](0.0)):.7g}",
     ]
-    spec = model.mean_variance(r=r, mu=mu, sigma=sigma, gamma=gamma, T=T, x0=args.x0)
-    grid = pde.default_grid(spec, nx=args.grid_nx, nt=args.grid_nt)
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, tol=args.tol)
     ref = res.closed["vbar"](grid.times)[:, None] + 0.0 * grid.xs[None, :]
     err = float(np.max(np.abs(strat.values - ref) / np.abs(ref)))
@@ -470,7 +470,7 @@ def _selftest_checks(seed):
         cfg = mc.MCConfig(n_paths=500, seed=seed)
         e1 = mc.simulate_forward(spec, strat, 0.0, 1.0, cfg)
         e2 = mc.simulate_forward(spec, strat, 0.0, 1.0, cfg)
-        assert np.array_equal(e1.paths, e2.paths)
+        assert np.array_equal(e1.paths_tn, e2.paths_tn)
         mv = model.mean_variance(r=0.0, mu=0.1, sigma=0.2, gamma=1.0, x0=1.0)
         eq = model.equilibrium_strategy(mv)          # constant in s when r = 0
         cfg2 = mc.MCConfig(n_paths=200, seed=seed, eps_list=(0.1,), u_list=(eq(0.2, 1.0),))

@@ -28,6 +28,7 @@ BLOCK_PATHS = 1024          # path columns per Philox block
 FK_STREAM = 2 ** 32         # first stream tag of check_feynman_kac sample points
 _CHUNK_CELLS = 1 << 15      # most state cells (rows x paths) one Euler chunk steps
 _PANELS = 2048              # RK4 and Simpson panels of a cost-flow piece and of the closed loop
+_MAX_DRAWS = 2 ** 30        # most normals (Euler steps x paths, 8 GiB) one ensemble may draw
 
 
 @dataclass(frozen=True)
@@ -77,20 +78,9 @@ def path_normals(seed, n_paths, n_steps, antithetic=False, stream=0):
 
 @dataclass
 class PathEnsemble:
-    t0: float
     times: np.ndarray            # times of the stored rows
     paths_tn: np.ndarray         # time-major, shape (len(times), n_paths)
-    seed: int
     controls_tn: Optional[np.ndarray] = None     # always None: controls are not stored
-
-    @property
-    def n_paths(self):
-        return self.paths_tn.shape[1]
-
-    @property
-    def paths(self):
-        """Path-major view, shape (n_paths, len(times))."""
-        return self.paths_tn.T
 
     def state_at(self, t):
         j = int(np.argmin(np.abs(self.times - t)))
@@ -98,8 +88,13 @@ class PathEnsemble:
 
 
 def _time_grid(t0, T, cfg):
-    """Euler grid on [t0, T] at cfg.steps_per_unit; returns (times, dt)."""
-    n_steps = max(1, int(round((T - t0) * cfg.steps_per_unit)))
+    """Euler grid on [t0, T] at cfg.steps_per_unit; returns (times, dt).  A grid
+    whose increments (steps x cfg.n_paths) exceed _MAX_DRAWS is a DomainError."""
+    steps = (T - t0) * cfg.steps_per_unit
+    if not steps * cfg.n_paths <= _MAX_DRAWS:
+        raise DomainError(f"the Euler grid on [{t0}, {T}] at {cfg.steps_per_unit} steps per "
+                          f"unit and {cfg.n_paths} paths would draw more than {_MAX_DRAWS} normals")
+    n_steps = max(1, int(round(steps)))
     dt = (T - t0) / n_steps
     return t0 + dt * np.arange(n_steps + 1), dt
 
@@ -183,7 +178,7 @@ def simulate_forward(spec, strategy, t0, x0, cfg: MCConfig, keep_times=None) -> 
             X[slot[k + 1], cols] = x_next
 
     _euler_steps(spec, strategy, x, times[:n_steps + 1], dt, normals, visit=record)
-    return PathEnsemble(t0=t0, times=times[rows], paths_tn=X, seed=cfg.seed)
+    return PathEnsemble(times=times[rows], paths_tn=X)
 
 
 class PerturbedStrategy(StrategyTable):
@@ -487,8 +482,8 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
     serve as evaluation points.  The reported quotient per (t, eps, u) is the
     minimum over evaluation states, and the verdict passes iff the
     smallest-window minimum quotient clears -tol_eq.  A spec of the general
-    cost class, an empty or non-finite list of probe times and a non-finite
-    tolerance are refused before any simulation.
+    cost class, an empty list of probe times or one that is negative or not
+    finite, and a non-finite tolerance are refused before any simulation.
     """
     if spec.cost_class == "general":
         raise UnsupportedCostClassError(_GENERAL_COST)
@@ -498,8 +493,8 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
         raise DomainError("no probe times")
     T = spec.horizon
     for t in t_list:
-        if not math.isfinite(t):
-            raise DomainError(f"probe time {t} is not finite")
+        if not 0.0 <= t < math.inf:
+            raise DomainError(f"probe time {t} is not a finite number >= 0")
         if t + max(cfg.eps_list) > T + 1e-12:
             raise DomainError(f"probe time {t} leaves no room for the window")
     deterministic = spec.cost_class == "deterministic"
@@ -550,7 +545,8 @@ def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
     """Gap between the control committed at time 0 and the one re-derived at tau.
 
     ``example_id`` is a family name (or an alias in ``EXAMPLE_FAMILIES``);
-    ``params`` holds the family's parameters and optionally ``taus``.  A
+    ``params`` holds the family's parameters and optionally ``taus``, times in
+    [0, T].  A
     family with an exact ``closed_forms.gap`` is tabulated; otherwise the state
     is simulated under the committed control and the per-path gap averaged,
     with the fraction of paths whose re-derived control departs.
@@ -567,10 +563,12 @@ def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
     if taus.size == 0:
         raise DomainError("taus is empty")
     spec = make_spec(EXAMPLE_FAMILIES.get(example_id, example_id), params)
+    if not np.all((taus >= 0.0) & (taus <= spec.horizon)):
+        raise DomainError(f"taus must lie in [0, T] = [0, {spec.horizon}], got {given!r}")
     cf = spec.closed_forms
     if cf.gap is not None:
         rows = [{"tau": float(tau), "gap": float(cf.gap(float(tau)))} for tau in taus]
-        return {"example": example_id, "rows": rows, "exact": True}
+        return {"rows": rows, "exact": True}
     if cf.committed is None or cf.path_gap is None:
         raise DomainError(f"family '{spec.name}' has no closed-form inconsistency gap")
     committed = StrategyTable(spec.u_lo, spec.u_hi, fn=cf.committed)
@@ -581,7 +579,7 @@ def demonstrate_inconsistency(example_id, cfg: MCConfig = None, params=None):
         gap_paths = cf.path_gap(float(tau), ens.state_at(tau))
         rows.append({"tau": float(tau), "gap": float(np.mean(gap_paths)),
                      "fraction_gt_1e-3": float(np.mean(gap_paths / scale > 1e-3))})
-    return {"example": example_id, "rows": rows, "exact": False}
+    return {"rows": rows, "exact": False}
 
 
 # ---------------------------------------------------------------------------

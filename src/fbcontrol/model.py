@@ -124,6 +124,18 @@ def require_scalar_y(spec):
                           "the PDE route takes m = 1 only")
 
 
+def grid_interp(s_grid, x_grid, values, s, x):
+    """A (len(s_grid), len(x_grid)) table at time s and states x: its two time
+    rows around s blended linearly (s clamped to the grid; equal grid times
+    take the earlier row), then ``np.interp`` in x, which holds the edge
+    values outside the grid."""
+    j = min(max(int(s_grid.searchsorted(s)) - 1, 0), s_grid.size - 2)
+    lo, hi = s_grid[j], s_grid[j + 1]
+    w = 0.0 if hi == lo else (s - lo) / (hi - lo)
+    w = min(max(w, 0.0), 1.0)
+    return np.interp(x, x_grid, (1.0 - w) * values[j] + w * values[j + 1])
+
+
 class StrategyTable:
     """A feedback strategy: closed-form callable or interpolated grid table.
 
@@ -146,20 +158,11 @@ class StrategyTable:
         else:
             self.s_grid = self.x_grid = self.values = None
 
-    @property
-    def is_grid(self):
-        return self.values is not None
-
     def __call__(self, s, x):
         if self.fn is not None:
             out = self.fn(s, x)
         else:
-            sg = self.s_grid
-            j = min(max(int(sg.searchsorted(s)) - 1, 0), sg.size - 2)
-            w = 0.0 if sg[j + 1] == sg[j] else (s - sg[j]) / (sg[j + 1] - sg[j])
-            w = min(max(w, 0.0), 1.0)
-            row = (1.0 - w) * self.values[j] + w * self.values[j + 1]
-            out = np.interp(x, self.x_grid, row)
+            out = grid_interp(self.s_grid, self.x_grid, self.values, s, x)
         if isinstance(x, float) and (isinstance(out, float) or getattr(out, "ndim", None) == 0):
             # the ufunc clip below on floats: on a tie each ufunc returns its
             # second operand, and a NaN passes both comparisons
@@ -205,12 +208,6 @@ class StrategyTable:
         out += 0.0
         np.maximum(self.u_lo, out, out=out)
         return np.minimum(self.u_hi, out, out=out)
-
-    def max_x_jump(self):
-        """Largest jump between adjacent space nodes (minimizer continuity probe)."""
-        if not self.is_grid or self.x_grid.size < 2:
-            return 0.0
-        return float(np.max(np.abs(np.diff(self.values, axis=1))))
 
 
 def equilibrium_strategy(spec):

@@ -50,8 +50,8 @@ from numpy.linalg import LinAlgError
 
 from .errors import (DegeneracyError, DomainError, EvaluationError,
                      FBControlError, YRangeError)
-from .model import (StrategyTable, constant_control, hamiltonian_H0_hat, heat_kernel,
-                    require_scalar_y)
+from .model import (StrategyTable, constant_control, grid_interp, hamiltonian_H0_hat,
+                    heat_kernel, require_scalar_y)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -116,12 +116,16 @@ def default_grid(spec, nx=129, nt=1001):
     sigma_bar is the largest |sigma| at x0 over s in {0, T/2, T}, measured at the
     family's ``closed_forms.grid_control`` (else 1 clipped to U), and at least
     1e-2.  A grid for the general cost-field tensor sets y_lo/y_hi on GridSpec.
+    A domain that rounds to x0, or whose half-width is NaN, is a DomainError.
     """
     u_ref = spec.closed_forms.grid_control
     u_ref = float(np.clip(1.0, spec.u_lo, spec.u_hi)) if u_ref is None else u_ref
     sigma_bar = max(abs(float(np.asarray(spec.diffusion(s, spec.x0, u_ref))))
                     for s in (0.0, 0.5 * spec.horizon, spec.horizon))
     half = 5.0 * max(sigma_bar, 1e-2) * math.sqrt(spec.horizon)
+    if not spec.x0 - half < spec.x0 + half:
+        raise DomainError(f"the default grid collapses: x0 = {spec.x0:.6g} with "
+                          f"half-width {half:.3g} gives no interval")
     return GridSpec(spec.x0 - half, spec.x0 + half, nx, nt, spec.horizon)
 
 
@@ -354,12 +358,7 @@ class FieldTheta(_OnGrid):
         return _dx_rows(self.values[j], self.dx)
 
     def at(self, s, x):
-        ts = self.times
-        j = int(np.clip(np.searchsorted(ts, s) - 1, 0, ts.size - 2))
-        w = (s - ts[j]) / (ts[j + 1] - ts[j])
-        w = min(max(w, 0.0), 1.0)
-        row = (1.0 - w) * self.values[j] + w * self.values[j + 1]
-        return np.interp(x, self.xs, row)
+        return grid_interp(self.times, self.xs, self.values, s, x)
 
 
 def _theta_block(spec, grid: GridSpec, times=None, term=None):
@@ -920,7 +919,6 @@ class IterationLog:
     converged: bool = False
     iterations: int = 0
     strategy_max_jump: float = 0.0
-    note: str = ""
 
     def add(self, it, res):
         self.rows.append({"iter": it, "residual_D": res["d"], "residual_Dx": res["dx"],
@@ -968,15 +966,13 @@ def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6):
         if max(res.values()) < tol:
             log.converged = True
             break
-    log.strategy_max_jump = strategy.max_x_jump()
-    if not log.converged:
-        log.note = "fixed point did not reach tolerance; residual history retained"
+    if log.iterations:      # largest jump between adjacent x nodes (minimizer continuity probe)
+        log.strategy_max_jump = float(np.max(np.abs(np.diff(psi_tab, axis=1))))
     return theta, theta0, strategy, log
 
 
 @dataclass
 class PerturbationResult:
-    times: np.ndarray
     theta_e: FieldTheta
     hat_e: np.ndarray
     j_perturbed: np.ndarray     # per x node, at the window start
@@ -1019,7 +1015,7 @@ def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpe
     j_pert = hat[0] + np.asarray(ghat(times[j0], xs, theta_e.values[0]), dtype=float)
     j_base = theta0.hat[j0] + np.asarray(ghat(times[j0], xs, theta.values[j0]), dtype=float)
     sup = float(np.max(np.abs(theta_e.values - theta.values[j0:j1 + 1])))
-    return PerturbationResult(times=window, theta_e=theta_e, hat_e=hat,
+    return PerturbationResult(theta_e=theta_e, hat_e=hat,
                               j_perturbed=j_pert, j_base=j_base, sup_theta_diff=sup)
 
 

@@ -341,7 +341,6 @@ def meanvar_equilibrium(r, mu, sigma, gamma, T=1.0, steps=10000) -> MeanVarResul
     variants = {
         "phi1_alt": lambda t: np.exp(2.0 * gamma * (T - np.asarray(t, dtype=float))),
         "vbar_alt": lambda t: (mu - r) / (gamma * s2) * np.exp(r * (T - np.asarray(t, dtype=float))),
-        "note": "alternate transcriptions fail the defining ODEs; reported for comparison only",
     }
     err1 = float(np.max(np.abs(p1 - closed["phi1"](grid)) / np.abs(closed["phi1"](grid))))
     vref = closed["vbar"](grid)
@@ -360,7 +359,6 @@ class PlannerSolution:
     theta2: np.ndarray
     consumption_coeff: np.ndarray
     investment_coeff: float
-    params: dict
 
 
 def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=10000):
@@ -418,7 +416,7 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
     mixk = lam * th1 ** kappa + (1.0 - lam) * th2 ** kappa
     return PlannerSolution(
         s=grid, theta1=th1, theta2=th2, consumption_coeff=mix ** e1 / mixk ** e1,
-        investment_coeff=invest, params=dict(params, T=T))
+        investment_coeff=invest)
 
 
 @dataclass

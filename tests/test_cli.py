@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
 import hashlib
 import inspect
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -370,7 +373,17 @@ def test_malformed_config_values_are_config_errors(argv, doc, tmp_path, capsys):
      "planner coefficient 'kappa'"),
     # a constant strategy that is not a finite number
     (["mc-verify", "--strategy-const", "nan"], None, "--strategy-const must be a finite number"),
-    (["mc-verify", "--strategy-const", "inf"], None, "--strategy-const must be a finite number")])
+    (["mc-verify", "--strategy-const", "inf"], None, "--strategy-const must be a finite number"),
+    # a start state so large that x0 plus or minus the default grid's
+    # half-width rounds to x0
+    (["meanvar", "--x0", "1e300"], None, "x0"),
+    (["meanvar", "--x0", "1e17"], None, "x0"),
+    (["pde-solve"], {"family": "mean_variance", "params": {"x0": 1e300}}, "x0"),
+    (["fk-check"], {"family": "mean_variance", "params": {"x0": 1e300}}, "x0"),
+    # tabulated times outside the horizon, where a gap is inf or meaningless
+    (["inconsistency", "--example", "ex41"], {"params": {"taus": [2.0]}}, "taus must lie in"),
+    (["inconsistency", "--example", "stackelberg"], {"params": {"taus": [0.5, -5.0]}},
+     "taus must lie in")])
 def test_config_errors_name_the_bad_value(argv, doc, name, tmp_path, capsys):
     cfg, out = tmp_path / "bad.json", tmp_path / "out"
     if doc is not None:
@@ -382,16 +395,19 @@ def test_config_errors_name_the_bad_value(argv, doc, name, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_meanvar_refuses_a_non_finite_x0_before_any_riccati_solve(tmp_path, monkeypatch,
-                                                                  capsys):
+@pytest.mark.parametrize("x0, message", [("nan", "config error: --x0"),
+                                         ("1e300", "x0 = 1e+300")], ids=["nan", "1e300"])
+def test_meanvar_refuses_a_non_finite_x0_before_any_riccati_solve(x0, message, tmp_path,
+                                                                  monkeypatch, capsys):
+    # 1e300 is finite, but the default grid around it collapses to x0
     def solve(*args, **kwargs):
         raise AssertionError("a Riccati system was solved")
 
     monkeypatch.setattr(riccati, "meanvar_equilibrium", solve)
     monkeypatch.setattr(riccati, "solve_riccati_lq", solve)
     out = tmp_path / "out"
-    assert run(["meanvar", "--x0", "nan", "--out", str(out)]) == 2
-    assert "config error: --x0" in capsys.readouterr().err
+    assert run(["meanvar", "--x0", x0, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -467,7 +483,8 @@ def test_malformed_number_lists_are_config_errors(tmp_path, capsys):
 
 def test_non_finite_mc_verify_inputs_are_config_errors(tmp_path, capsys):
     # NaN fails every check of a window, a probe time and the tolerance; with
-    # T = 1e-300 a NaN window used to reach the Euler step as a negative dt
+    # T = 1e-300 a NaN window used to reach the Euler step as a negative dt,
+    # and a probe time of -1e300 an Euler grid of 1e302 steps
     tiny = tmp_path / "tiny.json"
     tiny.write_text(json.dumps({"family": "mean_variance", "T": 1e-300}))
     ex31 = tmp_path / "ex31.json"
@@ -475,7 +492,7 @@ def test_non_finite_mc_verify_inputs_are_config_errors(tmp_path, capsys):
     refused = [["--eps", "nan"], ["--eps", "0.1,nan"], ["--config", str(tiny), "--eps", "nan"],
                ["--times", "nan"], ["--times", "0.2,inf"], ["--tol-eq", "nan"],
                ["--tol-eq", "inf"], ["--config", str(ex31), "--times", "nan"],
-               ["--config", str(ex31), "--tol-eq", "nan"]]
+               ["--config", str(ex31), "--tol-eq", "nan"], ["--times=-1e300"]]
     for k, argv in enumerate(refused):
         out = tmp_path / f"out{k}"
         assert run(["mc-verify", "--paths", "10", "--out", str(out)] + argv) == 2, argv
@@ -682,3 +699,87 @@ def test_artifact_lines_are_their_own_values_at_17_digits(tmp_path):
         for path in sorted(out.glob("*.csv")):
             for line in path.read_text().splitlines()[1:]:
                 assert ",".join("%.17g" % float(v) for v in line.split(",")) == line, path.name
+
+
+# ---------------------------------------------------------------------------
+# the CLI boundary: whatever a config or a numeric flag holds, a run ends in
+# exit 0, 1, 2 or 3 and never in a traceback
+# ---------------------------------------------------------------------------
+
+# non-finite and extreme numbers, values that are no number at all, and two
+# plain ones, so that some runs reach the solvers
+_BOUNDARY_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e300, -1e300,
+                                    1e-300, -1e-300, "x", [1.0, 2.0], None, True, False,
+                                    0.5, 2.0])
+# per subcommand: the small sizes it runs at, and the float flags drawn;
+# a drawn flag comes later in argv, so --eps and --times override the sizes
+_BOUNDARY_RUNS = {
+    "pde-solve": (["--grid-nx", "9", "--grid-nt", "9"], ("tol", "grid-x-lo", "grid-x-hi")),
+    "mc-verify": (["--paths", "50", "--eps", "0.1", "--times", "0.5"],
+                  ("tol-eq", "strategy-const", "eps", "times")),
+    "fk-check": (["--paths", "50", "--grid-nx", "11", "--grid-nt", "9"], ()),
+    "inconsistency": (["--paths", "50"], ()),
+    "meanvar": (["--paths", "50", "--steps", "20", "--grid-nx", "9", "--grid-nt", "9",
+                 "--eps", "0.1", "--times", "0.5"],
+                ("r", "mu", "sigma", "gamma", "T", "x0", "tol", "tol-eq", "eps", "times")),
+    "planner": (["--steps", "20"],
+                ("r", "mu", "sigma", "gamma", "alpha", "rho1", "rho2", "lam", "T")),
+}
+_READS_CONFIG = ("pde-solve", "mc-verify", "fk-check", "inconsistency")
+
+
+@st.composite
+def _boundary_runs(draw):
+    """A subcommand's argv (without --config and --out), its config document
+    or None, and every value drawn into either."""
+    command = draw(st.sampled_from(sorted(_BOUNDARY_RUNS)))
+    sizes, flags = _BOUNDARY_RUNS[command]
+    drawn = []
+
+    def value():
+        v = draw(_BOUNDARY_VALUES)
+        drawn.append(v)
+        return v
+
+    argv = [command, *sizes]
+    if flags:
+        for flag in draw(st.lists(st.sampled_from(flags), max_size=2, unique=True)):
+            argv.append(f"--{flag}={value()}")       # = keeps a negative value a value
+    doc = None
+    if command in _READS_CONFIG:
+        if command == "inconsistency":
+            argv += ["--example", draw(st.sampled_from(["ex31", "ex41", "stackelberg",
+                                                        "meanvar_precommit"]))]
+            names, doc = ["taus", "x0", "T"], {}
+        else:
+            family = draw(st.sampled_from(sorted(model.FAMILIES)))
+            names = list(inspect.signature(model.FAMILIES[family]).parameters)
+            doc = {"family": family}
+            for key in draw(st.lists(st.sampled_from(["T", "U"]), max_size=1)):
+                doc[key] = value()
+        params = draw(st.lists(st.sampled_from(names + ["nope"]), max_size=2, unique=True))
+        doc["params"] = {name: value() for name in params}
+    return argv, doc, drawn
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_boundary_runs())
+def test_cli_boundary_exits_0_to_3_and_a_refused_run_writes_nothing(case, tmp_path_factory):
+    argv, doc, drawn = case
+    base = tmp_path_factory.mktemp("boundary")
+    out = base / "out"
+    if doc is not None:
+        (base / "cfg.json").write_text(json.dumps(doc))
+        argv = argv + ["--config", str(base / "cfg.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(argv + ["--out", str(out)])
+    assert rc in (0, 1, 2, 3), (argv, doc, rc)
+    if rc == 1:
+        assert "solver error:" in err.getvalue(), (argv, doc)
+    if rc == 3:
+        flat = [v for d in drawn for v in (d if isinstance(d, list) else [d])]
+        assert all(math.isfinite(v) for v in flat if isinstance(v, float)), (argv, doc)
+    if rc in (1, 2):
+        assert not out.exists(), (argv, doc, rc)
+    shutil.rmtree(base)

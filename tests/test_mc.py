@@ -683,6 +683,15 @@ def test_verify_refuses_empty_probe_times_before_simulating(family, monkeypatch)
             verify_equilibrium(spec, const_strategy(0.0, spec), t_list, MCConfig(n_paths=10))
 
 
+def test_an_euler_grid_too_large_to_draw_is_refused():
+    # at T = 1e300 the grid of 1e302 steps reached np.arange as a ValueError,
+    # and at 1e307 the step count is inf, which round() refuses
+    for T in (1e300, 1e307):
+        spec = model.gbm(T=T)
+        with pytest.raises(DomainError, match="would draw more than"):
+            simulate_forward(spec, const_strategy(0.0, spec), 0.0, 1.0, MCConfig(n_paths=2))
+
+
 def test_simulate_forward_refuses_empty_keep_times():
     spec = mv_r0()
     with pytest.raises(DomainError, match="keep_times is empty"):

@@ -769,7 +769,30 @@ def test_fixed_point_reports_nonconvergence_without_raising():
     grid = pde.default_grid(spec, nx=65, nt=65)
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, max_iters=1)
     assert not log.converged
-    assert log.note != ""
+
+
+def test_fixed_point_max_jump_is_the_returned_tables():
+    spec = model.recursive_lq()
+    grid = pde.GridSpec(-3.0, 3.0, 33, 41, spec.horizon)
+    _, _, strat, log = pde.equilibrium_fixed_point(spec, grid)
+    assert log.converged
+    jump = float(np.max(np.abs(np.diff(strat.values, axis=1))))
+    assert jump > 0.0 and log.strategy_max_jump == jump
+
+
+def test_field_theta_at_blends_time_rows_then_interpolates_in_x():
+    times, xs = np.array([0.0, 0.5, 1.0]), np.array([-1.0, 0.0, 2.0])
+    values = np.array([[1.0, 2.0, 4.0], [3.0, 5.0, 9.0], [0.0, -1.0, 6.0]])
+    theta = pde.FieldTheta(times, xs, values)
+    for j, s in enumerate(times):          # exact node values
+        assert np.array_equal(theta.at(s, xs), values[j])
+    # s = 0.25 halves rows 0 and 1: [2, 3.5, 6.5]; x = 1 halves the last
+    # interval of that row
+    assert theta.at(0.25, 1.0) == 5.0
+    # outside [0, T] the end rows hold, and outside the x nodes the end values
+    assert np.array_equal(theta.at(-0.5, xs), values[0])
+    assert np.array_equal(theta.at(1.5, xs), values[-1])
+    assert theta.at(1.5, 5.0) == 6.0 and theta.at(-0.5, -3.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
