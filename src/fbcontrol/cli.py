@@ -423,8 +423,7 @@ def _selftest_checks(seed):
 
     def ex31_cost():
         spec = model.ex31()
-        u_opt = model.StrategyTable(spec.u_lo, spec.u_hi,
-                                    fn=lambda s, x: (s - 0.0 - 1.0) / 2.0 + 0.0 * np.asarray(x, dtype=float))
+        u_opt = model.StrategyTable(spec.u_lo, spec.u_hi, fn=lambda s, x: (s - 0.0 - 1.0) / 2.0)
         cost, _ = mc.evaluate_cost(spec, u_opt, 0.0, 0.0, mc.MCConfig(n_paths=2))
         assert abs(cost - (-1.0 / 12.0)) < 1e-10
         eq = model.equilibrium_strategy(spec)

@@ -99,6 +99,13 @@ def _time_grid(t0, T, cfg):
     return t0 + dt * np.arange(n_steps + 1), dt
 
 
+def _natural(strategy):
+    """How the steppers read a strategy: a StrategyTable through ``clamped``,
+    which keeps a control that ignores x a float, and any other callable as
+    it is."""
+    return strategy.clamped if isinstance(strategy, StrategyTable) else strategy
+
+
 def _euler_steps(spec, control, x, times, dt, normals, visit=None):
     """Euler-Maruyama from the state block x along times; returns X_T.
 
@@ -106,9 +113,13 @@ def _euler_steps(spec, control, x, times, dt, normals, visit=None):
     by (broadcast over) any leading axes.  The block steps in column chunks of
     at most _CHUNK_CELLS cells, each chunk through all its steps before the
     next starts, so that a chunk's state and temporaries stay in cache; the
-    coefficients and the control must therefore act elementwise.  After step
+    coefficients and the control must therefore act elementwise.  The control
+    is read through ``_natural`` and, like the drift and the diffusion, is
+    never broadcast to the chunk: a value that ignores x stays a scalar, and
+    an x-free noise term sigma sqrt(dt) z is formed once per path.  After step
     k of a chunk, visit(k, cols, x_k, u_k, x_{k+1}) sees that chunk's states
-    and controls, cols being its column slice; nothing else is kept.
+    and controls, cols being its column slice, u_k at its own shape; nothing
+    else is kept.
 
     A non-finite state raises BlowUpError naming what whole-block stepping
     names: the earliest bad step, and at it the path of the first non-finite
@@ -116,6 +127,7 @@ def _euler_steps(spec, control, x, times, dt, normals, visit=None):
     """
     n_steps = times.size - 1
     sqdt = math.sqrt(dt)
+    control = _natural(control)
     width = max(1, _CHUNK_CELLS // math.prod(x.shape[:-1]))
     xt = np.empty(x.shape)
     bad = None                  # (step, row, path) of the earliest blow-up so far
@@ -124,14 +136,18 @@ def _euler_steps(spec, control, x, times, dt, normals, visit=None):
         xc, z = x[..., cols], normals[:, cols]
         for k in range(n_steps if bad is None else bad[0] + 1):
             s = times[k]
-            u = np.asarray(control(s, xc), dtype=float)
-            if u.shape != xc.shape:
-                u = u + np.zeros(xc.shape)
-            # x + b dt + (sig sqdt) z, accumulated in place
+            u = control(s, xc)
+            # x + b dt + (sig sqdt) z, in place where a term has the chunk's shape
             x_next = np.asarray(spec.drift(s, xc, u), dtype=float) * dt
+            if x_next.shape == xc.shape:
+                x_next += xc
+            else:
+                x_next = xc + x_next
             noise = np.asarray(spec.diffusion(s, xc, u), dtype=float) * sqdt
-            noise *= z[k]
-            x_next += xc
+            if noise.shape == xc.shape:
+                noise *= z[k]
+            else:
+                noise = noise * z[k]
             x_next += noise
             if not np.isfinite(x_next).all():
                 row, col = divmod(int(np.argmax(~np.isfinite(x_next))), x_next.shape[-1])
@@ -192,13 +208,12 @@ class PerturbedStrategy(StrategyTable):
         self.outside = base
         self.window = (float(t), float(t) + float(eps))
         self.u = float(u)
-        super().__init__(base.u_lo, base.u_hi,
-                         fn=lambda s, x: self.u + 0.0 * np.asarray(x, dtype=float))
+        super().__init__(base.u_lo, base.u_hi, fn=lambda s, x: self.u)
 
-    def __call__(self, s, x):
+    def clamped(self, s, x):
         if self.window[0] <= s < self.window[1]:
-            return super().__call__(s, x)
-        return self.outside(s, x)
+            return super().clamped(s, x)
+        return _natural(self.outside)(s, x)
 
 
 def perturbed_strategy(psi_bar, t, eps, u, spec):
@@ -239,6 +254,7 @@ def _flow_ode(spec, control, x, s_nodes):
     us = np.empty((x.size, s_nodes.size))
     node_controls = iter(us.T)
     drift = spec.drift
+    control = _natural(control)
     u = None                    # the control of the latest stage
     if x.size == 1:
         def rhs(s, y):
@@ -287,7 +303,8 @@ def _cost_quadrature(spec, t, x, pieces):
         # half-open window keeps its own control on the whole piece
         s_in = np.nextafter(s1, s0)
         nodes = np.linspace(s0, s1, _PANELS + 1)
-        flow, u = _flow_ode(spec, lambda s, xx: control(min(s, s_in), xx), x, nodes)
+        read = _natural(control)
+        flow, u = _flow_ode(spec, lambda s, xx: read(min(s, s_in), xx), x, nodes)
         flows += 1
         vals = np.asarray(spec.reduced_running(t, nodes, u), dtype=float)
         # a flow whose drift ignores the control stays finite under a NaN one
@@ -426,15 +443,20 @@ def _quotient_mc(spec, psi_bar, t, x, cfg, normals, eps, u):
 def _columns_control(psi_bar, ends, controls):
     """Control of a (rows, paths) state block whose row r takes the constant
     controls[r] while s < ends[r] (its spike window) and follows psi_bar after
-    it; the rows outside their windows are evaluated by psi_bar in one call."""
+    it; the rows outside their windows are evaluated by psi_bar in one call.
+    Values come at their natural shape: psi_bar's as ``_natural`` reads it
+    while no window is open, and otherwise a (rows, 1) column when psi_bar's
+    value ignores x."""
+    read = _natural(psi_bar)
+
     def control(s, x):
         open_ = s < ends
         if not open_.any():
-            return psi_bar(s, x)
-        u = np.empty(x.shape)
+            return read(s, x)
+        rest = read(s, x[~open_])
+        u = np.empty(x.shape if np.ndim(rest) else (x.shape[0], 1))
         u[open_] = controls[open_, None]
-        if not open_.all():
-            u[~open_] = psi_bar(s, x[~open_])
+        u[~open_] = rest
         return u
     return control
 
@@ -495,7 +517,7 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
     for t in t_list:
         if not 0.0 <= t < math.inf:
             raise DomainError(f"probe time {t} is not a finite number >= 0")
-        if t + max(cfg.eps_list) > T + 1e-12:
+        if not t + max(cfg.eps_list) <= T + 1e-12:            # NaN fails too
             raise DomainError(f"probe time {t} leaves no room for the window")
     deterministic = spec.cost_class == "deterministic"
     if deterministic:

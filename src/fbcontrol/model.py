@@ -159,22 +159,31 @@ class StrategyTable:
             self.s_grid = self.x_grid = self.values = None
 
     def __call__(self, s, x):
+        """The strategy at (s, x): a float for a float x, otherwise an array
+        shaped like x (or like x broadcast against the values' shape)."""
+        out = self.clamped(s, x)
+        shape = np.shape(x)
+        if np.shape(out) == shape:
+            return out
+        return np.full(np.broadcast_shapes(np.shape(out), shape), out)
+
+    def clamped(self, s, x):
+        """The strategy at (s, x), clamped to U, at the shape its values have:
+        a float when they are a scalar (an ``fn`` that ignores x), whatever x
+        is, and otherwise an array.  ``__call__`` fills the shape of x from it."""
         if self.fn is not None:
             out = self.fn(s, x)
         else:
             out = grid_interp(self.s_grid, self.x_grid, self.values, s, x)
-        if isinstance(x, float) and (isinstance(out, float) or getattr(out, "ndim", None) == 0):
+        if isinstance(out, float) or getattr(out, "ndim", None) == 0:
             # the ufunc clip below on floats: on a tie each ufunc returns its
             # second operand, and a NaN passes both comparisons
             v = float(out) + 0.0
             v = self.u_lo if v < self.u_lo else v
             return self.u_hi if v > self.u_hi else v
-        # adding zero turns -0.0 into 0.0 and broadcasts to the shape of x;
-        # ufuncs with the bound first clip as np.clip does, ties and NaN included
-        out = np.asarray(out, dtype=float)
-        shape = np.shape(x)
-        out = out + (0.0 if out.shape == shape else np.zeros(shape))
-        out = np.minimum(self.u_hi, np.maximum(self.u_lo, out))
+        # adding zero turns -0.0 into 0.0; ufuncs with the bound first clip as
+        # np.clip does, ties and NaN included
+        out = np.minimum(self.u_hi, np.maximum(self.u_lo, np.asarray(out, dtype=float) + 0.0))
         return out if out.ndim else float(out)
 
     def rows(self, s, x):
@@ -395,8 +404,9 @@ _Y_SPLIT = TerminalSplit(
 
 
 def constant_control(value):
-    """The control (s, x) -> value, shaped like x."""
-    return lambda s, x: value + 0.0 * np.asarray(x, dtype=float)
+    """The control (s, x) -> value, the scalar itself whatever x is; a
+    StrategyTable gives it the shape of x."""
+    return lambda s, x: value
 
 
 def meanvar_closed_form(r, mu, sigma, gamma, T):
@@ -437,7 +447,7 @@ def _mean_variance_closed_forms(r, mu, sigma, gamma, T, x0):
 
     d0 = d_anchor(0.0, x0)
     return ClosedForms(
-        equilibrium=lambda s, x: vbar(s) + 0.0 * np.asarray(x, dtype=float),
+        equilibrium=lambda s, x: vbar(s),
         grid_control=(mu - r) / (gamma * sigma ** 2),
         committed=lambda s, x: -slope * (np.asarray(x, dtype=float) - d0 * math.exp(-r * (T - s))),
         path_gap=lambda tau, x: slope * np.abs(d0 - d_anchor(tau, x)),
@@ -470,7 +480,7 @@ def mean_variance(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0, x0=1.0,
     return ControlProblemSpec(
         name="mean_variance",
         drift=lambda s, x, u: r * x + (mu - r) * u,
-        diffusion=lambda s, x, u: sigma * u + 0.0 * x,
+        diffusion=lambda s, x, u: sigma * u,
         generator=_zero_generator,
         terminal=lambda x: np.asarray(x, dtype=float),
         cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * np.asarray(x, dtype=float),

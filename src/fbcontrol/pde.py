@@ -1036,7 +1036,7 @@ def kernel_solve_linear(spec, grid: GridSpec):
     xs, times = grid.xs, grid.times
     sig0 = float(np.asarray(spec.diffusion(0.0, xs[xs.size // 2], 0.0)))
     a = 0.5 * sig0 * sig0
-    if a <= 0:
+    if not a > 0:                       # NaN fails too
         raise DegeneracyError("kernel route needs strictly positive diffusion")
     pad = 8.0 * math.sqrt(2.0 * a * grid.T)
     mu = np.linspace(grid.x_lo - pad, grid.x_hi + pad, _KERNEL_PANELS + 1)

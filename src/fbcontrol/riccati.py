@@ -346,7 +346,7 @@ def meanvar_equilibrium(r, mu, sigma, gamma, T=1.0, steps=10000) -> MeanVarResul
     vref = closed["vbar"](grid)
     scale = max(1e-300, float(np.max(np.abs(vref))))
     errv = float(np.max(np.abs(v - vref))) / scale
-    strat = StrategyTable(-1e12, 1e12, fn=lambda s, x: closed["vbar"](s) + 0.0 * np.asarray(x, dtype=float))
+    strat = StrategyTable(-1e12, 1e12, fn=lambda s, x: closed["vbar"](s))
     return MeanVarResult(s=grid, phi1=p1, phi4=p4, phi6=p6, phi7=p7, v=v,
                          closed=closed, variants=variants, strategy=strat,
                          max_rel_err_phi1=err1, max_rel_err_v=errv)

@@ -255,6 +255,15 @@ def test_cost_general_class_rejected():
 # verify_equilibrium
 # ---------------------------------------------------------------------------
 
+def test_verify_refuses_a_nan_window_past_the_config_check():
+    # MCConfig refuses a NaN window first; past it, the room test refuses one too
+    spec = mv_r0()
+    cfg = MCConfig(n_paths=10)
+    object.__setattr__(cfg, "eps_list", (math.nan,))
+    with pytest.raises(DomainError, match="leaves no room for the window"):
+        verify_equilibrium(spec, const_strategy(0.0, spec), (0.2,), cfg)
+
+
 def test_verify_refuses_a_general_spec_before_simulating(monkeypatch):
     # gbm has neither a reduced running integrand nor a Monte Carlo cost
     # decomposition, so its cost class is general and no route can price it
@@ -303,6 +312,57 @@ def test_verify_equilibrium_deterministic_exact():
     assert report.verdict
     at_eq = [r for r in report.rows if r["u"] == -0.5]
     assert all(abs(r["quotient"]) < 1e-10 for r in at_eq)
+
+
+def _hex(records):
+    """The records with every float as its hex text, so that -0.0 and NaN count."""
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in r.items()} for r in records]
+
+
+def _spread(fn):
+    """The x-free callable fn spread over the shape of x, as a broadcast form."""
+    return lambda s, x: fn(s, x) + 0.0 * np.asarray(x, dtype=float)
+
+
+@pytest.mark.parametrize("kind", ["equilibrium", "constant"])
+def test_scalar_mean_variance_forms_keep_the_bits_of_the_broadcast_forms(kind, monkeypatch):
+    spec = model.mean_variance()
+    sigma = spec.params["sigma"]
+    spread = dataclasses.replace(spec, diffusion=lambda s, x, u: sigma * u + 0.0 * x)
+    fn = spec.closed_forms.equilibrium if kind == "equilibrium" else model.constant_control(0.5)
+    scalar = StrategyTable(spec.u_lo, spec.u_hi, fn=fn)
+    wide = StrategyTable(spec.u_lo, spec.u_hi, fn=_spread(fn))
+    # the steppers read the scalar form as a float
+    assert type(mc._natural(scalar)(0.3, np.ones((2, 3)))) is float
+    assert type(spec.diffusion(0.3, np.ones(3), 0.5)) is float
+    cfg = MCConfig(n_paths=600, seed=31, eps_list=(0.1, 0.05))
+
+    def outputs(spec, strat):
+        pert = perturbed_strategy(strat, 0.3, 0.1, -1.0, spec)
+        report = verify_equilibrium(spec, strat, (0.2, 0.5), cfg)
+        return ([simulate_forward(spec, s, 0.0, spec.x0, cfg).paths_tn.tobytes()
+                 for s in (strat, pert)], _hex(report.rows), _hex(report.details))
+
+    natural = outputs(spec, scalar)
+    assert natural == outputs(spread, wide)
+    # and with the steppers calling StrategyTable.__call__, which fills the shape of x
+    monkeypatch.setattr(mc, "_natural", lambda strategy: strategy)
+    assert natural == outputs(spec, scalar)
+
+
+def test_scalar_ex31_controls_keep_the_quadrature_bits_of_the_broadcast_forms():
+    spec = model.ex31()
+    cfg = MCConfig(n_paths=2)
+    for fn in (model.constant_control(-0.5), lambda s, x: (s - 1.0) / 2.0):
+        scalar = StrategyTable(spec.u_lo, spec.u_hi, fn=fn)
+        wide = StrategyTable(spec.u_lo, spec.u_hi, fn=_spread(fn))
+        for a, b in ((scalar, wide), (perturbed_strategy(scalar, 0.3, 0.1, 1.25, spec),
+                                      perturbed_strategy(wide, 0.3, 0.1, 1.25, spec))):
+            assert (evaluate_cost(spec, a, 0.3, 0.2, cfg)[0].hex()
+                    == evaluate_cost(spec, b, 0.3, 0.2, cfg)[0].hex())
+        a = verify_equilibrium(spec, scalar, (0.5,), cfg, tol_eq=1e-8)
+        b = verify_equilibrium(spec, wide, (0.5,), cfg, tol_eq=1e-8)
+        assert _hex(a.rows) == _hex(b.rows) and _hex(a.details) == _hex(b.details)
 
 
 def _scalar_rk4_flow(f, x, nodes):

@@ -382,6 +382,38 @@ def test_strategy_table_call_bit_identical_to_clip_form():
     assert checked == 3 * 5 * 5 * len(inputs)
 
 
+_SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, -3.0, 1.0, -1.0]
+_SPECIAL_X = st.one_of(
+    st.sampled_from(_SPECIALS),
+    st.lists(st.sampled_from(_SPECIALS), min_size=1, max_size=9).map(np.array),
+    st.lists(st.sampled_from(_SPECIALS), min_size=4, max_size=4).map(
+        lambda v: np.reshape(v, (2, 2))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (-1.0, -0.0)]),
+       kind=st.sampled_from(["float", "float64", "0-d", "shaped", "grid"]),
+       v=st.sampled_from(_SPECIALS), s=st.sampled_from([-0.2, 0.0, 0.3, 1.0, 1.5]),
+       x=_SPECIAL_X)
+def test_strategy_table_clamped_filled_to_x_has_the_call_bytes(bounds, kind, v, s, x):
+    # a clamped -0.0 bound must stay -0.0 when the value fills the shape of x
+    fns = {"float": lambda s_, x_: v,
+           "float64": lambda s_, x_: np.float64(v),
+           "0-d": lambda s_, x_: np.array(v),
+           "shaped": lambda s_, x_: v - 2.0 * np.asarray(x_, dtype=float)}
+    if kind == "grid":
+        tab = StrategyTable(*bounds, s_grid=[0.0, 0.5, 1.0], x_grid=[-2.0, 0.0, 2.0],
+                            values=np.array(_SPECIALS).reshape(3, 3))
+    else:
+        tab = StrategyTable(*bounds, fn=fns[kind])
+    with np.errstate(invalid="ignore"):
+        natural = tab.clamped(s, x)
+        called = tab(s, x)
+    if kind in ("float", "float64", "0-d"):
+        assert type(natural) is float           # whatever x is
+    assert np.full(np.shape(x), natural).tobytes() == np.asarray(called).tobytes()
+
+
 _BOUNDS = st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2, unique=True).map(sorted)
 _QUERY_X = st.one_of(st.floats(-1e3, 1e3),
                      st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6).map(np.array))

@@ -1592,6 +1592,12 @@ def test_kernel_identity_and_second_moment():
     assert abs(th2.values[0, i0] - 2.0) < 1e-4
 
 
+def test_kernel_refuses_a_nan_diffusion():
+    # sqrt(2 a) of a NaN a is a NaN diffusion, which a <= 0 would let through
+    with pytest.raises(DegeneracyError, match="strictly positive diffusion"):
+        pde.kernel_solve_linear(model.linear_heat(a=math.nan), pde.GridSpec(-2.0, 2.0, 9, 9, 1.0))
+
+
 def test_kernel_agrees_with_finite_differences():
     rng = np.random.default_rng(41)
     a1, a2 = rng.uniform(0.5, 1.5, size=2)

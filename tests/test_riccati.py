@@ -530,6 +530,56 @@ def test_planner_out_of_band_errors(alpha, rho, gamma, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+def _rhs_states(monkeypatch):
+    """Every state the RK4 driver hands to a solver's rhs, recorded."""
+    seen = []
+    integrate = riccati.rk4_integrate
+
+    def spy(rhs, y, *args):
+        def recorded(s, state):
+            seen.append(list(state))
+            return rhs(s, state)
+        return integrate(recorded, y, *args)
+
+    monkeypatch.setattr(riccati, "rk4_integrate", spy)
+    return seen
+
+
+_NAN_EARLY = lambda s: math.nan if s < 0.5 else 1.0      # noqa: E731
+
+
+@pytest.mark.parametrize("solver, time", [
+    (lambda: solve_riccati_lq(LQSpec(A=0.1, B=1.0, D=0.5, Q=1.0, R=_NAN_EARLY), steps=100), 0.49),
+    (lambda: solve_meanfield_riccati(0.1, 1.0, 0.0, 0.5, 1.0, _NAN_EARLY, 1.0, 0.0, steps=100),
+     0.49),
+    (lambda: solve_planner(0.03, 0.08, 0.2, 0.3, 0.999, -20.0, -10.0, 0.5, steps=20), 0.8),
+])
+def test_a_nan_that_passes_the_gain_and_band_tests_stops_at_the_finite_state_check(
+        solver, time, monkeypatch):
+    # abs(den) < SINGULAR_TOL lets the NaN gain of R(0.495) = NaN through, and
+    # th1 <= 0.0 the NaN stage state after the planner's overflowing power;
+    # the RK4 driver's finite-state check ends that step with BlowUpError
+    seen = _rhs_states(monkeypatch)
+    with pytest.raises(BlowUpError) as err:
+        solver()
+    assert err.value.time == time
+    # the NaN derivative reached the later stages' states, and rhs took them
+    assert any(math.isnan(v) for state in seen for v in state)
+
+
+def test_meanvar_gain_denominator_is_never_nan(monkeypatch):
+    # the parameters are refused when not finite; phi1' = -2 r phi1 then keeps
+    # every stage phi1 finite or infinite, so sigma^2 phi1 is never NaN, even
+    # in a run whose other functions blow up
+    with pytest.raises(DomainError, match="'sigma' must be a finite number"):
+        meanvar_equilibrium(0.03, 0.08, math.nan, 2.0)
+    seen = _rhs_states(monkeypatch)
+    with pytest.raises(BlowUpError):
+        meanvar_equilibrium(400.0, 0.08, 0.2, 2.0, steps=10)
+    assert any(math.isnan(v) for state in seen for v in state[1:])
+    assert not any(math.isnan(state[0]) for state in seen)
+
+
 # ---------------------------------------------------------------------------
 # stackelberg_leader
 # ---------------------------------------------------------------------------
