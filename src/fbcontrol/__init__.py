@@ -20,9 +20,8 @@ from .riccati import (LQSpec, PlannerSolution, RiccatiTrajectory, StackelbergRes
                       solve_riccati_lq, stackelberg_leader)
 from .pde import (DiagonalBundle, FieldTheta, GridSpec, IterationLog,
                   default_grid, equilibrium_fixed_point, extract_diagonal,
-                  kernel_solve_linear, minimize_hamiltonian, reference_fields,
-                  solve_perturbation, solve_theta, solve_theta0_family,
-                  step_parabolic)
+                  reference_fields, solve_perturbation, solve_theta,
+                  solve_theta0_family, step_parabolic)
 from .mc import (MCConfig, PathEnsemble, VerifyReport, check_feynman_kac,
                  demonstrate_inconsistency, evaluate_cost, path_normals,
                  perturbed_strategy, simulate_forward, verify_equilibrium)

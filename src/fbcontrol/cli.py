@@ -367,8 +367,9 @@ def cmd_fk_check(args):
     cfg = mc.MCConfig(n_paths=args.paths, seed=args.seed)
     rows = mc.check_feynman_kac(spec, theta, theta0, strat, pts, cfg)
     keys = ("r", "x", "y_mc", "y_field", "z_y", "y0_mc", "y0_field", "z_y0")
-    worst = max(max(abs(r_["z_y"]), abs(r_["z_y0"])) for r_ in rows)
-    ok = worst <= 3.0
+    z = np.abs([[r_["z_y"], r_["z_y0"]] for r_ in rows])
+    worst = float(np.max(z))                # NaN if any z-score is NaN
+    ok = bool(np.all(z <= 3.0))             # NaN fails too
     return ({"fk.csv": (keys, [[row[k] for k in keys] for row in rows])},
             [f"fk-check: worst |z| = {worst:.3f} -> {'PASS' if ok else 'FAIL'}"],
             0 if ok else 3)

@@ -47,6 +47,8 @@ class MCConfig:
             raise DomainError("need at least 1 step per unit time")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError(f"seed {self.seed} outside [0, 2**64)")
+        if len(self.eps_list) == 0:         # all() of no windows would pass
+            raise DomainError("the perturbation window list eps_list is empty")
         if not all(e > 0 for e in self.eps_list):          # NaN fails too
             raise DomainError("perturbation windows must be positive")
 
@@ -434,12 +436,6 @@ def _quotient(base, pert, eps):
     return q, se
 
 
-def _quotient_mc(spec, psi_bar, t, x, cfg, normals, eps, u):
-    base = _mc_cost_samples(spec, psi_bar, t, x, cfg, normals)
-    pert = perturbed_strategy(psi_bar, t, eps, u, spec)
-    return _quotient(base, _mc_cost_samples(spec, pert, t, x, cfg, normals), eps)
-
-
 def _columns_control(psi_bar, ends, controls):
     """Control of a (rows, paths) state block whose row r takes the constant
     controls[r] while s < ends[r] (its spike window) and follows psi_bar after
@@ -480,8 +476,9 @@ def _spike_quotients_mc(spec, psi_bar, t, x, cfg, normals):
 
     The base ensemble and all perturbed ones step together as the rows of one
     (ensembles, paths) block on the shared increments.  Each quotient equals
-    _quotient_mc on the same increments, provided the strategy and the
-    coefficients act elementwise.
+    ``_quotient`` of two ``_mc_cost_samples`` calls, under psi_bar and under
+    ``perturbed_strategy``, on the same increments, provided the strategy and
+    the coefficients act elementwise.
     """
     spikes = [(eps, u) for eps in cfg.eps_list for u in cfg.u_list]
     ends, controls = _spike_columns(spec, psi_bar, t, spikes)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegeneracyError, DomainError, EvaluationError
 
 # Sentinel for unbounded control endpoints; the Hamiltonian minimizer scans U,
-# so pde.minimize_hamiltonian refuses a spec with an endpoint at or beyond it.
+# so pde.equilibrium_fixed_point refuses a spec with an endpoint at or beyond it.
 U_INF = 1.0e12
 
 

@@ -51,9 +51,7 @@ from numpy.linalg import LinAlgError
 from .errors import (DegeneracyError, DomainError, EvaluationError,
                      FBControlError, YRangeError)
 from .model import (StrategyTable, constant_control, grid_interp, hamiltonian_H0_hat,
-                    heat_kernel, require_scalar_y)
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+                    require_scalar_y)
 
 
 class _OnGrid:
@@ -897,22 +895,6 @@ def _minimize_table(spec, theta: FieldTheta, bundle: DiagonalBundle):
     return out
 
 
-def minimize_hamiltonian(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx=0.0):
-    """Pointwise minimizer of the adjusted Hamiltonian over the control interval.
-
-    The second-order terms enter with the diagonal curvature and dy-weighted
-    field curvature.  The search is ``_minimize_block``'s on one node: six
-    evaluations when the Hamiltonian is quadratic in u, Brent's search
-    after them otherwise.
-    """
-    require_scalar_y(spec)
-    if not spec.u_bounded:
-        raise DomainError("numeric minimization needs a bounded control interval")
-    node = [np.asarray(v, dtype=float).reshape(1, 1)
-            for v in (theta, theta_x, theta_xx, d, d_x, d_y, d_xx)]
-    return float(_minimize_block(spec, s, np.array([x], dtype=float), *node)[0, 0])
-
-
 @dataclass
 class IterationLog:
     rows: list = field(default_factory=list)
@@ -935,9 +917,8 @@ def equilibrium_fixed_point(spec, grid: GridSpec, max_iters=50, tol=1e-6):
     The first iteration runs under the zero control clipped to U.  Returns
     (theta, theta0, strategy_table, log); non-convergence is reported
     through log.converged, never raised.  A tol that is not finite and positive,
-    which no residual can pass, and an unbounded control interval raise
-    DomainError before the first iteration, the latter as in
-    ``minimize_hamiltonian``.
+    which no residual can pass, and an unbounded control interval, which the
+    minimizer cannot scan, raise DomainError before the first iteration.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"fixed-point tolerance must be finite and > 0, got {tol}")
@@ -1017,70 +998,6 @@ def solve_perturbation(spec, theta: FieldTheta, theta0, t, eps, u, grid: GridSpe
     sup = float(np.max(np.abs(theta_e.values - theta.values[j0:j1 + 1])))
     return PerturbationResult(theta_e=theta_e, hat_e=hat,
                               j_perturbed=j_pert, j_base=j_base, sup_theta_diff=sup)
-
-
-# kernel_solve_linear's Simpson panels, its sweeps at most, and the change that stops them
-_KERNEL_PANELS, _KERNEL_SWEEPS, _KERNEL_TOL = 2048, 20, 1e-12
-
-
-def kernel_solve_linear(spec, grid: GridSpec):
-    """Volterra-form solve of the fully linear problem via the Gaussian kernel.
-
-    Valid for constant diffusion and coefficients independent of the field
-    (read at u = 0); used to validate the finite-difference stepping.
-    Quadrature is composite Simpson on a mu grid padded by 8 kernel standard
-    deviations sqrt(2 a T) beyond the target domain, outside of which the
-    kernel mass is at most erfc(8/sqrt(2)), about 1.2e-15, for every target node.
-    """
-    require_scalar_y(spec)
-    xs, times = grid.xs, grid.times
-    sig0 = float(np.asarray(spec.diffusion(0.0, xs[xs.size // 2], 0.0)))
-    a = 0.5 * sig0 * sig0
-    if not a > 0:                       # NaN fails too
-        raise DegeneracyError("kernel route needs strictly positive diffusion")
-    pad = 8.0 * math.sqrt(2.0 * a * grid.T)
-    mu = np.linspace(grid.x_lo - pad, grid.x_hi + pad, _KERNEL_PANELS + 1)
-    dmu = mu[1] - mu[0]
-    wts = np.ones(_KERNEL_PANELS + 1)
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    wts *= dmu / 3.0
-    h_mu = np.asarray(spec.terminal(mu), dtype=float)
-
-    def kernel_matrix(s, r):
-        # rows: target x, cols: quadrature mu
-        return heat_kernel(lambda *_: a, s, xs[:, None], r, mu)
-
-    def b_at(r, pts):
-        return np.asarray(spec.drift(r, pts, 0.0), dtype=float) + np.zeros_like(pts)
-
-    def g_at(r, pts):
-        return np.asarray(spec.generator(r, pts, 0.0, 0.0, 0.0), dtype=float) + np.zeros_like(pts)
-
-    theta = np.zeros((times.size, xs.size))
-    theta[-1] = spec.terminal(xs)
-    theta_x_grid = np.zeros((times.size, xs.size))
-    term_mats = {j: kernel_matrix(times[j], grid.T) for j in range(times.size - 1)}
-    for sweep in range(_KERNEL_SWEEPS):
-        prev = theta.copy()
-        for j in range(times.size - 2, -1, -1):
-            s = times[j]
-            acc = term_mats[j] @ (wts * h_mu)
-            # time integral by trapezoid over r in [s, T]; the r -> s limit of the
-            # mollified integrand is its value at the target point itself.
-            rs = times[j:]
-            fr = np.empty((rs.size, xs.size))
-            fr[0] = theta_x_grid[j] * b_at(s, xs) + g_at(s, xs)
-            for jr in range(1, rs.size):
-                r = rs[jr]
-                thx_mu = np.interp(mu, xs, theta_x_grid[j + jr])
-                integrand = thx_mu * b_at(r, mu) + g_at(r, mu)
-                fr[jr] = kernel_matrix(s, r) @ (wts * integrand)
-            theta[j] = acc + _trapz(fr, rs, axis=0)
-        theta_x_grid = _dx_rows(theta, grid.dx)
-        if float(np.max(np.abs(theta - prev))) < _KERNEL_TOL:
-            break
-    return FieldTheta(times, xs, theta)
 
 
 def reference_fields(spec, grid: GridSpec):

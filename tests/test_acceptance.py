@@ -135,7 +135,8 @@ def test_criterion_05_linear_pde_validation():
     # kernel route against the stepping route on a bounded terminal
     spec_g = model.linear_heat(a=1.0, terminal="gaussians")
     gridk = pde.GridSpec(-6.0, 6.0, 97, 33, 1.0)
-    thk = pde.kernel_solve_linear(spec_g, gridk)
+    from oracles import kernel_solve_linear
+    thk = kernel_solve_linear(spec_g, gridk)
     gridf = pde.GridSpec(-6.0, 6.0, 97, 1001, 1.0)
     thf = pde.solve_theta(spec_g, zero, gridf)
     mask = np.abs(gridk.xs) <= 4.0
@@ -197,7 +198,7 @@ def test_criterion_08_perturbation_route_vs_monte_carlo(mv_strong_fields):
     x_eval = float(grid.xs[i0])
     n_steps = int(round((spec.horizon - t) * cfg.steps_per_unit))
     z = path_normals(cfg.seed, cfg.n_paths, n_steps)
-    from fbcontrol.mc import _quotient_mc
+    from oracles import quotient_mc as _quotient_mc
     worst_z = 0.0
     for u in (-1.0, 0.0, 1.0):
         res = pde.solve_perturbation(spec, theta, theta0, t, eps, u, grid)

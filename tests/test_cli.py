@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fbcontrol
-from fbcontrol import cli, model, riccati
+from fbcontrol import cli, mc, model, riccati
 from fbcontrol.cli import build_parser, run, write_csv
 
 
@@ -548,6 +548,25 @@ def test_fk_check_refuses_what_it_cannot_check(tmp_path, capsys):
         assert run(["fk-check", "--grid-nx", nx, "--paths", "10", "--out", str(out)]) == 2
         assert "config error: fk-check needs --grid-nx >= 11" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_fk_check_fails_on_a_nan_z_score_in_any_row(tmp_path, monkeypatch, capsys):
+    # max() keeps its first argument against a NaN; a NaN in a later row must
+    # still fail the check, with every other |z| below 3
+    real = mc.check_feynman_kac
+
+    def with_nan(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        for row in rows:
+            row["z_y"], row["z_y0"] = 0.5, -0.5
+        rows[2]["z_y0"] = math.nan
+        return rows
+
+    monkeypatch.setattr(mc, "check_feynman_kac", with_nan)
+    out = tmp_path / "fk"
+    assert run(["fk-check", "--paths", "50", "--grid-nx", "11", "--grid-nt", "9",
+                "--out", str(out)]) == 3
+    assert capsys.readouterr().out == "fk-check: worst |z| = nan -> FAIL\n"
 
 
 def _ex31_renamed(T=1.0, x0=0.0, U=(-5.0, 5.0)):

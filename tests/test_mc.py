@@ -17,6 +17,7 @@ from fbcontrol.model import ControlProblemSpec, StrategyTable
 from fbcontrol.pde import GridSpec, default_grid, reference_fields, solve_theta, \
     solve_theta0_family
 from fbcontrol.riccati import meanvar_closed_form
+from oracles import quotient_mc
 
 
 def const_strategy(value, spec):
@@ -42,6 +43,10 @@ def test_config_invariants():
     for bad in (-0.1, math.nan):
         with pytest.raises(DomainError):
             MCConfig(n_paths=10, eps_list=(0.1, bad))
+    # no window at all, which verify_equilibrium would meet as max() of nothing
+    for empty in ((), []):
+        with pytest.raises(DomainError, match="window list eps_list is empty"):
+            MCConfig(n_paths=10, eps_list=empty)
 
 
 def test_config_seed_bounds():
@@ -550,7 +555,7 @@ def test_crn_batch_equals_per_ensemble_quotients(family, chunk_cells, monkeypatc
         assert ensembles == 1 + len(batch)
         assert [spike for spike, _ in batch] == [(e, u) for e in cfg.eps_list for u in cfg.u_list]
         for (eps, u), (q, se) in batch:
-            assert (q, se) == mc._quotient_mc(spec, strat, t, x, cfg, z, eps, u)
+            assert (q, se) == quotient_mc(spec, strat, t, x, cfg, z, eps, u)
             assert se > 0
     clipped = mc._spike_columns(spec, strat, 0.2, [(0.1, 5.0)])[1].tolist()
     assert clipped == ([3.0] if family == "mean_variance" else [5.0])
@@ -653,7 +658,7 @@ def test_verify_details_use_probe_time_streams():
         n_steps = int(round((spec.horizon - t) * cfg.steps_per_unit))
         z = path_normals(cfg.seed, cfg.n_paths, n_steps, stream=1 + t_idx)
         for d in (d for d in report.details if d["t"] == t):
-            q, se = mc._quotient_mc(spec, strat, t, d["x"], cfg, z, d["eps"], d["u"])
+            q, se = quotient_mc(spec, strat, t, d["x"], cfg, z, d["eps"], d["u"])
             assert (d["quotient"], d["stderr"]) == (q, se)
 
 

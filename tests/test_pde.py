@@ -18,6 +18,7 @@ from fbcontrol.errors import (DegeneracyError, DomainError, EvaluationError, FBC
                               YRangeError)
 from fbcontrol.model import ControlProblemSpec, StrategyTable
 from fbcontrol.riccati import meanvar_closed_form
+from oracles import kernel_solve_linear
 
 
 def const_strategy(value, U=(-1.0, 1.0)):
@@ -613,8 +614,15 @@ def test_extract_diagonal_identity_costs():
 
 
 # ---------------------------------------------------------------------------
-# minimize_hamiltonian
+# the Hamiltonian minimizer on one node
 # ---------------------------------------------------------------------------
+
+def _minimize_node(spec, s, x, theta, theta_x, theta_xx, d, d_x, d_y, d_xx):
+    """pde._minimize_block on the (1, 1) block of the node (s, x)."""
+    node = [np.full((1, 1), v, dtype=float)
+            for v in (theta, theta_x, theta_xx, d, d_x, d_y, d_xx)]
+    return float(pde._minimize_block(spec, np.full((1, 1), s, dtype=float),
+                                     np.full(1, x, dtype=float), *node)[0, 0])
 
 def _quadratic_cost_spec():
     # cost generator u^2 - u with trivial dynamics: argmin 0.5
@@ -630,14 +638,14 @@ def _quadratic_cost_spec():
 
 def test_minimize_quadratic_vertex():
     spec = _quadratic_cost_spec()
-    u = pde.minimize_hamiltonian(spec, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    u = _minimize_node(spec, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert abs(u - 0.5) < 1e-10
 
 
 def test_minimize_stackelberg_constant():
     spec = model.stackelberg()
     for s, x, th in ((0.0, 0.0, 0.2), (0.5, 1.0, -0.4), (0.9, -2.0, 1.0)):
-        u = pde.minimize_hamiltonian(spec, s, x, th, 0.0, 0.0, 0.0, 0.0, 0.0)
+        u = _minimize_node(spec, s, x, th, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         assert abs(u + 0.5) < 1e-10
 
 
@@ -650,7 +658,7 @@ def test_minimize_mean_variance_matches_closed_form():
     closed = meanvar_closed_form(r, mu, sg, gam, 1.0)
     for j in (0, 125):
         i = 64
-        u = pde.minimize_hamiltonian(
+        u = _minimize_node(
             spec, grid.times[j], grid.xs[i],
             theta.values[j, i], theta.dx_slice(j)[i],
             pde._dxx_rows(theta.values[j], theta.dx)[i],
@@ -673,12 +681,6 @@ def test_reference_fields_need_closed_forms_and_an_anchor_free_split():
         pde.reference_fields(replace(spec, terminal_split=None), grid)
 
 
-def test_minimize_needs_bounded_interval():
-    spec = replace(_quadratic_cost_spec(), u_lo=-model.U_INF, u_hi=model.U_INF)
-    with pytest.raises(DomainError):
-        pde.minimize_hamiltonian(spec, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
 def test_fixed_point_needs_bounded_interval(monkeypatch):
     # refused before the first iteration: no field is solved
     spec = model.mean_variance(U=(-model.U_INF, model.U_INF))
@@ -690,7 +692,7 @@ def test_fixed_point_needs_bounded_interval(monkeypatch):
 def test_minimize_tie_breaks_toward_smaller_u():
     spec = replace(_quadratic_cost_spec(),
                    cost_generator=lambda t, s, xt, x, u, y, z, y0, z0: 0.0 * u)
-    u = pde.minimize_hamiltonian(spec, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    u = _minimize_node(spec, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert u == -10.0
 
 
@@ -1580,14 +1582,14 @@ def test_a_negative_diffusion_coefficient_keeps_its_message():
 
 
 # ---------------------------------------------------------------------------
-# kernel_solve_linear
+# the kernel oracle (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 def test_kernel_identity_and_second_moment():
     grid = pde.GridSpec(-6.0, 6.0, 49, 17, 1.0)
-    th = pde.kernel_solve_linear(model.linear_heat(a=1.0, terminal="x"), grid)
+    th = kernel_solve_linear(model.linear_heat(a=1.0, terminal="x"), grid)
     assert np.max(np.abs(th.values - grid.xs[None, :])) < 1e-6
-    th2 = pde.kernel_solve_linear(model.linear_heat(a=1.0, terminal="x2"), grid)
+    th2 = kernel_solve_linear(model.linear_heat(a=1.0, terminal="x2"), grid)
     i0 = grid.nx // 2
     assert abs(th2.values[0, i0] - 2.0) < 1e-4
 
@@ -1595,7 +1597,7 @@ def test_kernel_identity_and_second_moment():
 def test_kernel_refuses_a_nan_diffusion():
     # sqrt(2 a) of a NaN a is a NaN diffusion, which a <= 0 would let through
     with pytest.raises(DegeneracyError, match="strictly positive diffusion"):
-        pde.kernel_solve_linear(model.linear_heat(a=math.nan), pde.GridSpec(-2.0, 2.0, 9, 9, 1.0))
+        kernel_solve_linear(model.linear_heat(a=math.nan), pde.GridSpec(-2.0, 2.0, 9, 9, 1.0))
 
 
 def test_kernel_agrees_with_finite_differences():
@@ -1607,7 +1609,7 @@ def test_kernel_agrees_with_finite_differences():
                    + a2 * np.exp(-b2 * (np.asarray(x) - c2) ** 2))
     spec = replace(model.linear_heat(a=1.0), terminal=h)
     gridk = pde.GridSpec(-6.0, 6.0, 97, 33, 1.0)
-    thk = pde.kernel_solve_linear(spec, gridk)
+    thk = kernel_solve_linear(spec, gridk)
     gridf = pde.GridSpec(-6.0, 6.0, 97, 1001, 1.0)
     thf = pde.solve_theta(spec, ZERO, gridf)
     interior = np.abs(gridk.xs) <= 4.0
@@ -1645,9 +1647,8 @@ def test_every_pde_entry_refuses_more_than_one_backward_component(monkeypatch, t
                lambda: pde.solve_theta0_family(spec, strat, theta, None, grid),
                lambda: pde.solve_fields(spec, strat, grid, None),
                lambda: pde.equilibrium_fixed_point(spec, grid),
-               lambda: pde.kernel_solve_linear(spec, grid),
-               lambda: pde.minimize_hamiltonian(spec, 0.0, 0.0, 0.0, 0.0, 0.0,
-                                                0.0, 0.0, 1.0)]
+               lambda: kernel_solve_linear(spec, grid),
+               lambda: _minimize_node(spec, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)]
     for entry in entries:
         with pytest.raises(DomainError, match="'two_component_lq' has m = 2"):
             entry()
