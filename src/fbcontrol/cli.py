@@ -249,9 +249,14 @@ def cmd_meanvar(args):
     ]
     theta, theta0, strat, log = pde.equilibrium_fixed_point(spec, grid, tol=args.tol)
     ref = res.closed["vbar"](grid.times)[:, None] + 0.0 * grid.xs[None, :]
-    err = float(np.max(np.abs(strat.values - ref) / np.abs(ref)))
+    diff = np.abs(strat.values - ref)
+    # the closed form is 0 where mu = r, and an error relative to it divides by 0
+    if np.all(ref != 0.0):
+        kind, err = "rel", float(np.max(diff / np.abs(ref)))
+    else:
+        kind, err = "abs", float(np.max(diff))
     lines.append(f"pde cross-check: converged={log.converged} iters={log.iterations} "
-                 f"max rel strategy err={err:.3g}")
+                 f"max {kind} strategy err={err:.3g}")
     report = mc.verify_equilibrium(spec, res.strategy, times, cfg, tol_eq=args.tol_eq)
     lines.append(f"spike verification: verdict={'PASS' if report.verdict else 'FAIL'} "
                  f"min quotient (smallest window)={report.min_quotient_smallest_eps:.4g}")

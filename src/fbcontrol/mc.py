@@ -247,10 +247,12 @@ def _flow_ode(spec, control, x, s_nodes):
     column of initial states x integrated together.
 
     A one-state column steps on floats: the control and the drift see a float
-    state.  A wider column is passed to them as one array per stage.  Returns
-    (states, controls), both shaped (columns, nodes): controls[:, k] is the
-    control at (s_nodes[k], states[:, k]), taken from the ``rhs`` call at that
-    node.  Raises BlowUpError at the first node whose state is not finite.
+    state.  A wider column is passed to them as one array per stage; a control
+    that ignores x stays a float, and a drift value without the column's
+    shape (a scalar, say) is broadcast to it.  Returns (states, controls),
+    both shaped (columns, nodes): controls[:, k] is the control at
+    (s_nodes[k], states[:, k]), taken from the ``rhs`` call at that node.
+    Raises BlowUpError at the first node whose state is not finite.
     """
     xs = np.empty((x.size, s_nodes.size))
     us = np.empty((x.size, s_nodes.size))
@@ -268,9 +270,11 @@ def _flow_ode(spec, control, x, s_nodes):
         def rhs(s, y):
             nonlocal u
             xx = np.array(y)
-            u = np.asarray(control(s, xx), dtype=float)
-            b = np.asarray(drift(s, xx, u), dtype=float)
-            return (b if b.shape == xx.shape else np.broadcast_to(b, xx.shape)).tolist()
+            u = control(s, xx)
+            b = drift(s, xx, u)
+            if getattr(b, "shape", None) != xx.shape:
+                b = np.broadcast_to(np.asarray(b, dtype=float), xx.shape)
+            return b.tolist()
 
     def node():
         next(node_controls)[...] = u
@@ -344,7 +348,9 @@ def _spike_costs(spec, psi_bar, t, x, eps, u_list):
     ends, u_win = _spike_columns(spec, psi_bar, t, [(eps, u) for u in u_list])
     breaks = _breaks(t, spec.horizon, ends[:1].tolist())
     # the window control is shaped like the column's state, a float for one control
-    pieces = [(s0, s1, (lambda s, xx: u_win.reshape(np.shape(xx))) if s0 < ends[0] else psi_bar)
+    if u_win.size == 1:
+        u_win = u_win.item()
+    pieces = [(s0, s1, (lambda s, xx: u_win) if s0 < ends[0] else psi_bar)
               for s0, s1 in zip(breaks[:-1], breaks[1:])]
     return _cost_quadrature(spec, t, np.full(len(u_list), float(x)), pieces)
 
@@ -492,6 +498,12 @@ def _spike_quotients_mc(spec, psi_bar, t, x, cfg, normals):
     return quotients, len(samples)
 
 
+def _nan_first(q):
+    """Sort key under which a NaN quotient is the least, so that ``min``
+    finds it wherever it stands."""
+    return not math.isnan(q), q
+
+
 def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> VerifyReport:
     """Difference-quotient test of local optimality under spike perturbations.
 
@@ -499,10 +511,11 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
     at each probe time the flow's state (deterministic costs, by quadrature)
     or the realized mean and 25/50/75% path states (on shared increments)
     serve as evaluation points.  The reported quotient per (t, eps, u) is the
-    minimum over evaluation states, and the verdict passes iff the
-    smallest-window minimum quotient clears -tol_eq.  A spec of the general
-    cost class, an empty list of probe times or one that is negative or not
-    finite, and a non-finite tolerance are refused before any simulation.
+    minimum over evaluation states, NaN if any state's is, and the verdict
+    passes iff every smallest-window minimum is finite and clears -tol_eq.  A
+    spec of the general cost class, an empty list of probe times or one that
+    is negative or not finite, and a non-finite tolerance are refused before
+    any simulation.
     """
     if spec.cost_class == "general":
         raise UnsupportedCostClassError(_GENERAL_COST)
@@ -546,12 +559,12 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
                 details.append({"t": t, "state": label, "x": x_e, "eps": eps,
                                 "u": u, "quotient": q, "stderr": se})
         for (eps, u), qs in per_spike.items():
-            qmin, se = min(qs, key=lambda p: p[0])
+            qmin, se = min(qs, key=lambda p: _nan_first(p[0]))
             rows.append({"t": t, "eps": eps, "u": u, "quotient": qmin, "stderr": se})
     eps_min = min(cfg.eps_list)
     small = [r["quotient"] for r in rows if abs(r["eps"] - eps_min) < 1e-15]
-    min_q = min(small) if small else math.nan
-    verdict = bool(min_q >= -tol_eq)
+    min_q = min(small, key=_nan_first) if small else math.nan
+    verdict = bool(small) and all(math.isfinite(q) and q >= -tol_eq for q in small)
     return VerifyReport(rows=rows, details=details, tol_eq=tol_eq, verdict=verdict,
                         min_quotient_smallest_eps=min_q, work=work)
 

@@ -387,6 +387,10 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
     _finite_floats("planner coefficient", kappa=kappa, q=q, investment_coeff=invest)
     e1 = 1.0 / (alpha - 1.0)
     ea = alpha / (alpha - 1.0)
+    # the left-most factors of the stage terms, formed once: the products
+    # associate as before, so every stage keeps its bits
+    g1, l1 = 1.0 - gamma, 1.0 - lam
+    gr1, gr2, ga = g1 * rho1, g1 * rho2, g1 / alpha
 
     def rhs(s, th):
         th1, th2 = th
@@ -394,19 +398,18 @@ def solve_planner(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=1000
             raise PositivityError(
                 f"theta left the positive band at t={s:.6g}: ({th1:.3g}, {th2:.3g})")
         try:
-            mix = lam * th1 + (1.0 - lam) * th2
-            mixk = lam * th1 ** kappa + (1.0 - lam) * th2 ** kappa
+            k1, k2 = th1 ** kappa, th2 ** kappa
+            mix = lam * th1 + l1 * th2
+            mixk = lam * k1 + l1 * k2
             cons = mix ** e1 / mixk ** e1
             bump = mix ** ea / mixk ** ea
         except (OverflowError, ZeroDivisionError):
             # float powers raise where numpy scalars give inf; a non-finite
             # derivative makes the driver stop with BlowUpError as before
             return [math.nan, math.nan]
-        d1 = -((1.0 - gamma) * th1 * (q - cons) - (1.0 - gamma) * rho1 * th1 / alpha
-               + (1.0 - gamma) / alpha * th1 ** kappa * bump)
-        d2 = -((1.0 - gamma) * th2 * (q - cons) - (1.0 - gamma) * rho2 * th2 / alpha
-               + (1.0 - gamma) / alpha * th2 ** kappa * bump)
-        return [d1, d2]
+        gap = q - cons
+        return [-(g1 * th1 * gap - gr1 * th1 / alpha + ga * k1 * bump),
+                -(g1 * th2 * gap - gr2 * th2 / alpha + ga * k2 * bump)]
 
     grid, out = rk4_backward(rhs, np.array([1.0, 1.0]), T, steps)
     th1, th2 = out[:, 0], out[:, 1]

@@ -5,14 +5,17 @@ Each takes a route that no subcommand takes, so it lives with the tests:
 - ``kernel_solve_linear`` solves the fully linear problem by quadrature of the
   Gaussian kernel, against the finite-difference stepping of ``pde``;
 - ``quotient_mc`` takes one Monte Carlo spike quotient from two separate cost
-  evaluations, against the batched spike block of ``mc.verify_equilibrium``.
+  evaluations, against the batched spike block of ``mc.verify_equilibrium``;
+- ``planner_reference`` integrates the planner system with its stage
+  derivative written term by term, every power and factor formed where it is
+  used, against ``riccati.solve_planner``, whose stages form each once.
 """
 
 import math
 
 import numpy as np
 
-from fbcontrol import mc
+from fbcontrol import mc, riccati
 from fbcontrol.errors import DegeneracyError
 from fbcontrol.model import heat_kernel, require_scalar_y
 from fbcontrol.pde import FieldTheta, GridSpec, _dx_rows
@@ -90,3 +93,32 @@ def quotient_mc(spec, psi_bar, t, x, cfg, normals, eps, u):
     base = mc._mc_cost_samples(spec, psi_bar, t, x, cfg, normals)
     pert = mc.perturbed_strategy(psi_bar, t, eps, u, spec)
     return mc._quotient(base, mc._mc_cost_samples(spec, pert, t, x, cfg, normals), eps)
+
+
+def planner_reference(r, mu, sigma, gamma, alpha, rho1, rho2, lam, T=1.0, steps=10000):
+    """theta1, theta2 and the consumption coefficient of the planner system,
+    for parameters that ``riccati.solve_planner`` accepts."""
+    kappa = (1.0 - gamma - alpha) / (1.0 - gamma)
+    q = r + (mu - r) ** 2 / (2.0 * gamma * sigma * sigma)
+    e1 = 1.0 / (alpha - 1.0)
+    ea = alpha / (alpha - 1.0)
+
+    def rhs(s, th):
+        th1, th2 = th
+        if th1 <= 0.0 or th2 <= 0.0:
+            raise AssertionError(f"theta left the positive band at t={s}")
+        mix = lam * th1 + (1.0 - lam) * th2
+        mixk = lam * th1 ** kappa + (1.0 - lam) * th2 ** kappa
+        cons = mix ** e1 / mixk ** e1
+        bump = mix ** ea / mixk ** ea
+        d1 = -((1.0 - gamma) * th1 * (q - cons) - (1.0 - gamma) * rho1 * th1 / alpha
+               + (1.0 - gamma) / alpha * th1 ** kappa * bump)
+        d2 = -((1.0 - gamma) * th2 * (q - cons) - (1.0 - gamma) * rho2 * th2 / alpha
+               + (1.0 - gamma) / alpha * th2 ** kappa * bump)
+        return [d1, d2]
+
+    _, out = riccati.rk4_backward(rhs, np.array([1.0, 1.0]), T, steps)
+    th1, th2 = out[:, 0], out[:, 1]
+    mix = lam * th1 + (1.0 - lam) * th2
+    mixk = lam * th1 ** kappa + (1.0 - lam) * th2 ** kappa
+    return th1, th2, mix ** e1 / mixk ** e1

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +410,24 @@ def test_meanvar_refuses_a_non_finite_x0_before_any_riccati_solve(x0, message, t
     assert run(["meanvar", "--x0", x0, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mu, kind", [("0.03", "abs"), ("0.08", "rel")], ids=["mu=r", "mu>r"])
+def test_meanvar_strategy_error_is_finite_where_the_closed_form_is_zero(mu, kind, tmp_path,
+                                                                        capsys):
+    # at mu = r (r = 0.03 by default) the closed-form strategy is 0, so the pde
+    # cross-check reports the absolute error, without dividing by it
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["meanvar", "--mu", mu, "--steps", "100", "--paths", "100", "--grid-nx", "9",
+                  "--grid-nt", "9", "--out", str(out)])
+    assert rc in (0, 3)
+    line, = [line for line in (out / "summary.txt").read_text().splitlines()
+             if line.startswith("pde cross-check")]
+    label, value = line.rsplit("=", 1)
+    assert label.endswith(f"max {kind} strategy err") and math.isfinite(float(value))
+    capsys.readouterr()
 
 
 def test_meanfield_config_reads_the_arguments_of_its_solver():

@@ -433,6 +433,42 @@ class _DistinctStatesSpy:
         return self.strategy(s, x)
 
 
+# the drifts of the deterministic families as they were written before they
+# computed on floats: each argument wrapped in numpy
+NUMPY_DRIFTS = {
+    "ex31": lambda s, x, u: 0.0 * np.asarray(x, dtype=float),
+    "stackelberg": lambda s, x, u: np.asarray(u, dtype=float) + 0.0 * np.asarray(x, dtype=float),
+}
+
+
+@pytest.mark.parametrize("kind", ["time", "state", "grid"])
+@pytest.mark.parametrize("family", sorted(NUMPY_DRIFTS))
+def test_float_drifts_keep_the_bits_of_the_numpy_drifts(family, kind):
+    spec = model.make_spec(family, {"x0": 0.2})
+    numpy_drift = dataclasses.replace(spec, drift=NUMPY_DRIFTS[family])
+    strat = _test_strategy(kind, spec)
+    cfg = MCConfig(n_paths=2, eps_list=(0.1, 0.05), u_list=(spec.u_lo, -0.5, 1.25))
+
+    def outputs(spec):
+        costs = [evaluate_cost(spec, s, 0.3, 0.2, cfg)[0].hex()
+                 for s in (strat, perturbed_strategy(strat, 0.3, 0.05, 1.25, spec))]
+        report = verify_equilibrium(spec, strat, (0.3, 0.9), cfg, tol_eq=1e-8)
+        return costs, _hex(report.rows), _hex(report.details), report.verdict
+
+    assert outputs(spec) == outputs(numpy_drift)
+
+
+@pytest.mark.parametrize("kind", ["time", "state"])
+@pytest.mark.parametrize("family", ["ex31", "stackelberg"])
+def test_a_one_control_spike_column_equals_its_single_cost(family, kind):
+    # one window control steps as a one-state flow, on floats
+    spec = model.make_spec(family, {"x0": 0.2})
+    strat = _test_strategy(kind, spec)
+    costs, flows = mc._spike_costs(spec, strat, 0.3, 0.2, 0.05, (1.25,))
+    pert = perturbed_strategy(strat, 0.3, 0.05, 1.25, spec)
+    assert (costs.tolist(), flows) == ([mc._deterministic_cost(spec, pert, 0.3, 0.2)[0]], 2)
+
+
 @pytest.mark.parametrize("kind", ["time", "state", "grid"])
 @pytest.mark.parametrize("family", ["ex31", "stackelberg"])
 def test_batched_deterministic_quotients_equal_single_costs(family, kind):
@@ -630,6 +666,74 @@ def test_chunked_blow_up_names_the_whole_block_time_and_path(shape, bad, step, p
     assert chunked.time == _ID_TIMES[step + 1] and str(chunked).endswith(f"path {path}")
     # a chunk steps no further than the earliest bad step found before it
     assert seen == {c0: _ID_TIMES[k] for c0, k in zip((0, 4, 8), latest)}
+
+
+def test_a_nan_quotient_is_the_least_wherever_it_stands():
+    pairs = [(0.5, "a"), (-0.25, "b"), (math.nan, "c"), (-0.25, "d")]
+    for order in (pairs, pairs[::-1], pairs[2:] + pairs[:2]):
+        assert min(order, key=lambda p: mc._nan_first(p[0]))[1] == "c"
+    # without a NaN the first of the least, as min gives it
+    assert min(pairs[:2] + pairs[3:], key=lambda p: mc._nan_first(p[0]))[1] == "b"
+
+
+@pytest.mark.parametrize("smallest, passes", [
+    ((0.0, 0.5), True),
+    ((math.nan, 0.5), False), ((0.5, math.nan), False),
+    ((math.inf, 0.5), False), ((-math.inf, 0.5), False),
+    ((-0.01, 0.5), True), ((-0.2, 0.5), False),
+])
+def test_verdict_needs_every_smallest_window_minimum_finite_and_within_tolerance(
+        smallest, passes, monkeypatch):
+    # quotients set per spike; the larger window's NaN does not enter the verdict
+    spec = model.make_spec("ex31")
+    cfg = MCConfig(n_paths=2, eps_list=(0.1, 0.05), u_list=(-1.0, 1.0))
+    quotients = {(0.1, -1.0): math.nan, (0.1, 1.0): 0.0,
+                 (0.05, -1.0): smallest[0], (0.05, 1.0): smallest[1]}
+    monkeypatch.setattr(mc, "_spike_quotients_flow", lambda spec, psi_bar, t, x, cfg: (
+        [(spike, (q, 0.0)) for spike, q in quotients.items()], 0))
+    report = verify_equilibrium(spec, model.equilibrium_strategy(spec), (0.3,), cfg, tol_eq=0.1)
+    assert report.verdict is passes
+    least = min(smallest, key=mc._nan_first)
+    assert report.min_quotient_smallest_eps.hex() == least.hex()
+
+
+def _terminal_spec(spec, terminal):
+    return dataclasses.replace(spec, mc_cost=dataclasses.replace(spec.mc_cost, terminal=terminal))
+
+
+def test_a_nan_quotient_at_the_last_evaluation_state_fails_the_verdict(tmp_path, monkeypatch,
+                                                                       capsys):
+    # r = 0 and an x-free equilibrium: the ensembles from the four evaluation
+    # states are one another shifted, so a terminal that is NaN above the
+    # highest state the q75 ensemble alone reaches makes only q75's costs NaN
+    spec = mv_r0()
+    eq = mv_r0_equilibrium(spec)
+    cfg = MCConfig(n_paths=200, seed=7, eps_list=(0.05,))
+    terminal = spec.mc_cost.terminal
+    highs = []
+    spied = _terminal_spec(spec, lambda x: highs.append(float(np.max(x))) or terminal(x))
+    report = verify_equilibrium(spied, eq, (0.5,), cfg, tol_eq=1e3)
+    states = list(dict.fromkeys(d["state"] for d in report.details))
+    assert report.verdict and states == ["mean", "q25", "q50", "q75"] and len(highs) == 4
+    assert highs[-1] > max(highs[:-1])
+    cut = 0.5 * (max(highs[:-1]) + highs[-1])
+    bad = _terminal_spec(spec, lambda x: np.where(x > cut, math.nan, terminal(x)))
+    report = verify_equilibrium(bad, eq, (0.5,), cfg, tol_eq=1e3)
+    assert {d["state"] for d in report.details if math.isnan(d["quotient"])} == {"q75"}
+    assert any(math.isnan(r["quotient"]) for r in report.rows)
+    assert not report.verdict and math.isnan(report.min_quotient_smallest_eps)
+    # the same family registered and run through the CLI: a FAIL, exit 3
+    monkeypatch.setitem(model.FAMILIES, "nan_above_q75", None)
+    model.register_family("nan_above_q75", lambda: bad)
+    config = tmp_path / "nan_above_q75.json"
+    config.write_text('{"family": "nan_above_q75"}')
+    out = tmp_path / "out"
+    assert cli.run(["mc-verify", "--config", str(config), "--paths", "200", "--seed", "7",
+                    "--eps", "0.05", "--times", "0.5", "--tol-eq", "1000",
+                    "--out", str(out)]) == 3
+    summary = (out / "summary.txt").read_text()
+    assert "verdict=FAIL" in summary and "min quotient at smallest window = nan" in summary
+    capsys.readouterr()
 
 
 def test_verify_without_spike_controls_counts_the_base_flows():

@@ -12,6 +12,7 @@ from fbcontrol.errors import BlowUpError, DomainError, PositivityError, Singular
 from fbcontrol.riccati import (LQSpec, meanvar_closed_form, meanvar_equilibrium,
                                rk4_backward, solve_meanfield_riccati, solve_planner,
                                solve_riccati_lq, stackelberg_leader)
+from oracles import planner_reference
 
 
 def mv_lq(r=0.03, mu=0.08, sigma=0.2, gamma=2.0, T=1.0):
@@ -480,6 +481,26 @@ def test_planner_ordering_random_draws():
                             rng.uniform(0.0, 1.0), steps=2000)
         assert np.all(sol.theta1 <= sol.theta2 + 1e-12)
         assert np.all(sol.theta1 > 0.0) and np.all(sol.theta2 > 0.0)
+
+
+def _uniform(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# the ranges of perfbench's ode_routes draws (perfbench/workloads.py draw_cases)
+@settings(max_examples=25, deadline=None)
+@given(r=_uniform(0.0, 0.05), excess=_uniform(0.02, 0.08), sigma=_uniform(0.15, 0.35),
+       gamma=_uniform(0.2, 0.9), alpha=_uniform(0.1, 0.9), rhos=st.tuples(
+           _uniform(0.01, 0.1), _uniform(0.01, 0.1)), lam=_uniform(0.0, 1.0))
+def test_planner_stages_keep_the_bits_of_the_term_by_term_derivative(r, excess, sigma, gamma,
+                                                                     alpha, rhos, lam):
+    rho2, rho1 = sorted(rhos)
+    args = (r, r + excess, sigma, gamma, alpha, rho1, rho2, lam)
+    sol = solve_planner(*args, steps=400)
+    th1, th2, cons = planner_reference(*args, steps=400)
+    assert sol.theta1.tobytes() == th1.tobytes()
+    assert sol.theta2.tobytes() == th2.tobytes()
+    assert sol.consumption_coeff.tobytes() == cons.tobytes()
 
 
 def test_planner_merton_reduction():
