@@ -512,10 +512,10 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
     or the realized mean and 25/50/75% path states (on shared increments)
     serve as evaluation points.  The reported quotient per (t, eps, u) is the
     minimum over evaluation states, NaN if any state's is, and the verdict
-    passes iff every smallest-window minimum is finite and clears -tol_eq.  A
-    spec of the general cost class, an empty list of probe times or one that
-    is negative or not finite, and a non-finite tolerance are refused before
-    any simulation.
+    passes iff every smallest-window minimum clears -tol_eq: a NaN fails, and
+    a +inf (a spike whose cost is infinite) passes.  A spec of the general
+    cost class, an empty list of probe times or one that is negative or not
+    finite, and a non-finite tolerance are refused before any simulation.
     """
     if spec.cost_class == "general":
         raise UnsupportedCostClassError(_GENERAL_COST)
@@ -564,7 +564,7 @@ def verify_equilibrium(spec, psi_bar, t_list, cfg: MCConfig, tol_eq=0.05) -> Ver
     eps_min = min(cfg.eps_list)
     small = [r["quotient"] for r in rows if abs(r["eps"] - eps_min) < 1e-15]
     min_q = min(small, key=_nan_first) if small else math.nan
-    verdict = bool(small) and all(math.isfinite(q) and q >= -tol_eq for q in small)
+    verdict = bool(small) and all(q >= -tol_eq for q in small)
     return VerifyReport(rows=rows, details=details, tol_eq=tol_eq, verdict=verdict,
                         min_quotient_smallest_eps=min_q, work=work)
 

@@ -128,37 +128,12 @@ def grid_interp(s_grid, x_grid, values, s, x):
     """A (len(s_grid), len(x_grid)) table at time s and states x: its two time
     rows around s blended linearly (s clamped to the grid; equal grid times
     take the earlier row), then ``np.interp`` in x, which holds the edge
-    values outside the grid.
-
-    A float x blends only the x nodes around it and is a float, with the
-    bits of ``np.interp`` on the whole blended row."""
+    values outside the grid."""
     j = min(max(int(s_grid.searchsorted(s)) - 1, 0), s_grid.size - 2)
-    lo, hi = s_grid.item(j), s_grid.item(j + 1)
+    lo, hi = s_grid[j], s_grid[j + 1]
     w = 0.0 if hi == lo else (s - lo) / (hi - lo)
     w = min(max(w, 0.0), 1.0)
-    if not isinstance(x, float):
-        return np.interp(x, x_grid, (1.0 - w) * values[j] + w * values[j + 1])
-    # np.interp's steps for one x: NaN gives itself (on two or more nodes),
-    # an x at or beyond an edge node that node's value, a node its own value,
-    # and otherwise the slope from the left node, then from the right on a NaN
-    last = x_grid.size - 1
-    k = int(x_grid.searchsorted(x, side="right")) - 1
-    if x != x and last:
-        return x
-    if k < 0 or k >= last or x_grid.item(k) == x:
-        k = min(max(k, 0), last)
-        return (1.0 - w) * values.item(j, k) + w * values.item(j + 1, k)
-    v = 1.0 - w
-    f0 = v * values.item(j, k) + w * values.item(j + 1, k)
-    f1 = v * values.item(j, k + 1) + w * values.item(j + 1, k + 1)
-    x0, x1 = x_grid.item(k), x_grid.item(k + 1)
-    slope = (f1 - f0) / (x1 - x0)
-    out = slope * (x - x0) + f0
-    if out != out:
-        out = slope * (x - x1) + f1
-        if out != out and f0 == f1:
-            out = f0
-    return out
+    return np.interp(x, x_grid, (1.0 - w) * values[j] + w * values[j + 1])
 
 
 class StrategyTable:

@@ -8,7 +8,10 @@ Each takes a route that no subcommand takes, so it lives with the tests:
   evaluations, against the batched spike block of ``mc.verify_equilibrium``;
 - ``planner_reference`` integrates the planner system with its stage
   derivative written term by term, every power and factor formed where it is
-  used, against ``riccati.solve_planner``, whose stages form each once.
+  used, against ``riccati.solve_planner``, whose stages form each once;
+- ``NUMPY_DRIFTS`` holds the drifts of the deterministic families with each
+  argument wrapped in numpy, against the built-in drifts, which compute on
+  floats.
 """
 
 import math
@@ -21,6 +24,11 @@ from fbcontrol.model import heat_kernel, require_scalar_y
 from fbcontrol.pde import FieldTheta, GridSpec, _dx_rows
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+NUMPY_DRIFTS = {
+    "ex31": lambda s, x, u: 0.0 * np.asarray(x, dtype=float),
+    "stackelberg": lambda s, x, u: np.asarray(u, dtype=float) + 0.0 * np.asarray(x, dtype=float),
+}
 
 # kernel_solve_linear's Simpson panels, its sweeps at most, and the change that stops them
 _KERNEL_PANELS, _KERNEL_SWEEPS, _KERNEL_TOL = 2048, 20, 1e-12

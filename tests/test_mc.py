@@ -17,7 +17,7 @@ from fbcontrol.model import ControlProblemSpec, StrategyTable
 from fbcontrol.pde import GridSpec, default_grid, reference_fields, solve_theta, \
     solve_theta0_family
 from fbcontrol.riccati import meanvar_closed_form
-from oracles import quotient_mc
+from oracles import NUMPY_DRIFTS, quotient_mc
 
 
 def const_strategy(value, spec):
@@ -433,14 +433,6 @@ class _DistinctStatesSpy:
         return self.strategy(s, x)
 
 
-# the drifts of the deterministic families as they were written before they
-# computed on floats: each argument wrapped in numpy
-NUMPY_DRIFTS = {
-    "ex31": lambda s, x, u: 0.0 * np.asarray(x, dtype=float),
-    "stackelberg": lambda s, x, u: np.asarray(u, dtype=float) + 0.0 * np.asarray(x, dtype=float),
-}
-
-
 @pytest.mark.parametrize("kind", ["time", "state", "grid"])
 @pytest.mark.parametrize("family", sorted(NUMPY_DRIFTS))
 def test_float_drifts_keep_the_bits_of_the_numpy_drifts(family, kind):
@@ -679,12 +671,14 @@ def test_a_nan_quotient_is_the_least_wherever_it_stands():
 @pytest.mark.parametrize("smallest, passes", [
     ((0.0, 0.5), True),
     ((math.nan, 0.5), False), ((0.5, math.nan), False),
-    ((math.inf, 0.5), False), ((-math.inf, 0.5), False),
+    ((math.inf, 0.5), True), ((-math.inf, 0.5), False),
     ((-0.01, 0.5), True), ((-0.2, 0.5), False),
 ])
-def test_verdict_needs_every_smallest_window_minimum_finite_and_within_tolerance(
+def test_verdict_needs_every_smallest_window_minimum_within_tolerance_and_not_nan(
         smallest, passes, monkeypatch):
-    # quotients set per spike; the larger window's NaN does not enter the verdict
+    # quotients set per spike; the larger window's NaN does not enter the
+    # verdict.  A +inf quotient is a spike infinitely worse than the strategy,
+    # which the equilibrium inequality allows.
     spec = model.make_spec("ex31")
     cfg = MCConfig(n_paths=2, eps_list=(0.1, 0.05), u_list=(-1.0, 1.0))
     quotients = {(0.1, -1.0): math.nan, (0.1, 1.0): 0.0,

@@ -487,64 +487,6 @@ def test_strategy_table_scalar_query_bit_equal_to_array_query(bounds, grid, shap
     assert got.hex() == float(want).hex()
 
 
-def _row_read(s_grid, x_grid, values, s, x):
-    """grid_interp at one float state through its array read: np.interp of the
-    whole blended time row."""
-    return float(model.grid_interp(s_grid, x_grid, values, s, np.array([x]))[0])
-
-
-def _assert_point_read_is_row_read(s_grid, x_grid, values, s, x):
-    s_grid, x_grid, values = (np.asarray(a, dtype=float) for a in (s_grid, x_grid, values))
-    with np.errstate(all="ignore"):
-        want = _row_read(s_grid, x_grid, values, s, x)
-        got = model.grid_interp(s_grid, x_grid, values, s, x)
-    assert type(got) is float
-    assert got.hex() == want.hex(), (s, x)
-
-
-def test_grid_interp_at_a_float_state_reads_as_the_row_does():
-    s_grid = [0.0, 0.5, 0.5, 1.0]            # two equal grid times
-    x_grid = [-1.0, -0.25, 0.5, 2.0]
-    values = np.arange(16.0).reshape(4, 4) ** 1.5 - 7.0
-    nodes = x_grid + [-0.0]
-    outside = [-1.5, -1e300, 2.5, 1e300, -math.inf, math.inf]
-    between = [-0.6, 0.1, 1.999]
-    for s in s_grid + [0.25, 0.75, -0.0, -3.0, 4.0, math.inf, -math.inf, math.nan]:
-        for x in nodes + outside + between + [math.nan]:
-            _assert_point_read_is_row_read(s_grid, x_grid, values, s, x)
-    # one x node: every state, NaN too, reads that node
-    for x in (-3.0, 0.0, 3.0, math.nan):
-        _assert_point_read_is_row_read([0.0, 1.0], [0.0], [[1.5], [2.5]], 0.3, x)
-    # non-finite neighbours, blended between the times (a weight of 0 or 1
-    # times inf is NaN): a NaN slope from the left retried from the right, and
-    # equal infinite neighbours read as themselves
-    for row in ([math.inf, math.inf, 0.0], [-math.inf, math.inf, 0.0],
-                [math.nan, 1.0, 2.0], [1.0, math.inf, -math.inf], [1.0, math.inf, 3.0]):
-        for x in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            _assert_point_read_is_row_read([0.0, 1.0], [-1.0, 0.0, 1.0], [row, row], 0.5, x)
-
-
-_GRID_VALUE = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_grid_interp_at_a_float_state_has_the_bits_of_the_row_read(data):
-    # repeated time and x nodes, any table value, s and x on the nodes, off
-    # them and outside the grid
-    s_grid = sorted(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
-                                       min_size=2, max_size=5)))
-    x_grid = sorted(data.draw(st.lists(st.one_of(st.floats(-2.0, 2.0),
-                                                 st.sampled_from([-1.0, 0.0, 1.0])),
-                                       min_size=1, max_size=6)))
-    n = len(s_grid) * len(x_grid)
-    values = np.reshape(data.draw(st.lists(_GRID_VALUE, min_size=n, max_size=n)),
-                        (len(s_grid), len(x_grid)))
-    s = data.draw(st.one_of(st.sampled_from(s_grid + [-0.0]), st.floats(-1.0, 2.0)))
-    x = data.draw(st.one_of(st.sampled_from(x_grid + [-0.0]), _ANY_FLOAT))
-    _assert_point_read_is_row_read(s_grid, x_grid, values, s, x)
-
-
 DETERMINISTIC_FAMILIES = sorted(name for name, build in model.FAMILIES.items()
                                 if build().cost_class == "deterministic")
 
